@@ -15,11 +15,13 @@
 //!   are, with a tolerance ([`SPEEDUP_RATIO_FLOOR`], [`ALLOC_SLACK`]) so
 //!   scheduler noise does not flake the gate.
 //!
-//! The parser below is a dependency-free strict JSON reader that keeps
-//! numbers as raw text: `verdict_digest` values exceed `i64::MAX` and
-//! must be compared exactly, not as lossy `f64`.
+//! Lines are read with [`mcs_codec::json::parse`], which keeps integers
+//! exact: `verdict_digest` values exceed `i64::MAX` and must be
+//! compared exactly, not as lossy `f64`.
 
 use std::fmt::Write as _;
+
+use mcs_codec::json::{parse, Json};
 
 /// Fresh speedup must be at least this fraction of the baseline speedup.
 pub const SPEEDUP_RATIO_FLOOR: f64 = 0.6;
@@ -27,249 +29,19 @@ pub const SPEEDUP_RATIO_FLOOR: f64 = 0.6;
 /// Allowed absolute growth in trail-engine heap allocations per sweep.
 pub const ALLOC_SLACK: u64 = 16;
 
-/// A parsed JSON value. Numbers keep their raw source text so exact
-/// integer comparison survives values beyond `f64`'s integer range.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, as its raw source text.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object; `None` elsewhere.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+/// A canonical text rendering of a scalar, for line keys, diff
+/// messages and exact comparison. Arrays/objects render as a
+/// placeholder.
+fn scalar_text(v: &Json) -> String {
+    match v {
+        Json::Null => "null".into(),
+        Json::Bool(b) => b.to_string(),
+        Json::Int(n) => n.to_string(),
+        Json::Num(raw) => raw.clone(),
+        Json::Str(s) => s.clone(),
+        Json::Arr(_) => "<array>".into(),
+        Json::Obj(_) => "<object>".into(),
     }
-
-    /// Numeric value as `f64`; `None` for non-numbers.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// A canonical text rendering of a scalar, for diff messages and
-    /// exact comparison. Arrays/objects render as a placeholder.
-    pub fn scalar_text(&self) -> String {
-        match self {
-            Json::Null => "null".into(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(raw) => raw.clone(),
-            Json::Str(s) => s.clone(),
-            Json::Arr(_) => "<array>".into(),
-            Json::Obj(_) => "<object>".into(),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "byte {}: expected `{}`, found `{}`",
-                self.pos,
-                b as char,
-                self.peek().map(|c| c as char).unwrap_or('?')
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "byte {}: unexpected `{}`",
-                self.pos,
-                other.map(|c| c as char).unwrap_or('?')
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("byte {}: expected `{word}`", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("byte {start}: non-utf8 number"))?;
-        raw.parse::<f64>()
-            .map_err(|_| format!("byte {start}: malformed number `{raw}`"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("byte {}: dangling escape", self.pos))?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => {
-                            return Err(format!(
-                                "byte {}: unsupported escape `\\{}`",
-                                self.pos, other as char
-                            ))
-                        }
-                    });
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| format!("byte {start}: non-utf8 string"))?,
-                    );
-                }
-                None => return Err(format!("byte {}: unterminated string", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("byte {}: expected `,` or `]`", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("byte {}: expected `,` or `}}`", self.pos)),
-            }
-        }
-    }
-}
-
-/// Parses one strict-JSON document.
-///
-/// # Errors
-///
-/// A byte-offset message on malformed input or trailing garbage.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("byte {}: trailing garbage", p.pos));
-    }
-    Ok(v)
 }
 
 /// How a diverging field fails the gate.
@@ -336,7 +108,7 @@ fn hard_compare(line: &str, base: &Json, fresh: &Json, path: &str, out: &mut Vec
             line: line.into(),
             field: path.into(),
             severity: Severity::Hard,
-            detail: format!("baseline {} != fresh {}", b.scalar_text(), f.scalar_text()),
+            detail: format!("baseline {} != fresh {}", scalar_text(b), scalar_text(f)),
         });
     }
 }
@@ -412,10 +184,10 @@ fn parse_lines(text: &str, key: &str) -> Result<Vec<(String, Json)>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         let k = v
             .get(key)
-            .map(Json::scalar_text)
+            .map(scalar_text)
             .ok_or_else(|| format!("line {}: no `{key}` member", i + 1))?;
         out.push((k, v));
     }
@@ -817,23 +589,12 @@ mod tests {
 
     #[test]
     fn parser_round_trips_the_committed_baseline_shape() {
-        let v = parse_json(PROBE_BASE).unwrap();
+        let v = parse(PROBE_BASE).unwrap();
         assert_eq!(
             v.get("trail").unwrap().get("verdict_digest"),
-            Some(&Json::Num("12501005524302218597".into()))
+            Some(&Json::Int(12501005524302218597))
         );
         assert_eq!(v.get("agree"), Some(&Json::Bool(true)));
-        assert_eq!(
-            v.get("design").map(Json::scalar_text),
-            Some("d".to_string())
-        );
-    }
-
-    #[test]
-    fn parser_rejects_trailing_garbage_and_bad_numbers() {
-        assert!(parse_json("{\"a\":1} x").is_err());
-        assert!(parse_json("{\"a\":1.2.3}").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2").is_err());
+        assert_eq!(v.get("design").map(scalar_text), Some("d".to_string()));
     }
 }

@@ -11,8 +11,10 @@
 pub mod compare;
 
 use std::fmt::Write as _;
+use std::hash::Hasher;
 
 use mcs_cdfg::{designs, timing, PartitionId, PortMode};
+use mcs_codec::fnv::Fnv;
 use mcs_conditional::{conditional_sharing_sets, CondShareConfig};
 use mcs_connect::{Bus, BusAssignment, Interconnect, SubRange};
 use mcs_sched::{list_schedule, AllocationWheel, BusPolicy, ListConfig};
@@ -956,16 +958,12 @@ pub struct MeasuredServe {
 /// FNV-1a digest of newline-joined response lines — the deterministic
 /// fingerprint [`MeasuredServe::response_digest`] carries.
 pub fn response_digest(lines: &[String]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::default();
     for line in lines {
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h.write(line.as_bytes());
+        h.write(b"\n");
     }
-    h
+    h.finish()
 }
 
 /// Renders one `bench_serve` BENCH line. `pass` is the load gate — the
@@ -1148,7 +1146,7 @@ mod tests {
              \"probe\":{\"exact_fallbacks\":3,\"batched\":40,\
              \"batch_checkpoints\":2},\"speedup\":2.00}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1188,7 +1186,7 @@ mod tests {
              \"frontier_agree\":true,\"warm_start_hit_rate\":2.000,\
              \"speedup\":1.50}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1244,7 +1242,7 @@ mod tests {
              \"agree\":true,\"alloc_ratio\":60.00,\"speedup\":8.00,\
              \"wide_ratio\":2.00}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1287,7 +1285,7 @@ mod tests {
              \"shrink\":{\"steps\":104,\"from_ops\":8,\"to_ops\":4},\
              \"wall_ms\":4000.000,\"designs_per_sec\":50.0,\"agree\":true}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1344,7 +1342,7 @@ mod tests {
              \"wall_ms\":250.000,\"requests_per_sec\":256.0,\
              \"hit_speedup\":62.50,\"pass\":true}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1414,7 +1412,7 @@ mod tests {
              \"cold_wall_ms\":40.000,\"speedup\":20.00,\"warm\":true,\
              \"pass\":true}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]

@@ -17,6 +17,8 @@
 
 use std::collections::BTreeSet;
 
+use mcs_codec::fnv::fnv1a;
+
 use crate::graph::{Cdfg, ConditionVector, Edge, GraphError, OpKind, Operation, Value};
 use crate::ids::{OpId, PartitionId, ValueId};
 use crate::OperatorClass;
@@ -283,12 +285,7 @@ impl DesignDelta {
     /// FNV-1a digest of the canonical spec — the delta half of the serve
     /// cache key `(parent digest, delta digest)`.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for byte in self.spec().bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fnv1a(self.spec().as_bytes())
     }
 
     /// The last rate override in the delta, if any.

@@ -30,6 +30,7 @@
 
 use std::collections::BTreeMap;
 
+use mcs_codec::fnv::fnv1a;
 use proptest::collection::{self, VecStrategy};
 use proptest::{Strategy, TestRng};
 
@@ -623,13 +624,7 @@ pub fn genome_from_seed(config: &FuzzConfig, seed: u64) -> Genome {
 /// share a digest iff they render identically, so a single `u64` locks
 /// generator output across refactors.
 pub fn design_digest(cdfg: &Cdfg) -> u64 {
-    let text = crate::format::write(cdfg);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(crate::format::write(cdfg).as_bytes())
 }
 
 /// Structural distribution counters for one design — the raw material of

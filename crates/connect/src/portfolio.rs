@@ -44,6 +44,7 @@ use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use mcs_cdfg::{Cdfg, OpId, PartitionId, PortMode};
+use mcs_codec::fnv::fnv1a;
 use mcs_ctl::Termination;
 use mcs_metrics::{Histogram, MetricsHandle};
 use mcs_pinalloc::PinChecker;
@@ -378,13 +379,8 @@ impl SharedCache {
     }
 
     fn shard_of(&self, key: &[u8]) -> usize {
-        // FNV-1a over the key bytes; only shard selection depends on it.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
+        // Only shard selection depends on the hash.
+        (fnv1a(key) % self.shards.len() as u64) as usize
     }
 
     /// `Some(from_seed)` when a dominating proof is resident: the flag

@@ -961,7 +961,7 @@ fn main() -> ExitCode {
                 }
             };
             let json = report.to_json();
-            if let Err(e) = export::validate_json(&json) {
+            if let Err(e) = multichip_hls::codec::json::parse(&json) {
                 eprintln!("internal error: sweep JSON failed strict validation: {e}");
                 return ExitCode::FAILURE;
             }

@@ -44,6 +44,7 @@ pub mod resynth;
 pub mod rtl;
 
 pub use mcs_cdfg as cdfg;
+pub use mcs_codec as codec;
 pub use mcs_conditional as conditional;
 pub use mcs_connect as connect;
 pub use mcs_explore as explore_engine;

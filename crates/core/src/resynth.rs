@@ -35,6 +35,7 @@ use std::fmt::Write as _;
 use mcs_cdfg::delta::{AppliedDelta, DeltaError, DesignDelta};
 use mcs_cdfg::timing::StepTime;
 use mcs_cdfg::{BusId, Cdfg, OpId, PartitionId, PortMode};
+use mcs_codec::json::{self, Json};
 use mcs_connect::{Bus, BusAssignment, Interconnect, SubRange};
 use mcs_metrics::MetricsHandle;
 use mcs_obs::RecorderHandle;
@@ -788,86 +789,90 @@ fn write_ports(s: &mut String, ports: &BTreeMap<PartitionId, u32>) {
 /// A human-readable description of the first malformed construct.
 pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     let v = json::parse(text)?;
-    let design_digest = json::field(&v, "design")?.as_u64()?;
-    let flow = json::field(&v, "flow")?.as_str()?.to_string();
-    let rate = json::field(&v, "rate")?.as_u64()? as u32;
-    let pipe_length = json::field(&v, "pipe_length")?.as_i64()?;
-    let start = json::field(&v, "start")?
-        .as_arr()?
+    let design_digest = v.field("design")?.u64()?;
+    let flow = v.field("flow")?.text()?.to_string();
+    let rate = v.field("rate")?.u64()? as u32;
+    let pipe_length = v.field("pipe_length")?.i64()?;
+    let start = v
+        .field("start")?
+        .items()?
         .iter()
         .map(|t| {
-            let pair = t.as_arr()?;
+            let pair = t.items()?;
             if pair.len() != 2 {
                 return Err("start entry is not a [step, offset] pair".into());
             }
             Ok(StepTime {
-                step: pair[0].as_i64()?,
-                offset_ns: pair[1].as_u64()?,
+                step: pair[0].i64()?,
+                offset_ns: pair[1].u64()?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let mode = match json::field(&v, "mode")?.as_str()? {
+    let mode = match v.field("mode")?.text()? {
         "uni" => PortMode::Unidirectional,
         "bi" => PortMode::Bidirectional,
         other => return Err(format!("unknown port mode `{other}`")),
     };
-    let buses = json::field(&v, "buses")?
-        .as_arr()?
+    let buses = v
+        .field("buses")?
+        .items()?
         .iter()
         .map(|b| {
             Ok(Bus {
-                out_ports: read_ports(json::field(b, "out")?)?,
-                in_ports: read_ports(json::field(b, "in")?)?,
-                bi_ports: read_ports(json::field(b, "bi")?)?,
-                sub_widths: json::field(b, "widths")?
-                    .as_arr()?
+                out_ports: read_ports(b.field("out")?)?,
+                in_ports: read_ports(b.field("in")?)?,
+                bi_ports: read_ports(b.field("bi")?)?,
+                sub_widths: b
+                    .field("widths")?
+                    .items()?
                     .iter()
-                    .map(|w| Ok(w.as_u64()? as u32))
+                    .map(|w| Ok(w.u64()? as u32))
                     .collect::<Result<Vec<_>, String>>()?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     let mut assignment = BTreeMap::new();
-    for row in json::field(&v, "assignment")?.as_arr()? {
-        let row = row.as_arr()?;
+    for row in v.field("assignment")?.items()? {
+        let row = row.items()?;
         if row.len() != 4 {
             return Err("assignment row is not [op, bus, lo, hi]".into());
         }
         assignment.insert(
-            OpId::new(row[0].as_u64()? as u32),
+            OpId::new(row[0].u64()? as u32),
             BusAssignment {
-                bus: BusId::new(row[1].as_u64()? as u32),
+                bus: BusId::new(row[1].u64()? as u32),
                 range: SubRange {
-                    lo: row[2].as_u64()? as usize,
-                    hi: row[3].as_u64()? as usize,
+                    lo: row[2].u64()? as usize,
+                    hi: row[3].u64()? as usize,
                 },
             },
         );
     }
-    let pins_used = json::field(&v, "pins_used")?
-        .as_arr()?
+    let pins_used = v
+        .field("pins_used")?
+        .items()?
         .iter()
-        .map(|p| Ok(p.as_u64()? as u32))
+        .map(|p| Ok(p.u64()? as u32))
         .collect::<Result<Vec<_>, String>>()?;
     let mut placements = BTreeMap::new();
-    for row in json::field(&v, "placements")?.as_arr()? {
-        let row = row.as_arr()?;
+    for row in v.field("placements")?.items()? {
+        let row = row.items()?;
         if row.len() != 5 {
             return Err("placement row is not [op, bus, step, lo, hi]".into());
         }
         placements.insert(
-            OpId::new(row[0].as_u64()? as u32),
+            OpId::new(row[0].u64()? as u32),
             SlotPlacement {
-                bus: BusId::new(row[1].as_u64()? as u32),
-                step: row[2].as_i64()?,
+                bus: BusId::new(row[1].u64()? as u32),
+                step: row[2].i64()?,
                 range: SubRange {
-                    lo: row[3].as_u64()? as usize,
-                    hi: row[4].as_u64()? as usize,
+                    lo: row[3].u64()? as usize,
+                    hi: row[4].u64()? as usize,
                 },
             },
         );
     }
-    let reassigned = json::field(&v, "reassigned")?.as_u64()? as usize;
+    let reassigned = v.field("reassigned")?.u64()? as usize;
     Ok(SavedResult {
         design_digest,
         flow,
@@ -887,236 +892,63 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     })
 }
 
-fn read_ports(v: &json::Value) -> Result<BTreeMap<PartitionId, u32>, String> {
+fn read_ports(v: &Json) -> Result<BTreeMap<PartitionId, u32>, String> {
     let mut ports = BTreeMap::new();
-    for row in v.as_arr()? {
-        let row = row.as_arr()?;
+    for row in v.items()? {
+        let row = row.items()?;
         if row.len() != 2 {
             return Err("port row is not a [chip, count] pair".into());
         }
-        ports.insert(
-            PartitionId::new(row[0].as_u64()? as u32),
-            row[1].as_u64()? as u32,
-        );
+        ports.insert(PartitionId::new(row[0].u64()? as u32), row[1].u64()? as u32);
     }
     Ok(ports)
 }
 
-/// A deliberately small JSON reader for the formats this crate itself
-/// emits: integers, strings, booleans, null, arrays and objects. No
-/// floats, no escapes beyond `\"`, `\\`, `\n`, `\t` — the writer never
-/// produces them.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug)]
-    pub enum Value {
-        /// Integer (all numbers this codec emits are integers).
-        Num(i128),
-        /// String.
-        Str(String),
-        /// `true` / `false`. Parsed for tolerance; the saved-result
-        /// writer never emits booleans, so the payload is unread.
-        Bool(#[allow(dead_code)] bool),
-        /// `null`.
-        Null,
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object, in source order.
-        Obj(Vec<(String, Value)>),
+/// Typed accessors over the saved-result tree; each error names what
+/// the format expected.
+trait SavedJson {
+    fn field(&self, key: &str) -> Result<&Json, String>;
+    fn int(&self) -> Result<i128, String>;
+    fn text(&self) -> Result<&str, String>;
+    fn items(&self) -> Result<&[Json], String>;
+
+    fn u64(&self) -> Result<u64, String> {
+        let n = self.int()?;
+        u64::try_from(n).map_err(|_| format!("expected unsigned integer, got {n}"))
     }
 
-    impl Value {
-        pub fn as_u64(&self) -> Result<u64, String> {
-            match self {
-                Value::Num(n) if *n >= 0 && *n <= u64::MAX as i128 => Ok(*n as u64),
-                other => Err(format!("expected unsigned integer, got {other:?}")),
-            }
-        }
-
-        pub fn as_i64(&self) -> Result<i64, String> {
-            match self {
-                Value::Num(n) if *n >= i64::MIN as i128 && *n <= i64::MAX as i128 => Ok(*n as i64),
-                other => Err(format!("expected integer, got {other:?}")),
-            }
-        }
-
-        pub fn as_str(&self) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("expected string, got {other:?}")),
-            }
-        }
-
-        pub fn as_arr(&self) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                other => Err(format!("expected array, got {other:?}")),
-            }
-        }
+    fn i64(&self) -> Result<i64, String> {
+        let n = self.int()?;
+        i64::try_from(n).map_err(|_| format!("integer {n} is out of range"))
     }
+}
 
-    /// Looks up `key` in an object value.
-    pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-        match v {
-            Value::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
+impl SavedJson for Json {
+    fn field(&self, key: &str) -> Result<&Json, String> {
+        match self {
+            Json::Obj(_) => self
+                .get(key)
                 .ok_or_else(|| format!("missing field `{key}`")),
             other => Err(format!("expected object with `{key}`, got {other:?}")),
         }
     }
 
-    /// Parses one JSON document; trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
+    fn int(&self) -> Result<i128, String> {
+        match self {
+            Json::Int(n) => Ok(*n),
+            Json::Num(raw) => Err(format!("`{raw}`: floats are not part of this format")),
+            other => Err(format!("expected integer, got {other:?}")),
         }
-        Ok(v)
     }
 
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
+    fn text(&self) -> Result<&str, String> {
+        self.as_str()
+            .ok_or_else(|| format!("expected string, got {self:?}"))
     }
 
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.i < self.b.len() && self.b[self.i] == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", c as char, self.i))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.b.get(self.i).copied()
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.keyword("true", Value::Bool(true)),
-                Some(b'f') => self.keyword("false", Value::Bool(false)),
-                Some(b'n') => self.keyword("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.i)),
-            }
-        }
-
-        fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("unknown keyword at byte {}", self.i))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-                self.i += 1;
-            }
-            if self.i == start || (self.i == start + 1 && self.b[start] == b'-') {
-                return Err(format!("bad number at byte {start}"));
-            }
-            if matches!(self.b.get(self.i), Some(b'.' | b'e' | b'E')) {
-                return Err(format!("floats are not part of this format (byte {start})"));
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse::<i128>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            while let Some(&c) = self.b.get(self.i) {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let esc = self.b.get(self.i).copied();
-                        self.i += 1;
-                        match esc {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            _ => return Err(format!("bad escape at byte {}", self.i)),
-                        }
-                    }
-                    c => out.push(c as char),
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
-                }
-            }
-        }
+    fn items(&self) -> Result<&[Json], String> {
+        self.as_arr()
+            .ok_or_else(|| format!("expected array, got {self:?}"))
     }
 }
 
@@ -1157,6 +989,12 @@ mod tests {
             let err = result_from_json(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` -> `{err}`");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = result_from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -103,7 +103,13 @@ mod tests {
     #[test]
     fn unarmed_faultpoint_is_a_noop() {
         faultpoint!("test::noop");
-        assert!(hits("test::noop") >= 1);
+        // Debug builds count the hit; release builds compile the site
+        // away entirely.
+        if cfg!(debug_assertions) {
+            assert!(hits("test::noop") >= 1);
+        } else {
+            assert_eq!(hits("test::noop"), 0);
+        }
     }
 
     #[test]
@@ -111,7 +117,8 @@ mod tests {
         arm("test::boom", FaultAction::Panic);
         let r = std::panic::catch_unwind(|| faultpoint!("test::boom"));
         disarm("test::boom");
-        assert!(r.is_err());
+        // An armed site panics only where faultpoints exist: debug builds.
+        assert_eq!(r.is_err(), cfg!(debug_assertions));
         // After disarm the same site is inert again.
         faultpoint!("test::boom");
     }

@@ -22,27 +22,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use mcs_codec::fnv::Fnv;
+
 use crate::PointCoord;
 
 /// Number of shards; a small power of two keeps the hash mix cheap.
 const SHARDS: usize = 16;
-
-/// FNV-1a as a [`Hasher`], so shard choice is identical on every
-/// platform (the std `DefaultHasher` is seeded per process).
-struct Fnv(u64);
-
-impl Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// Sharded, optionally size-bounded map from producing key to its
 /// warm-start export.
@@ -84,8 +69,10 @@ impl<K: Eq + Hash + Clone, V> WarmStartCache<K, V> {
         }
     }
 
+    /// FNV-1a, so shard choice is identical in every process (the std
+    /// `DefaultHasher` is seeded per process).
     fn shard_of(&self, key: &K) -> usize {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::default();
         key.hash(&mut h);
         (h.finish() % SHARDS as u64) as usize
     }

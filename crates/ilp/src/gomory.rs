@@ -64,7 +64,10 @@
 //! front — the differential anchor the bench harness compares the
 //! adaptive path against.
 
+use std::hash::Hasher;
+
 use crate::model::{Model, SolveError};
+use mcs_codec::fnv::Fnv;
 use mcs_ctl::Budget;
 use mcs_metrics::{Counter, Histogram, MetricsHandle};
 use mcs_obs::{Event, RecorderHandle};
@@ -521,37 +524,31 @@ impl AllIntegerSolver {
     /// the active representation, so an adaptive (i64) solver and a
     /// forced-wide one digest identically at every step.
     pub fn tableau_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&(self.nrows as u64).to_le_bytes());
-        eat(&(self.ncols as u64).to_le_bytes());
+        let mut h = Fnv::default();
+        h.write(&(self.nrows as u64).to_le_bytes());
+        h.write(&(self.ncols as u64).to_le_bytes());
         let live = self.nrows * self.stride();
         if self.wide {
             for &cell in &self.tab_wide[..live] {
-                eat(&cell.to_le_bytes());
+                h.write(&cell.to_le_bytes());
             }
         } else {
             for &cell in &self.tab[..live] {
-                eat(&(cell as i128).to_le_bytes());
+                h.write(&(cell as i128).to_le_bytes());
             }
         }
         for &s in &self.shifts {
-            eat(&s.to_le_bytes());
+            h.write(&s.to_le_bytes());
         }
-        eat(&(self.original.len() as u64).to_le_bytes());
+        h.write(&(self.original.len() as u64).to_le_bytes());
         for (terms, rhs) in &self.original {
             for &(v, a) in terms {
-                eat(&(v as u64).to_le_bytes());
-                eat(&a.to_le_bytes());
+                h.write(&(v as u64).to_le_bytes());
+                h.write(&a.to_le_bytes());
             }
-            eat(&rhs.to_le_bytes());
+            h.write(&rhs.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Adds `sum(coeff * x_var) <= rhs`.

@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
+use mcs_codec::fnv::fnv1a;
 use mcs_ctl::{Clock, MonotonicClock};
 
 /// Number of independently locked name → cell map shards. Contention on
@@ -64,15 +65,6 @@ const SHARDS: usize = 8;
 /// Number of histogram buckets: 16 exact small-value buckets plus four
 /// log-linear sub-buckets per power of two up to `u64::MAX`.
 pub const HISTOGRAM_BUCKETS: usize = 256;
-
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Maps a recorded value to its bucket index.
 ///
@@ -372,7 +364,7 @@ impl Registry {
 
     /// Resolve (registering on first use) the counter `name`.
     pub fn counter(&self, name: &'static str) -> Counter {
-        let shard = fnv1a(name) as usize % SHARDS;
+        let shard = fnv1a(name.as_bytes()) as usize % SHARDS;
         let mut map = self.counters[shard].lock().expect("metrics counter shard");
         let cell = map
             .entry(name)
@@ -387,7 +379,7 @@ impl Registry {
 
     /// Resolve (registering on first use) the gauge `name`.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        let shard = fnv1a(name) as usize % SHARDS;
+        let shard = fnv1a(name.as_bytes()) as usize % SHARDS;
         let mut map = self.gauges[shard].lock().expect("metrics gauge shard");
         let cell = map
             .entry(name)
@@ -402,7 +394,7 @@ impl Registry {
 
     /// Resolve (registering on first use) the histogram `name`.
     pub fn histogram(&self, name: &'static str) -> Histogram {
-        let shard = fnv1a(name) as usize % SHARDS;
+        let shard = fnv1a(name.as_bytes()) as usize % SHARDS;
         let mut map = self.histograms[shard]
             .lock()
             .expect("metrics histogram shard");

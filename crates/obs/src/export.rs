@@ -1,6 +1,8 @@
 //! Trace exporters: Chrome `trace_event` JSON and newline-delimited
-//! JSON, plus a small strict JSON validity checker used by the tests
-//! (this workspace builds offline, so there is no serde to lean on).
+//! JSON. Strings go through [`mcs_codec::json::escape`], so the
+//! exporters never emit malformed JSON even for unusual names.
+
+use mcs_codec::json::escape;
 
 use crate::{Event, TimedEvent};
 
@@ -22,25 +24,6 @@ impl std::fmt::Display for JsonValue {
             JsonValue::Str(s) => write!(f, "\"{}\"", escape(s)),
         }
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal. Event names
-/// are static identifiers today, but the exporters must never emit
-/// malformed JSON even if that changes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The payload fields of an event, in a stable order, as JSON scalars.
@@ -203,186 +186,11 @@ pub fn jsonl(timed: &[TimedEvent]) -> String {
     out
 }
 
-/// Validates that `text` is one syntactically well-formed JSON value
-/// (with nothing but whitespace after it). Strict recursive-descent
-/// check — no values are materialized. Returns the byte offset and a
-/// message on failure.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, b"true"),
-        Some(b'f') => parse_literal(b, pos, b"false"),
-        Some(b'n') => parse_literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // opening quote
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            c if c < 0x20 => {
-                return Err(format!(
-                    "unescaped control byte in string at {pos}",
-                    pos = *pos
-                ))
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PlaceVerdict;
+    use mcs_codec::json::parse;
 
     fn sample() -> Vec<TimedEvent> {
         let events = vec![
@@ -449,7 +257,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_all_kinds() {
         let trace = chrome_trace(&sample());
-        validate_json(&trace).expect("chrome trace parses");
+        parse(&trace).expect("chrome trace parses");
         assert!(trace.starts_with("{\"traceEvents\":["));
         for needle in [
             "\"ph\":\"B\"",
@@ -477,7 +285,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 10);
         for line in lines {
-            validate_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }
         assert!(text.contains("\"type\":\"PinCheck\""));
         assert!(text.contains("\"pins_used\":14"));
@@ -485,45 +293,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_still_valid() {
-        validate_json(&chrome_trace(&[])).expect("empty trace parses");
+        parse(&chrome_trace(&[])).expect("empty trace parses");
         assert_eq!(jsonl(&[]), "");
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\":1,}",
-            "\"unterminated",
-            "01x",
-            "1.",
-            "1e",
-            "{\"a\":1} extra",
-            "tru",
-            "[1 2]",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted {bad:?}");
-        }
-        for good in [
-            "0",
-            "-1.5e10",
-            "true",
-            "null",
-            "[]",
-            "{}",
-            "{\"a\":[1,2,{\"b\":\"\\u0041\"}]}",
-            "  {\"x\":false}  ",
-        ] {
-            validate_json(good).unwrap_or_else(|e| panic!("rejected {good:?}: {e}"));
-        }
     }
 }

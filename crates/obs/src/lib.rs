@@ -1,6 +1,6 @@
 //! # mcs-obs
 //!
-//! Zero-dependency structured-event layer for the `multichip-hls`
+//! Zero-external-dependency structured-event layer for the `multichip-hls`
 //! pipeline: phase spans, monotonic counters and typed decision events
 //! recorded through a thread-safe [`Recorder`].
 //!

@@ -221,18 +221,6 @@ impl ServeCache {
     }
 }
 
-/// FNV-1a over `bytes` — digests the canonical previous-result body for
-/// the resynth cache key (the same hash family
-/// [`mcs_cdfg::delta::DesignDelta::digest`] uses for the delta half).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Digest of `cdfg` with every chip's pin budget normalized out (budget
 /// 0, no fixed split), so near-repeat requests — same structure,
 /// different budgets — share a digest. The environment partition is
@@ -258,6 +246,7 @@ pub fn effective_budgets(cdfg: &Cdfg) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_codec::fnv::fnv1a;
 
     fn entry(body: &str, memo: Vec<((usize, i64), bool)>) -> ServeEntry {
         ServeEntry {

@@ -21,10 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod json;
 pub mod pool;
 pub mod proto;
 pub mod server;
+
+pub use mcs_codec::json;
 
 pub use cache::{Lookup, Seeds, ServeCache, ServeEntry, ServeKey};
 pub use proto::{ErrorKind, JobFlow, Request};

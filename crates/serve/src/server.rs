@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mcs_cdfg::{format, Cdfg, PartitionId};
+use mcs_codec::fnv::fnv1a;
 use mcs_ctl::{Budget, BudgetSpec, Termination};
 use mcs_explore::{FlowVariant, SweepOptions, SweepSpec};
 use mcs_metrics::export::{to_json, to_prometheus};
@@ -35,7 +36,7 @@ use multichip_hls::netlist;
 use multichip_hls::resynth;
 
 use crate::cache::{
-    effective_budgets, fnv1a, normalized_digest, Lookup, Seeds, ServeCache, ServeEntry, ServeKey,
+    effective_budgets, normalized_digest, Lookup, Seeds, ServeCache, ServeEntry, ServeKey,
 };
 use crate::json;
 use crate::pool::{Lane, WorkerPool};
@@ -48,6 +49,13 @@ use crate::proto::{
 /// sweep driver's fixed portfolio: the search result must not depend on
 /// how many daemon workers happen to run.
 const SERVE_PORTFOLIO: usize = 4;
+
+/// Longest request line the daemon reads, newline excluded. A longer
+/// line gets a `parse` error naming this cap, the rest of it is
+/// discarded up to the next newline, and the connection keeps serving.
+/// The largest request any in-repo client sends (`bench_serve`, the
+/// test suites, `perfbench`'s `serve_mix`) is about 4 KiB.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -387,13 +395,13 @@ impl Server {
     /// # Errors
     ///
     /// Propagates I/O failures on either stream.
-    pub fn serve_stdio<R: BufRead, W: Write>(&self, input: R, mut output: W) -> io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
+    pub fn serve_stdio<R: BufRead, W: Write>(&self, mut input: R, mut output: W) -> io::Result<()> {
+        let mut lines = LineReader::default();
+        while let Some(line) = lines.next_line(&mut input)? {
+            let Some(response) = self.respond(line) else {
                 continue;
-            }
-            writeln!(output, "{}", self.handle_line(line.trim()))?;
+            };
+            writeln!(output, "{response}")?;
             output.flush()?;
             if self.stop_requested() {
                 break;
@@ -401,6 +409,20 @@ impl Server {
         }
         self.pool.shutdown();
         Ok(())
+    }
+
+    /// The response to one line read off the wire; `None` for a blank
+    /// line. A line the reader refused gets a `parse` error.
+    fn respond(&self, line: Result<String, String>) -> Option<String> {
+        match line {
+            Ok(line) if line.trim().is_empty() => None,
+            Ok(line) => Some(self.handle_line(line.trim())),
+            Err(detail) => {
+                self.metrics.add("serve.requests", 1);
+                self.metrics.add("serve.errors", 1);
+                Some(error_response(ErrorKind::Parse, &detail))
+            }
+        }
     }
 
     /// Accept loop: one thread per connection, shared dispatch. Returns
@@ -446,36 +468,98 @@ impl Server {
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = stream;
-        let mut buf = String::new();
+        let mut lines = LineReader::default();
         loop {
             if self.stop_requested() {
                 return;
             }
-            match reader.read_line(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => {
-                    let line = buf.trim().to_string();
-                    buf.clear();
-                    if line.is_empty() {
+            match lines.next_line(&mut reader) {
+                Ok(None) => return,
+                Ok(Some(line)) => {
+                    let Some(response) = self.respond(line) else {
                         continue;
-                    }
-                    let response = self.handle_line(&line);
+                    };
                     if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
                         return;
                     }
                 }
-                // Timeout: poll the stop flag and keep waiting. A
-                // partially read line stays in `buf` and completes on
-                // the next pass.
+                // Timeout or interrupted read: poll the stop flag and
+                // keep waiting. A partially read line stays in `lines`
+                // and completes on the next pass.
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
                 {
                     continue;
                 }
                 Err(_) => return,
             }
         }
+    }
+}
+
+/// Reads newline-terminated request lines of at most
+/// [`MAX_LINE_BYTES`], buffering a partial line across read timeouts.
+#[derive(Default)]
+struct LineReader {
+    buf: Vec<u8>,
+    /// The current line outgrew the cap; its bytes are being discarded
+    /// up to the next newline.
+    overflow: bool,
+}
+
+impl LineReader {
+    /// The next line without its newline: `Err` with a `parse` detail
+    /// for an over-long or non-UTF-8 line, `Ok(None)` at end of input.
+    /// A final line without a newline still counts.
+    ///
+    /// # Errors
+    ///
+    /// Read failures, including timeouts; the partial line stays
+    /// buffered for the next call.
+    fn next_line<R: BufRead>(
+        &mut self,
+        input: &mut R,
+    ) -> io::Result<Option<Result<String, String>>> {
+        loop {
+            let chunk = input.fill_buf()?;
+            if chunk.is_empty() {
+                if self.buf.is_empty() && !self.overflow {
+                    return Ok(None);
+                }
+                return Ok(Some(self.take()));
+            }
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let data = &chunk[..newline.unwrap_or(chunk.len())];
+            if self.buf.len() + data.len() > MAX_LINE_BYTES {
+                self.overflow = true;
+                self.buf = Vec::new();
+            } else if !self.overflow {
+                self.buf.extend_from_slice(data);
+            }
+            match newline {
+                Some(i) => {
+                    input.consume(i + 1);
+                    return Ok(Some(self.take()));
+                }
+                None => {
+                    let n = chunk.len();
+                    input.consume(n);
+                }
+            }
+        }
+    }
+
+    fn take(&mut self) -> Result<String, String> {
+        let line = std::mem::take(&mut self.buf);
+        if std::mem::take(&mut self.overflow) {
+            return Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+        }
+        String::from_utf8(line).map_err(|_| "request line is not valid UTF-8".into())
     }
 }
 
@@ -773,5 +857,78 @@ fn run_explore(
             Ok((core, termination))
         }
         Err(e) => Err(error_response(ErrorKind::BadRequest, &e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Serves `chunks` one read at a time with a timeout between every
+    /// two, the way a slow TCP client looks to the reader.
+    struct Trickle {
+        chunks: Vec<Vec<u8>>,
+        next: usize,
+        stalled: bool,
+    }
+
+    impl io::Read for Trickle {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            unreachable!("LineReader reads through BufRead")
+        }
+    }
+
+    impl BufRead for Trickle {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            self.stalled = !self.stalled;
+            if self.stalled {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            Ok(self.chunks.get(self.next).map_or(&[], Vec::as_slice))
+        }
+
+        fn consume(&mut self, n: usize) {
+            let chunk = &mut self.chunks[self.next];
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.next += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_reassembles_lines_across_timeouts_and_caps_them() {
+        let long = vec![b'x'; MAX_LINE_BYTES + 1];
+        let mut input = Trickle {
+            chunks: vec![
+                b"{\"cmd\":".to_vec(),
+                b"\"ping\"}\n{\"a\"".to_vec(),
+                b":1}\n".to_vec(),
+                long[..MAX_LINE_BYTES / 2].to_vec(),
+                long[MAX_LINE_BYTES / 2..].to_vec(),
+                b"\nlast".to_vec(),
+                vec![0xff, b'\n'],
+            ],
+            next: 0,
+            stalled: false,
+        };
+        let mut lines = LineReader::default();
+        let mut got = Vec::new();
+        loop {
+            match lines.next_line(&mut input) {
+                Ok(Some(line)) => got.push(line),
+                Ok(None) => break,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                Ok("{\"cmd\":\"ping\"}".to_string()),
+                Ok("{\"a\":1}".to_string()),
+                Err(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+                Err("request line is not valid UTF-8".to_string()),
+            ]
+        );
     }
 }

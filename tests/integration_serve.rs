@@ -11,6 +11,7 @@ use mcs_cdfg::format;
 use mcs_metrics::MetricsHandle;
 use mcs_pinalloc::PinChecker;
 use mcs_serve::json::escape;
+use mcs_serve::server::MAX_LINE_BYTES;
 use mcs_serve::{ServeConfig, Server};
 use multichip_hls::flows::{
     connect_first_flow_seeded, simple_flow_with_checker, ConnectFirstOptions,
@@ -241,6 +242,70 @@ fn stdio_scripts_run_to_shutdown() {
         ]
     );
     assert!(server.stop_requested());
+}
+
+/// Hostile lines from the robustness reproducers: nesting that used to
+/// overflow the parser's stack, and a line longer than the read cap.
+fn hostile_lines() -> [String; 2] {
+    ["[".repeat(200_000), "x".repeat(MAX_LINE_BYTES + 1)]
+}
+
+fn assert_survives_hostile_lines(responses: &[String]) {
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert!(
+        responses[0].contains("\"kind\":\"parse\"") && responses[0].contains("nesting"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].contains("\"kind\":\"parse\"")
+            && responses[1].contains(&MAX_LINE_BYTES.to_string()),
+        "{}",
+        responses[1]
+    );
+    assert_eq!(responses[2], "{\"ok\":true,\"cmd\":\"ping\"}");
+}
+
+#[test]
+fn hostile_lines_get_parse_errors_and_ping_still_answers_over_stdio() {
+    let server = Server::new(ServeConfig::default());
+    let [deep, long] = hostile_lines();
+    let script = format!("{deep}\n{long}\n{{\"cmd\":\"ping\"}}\n");
+    let mut out = Vec::new();
+    server
+        .serve_stdio(script.as_bytes(), &mut out)
+        .expect("stdio loop runs");
+    let out = String::from_utf8(out).expect("utf8 responses");
+    let responses: Vec<String> = out.lines().map(str::to_string).collect();
+    assert_survives_hostile_lines(&responses);
+}
+
+#[test]
+fn hostile_lines_get_parse_errors_and_ping_still_answers_over_tcp() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::Arc;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Arc::new(Server::new(ServeConfig::default()));
+    let daemon = {
+        let server = server.clone();
+        std::thread::spawn(move || server.serve_tcp(listener).expect("accept loop"))
+    };
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let [deep, long] = hostile_lines();
+    let mut responses = Vec::new();
+    for line in [deep.as_str(), long.as_str(), "{\"cmd\":\"ping\"}"] {
+        writeln!(writer, "{line}").expect("send request");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("read response");
+        responses.push(response.trim_end().to_string());
+    }
+    assert_survives_hostile_lines(&responses);
+    writeln!(writer, "{{\"cmd\":\"shutdown\"}}").expect("send shutdown");
+    daemon.join().expect("daemon exits");
 }
 
 #[test]
