@@ -949,7 +949,7 @@ pub fn synthesize_seeded(
     // Counter snapshots for per-epoch `SearchNode` deltas; events are
     // recorded only at barriers, in portfolio order, from this thread —
     // the stream is a pure function of the portfolio, like the result.
-    let rec_on = cfg.recorder.enabled();
+    let rec_on = cfg.metrics.tracing();
     let mut recorded: Vec<(u64, u64, u64, u64)> = vec![(0, 0, 0, 0); workers.len()];
 
     let mut epochs = 0usize;
@@ -994,7 +994,7 @@ pub fn synthesize_seeded(
                 let cur = (w.nodes, w.prunes, w.backtracks, w.cache_hits);
                 let prev = recorded[i];
                 if cur != prev {
-                    cfg.recorder.record(mcs_obs::Event::SearchNode {
+                    cfg.metrics.record(mcs_obs::Event::SearchNode {
                         worker: w.plan.index as u32,
                         epoch: epochs as u32,
                         nodes: cur.0 - prev.0,
@@ -1010,7 +1010,7 @@ pub fn synthesize_seeded(
         for (i, w) in workers.iter().enumerate() {
             if w.status == WorkerStatus::Panicked && !panic_reported[i] {
                 panic_reported[i] = true;
-                cfg.recorder.record(mcs_obs::Event::WorkerPanic {
+                cfg.metrics.record(mcs_obs::Event::WorkerPanic {
                     pool: "portfolio",
                     worker: w.plan.index as u32,
                     epoch: epochs as u32,
@@ -1170,7 +1170,9 @@ mod tests {
             let cfg = SearchConfig::new(3)
                 .with_portfolio(4)
                 .with_workers(workers)
-                .with_recorder(RecorderHandle::new(buf.clone()));
+                .with_metrics(
+                    MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone())),
+                );
             let _ = synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &cfg);
             buf.events()
         };

@@ -53,14 +53,13 @@ pub struct SearchConfig {
     /// deterministic: cancellation and cache visibility are decided by
     /// node counts, never by wall-clock timing.
     pub epoch_nodes: usize,
-    /// Sink for `SearchNode` events. The orchestrator records one event
-    /// per (worker, epoch) at the barrier, in portfolio-index order, so
-    /// the event stream is deterministic across thread counts.
-    pub recorder: mcs_obs::RecorderHandle,
-    /// Metrics sink: a `connect.epoch_us` histogram (one observation per
-    /// live worker per epoch, timed on the registry clock) plus
+    /// Telemetry handle: a `connect.epoch_us` histogram (one observation
+    /// per live worker per epoch, timed on the registry clock) plus
     /// `connect.seed_hits` / `connect.cache_hits` / `connect.nodes`
-    /// counters added once at the end of the run. Disconnected by
+    /// counters added once at the end of the run; with an event sink,
+    /// `SearchNode` and `WorkerPanic` events, recorded by the
+    /// orchestrator at the barrier in portfolio-index order so the event
+    /// stream is deterministic across thread counts. Disconnected by
     /// default.
     pub metrics: mcs_metrics::MetricsHandle,
     /// Execution budget polled at every epoch barrier. When it trips,
@@ -91,7 +90,6 @@ impl SearchConfig {
             workers: 1,
             portfolio: None,
             epoch_nodes: 512,
-            recorder: mcs_obs::RecorderHandle::default(),
             metrics: mcs_metrics::MetricsHandle::default(),
             budget: None,
             probe_seed_plans: false,
@@ -119,13 +117,8 @@ impl SearchConfig {
         self
     }
 
-    /// Routes per-epoch `SearchNode` events to `recorder`.
-    pub fn with_recorder(mut self, recorder: mcs_obs::RecorderHandle) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Connects the `connect.*` metrics to `metrics`.
+    /// Connects the `connect.*` metrics and the search's decision events
+    /// to `metrics`.
     pub fn with_metrics(mut self, metrics: mcs_metrics::MetricsHandle) -> Self {
         self.metrics = metrics;
         self

@@ -19,9 +19,10 @@
 //!                  re-solve only the dirty region, reusing the previous
 //!                  schedule/connection where the classifier allows
 //!                  [--out-result out2.json] [--metrics-out m.json]
-//! mcs-hls explain  <design.mcs> --rate N         synthesize under a tracing
-//!                  recorder, print the per-phase decision summary and the
-//!                  metrics table (counters, histograms, span profile)
+//! mcs-hls explain  <design.mcs> --rate N         synthesize with an event sink
+//!                  and a metrics registry on one telemetry handle; print
+//!                  the per-phase decision summary, the decision facts and
+//!                  the metrics table (counters, histograms, span profile)
 //!                  [--metrics-in m.json]         (render a saved metrics file
 //!                                                instead of synthesizing)
 //! mcs-hls simulate <design.mcs> --rate N [--instances N] [--seed N]
@@ -35,7 +36,8 @@
 //!                  [--flow simple|connect|schedule] [--jobs N]
 //!                  [--out sweep.json] [--csv sweep.csv] [--no-prune]
 //!                  [--explain]                   sweep the rate × budget
-//!                  lattice, print the Pareto frontier report
+//!                  lattice, print the Pareto frontier report (--explain
+//!                  adds the decision summary and the metrics table)
 //! ```
 //!
 //! Designs use the textual format of [`mcs_cdfg::format`]. Benchmarks can
@@ -48,9 +50,8 @@ use mcs_cdfg::{format, timing, Cdfg, PortMode};
 use multichip_hls::explore::run_sweep;
 use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
 use multichip_hls::flows::{
-    connect_first_anytime, connect_first_flow_traced, schedule_first_flow_traced,
-    simple_flow_anytime, simple_flow_with, AnytimeOutcome, ConnectFirstOptions, SynthesisConfig,
-    SynthesisResult,
+    connect_first_anytime, connect_first_flow, schedule_first_flow_traced, simple_flow_anytime,
+    simple_flow_with, AnytimeOutcome, ConnectFirstOptions, SynthesisConfig, SynthesisResult,
 };
 use multichip_hls::metrics::{export as metrics_export, MetricsHandle, Registry};
 use multichip_hls::netlist;
@@ -336,12 +337,7 @@ fn load(path: &str) -> Result<mcs_cdfg::designs::Design, ExitCode> {
 }
 
 fn synthesize(cdfg: &Cdfg, a: &Args) -> Result<SynthesisResult, ExitCode> {
-    synthesize_traced(
-        cdfg,
-        a,
-        &RecorderHandle::default(),
-        &MetricsHandle::default(),
-    )
+    synthesize_traced(cdfg, a, &MetricsHandle::default())
 }
 
 /// The metrics registry backing `--metrics-out` (and the `explain`
@@ -349,6 +345,23 @@ fn synthesize(cdfg: &Cdfg, a: &Args) -> Result<SynthesisResult, ExitCode> {
 /// latency histograms are meaningful.
 fn metrics_registry(a: &Args) -> Option<std::sync::Arc<Registry>> {
     a.metrics_out.as_ref().map(|_| Arc::new(Registry::new()))
+}
+
+/// The event buffer backing `--trace-out`.
+fn trace_buffer(a: &Args) -> Option<Arc<BufferingRecorder>> {
+    a.trace_out
+        .as_ref()
+        .map(|_| Arc::new(BufferingRecorder::new()))
+}
+
+/// The one telemetry handle of a command: `reg` as its registry and
+/// `buf` as its decision-event sink, each when present.
+fn telemetry(reg: Option<&Arc<Registry>>, buf: Option<&Arc<BufferingRecorder>>) -> MetricsHandle {
+    let metrics = reg.map_or_else(MetricsHandle::default, |r| MetricsHandle::new(r.clone()));
+    match buf {
+        Some(b) => metrics.with_events(&RecorderHandle::new(b.clone())),
+        None => metrics,
+    }
 }
 
 /// Writes the metrics snapshot to `path` in the requested format.
@@ -399,7 +412,6 @@ fn ctl_budget(a: &Args) -> Option<mcs_ctl::Budget> {
 fn synthesize_anytime(
     cdfg: &Cdfg,
     a: &Args,
-    recorder: &RecorderHandle,
     metrics: &MetricsHandle,
     budget: mcs_ctl::Budget,
 ) -> Result<Option<SynthesisResult>, ExitCode> {
@@ -411,7 +423,7 @@ fn synthesize_anytime(
                 budget: None,
                 metrics: metrics.clone(),
             };
-            simple_flow_anytime(cdfg, a.rate, &config, budget, recorder)
+            simple_flow_anytime(cdfg, a.rate, &config, budget)
         }
         "connect" => {
             let mut opts = ConnectFirstOptions::new(a.rate);
@@ -426,14 +438,14 @@ fn synthesize_anytime(
             opts.branching_factor = a.branching;
             opts.node_budget = a.budget;
             opts.metrics = metrics.clone();
-            connect_first_anytime(cdfg, &opts, budget, recorder)
+            connect_first_anytime(cdfg, &opts, budget)
         }
         "schedule" => {
             eprintln!(
                 "note: the schedule flow has no interruption points; \
                  --deadline-ms/--max-pivots/--max-nodes are ignored"
             );
-            return synthesize_traced(cdfg, a, recorder, metrics).map(Some);
+            return synthesize_traced(cdfg, a, metrics).map(Some);
         }
         other => {
             eprintln!("unknown flow `{other}` (simple|connect|schedule)");
@@ -473,7 +485,6 @@ fn synthesize_anytime(
 fn synthesize_traced(
     cdfg: &Cdfg,
     a: &Args,
-    recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Result<SynthesisResult, ExitCode> {
     let mode = if a.bidir {
@@ -489,7 +500,7 @@ fn synthesize_traced(
                 budget: None,
                 metrics: metrics.clone(),
             };
-            simple_flow_with(cdfg, a.rate, &config, recorder)
+            simple_flow_with(cdfg, a.rate, &config)
         }
         "connect" => {
             let mut opts = ConnectFirstOptions::new(a.rate);
@@ -500,7 +511,7 @@ fn synthesize_traced(
             opts.branching_factor = a.branching;
             opts.node_budget = a.budget;
             opts.metrics = metrics.clone();
-            connect_first_flow_traced(cdfg, &opts, recorder)
+            connect_first_flow(cdfg, &opts)
         }
         "schedule" => {
             let pipe = a.pipe.unwrap_or_else(|| {
@@ -515,7 +526,7 @@ fn synthesize_traced(
                     })
                     .unwrap_or(3 * a.rate as i64)
             });
-            schedule_first_flow_traced(cdfg, a.rate, pipe, mode, recorder)
+            schedule_first_flow_traced(cdfg, a.rate, pipe, mode, metrics)
         }
         other => {
             eprintln!("unknown flow `{other}` (simple|connect|schedule)");
@@ -595,21 +606,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "synth" => {
-            let buf = a
-                .trace_out
-                .as_ref()
-                .map(|_| Arc::new(BufferingRecorder::new()));
-            let rec = match &buf {
-                Some(b) => RecorderHandle::new(b.clone()),
-                None => RecorderHandle::default(),
-            };
+            let buf = trace_buffer(&a);
             let reg = metrics_registry(&a);
-            let metrics = match &reg {
-                Some(r) => MetricsHandle::new(r.clone()),
-                None => MetricsHandle::default(),
-            };
+            let metrics = telemetry(reg.as_ref(), buf.as_ref());
             let r = match ctl_budget(&a) {
-                Some(budget) => match synthesize_anytime(cdfg, &a, &rec, &metrics, budget) {
+                Some(budget) => match synthesize_anytime(cdfg, &a, &metrics, budget) {
                     Ok(Some(r)) => r,
                     Ok(None) => {
                         // Interrupted: the anytime summary is printed;
@@ -628,7 +629,7 @@ fn main() -> ExitCode {
                     }
                     Err(code) => return code,
                 },
-                None => match synthesize_traced(cdfg, &a, &rec, &metrics) {
+                None => match synthesize_traced(cdfg, &a, &metrics) {
                     Ok(r) => r,
                     Err(code) => return code,
                 },
@@ -701,13 +702,12 @@ fn main() -> ExitCode {
                 println!("{}", render_metrics(&snap));
                 return ExitCode::SUCCESS;
             }
+            // Explain always runs traced and metered: the decision
+            // summary and the metrics table below are the report, with
+            // or without --trace-out/--metrics-out.
             let buf = Arc::new(BufferingRecorder::new());
-            let rec = RecorderHandle::new(buf.clone());
-            // Explain always runs metered: the metrics table below is
-            // part of the report, with or without --metrics-out.
             let reg = Arc::new(Registry::new());
-            let metrics = MetricsHandle::new(reg.clone());
-            let r = match synthesize_traced(cdfg, &a, &rec, &metrics) {
+            let r = match synthesize_traced(cdfg, &a, &telemetry(Some(&reg), Some(&buf))) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -721,7 +721,7 @@ fn main() -> ExitCode {
                     return code;
                 }
             }
-            let summary = summarize(&buf.timed_events());
+            let summary = summarize(&buf.events());
             println!(
                 "{}: pipe length {} at rate {} ({} flow, {} events recorded)",
                 design.name(),
@@ -772,20 +772,12 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let buf = a
-                .trace_out
-                .as_ref()
-                .map(|_| Arc::new(BufferingRecorder::new()));
-            let rec = match &buf {
-                Some(b) => RecorderHandle::new(b.clone()),
-                None => RecorderHandle::default(),
-            };
+            let buf = trace_buffer(&a);
             let reg = metrics_registry(&a);
-            let metrics = match &reg {
-                Some(r) => MetricsHandle::new(r.clone()),
-                None => MetricsHandle::default(),
-            };
-            let out = match resynth_flow_traced(cdfg, &saved.result, &delta, &rec, &metrics) {
+            let metrics = telemetry(reg.as_ref(), buf.as_ref());
+            let no_recorder = RecorderHandle::default();
+            let out = match resynth_flow_traced(cdfg, &saved.result, &delta, &no_recorder, &metrics)
+            {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("resynthesis failed: {e}");
@@ -936,24 +928,17 @@ fn main() -> ExitCode {
                 rates,
                 budgets,
             };
-            let reg = metrics_registry(&a);
+            // --explain runs traced and metered, like `explain`.
+            let reg = (a.explain || a.metrics_out.is_some()).then(|| Arc::new(Registry::new()));
+            let buf =
+                (a.explain || a.trace_out.is_some()).then(|| Arc::new(BufferingRecorder::new()));
             let opts = SweepOptions {
                 jobs: a.jobs.max(1),
                 prune: !a.no_prune,
                 budget: ctl_budget(&a),
-                metrics: match &reg {
-                    Some(r) => MetricsHandle::new(r.clone()),
-                    None => MetricsHandle::default(),
-                },
-                ..SweepOptions::default()
+                metrics: telemetry(reg.as_ref(), buf.as_ref()),
             };
-            let buf =
-                (a.explain || a.trace_out.is_some()).then(|| Arc::new(BufferingRecorder::new()));
-            let rec = match &buf {
-                Some(b) => RecorderHandle::new(b.clone()),
-                None => RecorderHandle::default(),
-            };
-            let report = match run_sweep(cdfg, &spec, &opts, &rec) {
+            let report = match run_sweep(cdfg, &spec, &opts, &RecorderHandle::default()) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("explore failed: {e}");
@@ -1023,13 +1008,12 @@ fn main() -> ExitCode {
                     return code;
                 }
             }
-            if a.explain {
-                if let Some(buf) = &buf {
-                    let summary = summarize(&buf.timed_events());
-                    eprintln!();
-                    eprintln!("{}", render_phase_summary(&summary));
-                    eprintln!("{}", render_trace_aggregates(&summary));
-                }
+            if let (true, Some(buf), Some(reg)) = (a.explain, &buf, &reg) {
+                let summary = summarize(&buf.events());
+                eprintln!();
+                eprintln!("{}", render_phase_summary(&summary));
+                eprintln!("{}", render_trace_aggregates(&summary));
+                eprintln!("{}", render_metrics(&reg.snapshot()));
             }
             ExitCode::SUCCESS
         }

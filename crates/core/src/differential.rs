@@ -36,7 +36,6 @@ use crate::flows::{
     connect_first_anytime, connect_first_flow, schedule_first_flow, simple_flow,
     simple_flow_anytime, ConnectFirstOptions, FlowError, SynthesisConfig, SynthesisResult,
 };
-use mcs_obs::RecorderHandle;
 
 /// What one synthesis flow concluded about a design.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -337,13 +336,12 @@ pub struct AnytimeDifferential {
 /// with the unbudgeted verdict.
 pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
     let mut out = AnytimeDifferential::default();
-    let recorder = RecorderHandle::default();
     let opts = ConnectFirstOptions::new(rate);
 
     // Ground truth: unbudgeted connect-first.
     let truth = connect_first_flow(cdfg, &opts);
     let truth_feasible = truth.is_ok();
-    let truth_depth = connect_first_anytime(cdfg, &opts, Budget::unlimited(), &recorder).best_depth;
+    let truth_depth = connect_first_anytime(cdfg, &opts, Budget::unlimited()).best_depth;
 
     let mut specs: Vec<(String, Budget)> = [1u64, 4, 32, 1024]
         .iter()
@@ -360,7 +358,7 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
 
     for (name, budget) in specs {
         out.checks += 1;
-        let o = connect_first_anytime(cdfg, &opts, budget, &recorder);
+        let o = connect_first_anytime(cdfg, &opts, budget);
         if o.termination == Termination::Complete {
             let got = o.result.is_some();
             if got != truth_feasible {
@@ -394,7 +392,7 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
         for n in [1u64, 16, 256] {
             out.checks += 1;
             let budget = Budget::new(BudgetSpec::default().max_probes(n));
-            let o = simple_flow_anytime(cdfg, rate, &SynthesisConfig::default(), budget, &recorder);
+            let o = simple_flow_anytime(cdfg, rate, &SynthesisConfig::default(), budget);
             if o.termination == Termination::Complete {
                 let got = o.result.is_some();
                 if got != truth_feasible {

@@ -94,8 +94,9 @@ impl From<SweepError> for ExploreError {
 
 /// The concrete lattice-point runner: clones the design, applies the
 /// budget override, runs the configured flow, and packages warm-start
-/// exports. Per-point synthesis runs untraced — the sweep's own
-/// telemetry is deterministic counters, not wall-clock spans.
+/// exports. Per-point synthesis runs on sweep worker threads without an
+/// event sink, so the event stream does not depend on the worker count;
+/// its counters, histograms and spans still aggregate into the registry.
 pub struct DesignRunner<'a> {
     cdfg: &'a Cdfg,
     flow: FlowVariant,
@@ -124,11 +125,12 @@ impl<'a> DesignRunner<'a> {
         self
     }
 
-    /// Metrics sink threaded into every point's flow. Per-point probe
-    /// latencies, solver pivots and search epochs all aggregate into the
-    /// same registry; the sweep driver layers `explore.*` on top.
+    /// Metrics registry threaded into every point's flow. Per-point
+    /// probe latencies, solver pivots and search epochs all aggregate
+    /// into the same registry; the sweep driver layers `explore.*` on
+    /// top. Any event sink on `metrics` is detached.
     pub fn with_metrics(mut self, metrics: mcs_metrics::MetricsHandle) -> Self {
-        self.metrics = metrics;
+        self.metrics = metrics.without_events();
         self
     }
 
@@ -189,7 +191,6 @@ impl PointRunner for DesignRunner<'_> {
     ) -> (PointOutcome, Option<ExploreExport>) {
         let cdfg = self.apply_budget(budget);
         let mut out = PointOutcome::default();
-        let recorder = RecorderHandle::default();
 
         // The exact pin-feasibility gate, shared by every flow. Its
         // construction-time rejection is the one budget-dependent
@@ -228,8 +229,13 @@ impl PointRunner for DesignRunner<'_> {
                 if let Some(b) = &self.budget {
                     checker.set_budget(b.clone());
                 }
-                match simple_flow_with_checker(&cdfg, coord.rate, checker, &recorder, &self.metrics)
-                {
+                match simple_flow_with_checker(
+                    &cdfg,
+                    coord.rate,
+                    checker,
+                    &RecorderHandle::default(),
+                    &self.metrics,
+                ) {
                     Ok((result, probe)) => {
                         Self::measure(&cdfg, &result, &mut out);
                         out.solver_probes = probe.stats.solver_probes;
@@ -253,7 +259,7 @@ impl PointRunner for DesignRunner<'_> {
                 opts.portfolio = Some(SWEEP_PORTFOLIO);
                 opts.budget = self.budget.clone();
                 opts.metrics = self.metrics.clone();
-                let (res, report) = connect_first_flow_seeded(&cdfg, &opts, &seed_certs, &recorder);
+                let (res, report) = connect_first_flow_seeded(&cdfg, &opts, &seed_certs);
                 out.search_nodes = report.stats.nodes;
                 out.search_cache_hits = report.stats.cache_hits;
                 out.cert_seed_hits = report.stats.seed_hits;
@@ -276,7 +282,7 @@ impl PointRunner for DesignRunner<'_> {
                     coord.rate,
                     pipe,
                     PortMode::Unidirectional,
-                    &recorder,
+                    &self.metrics,
                 ) {
                     Ok(result) => {
                         // The Chapter 5 flow reports pins instead of
@@ -326,10 +332,12 @@ fn default_pipe_length(cdfg: &Cdfg, rate: u32) -> i64 {
         .unwrap_or(3 * rate as i64)
 }
 
-/// Runs a full design-space sweep over `cdfg`, wrapped in an `explore`
-/// phase span with the sweep's aggregate counters mirrored into
-/// `recorder` (`explore.points`, `explore.pruned`, `explore.cache_hits`,
-/// `explore.cache_entries`, `explore.frontier`).
+/// Runs a full design-space sweep over `cdfg` inside an `explore` span.
+/// An active `recorder` becomes the event sink of `opts.metrics`; the
+/// only decision events a sweep records are the `explore` phase pair and
+/// a `WorkerPanic` per quarantined point at its wave barrier, because
+/// per-point flows run without a sink (see [`DesignRunner`]). The
+/// aggregate `explore.*` counters and gauges go to the registry.
 ///
 /// # Errors
 ///
@@ -351,19 +359,13 @@ pub fn run_sweep(
             });
         }
     }
+    let opts = SweepOptions {
+        metrics: opts.metrics.clone().with_events(recorder),
+        ..opts.clone()
+    };
     let runner = DesignRunner::new(cdfg, spec.flow)
         .with_budget(opts.budget.clone())
         .with_metrics(opts.metrics.clone());
-    let report = {
-        let _phase = recorder.phase("explore");
-        sweep(spec, &runner, opts)?
-    };
-    if recorder.enabled() {
-        recorder.counter("explore.points", report.stats.points as i64);
-        recorder.counter("explore.pruned", report.stats.pruned as i64);
-        recorder.counter("explore.cache_hits", report.stats.seed_hits() as i64);
-        recorder.counter("explore.cache_entries", report.stats.cache_entries as i64);
-        recorder.counter("explore.frontier", report.frontier.len() as i64);
-    }
-    Ok(report)
+    let _span = opts.metrics.span("explore");
+    Ok(sweep(spec, &runner, &opts)?)
 }

@@ -109,11 +109,12 @@ pub struct SynthesisConfig {
     /// Gomory pivots) and the list scheduler (control-step boundaries).
     /// A tripped budget surfaces as [`FlowError::Interrupted`].
     pub budget: Option<Budget>,
-    /// Metrics sink threaded through every layer the flow touches: the
-    /// pin checker's probe histograms, the embedded ILP solver's
-    /// counters, the list scheduler's placement attempts, and the
-    /// flow's own `flow/...` phase span tree. Disconnected by default
-    /// (one branch per instrumentation point).
+    /// Telemetry handle threaded through every layer the flow touches:
+    /// the pin checker's probe histograms, the embedded ILP solver's
+    /// counters, the list scheduler's placement attempts, the flow's own
+    /// `flow/...` phase span tree, and — when it carries an event sink —
+    /// every decision event. Disconnected by default (one branch per
+    /// instrumentation point).
     pub metrics: MetricsHandle,
 }
 
@@ -180,26 +181,20 @@ impl SynthesisResult {
 }
 
 /// Records the final pin-budget verdict per partition under a
-/// `pin-check` phase span: one [`Event::PinCheck`] per partition, with
-/// `group` carrying the partition id and `cap` its declared pin budget.
-/// No-op when the recorder is disabled.
-fn record_pin_budget(
-    cdfg: &Cdfg,
-    result: &SynthesisResult,
-    recorder: &RecorderHandle,
-    metrics: &MetricsHandle,
-) {
+/// `pin-check` span: one [`Event::PinCheck`] per partition, with `group`
+/// carrying the partition id and `cap` its declared pin budget. The
+/// events are skipped when the handle has no event sink.
+fn record_pin_budget(cdfg: &Cdfg, result: &SynthesisResult, metrics: &MetricsHandle) {
     let _span = metrics.span("pin-check");
-    if !recorder.enabled() {
+    if !metrics.tracing() {
         return;
     }
-    let _phase = recorder.phase("pin-check");
     let ic = result.final_interconnect();
     for p in 0..cdfg.partition_count() {
         let pid = PartitionId::new(p as u32);
         let used = ic.pins_used(pid);
         let cap = cdfg.partition(pid).total_pins;
-        recorder.record(Event::PinCheck {
+        metrics.record(Event::PinCheck {
             group: p as u32,
             pins_used: used,
             cap,
@@ -218,38 +213,25 @@ fn record_pin_budget(
 /// [`FlowError::NotSimple`], [`FlowError::PinAllocation`], or any
 /// scheduling failure.
 pub fn simple_flow(cdfg: &Cdfg, rate: u32) -> Result<SynthesisResult, FlowError> {
-    simple_flow_traced(cdfg, rate, &RecorderHandle::default())
+    simple_flow_with(cdfg, rate, &SynthesisConfig::default())
 }
 
-/// [`simple_flow`] with every pipeline decision mirrored into `recorder`:
-/// a `schedule` phase carrying the list scheduler's placement verdicts and
-/// the pin checker's feasibility probes (Gomory pivots included), a
-/// `postsyn` phase for the clique-partitioning connection construction,
-/// and a closing `pin-check` budget audit.
+/// [`simple_flow`] with explicit [`SynthesisConfig`] tunables: the pin
+/// checker's pivot budget, the probe differential mode, an execution
+/// budget, and the telemetry handle. With an event sink on the handle,
+/// the run records a `schedule` phase carrying the list scheduler's
+/// placement verdicts and the pin checker's feasibility probes (Gomory
+/// pivots included), a `postsyn` phase for the clique-partitioning
+/// connection construction, and a closing `pin-check` budget audit.
 ///
 /// # Errors
 ///
-/// Identical to [`simple_flow`]; tracing never changes the result.
-pub fn simple_flow_traced(
-    cdfg: &Cdfg,
-    rate: u32,
-    recorder: &RecorderHandle,
-) -> Result<SynthesisResult, FlowError> {
-    simple_flow_with(cdfg, rate, &SynthesisConfig::default(), recorder)
-}
-
-/// [`simple_flow_traced`] with explicit [`SynthesisConfig`] tunables:
-/// the pin checker's pivot budget and the probe differential mode.
-///
-/// # Errors
-///
-/// Identical to [`simple_flow`]; the tunables never change verdicts,
-/// only how they are computed.
+/// Identical to [`simple_flow`]; the tunables and telemetry never change
+/// verdicts, only how they are computed.
 pub fn simple_flow_with(
     cdfg: &Cdfg,
     rate: u32,
     config: &SynthesisConfig,
-    recorder: &RecorderHandle,
 ) -> Result<SynthesisResult, FlowError> {
     let mut checker = match config.pivot_budget {
         Some(b) => PinChecker::with_pivot_budget(cdfg, rate, b)?,
@@ -259,8 +241,14 @@ pub fn simple_flow_with(
     if let Some(b) = &config.budget {
         checker.set_budget(b.clone());
     }
-    simple_flow_with_checker(cdfg, rate, checker, recorder, &config.metrics)
-        .map(|(result, _)| result)
+    simple_flow_with_checker(
+        cdfg,
+        rate,
+        checker,
+        &RecorderHandle::default(),
+        &config.metrics,
+    )
+    .map(|(result, _)| result)
 }
 
 /// What the pin checker did during one [`simple_flow_with_checker`] run:
@@ -280,7 +268,9 @@ pub struct SimpleFlowProbeReport {
 /// possibly pre-seeded via [`PinChecker::seed_initial_memo`] — and
 /// additionally returning the checker's probe report for cross-run
 /// reuse. The checker must have been built for `(cdfg, rate)` and must
-/// not have committed anything yet.
+/// not have committed anything yet. An active `recorder` becomes the
+/// event sink of `metrics` for this run; pass the default handle when
+/// `metrics` already carries the sink (or none is wanted).
 ///
 /// # Errors
 ///
@@ -293,19 +283,17 @@ pub fn simple_flow_with_checker(
     recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Result<(SynthesisResult, SimpleFlowProbeReport), FlowError> {
+    let metrics = &metrics.clone().with_events(recorder);
     let _flow_span = metrics.span("flow");
     check_simple(cdfg).map_err(FlowError::NotSimple)?;
     checker.set_metrics(metrics);
     let mut policy = PinPolicy::new(checker);
-    policy.set_recorder(recorder.clone());
     let mut lc = ListConfig::new(rate);
-    lc.recorder = recorder.clone();
     lc.metrics = metrics.clone();
     // Share the checker's budget (if any) with the scheduler so both
     // layers charge one ledger and trip at the same ceiling.
     lc.budget = policy.checker().budget().cloned();
     let schedule = {
-        let _phase = recorder.phase("schedule");
         let _span = metrics.span("schedule");
         list_schedule(cdfg, &lc, &mut policy)?
     };
@@ -313,20 +301,6 @@ pub fn simple_flow_with_checker(
         stats: policy.checker().probe_stats(),
         initial_memo: policy.checker().initial_probe_memo(),
     };
-    if recorder.enabled() {
-        let stats = &probe.stats;
-        recorder.counter("probe.memo_hits", stats.memo_hits as i64);
-        recorder.counter("probe.seed_hits", stats.seed_hits as i64);
-        recorder.counter("probe.surrogate_rejects", stats.surrogate_rejects as i64);
-        recorder.counter("probe.solver", stats.solver_probes as i64);
-        recorder.counter("probe.exact_fallbacks", stats.exact_fallbacks as i64);
-        recorder.counter("probe.max_rollback_depth", stats.max_rollback_depth as i64);
-        recorder.counter("probe.batched", stats.batched_probes as i64);
-        recorder.counter(
-            "probe.batch_checkpoints",
-            stats.batch_shared_checkpoints as i64,
-        );
-    }
     if metrics.enabled() {
         let stats = &probe.stats;
         metrics.add("probe.memo_hits", stats.memo_hits);
@@ -336,6 +310,8 @@ pub fn simple_flow_with_checker(
         metrics.add("probe.exact_fallbacks", stats.exact_fallbacks);
         metrics.add("probe.batched", stats.batched_probes);
         metrics.add("probe.batch_checkpoints", stats.batch_shared_checkpoints);
+        // A depth, not a count: the peak over every run on the registry.
+        metrics.gauge_max("probe.max_rollback_depth", stats.max_rollback_depth as i64);
     }
     let violations = validate(cdfg, &schedule);
     if !violations.is_empty() {
@@ -345,14 +321,13 @@ pub fn simple_flow_with_checker(
     // exists for this schedule. Construct one by clique partitioning,
     // escalating the weighting factor of any partition whose budget the
     // heuristic overruns (Section 5.2's wf_i knob) until everything fits.
-    let postsyn_phase = recorder.phase("postsyn");
     let postsyn_span = metrics.span("postsyn");
     let mut weights: BTreeMap<PartitionId, i64> = BTreeMap::new();
     let mut ic = None;
     for _round in 0..8 {
         let mut cfg = PostsynConfig::new(rate);
         cfg.weights = weights.clone();
-        cfg.recorder = recorder.clone();
+        cfg.metrics = metrics.clone();
         let candidate = connect_after_scheduling(cdfg, &schedule, PortMode::Unidirectional, &cfg);
         let mut over = Vec::new();
         for p in 0..cdfg.partition_count() {
@@ -375,7 +350,7 @@ pub fn simple_flow_with_checker(
         // Try the deterministic widest-first packer before giving up.
         let mut cfg = PostsynConfig::new(rate);
         cfg.weights = weights;
-        cfg.recorder = recorder.clone();
+        cfg.metrics = metrics.clone();
         let candidate = connect_packed(cdfg, &schedule, PortMode::Unidirectional, &cfg);
         let fits = (0..cdfg.partition_count()).all(|p| {
             let pid = PartitionId::new(p as u32);
@@ -386,7 +361,6 @@ pub fn simple_flow_with_checker(
         }
     }
     drop(postsyn_span);
-    drop(postsyn_phase);
     let Some(ic) = ic else {
         // Not a verifier-grade contradiction: the checker's per-group load
         // bound treats pins as bit-splittable, so a budget it admits may
@@ -399,7 +373,7 @@ pub fn simple_flow_with_checker(
         return Err(FlowError::InvalidConnection(problems));
     }
     let result = SynthesisResult::common(cdfg, schedule, ic);
-    record_pin_budget(cdfg, &result, recorder, metrics);
+    record_pin_budget(cdfg, &result, metrics);
     Ok((result, probe))
 }
 
@@ -430,9 +404,10 @@ pub struct ConnectFirstOptions {
     /// A tripped budget surfaces as [`FlowError::Interrupted`]; use
     /// [`connect_first_anytime`] to also recover partial progress.
     pub budget: Option<Budget>,
-    /// Metrics sink threaded through the connection search, the bus
-    /// allocator and the flow's own `flow/...` phase span tree.
-    /// Disconnected by default.
+    /// Telemetry handle threaded through the connection search, the bus
+    /// allocator and the flow's own `flow/...` phase span tree; with an
+    /// event sink, it also takes every decision event. Disconnected by
+    /// default.
     pub metrics: MetricsHandle,
 }
 
@@ -486,26 +461,7 @@ pub fn connect_first_flow(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
 ) -> Result<SynthesisResult, FlowError> {
-    connect_first_flow_traced(cdfg, opts, &RecorderHandle::default())
-}
-
-/// [`connect_first_flow`] with every pipeline decision mirrored into
-/// `recorder`: a `connect` phase carrying per-worker-epoch
-/// [`Event::SearchNode`] telemetry from the portfolio search, a
-/// `schedule` phase carrying placement verdicts and bus reassignments
-/// from every scheduling attempt (including hold-back retries that lose),
-/// a `postsyn` phase auditing the final connection against the winning
-/// schedule, and a closing `pin-check` budget audit.
-///
-/// # Errors
-///
-/// Identical to [`connect_first_flow`]; tracing never changes the result.
-pub fn connect_first_flow_traced(
-    cdfg: &Cdfg,
-    opts: &ConnectFirstOptions,
-    recorder: &RecorderHandle,
-) -> Result<SynthesisResult, FlowError> {
-    connect_first_flow_seeded(cdfg, opts, &[], recorder).0
+    connect_first_flow_seeded(cdfg, opts, &[]).0
 }
 
 /// The connection search's cross-run byproducts, returned by
@@ -521,20 +477,26 @@ pub struct ConnectSeedReport {
     pub stats: SearchStats,
 }
 
-/// [`connect_first_flow_traced`] with refutation-certificate transfer:
-/// `seed` pre-populates the portfolio's failure cache (see
+/// [`connect_first_flow`] with refutation-certificate transfer: `seed`
+/// pre-populates the portfolio's failure cache (see
 /// [`mcs_connect::synthesize_seeded`] for the soundness contract the
 /// caller must uphold) and the report carries what this run learned.
+///
+/// With an event sink on `opts.metrics`, the run records a `connect`
+/// phase carrying per-worker-epoch [`Event::SearchNode`] telemetry from
+/// the portfolio search, a `schedule` phase carrying placement verdicts
+/// and bus reassignments from every scheduling attempt (including
+/// hold-back retries that lose), and a closing `pin-check` budget audit.
+/// A live handle (registry or sink) also gets a `postsyn` span auditing
+/// the final connection against the winning schedule.
 pub fn connect_first_flow_seeded(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
     seed: &[RefutationCert],
-    recorder: &RecorderHandle,
 ) -> (Result<SynthesisResult, FlowError>, ConnectSeedReport) {
     let _flow_span = opts.metrics.span("flow");
-    let cfg = opts.search_config().with_recorder(recorder.clone());
+    let cfg = opts.search_config();
     let (ic, search_stats, learned) = {
-        let _phase = recorder.phase("connect");
         let _span = opts.metrics.span("connect");
         synthesize_seeded(cdfg, opts.mode, &cfg, seed)
     };
@@ -546,10 +508,7 @@ pub fn connect_first_flow_seeded(
         Ok(ic) => ic,
         Err(e) => return (Err(e.into()), report),
     };
-    (
-        connect_first_schedule(cdfg, opts, ic, search_stats, recorder),
-        report,
-    )
+    (connect_first_schedule(cdfg, opts, ic, search_stats), report)
 }
 
 /// The structured outcome of an interruptible flow run: the full result
@@ -561,17 +520,11 @@ pub fn connect_first_flow_seeded(
 /// use mcs_cdfg::designs::elliptic;
 /// use multichip_hls::flows::{connect_first_anytime, ConnectFirstOptions};
 /// use mcs_ctl::{Budget, BudgetSpec, Termination};
-/// use mcs_obs::RecorderHandle;
 ///
 /// let d = elliptic::partitioned();
 /// // A one-node ceiling trips at the first epoch barrier.
 /// let budget = Budget::new(BudgetSpec::default().max_nodes(1));
-/// let out = connect_first_anytime(
-///     d.cdfg(),
-///     &ConnectFirstOptions::new(6),
-///     budget,
-///     &RecorderHandle::default(),
-/// );
+/// let out = connect_first_anytime(d.cdfg(), &ConnectFirstOptions::new(6), budget);
 /// if out.termination == Termination::BudgetExhausted {
 ///     assert!(out.result.is_none());
 ///     assert!(out.best_depth > 0, "partial progress is still reported");
@@ -598,7 +551,7 @@ pub struct AnytimeOutcome {
     pub search_stats: Option<SearchStats>,
 }
 
-/// [`connect_first_flow_traced`] under an execution [`Budget`], never
+/// [`connect_first_flow`] under an execution [`Budget`], never
 /// failing with [`FlowError::Interrupted`]: interruption becomes a
 /// structured [`AnytimeOutcome`] carrying the best partial connection
 /// the portfolio reached before the budget tripped.
@@ -606,11 +559,10 @@ pub fn connect_first_anytime(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
     budget: Budget,
-    recorder: &RecorderHandle,
 ) -> AnytimeOutcome {
     let mut opts = opts.clone();
     opts.budget = Some(budget);
-    let (res, report) = connect_first_flow_seeded(cdfg, &opts, &[], recorder);
+    let (res, report) = connect_first_flow_seeded(cdfg, &opts, &[]);
     let stats = report.stats;
     let (termination, result, error) = match res {
         Ok(r) => (stats.termination, Some(r), None),
@@ -636,11 +588,10 @@ pub fn simple_flow_anytime(
     rate: u32,
     config: &SynthesisConfig,
     budget: Budget,
-    recorder: &RecorderHandle,
 ) -> AnytimeOutcome {
     let mut config = config.clone();
     config.budget = Some(budget);
-    let (termination, result, error) = match simple_flow_with(cdfg, rate, &config, recorder) {
+    let (termination, result, error) = match simple_flow_with(cdfg, rate, &config) {
         Ok(r) => (Termination::Complete, Some(r), None),
         Err(FlowError::Interrupted(t)) => (t, None, None),
         Err(e) => (Termination::Complete, None, Some(e)),
@@ -662,7 +613,6 @@ fn connect_first_schedule(
     opts: &ConnectFirstOptions,
     ic: Interconnect,
     search_stats: SearchStats,
-    recorder: &RecorderHandle,
 ) -> Result<SynthesisResult, FlowError> {
     // With reassignment enabled, dynamic allocation is an *addition* to
     // static allocation: the flow runs both and keeps the shorter
@@ -678,19 +628,16 @@ fn connect_first_schedule(
     let holdable = mcs_sched::feedback_consumers(cdfg);
     let mut best: Option<(Schedule, BusPolicy)> = None;
     let mut last_err = SchedError::StepLimit;
-    let sched_phase = recorder.phase("schedule");
     let sched_span = opts.metrics.span("schedule");
     for &reassign in &attempts {
         for hold in [0i64, 2, 4, 6, 8] {
             let mut lc = ListConfig::new(opts.rate);
-            lc.recorder = recorder.clone();
             lc.metrics = opts.metrics.clone();
             lc.budget = opts.budget.clone();
             for &op in &holdable {
                 lc.hold_back.insert(op, hold);
             }
             let mut policy = BusPolicy::new(ic.clone(), opts.rate, reassign);
-            policy.set_recorder(recorder.clone());
             policy.set_metrics(&opts.metrics);
             match list_schedule(cdfg, &lc, &mut policy) {
                 Ok(s) => {
@@ -716,7 +663,6 @@ fn connect_first_schedule(
         }
     }
     drop(sched_span);
-    drop(sched_phase);
     let (schedule, policy) = best.ok_or_else(|| FlowError::from(last_err))?;
     let violations = validate(cdfg, &schedule);
     if !violations.is_empty() {
@@ -726,29 +672,24 @@ fn connect_first_schedule(
     result.placements = policy.placements().clone();
     result.reassigned = policy.reassigned_count();
     result.search_stats = Some(search_stats);
-    if recorder.enabled() {
+    let metrics = &opts.metrics;
+    if metrics.enabled() || metrics.tracing() {
         // Audit the winning schedule against the *final* connection (the
         // checks the schedule-first flows run inline), purely for the
-        // trace — a clean run records zero problems.
-        let _phase = recorder.phase("postsyn");
+        // telemetry — a clean run counts zero problems.
+        let _span = metrics.span("postsyn");
         let problems =
             verify_against_schedule(cdfg, &result.schedule, &result.final_interconnect());
-        recorder.counter("postsyn.verify_problems", problems.len() as i64);
-        recorder.counter("flow.reassigned", result.reassigned as i64);
-        let rm = policy.rematch_stats();
-        recorder.counter("rematch.rounds", rm.rounds as i64);
-        recorder.counter("rematch.seeded", rm.seeded as i64);
-        recorder.counter("rematch.augmentations", rm.augmentations as i64);
+        metrics.add("postsyn.verify_problems", problems.len() as u64);
     }
-    if opts.metrics.enabled() {
-        opts.metrics
-            .add("flow.reassigned", result.reassigned as u64);
+    if metrics.enabled() {
+        metrics.add("flow.reassigned", result.reassigned as u64);
         let rm = policy.rematch_stats();
-        opts.metrics.add("rematch.rounds", rm.rounds);
-        opts.metrics.add("rematch.seeded", rm.seeded);
-        opts.metrics.add("rematch.augmentations", rm.augmentations);
+        metrics.add("rematch.rounds", rm.rounds);
+        metrics.add("rematch.seeded", rm.seeded);
+        metrics.add("rematch.augmentations", rm.augmentations);
     }
-    record_pin_budget(cdfg, &result, recorder, &opts.metrics);
+    record_pin_budget(cdfg, &result, metrics);
     Ok(result)
 }
 
@@ -766,29 +707,30 @@ pub fn schedule_first_flow(
     pipe_length: i64,
     mode: PortMode,
 ) -> Result<SynthesisResult, FlowError> {
-    schedule_first_flow_traced(cdfg, rate, pipe_length, mode, &RecorderHandle::default())
+    schedule_first_flow_traced(cdfg, rate, pipe_length, mode, &MetricsHandle::default())
 }
 
-/// [`schedule_first_flow`] with phase spans mirrored into `recorder`: a
-/// `schedule` phase around force-directed scheduling, a `postsyn` phase
-/// carrying the clique-partitioning counters, and a closing `pin-check`
-/// budget audit.
+/// [`schedule_first_flow`] with telemetry: a `flow` span over a
+/// `schedule` span around force-directed scheduling (with the
+/// `sched.pipe_length` peak gauge), a `postsyn` span carrying the
+/// clique-partitioning counters, and a closing `pin-check` budget audit.
 ///
 /// # Errors
 ///
-/// Identical to [`schedule_first_flow`]; tracing never changes the
+/// Identical to [`schedule_first_flow`]; telemetry never changes the
 /// result.
 pub fn schedule_first_flow_traced(
     cdfg: &Cdfg,
     rate: u32,
     pipe_length: i64,
     mode: PortMode,
-    recorder: &RecorderHandle,
+    metrics: &MetricsHandle,
 ) -> Result<SynthesisResult, FlowError> {
+    let _flow_span = metrics.span("flow");
     let schedule = {
-        let _phase = recorder.phase("schedule");
+        let _span = metrics.span("schedule");
         let schedule = fds_schedule(cdfg, &FdsConfig { rate, pipe_length })?;
-        recorder.counter("sched.pipe_length", schedule.pipe_length(cdfg));
+        metrics.gauge_max("sched.pipe_length", schedule.pipe_length(cdfg));
         schedule
     };
     let violations: Vec<_> = validate(cdfg, &schedule)
@@ -801,9 +743,9 @@ pub fn schedule_first_flow_traced(
         return Err(FlowError::InvalidSchedule(violations));
     }
     let ic = {
-        let _phase = recorder.phase("postsyn");
+        let _span = metrics.span("postsyn");
         let mut cfg = PostsynConfig::new(rate);
-        cfg.recorder = recorder.clone();
+        cfg.metrics = metrics.clone();
         connect_after_scheduling(cdfg, &schedule, mode, &cfg)
     };
     let problems = verify_against_schedule(cdfg, &schedule, &ic);
@@ -811,9 +753,7 @@ pub fn schedule_first_flow_traced(
         return Err(FlowError::InvalidConnection(problems));
     }
     let result = SynthesisResult::common(cdfg, schedule, ic);
-    // The schedule-first flow has no tunables struct to carry a metrics
-    // handle; its pin-budget audit runs unmetered.
-    record_pin_budget(cdfg, &result, recorder, &MetricsHandle::default());
+    record_pin_budget(cdfg, &result, metrics);
     Ok(result)
 }
 

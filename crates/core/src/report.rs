@@ -203,11 +203,12 @@ pub fn render_interconnect(cdfg: &Cdfg, ic: &Interconnect) -> Table {
     t
 }
 
-/// Renders a recorded trace's per-phase synthesis summary: wall time,
-/// merged span count and an event-kind breakdown per phase, the layout
-/// `mcs-hls explain` prints.
+/// Renders a recorded trace's per-phase decision summary: merged span
+/// count and an event-kind breakdown per phase, the layout `mcs-hls
+/// explain` prints. Wall time per phase is in the metrics table's span
+/// tree ([`render_metrics`]).
 pub fn render_phase_summary(summary: &mcs_obs::summary::TraceSummary) -> Table {
-    let mut t = Table::new(["phase", "wall ms", "spans", "events", "breakdown"]);
+    let mut t = Table::new(["phase", "spans", "events", "breakdown"]);
     for p in &summary.phases {
         let breakdown = p
             .events
@@ -217,7 +218,6 @@ pub fn render_phase_summary(summary: &mcs_obs::summary::TraceSummary) -> Table {
             .join(" ");
         t.row([
             p.phase.to_string(),
-            format!("{:.3}", p.wall_us as f64 / 1e3),
             p.spans.to_string(),
             p.event_total().to_string(),
             breakdown,
@@ -226,12 +226,12 @@ pub fn render_phase_summary(summary: &mcs_obs::summary::TraceSummary) -> Table {
     t
 }
 
-/// Renders a recorded trace's decision aggregates — reassignments,
-/// Gomory pivots, peak pin pressure per group and final counter values —
-/// the second half of the `mcs-hls explain` report.
+/// Renders the facts only a recorded trace's decisions carry —
+/// reassignments, peak pin pressure per group, reassignments per step
+/// and quarantined worker panics — the second table of the `mcs-hls
+/// explain` report. Counters live in the metrics table.
 pub fn render_trace_aggregates(summary: &mcs_obs::summary::TraceSummary) -> Table {
-    let mut t = Table::new(["metric", "value"]);
-    t.row(["events".to_string(), summary.total_events.to_string()]);
+    let mut t = Table::new(["decision fact", "value"]);
     t.row([
         "bus reassignments".to_string(),
         summary.reassignments.to_string(),
@@ -240,19 +240,6 @@ pub fn render_trace_aggregates(summary: &mcs_obs::summary::TraceSummary) -> Tabl
         t.row([
             "longest preemption chain".to_string(),
             summary.max_augmenting_path.to_string(),
-        ]);
-    }
-    t.row([
-        "gomory pivots".to_string(),
-        summary.gomory_pivots.to_string(),
-    ]);
-    for (source, n) in &summary.probes_by_source {
-        t.row([format!("probes resolved by {source}"), n.to_string()]);
-    }
-    if summary.max_rollback_depth > 0 {
-        t.row([
-            "max probe rollback depth".to_string(),
-            summary.max_rollback_depth.to_string(),
         ]);
     }
     for (group, (peak, cap)) in &summary.peak_pin_pressure {
@@ -264,9 +251,10 @@ pub fn render_trace_aggregates(summary: &mcs_obs::summary::TraceSummary) -> Tabl
     for (step, n) in &summary.reassigns_by_step {
         t.row([format!("reassigns at step {step}"), n.to_string()]);
     }
-    for (name, value) in &summary.counters {
-        t.row([(*name).to_string(), value.to_string()]);
-    }
+    t.row([
+        "worker panics".to_string(),
+        summary.worker_panics.to_string(),
+    ]);
     t
 }
 
@@ -507,16 +495,18 @@ mod tests {
 
     #[test]
     fn phase_summary_renders_phases_and_aggregates() {
-        use crate::flows::{connect_first_flow_traced, ConnectFirstOptions};
+        use crate::flows::{connect_first_flow, ConnectFirstOptions};
         use mcs_cdfg::designs::ar_filter;
         use mcs_cdfg::PortMode;
+        use mcs_metrics::MetricsHandle;
         use mcs_obs::{summary::summarize, BufferingRecorder, RecorderHandle};
         use std::sync::Arc;
         let d = ar_filter::general(3, PortMode::Unidirectional);
         let buf = Arc::new(BufferingRecorder::new());
-        let rec = RecorderHandle::new(buf.clone());
-        connect_first_flow_traced(d.cdfg(), &ConnectFirstOptions::new(3), &rec).unwrap();
-        let summary = summarize(&buf.timed_events());
+        let mut opts = ConnectFirstOptions::new(3);
+        opts.metrics = MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone()));
+        connect_first_flow(d.cdfg(), &opts).unwrap();
+        let summary = summarize(&buf.events());
         let phases = render_phase_summary(&summary).to_string();
         for phase in ["connect", "schedule", "postsyn", "pin-check"] {
             assert!(phases.contains(phase), "{phase} missing:\n{phases}");
@@ -525,28 +515,34 @@ mod tests {
         let aggregates = render_trace_aggregates(&summary).to_string();
         assert!(aggregates.contains("bus reassignments"));
         assert!(aggregates.contains("peak pin pressure"));
-        assert!(aggregates.contains("rematch.rounds"), "{aggregates}");
+        // Counters are the metrics table's, not the trace's.
+        assert!(!aggregates.contains("rematch."), "{aggregates}");
     }
 
     #[test]
     fn simple_flow_trace_reports_probe_resolution_sources() {
         use crate::flows::{simple_flow_with, SynthesisConfig};
         use mcs_cdfg::designs::synthetic;
+        use mcs_metrics::{MetricsHandle, Registry};
         use mcs_obs::{summary::summarize, BufferingRecorder, RecorderHandle};
         use std::sync::Arc;
         let d = synthetic::fig_2_5();
         let buf = Arc::new(BufferingRecorder::new());
-        let rec = RecorderHandle::new(buf.clone());
+        let reg = Arc::new(Registry::new());
         let config = SynthesisConfig {
             probe_differential: true,
+            metrics: MetricsHandle::new(reg.clone()).with_events(&RecorderHandle::new(buf.clone())),
             ..SynthesisConfig::default()
         };
-        simple_flow_with(d.cdfg(), 2, &config, &rec).unwrap();
-        let summary = summarize(&buf.timed_events());
-        assert!(!summary.probes_by_source.is_empty());
-        let aggregates = render_trace_aggregates(&summary).to_string();
-        assert!(aggregates.contains("probes resolved by"), "{aggregates}");
-        assert!(aggregates.contains("probe.memo_hits"), "{aggregates}");
+        simple_flow_with(d.cdfg(), 2, &config).unwrap();
+        // Each probe is one `ProbeResolved` decision in the schedule
+        // phase, and its resolution layer is counted once, as a metric.
+        let summary = summarize(&buf.events());
+        let sched = summary.phase("schedule").expect("schedule phase");
+        assert!(sched.events.get("ProbeResolved").copied().unwrap_or(0) > 0);
+        let metrics = render_metrics(&reg.snapshot()).to_string();
+        assert!(metrics.contains("probe.memo_hits"), "{metrics}");
+        assert!(metrics.contains("probe.solver"), "{metrics}");
     }
 
     #[test]

@@ -44,7 +44,8 @@ use mcs_postsyn::verify_against_schedule;
 use mcs_sched::{list_schedule, validate, BusPolicy, ListConfig, Schedule, SlotPlacement};
 
 use crate::flows::{
-    connect_first_flow_traced, simple_flow_traced, ConnectFirstOptions, FlowError, SynthesisResult,
+    connect_first_flow, simple_flow_with, ConnectFirstOptions, FlowError, SynthesisConfig,
+    SynthesisResult,
 };
 
 /// Which rung of the resynthesis ladder produced the result.
@@ -231,11 +232,14 @@ pub fn resynth_flow(
     )
 }
 
-/// [`resynth_flow`] with trace and metrics sinks. Counters:
+/// [`resynth_flow`] with telemetry. An active `recorder` becomes the
+/// event sink of `metrics` for this run. Counters:
 /// `resynth.path.{identical,patched,cold}`, `resynth.dirty_ops`,
 /// `resynth.dirty_transfers`, `resynth.replayed_commits`,
 /// `resynth.trail_undone`, `resynth.rollbacks`,
-/// `resynth.reused_assignments`, `resynth.fresh_assignments`.
+/// `resynth.reused_assignments`, `resynth.fresh_assignments`; the
+/// patched and cold rungs also record their flow's own spans, counters
+/// and decision events through the same handle.
 ///
 /// # Errors
 ///
@@ -247,6 +251,7 @@ pub fn resynth_flow_traced(
     recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Result<ResynthOutcome, ResynthError> {
+    let metrics = &metrics.clone().with_events(recorder);
     let _span = metrics.span("resynth");
     let applied = delta.apply(old)?;
     let rate = applied.rate.unwrap_or(prev.schedule.rate);
@@ -268,9 +273,7 @@ pub fn resynth_flow_traced(
         }
     }
 
-    if let Some(result) = try_patched(
-        old, prev, &applied, &dirty, rate, &mut stats, recorder, metrics,
-    ) {
+    if let Some(result) = try_patched(old, prev, &applied, &dirty, rate, &mut stats, metrics) {
         metrics.add("resynth.path.patched", 1);
         emit_reuse_counters(metrics, &stats);
         return Ok(ResynthOutcome {
@@ -284,7 +287,7 @@ pub fn resynth_flow_traced(
 
     metrics.add("resynth.path.cold", 1);
     emit_reuse_counters(metrics, &stats);
-    let result = cold_flow(&applied.cdfg, rate, prev, recorder, metrics)?;
+    let result = cold_flow(&applied.cdfg, rate, prev, metrics)?;
     Ok(ResynthOutcome {
         cdfg: applied.cdfg,
         result,
@@ -316,16 +319,19 @@ fn cold_flow(
     cdfg: &Cdfg,
     rate: u32,
     prev: &SynthesisResult,
-    recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Result<SynthesisResult, FlowError> {
     if connect_like(prev) {
         let mut opts = ConnectFirstOptions::new(rate);
         opts.mode = prev.interconnect.mode;
         opts.metrics = metrics.clone();
-        connect_first_flow_traced(cdfg, &opts, recorder)
+        connect_first_flow(cdfg, &opts)
     } else {
-        simple_flow_traced(cdfg, rate, recorder)
+        let config = SynthesisConfig {
+            metrics: metrics.clone(),
+            ..SynthesisConfig::default()
+        };
+        simple_flow_with(cdfg, rate, &config)
     }
 }
 
@@ -372,7 +378,6 @@ fn backward_map(old: &Cdfg, applied: &AppliedDelta) -> Vec<Option<OpId>> {
 /// Path 2: keep the previous bus structure, re-derive only the dirty
 /// assignments, gate pin feasibility by trail replay when possible, and
 /// re-run bus-slot list scheduling. Returns `None` on any doubt.
-#[allow(clippy::too_many_arguments)]
 fn try_patched(
     old: &Cdfg,
     prev: &SynthesisResult,
@@ -380,7 +385,6 @@ fn try_patched(
     dirty: &DirtyRegion,
     rate: u32,
     stats: &mut ResynthStats,
-    recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Option<SynthesisResult> {
     let cdfg = &applied.cdfg;
@@ -402,7 +406,7 @@ fn try_patched(
             return None;
         }
     }
-    let (schedule, policy) = schedule_ladder(cdfg, rate, &ic, recorder, metrics)?;
+    let (schedule, policy) = schedule_ladder(cdfg, rate, &ic, metrics)?;
     if !validate(cdfg, &schedule).is_empty() {
         return None;
     }
@@ -535,23 +539,19 @@ fn schedule_ladder(
     cdfg: &Cdfg,
     rate: u32,
     ic: &Interconnect,
-    recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Option<(Schedule, BusPolicy)> {
     let holdable = mcs_sched::feedback_consumers(cdfg);
     let mut best: Option<(Schedule, BusPolicy)> = None;
-    let sched_phase = recorder.phase("schedule");
-    let sched_span = metrics.span("schedule");
+    let _span = metrics.span("schedule");
     for reassign in [true, false] {
         for hold in [0i64, 2, 4, 6, 8] {
             let mut lc = ListConfig::new(rate);
-            lc.recorder = recorder.clone();
             lc.metrics = metrics.clone();
             for &op in &holdable {
                 lc.hold_back.insert(op, hold);
             }
             let mut policy = BusPolicy::new(ic.clone(), rate, reassign);
-            policy.set_recorder(recorder.clone());
             policy.set_metrics(metrics);
             match list_schedule(cdfg, &lc, &mut policy) {
                 Ok(s) => {
@@ -576,8 +576,6 @@ fn schedule_ladder(
             }
         }
     }
-    drop(sched_span);
-    drop(sched_phase);
     best
 }
 
@@ -615,13 +613,7 @@ pub fn differential(
         .apply(old)
         .map_err(|e| format!("delta failed to apply: {e}"))?;
     let rate = applied.rate.unwrap_or(prev.schedule.rate);
-    let cold = cold_flow(
-        &applied.cdfg,
-        rate,
-        prev,
-        &RecorderHandle::default(),
-        &MetricsHandle::default(),
-    );
+    let cold = cold_flow(&applied.cdfg, rate, prev, &MetricsHandle::default());
     match (&incremental, &cold) {
         (Ok(inc), cold_res) => {
             let cdfg = &inc.cdfg;

@@ -48,13 +48,13 @@ pub struct SweepOptions {
     /// that ran). Share the handle with the point runner to have work
     /// charged inside points stop the sweep at the next barrier.
     pub budget: Option<mcs_ctl::Budget>,
-    /// Sink for [`mcs_obs::Event::WorkerPanic`] events emitted when a
-    /// point runner panics and is quarantined.
-    pub recorder: mcs_obs::RecorderHandle,
-    /// Metrics sink: an `explore.point_us` histogram (per-point wall
+    /// Telemetry handle: an `explore.point_us` histogram (per-point wall
     /// time on the registry clock) plus `explore.*` counters and gauges
-    /// added once at the end of the sweep. Disconnected by default;
-    /// never feeds into the [`SweepReport`], which stays timing-free.
+    /// added once at the end of the sweep, and — with an event sink — a
+    /// [`mcs_obs::Event::WorkerPanic`] at the wave barrier for each
+    /// point runner that panicked and was quarantined. Disconnected by
+    /// default; never feeds into the [`SweepReport`], which stays
+    /// timing-free.
     pub metrics: mcs_metrics::MetricsHandle,
 }
 
@@ -64,7 +64,6 @@ impl Default for SweepOptions {
             jobs: 1,
             prune: true,
             budget: None,
-            recorder: mcs_obs::RecorderHandle::default(),
             metrics: mcs_metrics::MetricsHandle::default(),
         }
     }
@@ -265,7 +264,7 @@ pub fn sweep<R: PointRunner>(
                 .expect("every claimed point completes");
             if panicked[j].load(Ordering::Relaxed) {
                 stats.panics += 1;
-                opts.recorder.record(mcs_obs::Event::WorkerPanic {
+                opts.metrics.record(mcs_obs::Event::WorkerPanic {
                     pool: "explore",
                     worker: j as u32,
                     epoch: waves,

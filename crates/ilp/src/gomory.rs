@@ -70,7 +70,7 @@ use crate::model::{Model, SolveError};
 use mcs_codec::fnv::Fnv;
 use mcs_ctl::Budget;
 use mcs_metrics::{Counter, Histogram, MetricsHandle};
-use mcs_obs::{Event, RecorderHandle};
+use mcs_obs::Event;
 
 /// Verdict of a feasibility check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -327,9 +327,10 @@ pub struct AllIntegerSolver {
     promotions: u64,
     /// Cross-check every trail probe against the clone-based path.
     differential: bool,
-    /// Sink for per-pivot `GomoryCut` events (inactive by default).
-    /// Clones share the sink, so probe solves report their pivots too.
-    recorder: RecorderHandle,
+    /// Telemetry handle; its event sink takes per-pivot `GomoryCut`
+    /// events (inactive by default). Clones share the sink, so probe
+    /// solves report their pivots too.
+    metrics: MetricsHandle,
     /// Optional execution budget polled at pivot boundaries; every
     /// pivot is charged against it. Clones share the same budget.
     budget: Option<Budget>,
@@ -367,7 +368,7 @@ impl AllIntegerSolver {
             pivots_total: 0,
             promotions: 0,
             differential: false,
-            recorder: RecorderHandle::default(),
+            metrics: MetricsHandle::default(),
             budget: None,
             m_pivots: Counter::default(),
             m_overflow_fallbacks: Counter::default(),
@@ -376,21 +377,17 @@ impl AllIntegerSolver {
         }
     }
 
-    /// Routes per-pivot `GomoryCut` events to `recorder`.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = recorder;
-    }
-
-    /// Connects the solver's aggregate telemetry — `ilp.pivots`,
-    /// `ilp.cut_overflow_fallbacks`, `ilp.promotions`, the
-    /// `ilp.rollback_depth` histogram — to a metrics registry. Cells are
-    /// resolved once here, so the per-pivot cost with metrics on is one
-    /// relaxed atomic add.
+    /// Connects the solver's telemetry to `metrics`: the aggregate
+    /// `ilp.pivots`, `ilp.cut_overflow_fallbacks`, `ilp.promotions` and
+    /// `ilp.rollback_depth` cells, and per-pivot `GomoryCut` events when
+    /// the handle carries an event sink. Cells are resolved once here, so
+    /// the per-pivot cost with metrics on is one relaxed atomic add.
     pub fn set_metrics(&mut self, metrics: &MetricsHandle) {
         self.m_pivots = metrics.counter("ilp.pivots");
         self.m_overflow_fallbacks = metrics.counter("ilp.cut_overflow_fallbacks");
         self.m_promotions = metrics.counter("ilp.promotions");
         self.m_rollback_depth = metrics.histogram("ilp.rollback_depth");
+        self.metrics = metrics.clone();
     }
 
     /// Attaches an execution budget. [`AllIntegerSolver::solve`] polls
@@ -800,8 +797,8 @@ impl AllIntegerSolver {
             }
             // Checked safe above on whichever representation is active.
             self.max_bound *= factor;
-            if self.recorder.enabled() {
-                self.recorder.record(Event::GomoryCut {
+            if self.metrics.tracing() {
+                self.metrics.record(Event::GomoryCut {
                     round: round as u32,
                     pivot: k as u32,
                     objective: self.cell(base).clamp(i64::MIN as i128, i64::MAX as i128) as i64,
@@ -1305,11 +1302,11 @@ mod tests {
 
     #[test]
     fn recorder_sees_every_pivot() {
-        use mcs_obs::BufferingRecorder;
+        use mcs_obs::{BufferingRecorder, RecorderHandle};
         use std::sync::Arc;
         let buf = Arc::new(BufferingRecorder::new());
         let mut s = AllIntegerSolver::new(2);
-        s.set_recorder(RecorderHandle::new(buf.clone()));
+        s.set_metrics(&MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone())));
         s.add_ge(&[(0, 1), (1, 1)], 3);
         s.add_le(&[(0, 1)], 1);
         assert_eq!(s.solve(1000), Feasibility::Feasible);

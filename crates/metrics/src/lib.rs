@@ -1,19 +1,24 @@
 //! # mcs-metrics
 //!
-//! Aggregated runtime telemetry for the `multichip-hls` pipeline.
+//! The one telemetry handle of the `multichip-hls` pipeline.
 //!
-//! Where `mcs-obs` answers *"what happened in this one run"* with an
-//! ordered event stream, this crate answers *"how is the system
-//! performing"* with a [`Registry`] of monotonic [`Counter`]s, settable
-//! [`Gauge`]s and log-linear [`Histogram`]s (p50/p90/p99/max), plus a
-//! hierarchical span self-profiler that builds a phase → sub-phase
-//! wall-time tree. It is the substrate a long-running `mcs-serve`
-//! daemon will scrape per request.
+//! A [`MetricsHandle`] carries everything a layer records: a
+//! [`Registry`] of monotonic [`Counter`]s, settable [`Gauge`]s and
+//! log-linear [`Histogram`]s (p50/p90/p99/max), a hierarchical span
+//! self-profiler that builds a phase → sub-phase wall-time tree, and an
+//! optional decision-event sink (an `mcs_obs` [`RecorderHandle`]) for
+//! the ordered stream that explains *why* a run went the way it did.
+//! Each fact is recorded once: counters and wall time go to the
+//! registry, decisions to the sink, and a [`MetricsHandle::span`] feeds
+//! both — a profile node, plus a `PhaseBegin`/`PhaseEnd` pair when a
+//! sink is attached. The registry is also what a long-running
+//! `mcs-serve` daemon scrapes per request.
 //!
 //! Design points, mirroring the rest of the workspace:
 //!
 //! * **Zero cost when off.** Instrumentation goes through a
-//!   [`MetricsHandle`] whose default is inactive; resolved [`Counter`] /
+//!   [`MetricsHandle`] whose default holds neither a registry nor a
+//!   sink, so it allocates nothing; resolved [`Counter`] /
 //!   [`Histogram`] handles are a single `Option` branch when disabled.
 //! * **Lock-free recording.** Metric cells are plain relaxed atomics.
 //!   The registry's name → cell maps are sharded behind short-lived
@@ -56,6 +61,7 @@ use std::thread::ThreadId;
 
 use mcs_codec::fnv::fnv1a;
 use mcs_ctl::{Clock, MonotonicClock};
+use mcs_obs::{Event, RecorderHandle};
 
 /// Number of independently locked name → cell map shards. Contention on
 /// these only matters at registration time; eight shards keep even a
@@ -478,21 +484,23 @@ impl Registry {
     }
 }
 
-/// A cheap, clonable handle to a registry, embeddable in configuration
-/// structs exactly like `mcs_obs::RecorderHandle`. The default handle is
-/// inactive: every operation is a single predicted branch, so
-/// instrumented hot paths cost nothing when metrics are off.
+/// A cheap, clonable handle to an optional registry and an optional
+/// decision-event sink, embeddable in configuration structs. The default
+/// handle has neither: every operation is a single predicted branch, so
+/// instrumented hot paths cost nothing when telemetry is off.
 #[derive(Clone, Default)]
 pub struct MetricsHandle {
     reg: Option<Arc<Registry>>,
+    events: RecorderHandle,
 }
 
 impl std::fmt::Debug for MetricsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "MetricsHandle({})",
-            if self.reg.is_some() { "active" } else { "off" }
+            "MetricsHandle({}, events {})",
+            if self.reg.is_some() { "active" } else { "off" },
+            if self.tracing() { "on" } else { "off" }
         )
     }
 }
@@ -500,14 +508,50 @@ impl std::fmt::Debug for MetricsHandle {
 impl MetricsHandle {
     /// An active handle over a registry.
     pub fn new(reg: Arc<Registry>) -> Self {
-        MetricsHandle { reg: Some(reg) }
+        MetricsHandle {
+            reg: Some(reg),
+            events: RecorderHandle::default(),
+        }
     }
 
-    /// Whether recording through this handle goes anywhere. Sites with
-    /// non-trivial value construction should gate on this.
+    /// This handle with `events` as its decision-event sink. An inactive
+    /// `events` handle leaves the current sink in place, so callers can
+    /// pass along whatever recorder they were given.
+    pub fn with_events(mut self, events: &RecorderHandle) -> Self {
+        if events.enabled() {
+            self.events = events.clone();
+        }
+        self
+    }
+
+    /// This handle with the event sink detached and the registry kept:
+    /// what work on parallel worker threads gets, so the event stream
+    /// stays independent of the thread count.
+    pub fn without_events(&self) -> Self {
+        MetricsHandle {
+            reg: self.reg.clone(),
+            events: RecorderHandle::default(),
+        }
+    }
+
+    /// Whether counters, gauges, histograms and spans go to a registry.
+    /// Sites with non-trivial value construction should gate on this.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.reg.is_some()
+    }
+
+    /// Whether decision events go to a sink. Sites with non-trivial
+    /// payload construction should gate on this.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.events.enabled()
+    }
+
+    /// Records one decision event (no-op without a sink).
+    #[inline]
+    pub fn record(&self, event: Event) {
+        self.events.record(event);
     }
 
     /// Resolve the counter `name` — disconnected (free) when the handle
@@ -582,24 +626,28 @@ impl MetricsHandle {
 
     /// Open a profiler span; the returned guard closes it on drop.
     /// Spans nest: a span opened while another is live on the same
-    /// thread records under the parent's path (`flow/connect`).
+    /// thread records under the parent's path (`flow/connect`). With an
+    /// event sink attached, the span also records `PhaseBegin` now and
+    /// `PhaseEnd` when it closes.
     pub fn span(&self, name: &'static str) -> Span {
-        match &self.reg {
-            Some(r) => {
+        self.events.record(Event::PhaseBegin { phase: name });
+        Span {
+            state: self.reg.as_ref().map(|r| {
                 let (path, start) = r.span_begin(name);
-                Span {
-                    state: Some((r.clone(), path, start)),
-                }
-            }
-            None => Span { state: None },
+                (r.clone(), path, start)
+            }),
+            events: self.events.clone(),
+            name,
         }
     }
 }
 
 /// RAII guard for one profiler span; records calls and wall time at its
-/// path when dropped.
+/// path, and the closing phase event, when dropped.
 pub struct Span {
     state: Option<(Arc<Registry>, String, u64)>,
+    events: RecorderHandle,
+    name: &'static str,
 }
 
 impl Drop for Span {
@@ -607,6 +655,7 @@ impl Drop for Span {
         if let Some((reg, path, start)) = self.state.take() {
             reg.span_end(&path, start);
         }
+        self.events.record(Event::PhaseEnd { phase: self.name });
     }
 }
 
@@ -636,6 +685,48 @@ mod tests {
         assert_eq!(c.get(), 0);
         assert_eq!(m.now_us(), 0);
         let _s = m.span("flow");
+    }
+
+    #[test]
+    fn spans_emit_phase_events_only_with_a_sink() {
+        use mcs_obs::BufferingRecorder;
+        let buf = Arc::new(BufferingRecorder::new());
+        let sink = RecorderHandle::new(buf.clone());
+        let reg = Arc::new(Registry::with_clock(Arc::new(ManualClock::new())));
+        let m = MetricsHandle::new(reg.clone()).with_events(&sink);
+        assert!(m.enabled() && m.tracing());
+        {
+            let _flow = m.span("flow");
+            // Worker-thread handles keep the registry, drop the sink.
+            let _quiet = m.without_events().span("quiet");
+            m.record(Event::WorkerPanic {
+                pool: "p",
+                worker: 0,
+                epoch: 1,
+            });
+        }
+        assert_eq!(
+            buf.events(),
+            vec![
+                Event::PhaseBegin { phase: "flow" },
+                Event::WorkerPanic {
+                    pool: "p",
+                    worker: 0,
+                    epoch: 1,
+                },
+                Event::PhaseEnd { phase: "flow" },
+            ]
+        );
+        let paths: Vec<String> = reg.snapshot().profile.into_iter().map(|n| n.path).collect();
+        assert_eq!(paths, ["flow", "flow/quiet"]);
+        // An inactive recorder never detaches a live sink; a sink alone
+        // traces without a registry.
+        let kept = m.clone().with_events(&RecorderHandle::default());
+        assert!(kept.tracing());
+        let events_only = MetricsHandle::default().with_events(&sink);
+        assert!(events_only.tracing() && !events_only.enabled());
+        drop(events_only.span("solo"));
+        assert_eq!(buf.events().len(), 5);
     }
 
     #[test]

@@ -33,7 +33,6 @@ fn fields(event: &Event) -> Vec<(&'static str, JsonValue)> {
         Event::PhaseBegin { phase } | Event::PhaseEnd { phase } => {
             vec![("phase", Str(phase))]
         }
-        Event::Counter { name, value } => vec![("name", Str(name)), ("value", Int(value))],
         Event::ScheduleDecision { op, step, verdict } => vec![
             ("op", UInt(op as u64)),
             ("step", Int(step)),
@@ -126,9 +125,10 @@ fn args_object(event: &Event) -> String {
 
 /// Renders a Chrome `trace_event` JSON document (the
 /// `{"traceEvents": [...]}` object form) loadable in `chrome://tracing`
-/// and Perfetto. Phase events become duration begin/end pairs (`B`/`E`),
-/// counters become counter samples (`C`), and decision events become
-/// thread-scoped instants (`i`) carrying their payload in `args`.
+/// and Perfetto. Phase events become duration begin/end pairs (`B`/`E`)
+/// and decision events become thread-scoped instants (`i`) carrying
+/// their payload in `args`. Counters are not part of the stream; they
+/// live in the metrics registry.
 pub fn chrome_trace(timed: &[TimedEvent]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, t) in timed.iter().enumerate() {
@@ -147,12 +147,6 @@ pub fn chrome_trace(timed: &[TimedEvent]) -> String {
                 out.push_str(&format!(
                     "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"E\",\"ts\":{ts},\"pid\":1,\"tid\":1}}",
                     escape(phase)
-                ));
-            }
-            Event::Counter { name, value } => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{{\"value\":{value}}}}}",
-                    escape(name)
                 ));
             }
             ev => {
@@ -238,10 +232,6 @@ mod tests {
                 worker: 2,
                 epoch: 3,
             },
-            Event::Counter {
-                name: "pivots",
-                value: 42,
-            },
             Event::PhaseEnd { phase: "schedule" },
         ];
         events
@@ -262,7 +252,6 @@ mod tests {
         for needle in [
             "\"ph\":\"B\"",
             "\"ph\":\"E\"",
-            "\"ph\":\"C\"",
             "\"ph\":\"i\"",
             "ScheduleDecision",
             "PinCheck",
@@ -283,7 +272,7 @@ mod tests {
     fn jsonl_lines_each_parse() {
         let text = jsonl(&sample());
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 10);
+        assert_eq!(lines.len(), 9);
         for line in lines {
             parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }

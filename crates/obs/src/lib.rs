@@ -1,8 +1,9 @@
 //! # mcs-obs
 //!
-//! Zero-external-dependency structured-event layer for the `multichip-hls`
-//! pipeline: phase spans, monotonic counters and typed decision events
-//! recorded through a thread-safe [`Recorder`].
+//! Zero-external-dependency decision-event vocabulary for the
+//! `multichip-hls` pipeline: typed [`Event`]s, the thread-safe
+//! [`Recorder`] sink, and the exporters and per-phase summary over a
+//! recorded stream.
 //!
 //! Every heuristic decision the synthesis pipeline makes — postponing an
 //! I/O operation, rejecting a pin-allocation probe, pivoting on a Gomory
@@ -12,14 +13,19 @@
 //! or newline-delimited JSON, or aggregated into a per-phase summary
 //! ([`summary::summarize`]).
 //!
-//! The design center is *zero cost when off*: instrumentation sites go
-//! through a [`RecorderHandle`], which caches an `active` flag so that a
-//! disabled handle costs one branch per site — no allocation, no dynamic
-//! dispatch, no locking. [`Event`] payloads carry only deterministic
-//! data (ids, steps, counts); wall-clock timestamps are attached by the
-//! recording side ([`TimedEvent`]), so the event *stream* of a
-//! deterministic algorithm is itself deterministic and can be compared
-//! across thread counts.
+//! Layers do not hold a recorder themselves: a [`RecorderHandle`] rides
+//! as the optional event sink of `mcs_metrics::MetricsHandle`, the one
+//! telemetry handle, whose profiler spans also emit the
+//! [`Event::PhaseBegin`]/[`Event::PhaseEnd`] pairs. Counters and wall
+//! time live in the metrics registry, not in the event stream.
+//!
+//! The design center is *zero cost when off*: the default handle holds no
+//! recorder, so a disabled site costs one branch — no allocation, no
+//! dynamic dispatch, no locking. [`Event`] payloads carry only
+//! deterministic data (ids, steps, counts); wall-clock timestamps are
+//! attached by the recording side ([`TimedEvent`]), so the event
+//! *stream* of a deterministic algorithm is itself deterministic and can
+//! be compared across thread counts.
 //!
 //! ```
 //! use mcs_obs::{BufferingRecorder, Event, PlaceVerdict, RecorderHandle};
@@ -27,15 +33,12 @@
 //!
 //! let buf = Arc::new(BufferingRecorder::new());
 //! let rec = RecorderHandle::new(buf.clone());
-//! {
-//!     let _phase = rec.phase("schedule");
-//!     rec.record(Event::ScheduleDecision {
-//!         op: 7,
-//!         step: 3,
-//!         verdict: PlaceVerdict::Placed,
-//!     });
-//! }
-//! assert_eq!(buf.events().len(), 3); // begin, decision, end
+//! rec.record(Event::ScheduleDecision {
+//!     op: 7,
+//!     step: 3,
+//!     verdict: PlaceVerdict::Placed,
+//! });
+//! assert_eq!(buf.events().len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -134,7 +137,8 @@ impl std::fmt::Display for ProbeSource {
 /// so this crate depends on nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// A named pipeline phase starts (`schedule`, `connect`, ...).
+    /// A named pipeline phase starts (`schedule`, `connect`, ...);
+    /// emitted by `mcs_metrics::MetricsHandle::span`.
     PhaseBegin {
         /// Phase name.
         phase: &'static str,
@@ -143,13 +147,6 @@ pub enum Event {
     PhaseEnd {
         /// Phase name.
         phase: &'static str,
-    },
-    /// A monotonic counter sample.
-    Counter {
-        /// Counter name.
-        name: &'static str,
-        /// Sampled value.
-        value: i64,
     },
     /// The list scheduler consulted its I/O policy for an operation.
     ScheduleDecision {
@@ -251,7 +248,6 @@ impl Event {
         match self {
             Event::PhaseBegin { .. } => "PhaseBegin",
             Event::PhaseEnd { .. } => "PhaseEnd",
-            Event::Counter { .. } => "Counter",
             Event::ScheduleDecision { .. } => "ScheduleDecision",
             Event::PinCheck { .. } => "PinCheck",
             Event::GomoryCut { .. } => "GomoryCut",
@@ -279,14 +275,6 @@ pub trait Recorder: Send + Sync {
     /// Consumes one event. Implementations must be cheap and must not
     /// panic: instrumentation sites sit on hot paths.
     fn record(&self, event: Event);
-}
-
-/// A recorder that drops everything (the disabled default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: Event) {}
 }
 
 /// Soft cap on buffered events before further ones are counted but
@@ -367,31 +355,20 @@ impl Recorder for BufferingRecorder {
     }
 }
 
-/// A cheap, clonable handle to a recorder, embeddable in configuration
-/// structs. The default handle is inactive: `record` is a single
-/// predicted branch, so instrumented hot paths cost nothing when tracing
-/// is off.
-#[derive(Clone)]
-pub struct RecorderHandle {
-    rec: Arc<dyn Recorder>,
-    active: bool,
-}
-
-impl Default for RecorderHandle {
-    fn default() -> Self {
-        RecorderHandle {
-            rec: Arc::new(NullRecorder),
-            active: false,
-        }
-    }
-}
+/// A cheap, clonable handle to an optional recorder. The default handle
+/// is inactive and allocation-free: `record` is a single predicted
+/// branch, so instrumented hot paths cost nothing when tracing is off.
+/// Pipeline layers reach it through `mcs_metrics::MetricsHandle`, which
+/// carries it as its decision-event sink.
+#[derive(Clone, Default)]
+pub struct RecorderHandle(Option<Arc<dyn Recorder>>);
 
 impl std::fmt::Debug for RecorderHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "RecorderHandle({})",
-            if self.active { "active" } else { "off" }
+            if self.enabled() { "active" } else { "off" }
         )
     }
 }
@@ -399,51 +376,22 @@ impl std::fmt::Debug for RecorderHandle {
 impl RecorderHandle {
     /// An active handle over a concrete recorder.
     pub fn new(rec: Arc<dyn Recorder>) -> Self {
-        RecorderHandle { rec, active: true }
+        RecorderHandle(Some(rec))
     }
 
     /// Whether events recorded through this handle go anywhere. Sites
     /// with non-trivial payload construction should gate on this.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.active
+        self.0.is_some()
     }
 
     /// Records one event (no-op on an inactive handle).
     #[inline]
     pub fn record(&self, event: Event) {
-        if self.active {
-            self.rec.record(event);
+        if let Some(rec) = &self.0 {
+            rec.record(event);
         }
-    }
-
-    /// Records a counter sample.
-    #[inline]
-    pub fn counter(&self, name: &'static str, value: i64) {
-        if self.active {
-            self.rec.record(Event::Counter { name, value });
-        }
-    }
-
-    /// Opens a phase span; the returned guard closes it on drop.
-    pub fn phase(&self, phase: &'static str) -> PhaseGuard<'_> {
-        self.record(Event::PhaseBegin { phase });
-        PhaseGuard {
-            handle: self,
-            phase,
-        }
-    }
-}
-
-/// RAII guard recording `PhaseEnd` when dropped.
-pub struct PhaseGuard<'a> {
-    handle: &'a RecorderHandle,
-    phase: &'static str,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        self.handle.record(Event::PhaseEnd { phase: self.phase });
     }
 }
 
@@ -455,11 +403,7 @@ mod tests {
     fn default_handle_is_inactive_and_records_nothing() {
         let rec = RecorderHandle::default();
         assert!(!rec.enabled());
-        rec.record(Event::Counter {
-            name: "x",
-            value: 1,
-        });
-        let _g = rec.phase("p");
+        rec.record(Event::PhaseBegin { phase: "p" });
         // Nothing observable; the point is that none of this panics or
         // allocates a buffer.
     }
@@ -468,14 +412,13 @@ mod tests {
     fn buffering_recorder_keeps_order_and_timestamps() {
         let buf = Arc::new(BufferingRecorder::new());
         let rec = RecorderHandle::new(buf.clone());
-        {
-            let _g = rec.phase("schedule");
-            rec.record(Event::ScheduleDecision {
-                op: 3,
-                step: 5,
-                verdict: PlaceVerdict::SameCycleConflict,
-            });
-        }
+        rec.record(Event::PhaseBegin { phase: "schedule" });
+        rec.record(Event::ScheduleDecision {
+            op: 3,
+            step: 5,
+            verdict: PlaceVerdict::SameCycleConflict,
+        });
+        rec.record(Event::PhaseEnd { phase: "schedule" });
         let events = buf.events();
         assert_eq!(
             events,
@@ -498,8 +441,12 @@ mod tests {
     fn cap_drops_loudly() {
         let buf = Arc::new(BufferingRecorder::with_capacity(2));
         let rec = RecorderHandle::new(buf.clone());
-        for v in 0..5 {
-            rec.counter("c", v);
+        for step in 0..5 {
+            rec.record(Event::ScheduleDecision {
+                op: 0,
+                step,
+                verdict: PlaceVerdict::Placed,
+            });
         }
         assert_eq!(buf.events().len(), 2);
         assert_eq!(buf.dropped(), 3);
@@ -522,8 +469,12 @@ mod tests {
             for t in 0..4u32 {
                 let rec = rec.clone();
                 s.spawn(move || {
-                    for _ in 0..100 {
-                        rec.counter("t", t as i64);
+                    for epoch in 0..100 {
+                        rec.record(Event::WorkerPanic {
+                            pool: "t",
+                            worker: t,
+                            epoch,
+                        });
                     }
                 });
             }

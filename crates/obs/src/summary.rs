@@ -1,9 +1,11 @@
-//! Aggregation of a recorded event stream into a per-phase synthesis
-//! summary: wall time and event counts per phase, peak pin pressure per
-//! control-step group, and bus reassignments per step — the numbers a
-//! designer asks for before ever opening the full trace.
+//! Aggregation of a recorded event stream into the facts only the
+//! decisions carry: event counts per phase, peak pin pressure per
+//! control-step group, bus reassignments per step, and quarantined
+//! worker panics. Counters and per-phase wall time are not derived here;
+//! they live in the metrics registry (`mcs_metrics`), so a report states
+//! each fact once.
 
-use crate::{Event, TimedEvent};
+use crate::Event;
 use std::collections::BTreeMap;
 
 /// Aggregates for one named phase (merged across repeated spans of the
@@ -12,8 +14,6 @@ use std::collections::BTreeMap;
 pub struct PhaseSummary {
     /// Phase name.
     pub phase: &'static str,
-    /// Total wall time across all spans of this phase, microseconds.
-    pub wall_us: u64,
     /// Number of spans merged into this row.
     pub spans: u64,
     /// Events attributed to this phase (innermost enclosing span wins),
@@ -44,19 +44,10 @@ pub struct TraceSummary {
     pub reassignments: u64,
     /// Longest augmenting/preemption chain seen in a reassignment.
     pub max_augmenting_path: u32,
-    /// Total Gomory pivots across all feasibility solves.
-    pub gomory_pivots: u64,
-    /// Pin-feasibility probes by resolution layer, keyed by
-    /// [`crate::ProbeSource::name`] (from [`Event::ProbeResolved`]).
-    pub probes_by_source: BTreeMap<&'static str, u64>,
-    /// Deepest tableau rollback any probe performed.
-    pub max_rollback_depth: u64,
     /// Worker panics quarantined across all pools (from
     /// [`Event::WorkerPanic`]); nonzero means the run's result is
     /// degraded — some portion of the search space went unexplored.
     pub worker_panics: u64,
-    /// Final value of each named counter (last sample wins).
-    pub counters: BTreeMap<&'static str, i64>,
 }
 
 impl TraceSummary {
@@ -66,46 +57,41 @@ impl TraceSummary {
     }
 }
 
-/// Folds a timestamped event stream into a [`TraceSummary`]. Events are
-/// attributed to the innermost open phase at the point they occur; an
-/// unclosed phase (e.g. a flow aborted by an error) is closed at the
-/// timestamp of the last event in the stream.
-pub fn summarize(timed: &[TimedEvent]) -> TraceSummary {
+/// Folds an event stream into a [`TraceSummary`]. Events are attributed
+/// to the innermost open phase at the point they occur; a phase left
+/// unclosed (e.g. by a flow aborted with an error) simply stops
+/// collecting at the end of the stream.
+pub fn summarize(events: &[Event]) -> TraceSummary {
     let mut out = TraceSummary::default();
-    // Stack of (phase name, begin timestamp, index into out.phases).
-    let mut open: Vec<(&'static str, u64, usize)> = Vec::new();
-    let last_ts = timed.last().map_or(0, |t| t.ts_us);
+    // Stack of (phase name, index into out.phases).
+    let mut open: Vec<(&'static str, usize)> = Vec::new();
 
-    let row = |out: &mut TraceSummary, phase: &'static str| -> usize {
-        if let Some(i) = out.phases.iter().position(|p| p.phase == phase) {
-            i
-        } else {
-            out.phases.push(PhaseSummary {
-                phase,
-                ..PhaseSummary::default()
-            });
-            out.phases.len() - 1
-        }
-    };
-
-    for t in timed {
+    for event in events {
         out.total_events += 1;
-        match &t.event {
+        match *event {
             Event::PhaseBegin { phase } => {
-                let i = row(&mut out, phase);
+                let i = match out.phases.iter().position(|p| p.phase == phase) {
+                    Some(i) => i,
+                    None => {
+                        out.phases.push(PhaseSummary {
+                            phase,
+                            ..PhaseSummary::default()
+                        });
+                        out.phases.len() - 1
+                    }
+                };
                 out.phases[i].spans += 1;
-                open.push((phase, t.ts_us, i));
+                open.push((phase, i));
             }
             Event::PhaseEnd { phase } => {
                 // Close the innermost span of this name; tolerate
                 // mismatched ends rather than panicking in a reporter.
-                if let Some(pos) = open.iter().rposition(|(p, _, _)| p == phase) {
-                    let (_, begin, i) = open.remove(pos);
-                    out.phases[i].wall_us += t.ts_us.saturating_sub(begin);
+                if let Some(pos) = open.iter().rposition(|(p, _)| *p == phase) {
+                    open.remove(pos);
                 }
             }
-            ev => {
-                if let Some(&(_, _, i)) = open.last() {
+            ref ev => {
+                if let Some(&(_, i)) = open.last() {
                     *out.phases[i].events.entry(ev.kind()).or_insert(0) += 1;
                 }
                 match *ev {
@@ -129,28 +115,11 @@ pub fn summarize(timed: &[TimedEvent]) -> TraceSummary {
                         out.reassignments += 1;
                         out.max_augmenting_path = out.max_augmenting_path.max(augmenting_path_len);
                     }
-                    Event::GomoryCut { .. } => out.gomory_pivots += 1,
-                    Event::ProbeResolved {
-                        source,
-                        trail_depth,
-                        ..
-                    } => {
-                        *out.probes_by_source.entry(source.name()).or_insert(0) += 1;
-                        out.max_rollback_depth = out.max_rollback_depth.max(trail_depth);
-                    }
                     Event::WorkerPanic { .. } => out.worker_panics += 1,
-                    Event::Counter { name, value } => {
-                        out.counters.insert(name, value);
-                    }
                     _ => {}
                 }
             }
         }
-    }
-
-    // Close anything left open (aborted flows) at the last timestamp.
-    while let Some((_, begin, i)) = open.pop() {
-        out.phases[i].wall_us += last_ts.saturating_sub(begin);
     }
     out
 }
@@ -160,126 +129,82 @@ mod tests {
     use super::*;
     use crate::PlaceVerdict;
 
-    fn at(ts_us: u64, event: Event) -> TimedEvent {
-        TimedEvent { ts_us, event }
-    }
-
     #[test]
-    fn attributes_events_to_innermost_phase_and_sums_wall() {
+    fn attributes_events_to_innermost_phase_and_counts_spans() {
         let stream = vec![
-            at(0, Event::PhaseBegin { phase: "connect" }),
-            at(
-                5,
-                Event::SearchNode {
-                    worker: 0,
-                    epoch: 1,
-                    nodes: 10,
-                    prunes: 0,
-                    backtracks: 0,
-                    cache_hits: 0,
-                },
-            ),
-            at(10, Event::PhaseBegin { phase: "schedule" }),
-            at(
-                12,
-                Event::ScheduleDecision {
-                    op: 1,
-                    step: 0,
-                    verdict: PlaceVerdict::Placed,
-                },
-            ),
-            at(
-                14,
-                Event::GomoryCut {
-                    round: 0,
-                    pivot: 1,
-                    objective: -2,
-                },
-            ),
-            at(20, Event::PhaseEnd { phase: "schedule" }),
-            at(30, Event::PhaseEnd { phase: "connect" }),
+            Event::PhaseBegin { phase: "connect" },
+            Event::SearchNode {
+                worker: 0,
+                epoch: 1,
+                nodes: 10,
+                prunes: 0,
+                backtracks: 0,
+                cache_hits: 0,
+            },
+            Event::PhaseBegin { phase: "schedule" },
+            Event::ScheduleDecision {
+                op: 1,
+                step: 0,
+                verdict: PlaceVerdict::Placed,
+            },
+            Event::GomoryCut {
+                round: 0,
+                pivot: 1,
+                objective: -2,
+            },
+            Event::PhaseEnd { phase: "schedule" },
+            Event::PhaseEnd { phase: "connect" },
             // Second span of an existing phase merges into the same row.
-            at(40, Event::PhaseBegin { phase: "schedule" }),
-            at(45, Event::PhaseEnd { phase: "schedule" }),
+            Event::PhaseBegin { phase: "schedule" },
+            Event::PhaseEnd { phase: "schedule" },
         ];
         let s = summarize(&stream);
         assert_eq!(s.total_events, 9);
         let connect = s.phase("connect").expect("connect row");
-        assert_eq!(connect.wall_us, 30);
         assert_eq!(connect.spans, 1);
         assert_eq!(connect.events.get("SearchNode"), Some(&1));
         assert_eq!(connect.events.get("ScheduleDecision"), None);
         let sched = s.phase("schedule").expect("schedule row");
-        assert_eq!(sched.wall_us, 10 + 5);
         assert_eq!(sched.spans, 2);
         assert_eq!(sched.event_total(), 2);
-        assert_eq!(s.gomory_pivots, 1);
+        assert_eq!(sched.events.get("GomoryCut"), Some(&1));
     }
 
     #[test]
-    fn tracks_pin_pressure_reassigns_and_counters() {
+    fn tracks_pin_pressure_and_reassigns() {
         let stream = vec![
-            at(
-                0,
-                Event::PinCheck {
-                    group: 0,
-                    pins_used: 10,
-                    cap: 16,
-                    verdict: true,
-                },
-            ),
-            at(
-                1,
-                Event::PinCheck {
-                    group: 0,
-                    pins_used: 14,
-                    cap: 16,
-                    verdict: true,
-                },
-            ),
-            at(
-                2,
-                Event::PinCheck {
-                    group: 1,
-                    pins_used: 4,
-                    cap: 8,
-                    verdict: false,
-                },
-            ),
-            at(
-                3,
-                Event::BusReassign {
-                    op: 7,
-                    step: 2,
-                    from_bus: 0,
-                    to_bus: 1,
-                    augmenting_path_len: 3,
-                },
-            ),
-            at(
-                4,
-                Event::BusReassign {
-                    op: 8,
-                    step: 2,
-                    from_bus: 1,
-                    to_bus: 0,
-                    augmenting_path_len: 0,
-                },
-            ),
-            at(
-                5,
-                Event::Counter {
-                    name: "pivots",
-                    value: 3,
-                },
-            ),
-            at(
-                6,
-                Event::Counter {
-                    name: "pivots",
-                    value: 9,
-                },
-            ),
+            Event::PinCheck {
+                group: 0,
+                pins_used: 10,
+                cap: 16,
+                verdict: true,
+            },
+            Event::PinCheck {
+                group: 0,
+                pins_used: 14,
+                cap: 16,
+                verdict: true,
+            },
+            Event::PinCheck {
+                group: 1,
+                pins_used: 4,
+                cap: 8,
+                verdict: false,
+            },
+            Event::BusReassign {
+                op: 7,
+                step: 2,
+                from_bus: 0,
+                to_bus: 1,
+                augmenting_path_len: 3,
+            },
+            Event::BusReassign {
+                op: 8,
+                step: 2,
+                from_bus: 1,
+                to_bus: 0,
+                augmenting_path_len: 0,
+            },
         ];
         let s = summarize(&stream);
         assert_eq!(s.peak_pin_pressure.get(&0), Some(&(14, 16)));
@@ -287,81 +212,22 @@ mod tests {
         assert_eq!(s.reassigns_by_step.get(&2), Some(&2));
         assert_eq!(s.reassignments, 2);
         assert_eq!(s.max_augmenting_path, 3);
-        assert_eq!(s.counters.get("pivots"), Some(&9));
         assert!(s.phases.is_empty());
-    }
-
-    #[test]
-    fn aggregates_probe_resolutions_by_source() {
-        use crate::ProbeSource;
-        let stream = vec![
-            at(
-                0,
-                Event::ProbeResolved {
-                    var: 1,
-                    by: 1,
-                    verdict: true,
-                    source: ProbeSource::Solver,
-                    trail_depth: 7,
-                },
-            ),
-            at(
-                1,
-                Event::ProbeResolved {
-                    var: 1,
-                    by: 1,
-                    verdict: true,
-                    source: ProbeSource::Memo,
-                    trail_depth: 0,
-                },
-            ),
-            at(
-                2,
-                Event::ProbeResolved {
-                    var: 2,
-                    by: 1,
-                    verdict: false,
-                    source: ProbeSource::Surrogate,
-                    trail_depth: 0,
-                },
-            ),
-            at(
-                3,
-                Event::ProbeResolved {
-                    var: 3,
-                    by: 1,
-                    verdict: false,
-                    source: ProbeSource::Solver,
-                    trail_depth: 31,
-                },
-            ),
-        ];
-        let s = summarize(&stream);
-        assert_eq!(s.probes_by_source.get("solver"), Some(&2));
-        assert_eq!(s.probes_by_source.get("memo"), Some(&1));
-        assert_eq!(s.probes_by_source.get("surrogate"), Some(&1));
-        assert_eq!(s.max_rollback_depth, 31);
     }
 
     #[test]
     fn counts_worker_panics() {
         let stream = vec![
-            at(
-                0,
-                Event::WorkerPanic {
-                    pool: "portfolio",
-                    worker: 1,
-                    epoch: 2,
-                },
-            ),
-            at(
-                1,
-                Event::WorkerPanic {
-                    pool: "explore",
-                    worker: 0,
-                    epoch: 1,
-                },
-            ),
+            Event::WorkerPanic {
+                pool: "portfolio",
+                worker: 1,
+                epoch: 2,
+            },
+            Event::WorkerPanic {
+                pool: "explore",
+                worker: 0,
+                epoch: 1,
+            },
         ];
         let s = summarize(&stream);
         assert_eq!(s.worker_panics, 2);
@@ -370,16 +236,15 @@ mod tests {
     #[test]
     fn unclosed_phase_is_closed_at_last_event() {
         let stream = vec![
-            at(0, Event::PhaseBegin { phase: "connect" }),
-            at(
-                25,
-                Event::Counter {
-                    name: "nodes",
-                    value: 1,
-                },
-            ),
+            Event::PhaseBegin { phase: "connect" },
+            Event::PinCheck {
+                group: 0,
+                pins_used: 1,
+                cap: 2,
+                verdict: true,
+            },
         ];
         let s = summarize(&stream);
-        assert_eq!(s.phase("connect").expect("row").wall_us, 25);
+        assert_eq!(s.phase("connect").expect("row").event_total(), 1);
     }
 }

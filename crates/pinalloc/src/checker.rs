@@ -30,7 +30,7 @@ use mcs_cdfg::{Cdfg, OpId, PartitionId, ValueId};
 use mcs_ctl::{Budget, Termination};
 use mcs_ilp::{AllIntegerSolver, Feasibility};
 use mcs_metrics::{Histogram, MetricsHandle};
-use mcs_obs::{Event, ProbeSource, RecorderHandle};
+use mcs_obs::{Event, ProbeSource};
 
 /// Default pivot budget per feasibility probe before falling back to
 /// exact branch-and-bound. Configurable per checker via
@@ -186,13 +186,12 @@ pub struct PinChecker {
     in_cap: Vec<i64>,
     /// Probe-layer resolution counters.
     stats: ProbeCacheStats,
-    /// Sink for `PinCheck` (and the solver's `GomoryCut`) events.
-    recorder: RecorderHandle,
     /// Optional execution budget. Every resolved probe is charged to
     /// it; the embedded solver polls it at pivot boundaries.
     budget: Option<Budget>,
-    /// Metrics handle (for the registry clock) and the resolved
-    /// per-source probe latency histograms.
+    /// Telemetry handle — the registry clock, and the sink for
+    /// `PinCheck`/`ProbeResolved` events — and the resolved per-source
+    /// probe latency histograms.
     metrics: MetricsHandle,
     m_lat_memo: Histogram,
     m_lat_surrogate: Histogram,
@@ -473,7 +472,6 @@ impl PinChecker {
             part_in_load: vec![0; cdfg.partitions().len() * l],
             in_cap,
             stats: ProbeCacheStats::default(),
-            recorder: RecorderHandle::default(),
             budget: None,
             metrics: MetricsHandle::default(),
             m_lat_memo: Histogram::default(),
@@ -571,17 +569,12 @@ impl PinChecker {
         self.stats
     }
 
-    /// Routes `PinCheck` events from probes/commits — and `GomoryCut`
-    /// events from the embedded solver — to `recorder`.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.solver.set_recorder(recorder.clone());
-        self.recorder = recorder;
-    }
-
-    /// Connects the checker's aggregate telemetry — a probe latency
+    /// Connects the checker's telemetry to `metrics`: a probe latency
     /// histogram per resolution layer (`probe.latency_us.memo` /
     /// `.surrogate` / `.solver`) plus the embedded solver's `ilp.*`
-    /// metrics — to a metrics registry. Latencies are measured on the
+    /// metrics, and — when the handle carries an event sink — `PinCheck`
+    /// and `ProbeResolved` events from probes and commits and the
+    /// solver's `GomoryCut` events. Latencies are measured on the
     /// registry's injected clock, so a `ManualClock` registry records
     /// deterministic (zero) durations with exact counts.
     pub fn set_metrics(&mut self, metrics: &MetricsHandle) {
@@ -687,14 +680,14 @@ impl PinChecker {
         if let Some(budget) = &self.budget {
             budget.charge_probes(1);
         }
-        if self.recorder.enabled() {
-            self.recorder.record(Event::PinCheck {
+        if self.metrics.tracing() {
+            self.metrics.record(Event::PinCheck {
                 group: k as u32,
                 pins_used: self.group_load[k] + self.op_bits.get(&op).copied().unwrap_or(0),
                 cap: self.total_cap,
                 verdict,
             });
-            self.recorder.record(Event::ProbeResolved {
+            self.metrics.record(Event::ProbeResolved {
                 var: var as u32,
                 by: 1,
                 verdict,
@@ -787,17 +780,17 @@ impl PinChecker {
         if let Some(budget) = &self.budget {
             budget.charge_probes(candidates.len() as u64);
         }
-        if self.recorder.enabled() {
+        if self.metrics.tracing() {
             for (ci, &(op, step)) in candidates.iter().enumerate() {
                 let var = self.var_of(op, step);
                 let k = step.rem_euclid(self.rate as i64) as usize;
-                self.recorder.record(Event::PinCheck {
+                self.metrics.record(Event::PinCheck {
                     group: k as u32,
                     pins_used: self.group_load[k] + self.op_bits.get(&op).copied().unwrap_or(0),
                     cap: self.total_cap,
                     verdict: verdicts[ci],
                 });
-                self.recorder.record(Event::ProbeResolved {
+                self.metrics.record(Event::ProbeResolved {
                     var: var as u32,
                     by: 1,
                     verdict: verdicts[ci],
@@ -895,8 +888,8 @@ impl PinChecker {
             Feasibility::Interrupted => Err(PinAllocError::Interrupted(self.interruption())),
             _ => Err(PinAllocError::InfeasibleFromTheStart),
         };
-        if self.recorder.enabled() {
-            self.recorder.record(Event::PinCheck {
+        if self.metrics.tracing() {
+            self.metrics.record(Event::PinCheck {
                 group: k as u32,
                 pins_used: self.group_load[k],
                 cap: self.total_cap,
@@ -1283,12 +1276,12 @@ mod tests {
 
     #[test]
     fn recorder_sees_probes_and_commits() {
-        use mcs_obs::BufferingRecorder;
+        use mcs_obs::{BufferingRecorder, RecorderHandle};
         use std::sync::Arc;
         let d = synthetic::fig_2_5();
         let buf = Arc::new(BufferingRecorder::new());
         let mut c = PinChecker::new(d.cdfg(), 2).unwrap();
-        c.set_recorder(RecorderHandle::new(buf.clone()));
+        c.set_metrics(&MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone())));
         let v1 = d.op_named("V1");
         assert!(c.can_commit(v1, 0));
         c.commit(v1, 0).unwrap();

@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use mcs_cdfg::{BusId, Cdfg, OpId, PartitionId, PortMode};
 use mcs_connect::{Bus, BusAssignment, Interconnect, SubRange};
 use mcs_matching::max_weight_matching;
-use mcs_obs::RecorderHandle;
+use mcs_metrics::MetricsHandle;
 use mcs_sched::Schedule;
 
 /// Parameters of the post-scheduling connection synthesis.
@@ -56,8 +56,11 @@ pub struct PostsynConfig {
     /// share first; 1 everywhere by default (then the total weight equals
     /// the number of pins saved).
     pub weights: BTreeMap<PartitionId, i64>,
-    /// Sink for clique-merging counters (inactive by default).
-    pub recorder: RecorderHandle,
+    /// Telemetry handle for the construction counters
+    /// (`postsyn.clique_merges`, `postsyn.buses`, `postsyn.transfers`,
+    /// summed over every construction run through it). Disconnected by
+    /// default.
+    pub metrics: MetricsHandle,
 }
 
 impl PostsynConfig {
@@ -66,7 +69,7 @@ impl PostsynConfig {
         PostsynConfig {
             rate,
             weights: BTreeMap::new(),
-            recorder: RecorderHandle::default(),
+            metrics: MetricsHandle::default(),
         }
     }
 
@@ -154,7 +157,7 @@ pub fn connect_after_scheduling(
 
     // Process the largest group first (Figure 5.2 orders by size).
     groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
-    let mut merges = 0i64;
+    let mut merges = 0u64;
     let mut combined = groups.remove(0);
     for next in groups {
         if next.is_empty() {
@@ -190,7 +193,7 @@ pub fn connect_after_scheduling(
         }
     }
 
-    cfg.recorder.counter("postsyn.clique_merges", merges);
+    cfg.metrics.add("postsyn.clique_merges", merges);
     cliques_to_interconnect(cdfg, mode, &combined, cfg)
 }
 
@@ -304,9 +307,9 @@ fn cliques_to_interconnect(
         }
         buses.push(bus);
     }
-    cfg.recorder.counter("postsyn.buses", buses.len() as i64);
-    cfg.recorder
-        .counter("postsyn.transfers", assignment.len() as i64);
+    cfg.metrics.add("postsyn.buses", buses.len() as u64);
+    cfg.metrics
+        .add("postsyn.transfers", assignment.len() as u64);
     Interconnect {
         mode,
         buses,

@@ -18,7 +18,7 @@ use mcs_cdfg::{BusId, Cdfg, OpId, ValueId};
 use mcs_connect::{BusAssignment, Interconnect, SubRange};
 use mcs_matching::max_bipartite_matching_seeded;
 use mcs_metrics::{Histogram, MetricsHandle};
-use mcs_obs::{Event, PlaceVerdict, RecorderHandle};
+use mcs_obs::{Event, PlaceVerdict};
 
 use crate::list::IoPolicy;
 
@@ -80,12 +80,13 @@ pub struct BusPolicy {
     last_match: BTreeMap<ValueId, (u32, u32)>,
     /// Warm-start accounting (rounds / seeded pairs / augmentations).
     rematch: RematchStats,
-    /// Sink for `BusReassign` events (inactive by default). Trial clones
-    /// used by the preemption chain share the sink but never record —
-    /// events are emitted only for committed placements.
-    recorder: RecorderHandle,
+    /// Telemetry handle whose event sink takes `BusReassign` events
+    /// (inactive by default). Trial clones used by the preemption chain
+    /// share the sink but never record — events are emitted only for
+    /// committed placements.
+    metrics: MetricsHandle,
     /// `sched.rematch_size` histogram: how many pending values each
-    /// committed Figure 4.5 matching had to route. Like the recorder,
+    /// committed Figure 4.5 matching had to route. Like the event sink,
     /// trial clones share the cell but observations happen only at
     /// commit points, so discarded trials never pollute the counts.
     m_rematch_size: Histogram,
@@ -111,7 +112,7 @@ impl BusPolicy {
             feedback_groups: None,
             last_match: BTreeMap::new(),
             rematch: RematchStats::default(),
-            recorder: RecorderHandle::default(),
+            metrics: MetricsHandle::default(),
             m_rematch_size: Histogram::default(),
             last_pending: 0,
         }
@@ -119,20 +120,17 @@ impl BusPolicy {
 
     /// Warm-start accounting of the incremental pending-feasibility
     /// matching. Trial clones used by the preemption chain share the
-    /// counters' lineage the same way they share the recorder: only
+    /// counters' lineage the same way they share the event sink: only
     /// adopted trials contribute.
     pub fn rematch_stats(&self) -> RematchStats {
         self.rematch
     }
 
-    /// Routes `BusReassign` events to `recorder`.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = recorder;
-    }
-
-    /// Connects the `sched.rematch_size` histogram to `metrics`.
+    /// Connects the `sched.rematch_size` histogram, and `BusReassign`
+    /// events when the handle carries an event sink, to `metrics`.
     pub fn set_metrics(&mut self, metrics: &MetricsHandle) {
         self.m_rematch_size = metrics.histogram("sched.rematch_size");
+        self.metrics = metrics.clone();
     }
 
     /// Final `(bus, step, range)` per scheduled transfer — the bus
@@ -450,7 +448,7 @@ impl BusPolicy {
         true
     }
 
-    /// Records a committed bus move (no-op with an inactive recorder).
+    /// Records a committed bus move (no-op without an event sink).
     fn record_reassign(
         &self,
         op: OpId,
@@ -459,8 +457,8 @@ impl BusPolicy {
         to: BusId,
         chain: u32,
     ) {
-        if self.recorder.enabled() {
-            self.recorder.record(Event::BusReassign {
+        if self.metrics.tracing() {
+            self.metrics.record(Event::BusReassign {
                 op: op.0,
                 step,
                 from_bus: from.map(|a| a.bus.0).unwrap_or(to.0),

@@ -20,7 +20,7 @@ use mcs_cdfg::timing::{self, StepTime};
 use mcs_cdfg::{Cdfg, OpId, OpKind, OperatorClass, PartitionId};
 use mcs_ctl::{Budget, Termination};
 use mcs_metrics::MetricsHandle;
-use mcs_obs::{Event, PlaceVerdict, RecorderHandle};
+use mcs_obs::{Event, PlaceVerdict};
 use mcs_pinalloc::PinChecker;
 
 use crate::schedule::Schedule;
@@ -83,11 +83,6 @@ impl PinPolicy {
     pub fn checker(&self) -> &PinChecker {
         &self.checker
     }
-
-    /// Routes the checker's `PinCheck`/`GomoryCut` events to `recorder`.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.checker.set_recorder(recorder);
-    }
 }
 
 impl IoPolicy for PinPolicy {
@@ -130,12 +125,10 @@ pub struct ListConfig {
     /// composite maximum time constraint proved too tight — the "constrain
     /// some of the operations and rerun" remedy of Sections 5.3/6.3.
     pub hold_back: BTreeMap<OpId, i64>,
-    /// Sink for per-placement `ScheduleDecision` events (inactive by
-    /// default, costing one branch per I/O consultation).
-    pub recorder: RecorderHandle,
-    /// Metrics sink (`sched.place_attempts`): every I/O policy
-    /// consultation counts one attempt, placed or not. Disconnected by
-    /// default, costing one branch per consultation.
+    /// Telemetry handle: every I/O policy consultation counts one
+    /// `sched.place_attempts`, placed or not, and records a
+    /// `ScheduleDecision` event when the handle carries an event sink.
+    /// Disconnected by default, costing one branch per consultation.
     pub metrics: MetricsHandle,
     /// Optional execution budget, polled at every control-step boundary
     /// and before each phase-2 window search. A tripped budget aborts
@@ -152,7 +145,6 @@ impl ListConfig {
             max_steps: 512,
             priority_bias: 0,
             hold_back: BTreeMap::new(),
-            recorder: RecorderHandle::default(),
             metrics: MetricsHandle::default(),
             budget: None,
         }
@@ -536,7 +528,7 @@ pub fn list_schedule<P: IoPolicy>(
                     OpKind::Io { .. } => {
                         m_place_attempts.inc();
                         let verdict = policy.try_place_explained(cdfg, op, cand.step);
-                        cfg.recorder.record(Event::ScheduleDecision {
+                        cfg.metrics.record(Event::ScheduleDecision {
                             op: op.0,
                             step: cand.step,
                             verdict,
@@ -612,7 +604,7 @@ pub fn list_schedule<P: IoPolicy>(
         while s >= lo {
             m_place_attempts.inc();
             let verdict = policy.try_place_explained(cdfg, op, s);
-            cfg.recorder.record(Event::ScheduleDecision {
+            cfg.metrics.record(Event::ScheduleDecision {
                 op: op.0,
                 step: s,
                 verdict,

@@ -630,7 +630,6 @@ fn run_synth(
     seeds: &Seeds,
     metrics: &MetricsHandle,
 ) -> (String, Termination, SynthExports) {
-    let recorder = RecorderHandle::default();
     let complete = Termination::Complete;
     let none: SynthExports = (Vec::new(), Vec::new());
     // The exact pin-feasibility gate fronts every flow, exactly as in
@@ -685,7 +684,8 @@ fn run_synth(
             if let Some(b) = &budget {
                 checker.set_budget(b.clone());
             }
-            match simple_flow_with_checker(cdfg, rate, checker, &recorder, metrics) {
+            match simple_flow_with_checker(cdfg, rate, checker, &RecorderHandle::default(), metrics)
+            {
                 Ok((result, probe)) => {
                     let core = synth_core(
                         digest,
@@ -727,7 +727,7 @@ fn run_synth(
             opts.portfolio = Some(SERVE_PORTFOLIO);
             opts.budget = budget.clone();
             opts.metrics = metrics.clone();
-            let (res, report) = connect_first_flow_seeded(cdfg, &opts, &seeds.certs, &recorder);
+            let (res, report) = connect_first_flow_seeded(cdfg, &opts, &seeds.certs);
             // Certificates export even from failed runs — failed
             // searches produce the most valuable proofs.
             let exports = (Vec::new(), report.learned);
@@ -778,13 +778,12 @@ fn run_resynth(
     delta: &mcs_cdfg::delta::DesignDelta,
     metrics: &MetricsHandle,
 ) -> String {
-    let recorder = RecorderHandle::default();
     let head = format!(
         "{{\"ok\":true,\"cmd\":\"resynth\",\"design\":\"{}\",\"delta\":\"{:016x}\"",
         flow_label(digest),
         delta.digest()
     );
-    match resynth::resynth_flow_traced(cdfg, prev, delta, &recorder, metrics) {
+    match resynth::resynth_flow_traced(cdfg, prev, delta, &RecorderHandle::default(), metrics) {
         Ok(out) => {
             let total_pins: u32 = out.result.pins_used.iter().skip(1).sum();
             format!(
@@ -824,7 +823,6 @@ fn run_explore(
     budget: Option<Budget>,
     metrics: &MetricsHandle,
 ) -> Result<(String, Termination), String> {
-    let recorder = RecorderHandle::default();
     let spec = SweepSpec {
         design: flow_label(digest),
         flow: match req.flow {
@@ -838,10 +836,9 @@ fn run_explore(
         jobs: 1,
         prune: true,
         budget,
-        recorder: recorder.clone(),
         metrics: metrics.clone(),
     };
-    match run_sweep(cdfg, &spec, &opts, &recorder) {
+    match run_sweep(cdfg, &spec, &opts, &RecorderHandle::default()) {
         Ok(report) => {
             let termination = report.stats.termination;
             let core = format!(

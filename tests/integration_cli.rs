@@ -135,8 +135,9 @@ fn synth_trace_out_writes_a_valid_chrome_trace() {
     let text = std::fs::read_to_string(&tmp).unwrap();
     multichip_hls::codec::json::parse(&text).expect("chrome trace is strict JSON");
     assert!(text.contains("\"traceEvents\""), "not a chrome trace");
-    // The acceptance bar: all four pipeline phases span the trace and at
-    // least four distinct typed event kinds appear.
+    // The acceptance bar: all four pipeline phases span the trace, at
+    // least three distinct decision kinds appear, and counters stay out
+    // of it (they live in `--metrics-out`).
     for phase in ["connect", "schedule", "postsyn", "pin-check"] {
         assert!(
             text.contains(&format!("\"name\":\"{phase}\"")),
@@ -150,13 +151,12 @@ fn synth_trace_out_writes_a_valid_chrome_trace() {
         "BusReassign",
         "GomoryCut",
     ];
-    let mut present: usize = kinds
+    let present = kinds
         .iter()
         .filter(|k| text.contains(&format!("\"name\":\"{k}\"")))
         .count();
-    // Counter samples carry the counter's own name; spot them by category.
-    present += usize::from(text.contains("\"cat\":\"counter\""));
-    assert!(present >= 4, "only {present} event kinds in trace");
+    assert!(present >= 3, "only {present} decision kinds in trace");
+    assert!(!text.contains("\"ph\":\"C\""), "counter samples in trace");
 }
 
 #[test]
@@ -191,6 +191,45 @@ fn explain_prints_the_per_phase_summary() {
     }
     assert!(stdout.contains("bus reassignments"), "{stdout}");
     assert!(stdout.contains("peak pin pressure"), "{stdout}");
+}
+
+/// `explain` states each fact once: counters and wall time live only in
+/// the metrics table, so no metric name sits on two rows, and the span
+/// tree covers every phase the decision summary shows.
+#[test]
+fn explain_states_each_fact_once() {
+    let (ok, stdout, stderr) = run(&[
+        "explain",
+        &elliptic_benchmark(),
+        "--rate",
+        "6",
+        "--flow",
+        "connect",
+    ]);
+    assert!(ok, "{stderr}");
+    for phase in ["connect", "schedule", "postsyn", "pin-check"] {
+        assert!(stdout.contains(phase), "{phase} missing:\n{stdout}");
+    }
+    assert!(stdout.contains("bus reassignments"), "{stdout}");
+    assert!(stdout.contains("peak pin pressure"), "{stdout}");
+    // Rows naming a metric: dotted counter/gauge/histogram names, in any
+    // table, and every row of the metrics table's four kinds.
+    let mut rows: std::collections::BTreeMap<&str, usize> = Default::default();
+    for line in stdout.lines() {
+        let mut cols = line.split_whitespace();
+        let (Some(name), Some(kind)) = (cols.next(), cols.next()) else {
+            continue;
+        };
+        if name.contains('.') || ["counter", "gauge", "histogram", "span"].contains(&kind) {
+            *rows.entry(name).or_default() += 1;
+        }
+    }
+    for (name, n) in &rows {
+        assert_eq!(*n, 1, "{name} on {n} rows:\n{stdout}");
+    }
+    for fact in ["flow.reassigned", "rematch.rounds", "flow/postsyn"] {
+        assert!(rows.contains_key(fact), "{fact} missing:\n{stdout}");
+    }
 }
 
 #[test]

@@ -10,7 +10,6 @@ use std::process::Command;
 use mcs_cdfg::{designs, PortMode};
 use mcs_connect::{synthesize_seeded, ConnectError, SearchConfig};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_obs::RecorderHandle;
 use multichip_hls::flows::{
     connect_first_anytime, simple_flow_anytime, ConnectFirstOptions, SynthesisConfig,
 };
@@ -34,7 +33,7 @@ fn deadline_zero_yields_an_empty_but_valid_anytime_result() {
     let mut opts = ConnectFirstOptions::new(2);
     opts.portfolio = Some(4);
     let budget = Budget::new(BudgetSpec::default().deadline_ms(0));
-    let out = connect_first_anytime(d.cdfg(), &opts, budget, &RecorderHandle::default());
+    let out = connect_first_anytime(d.cdfg(), &opts, budget);
     assert_eq!(out.termination, Termination::DeadlineExceeded);
     assert!(out.result.is_none());
     assert!(out.error.is_none(), "interruption is not an error");
@@ -48,13 +47,7 @@ fn deadline_zero_yields_an_empty_but_valid_anytime_result() {
 fn deadline_zero_interrupts_the_simple_flow() {
     let d = designs::ar_filter::simple();
     let budget = Budget::new(BudgetSpec::default().deadline_ms(0));
-    let out = simple_flow_anytime(
-        d.cdfg(),
-        2,
-        &SynthesisConfig::default(),
-        budget,
-        &RecorderHandle::default(),
-    );
+    let out = simple_flow_anytime(d.cdfg(), 2, &SynthesisConfig::default(), budget);
     assert_eq!(out.termination, Termination::DeadlineExceeded);
     assert!(out.result.is_none());
     assert!(out.error.is_none());
@@ -69,18 +62,13 @@ fn exact_node_ceiling_still_completes() {
     let mut opts = ConnectFirstOptions::new(2);
     opts.portfolio = Some(4);
     // Reference run without a budget, to learn the exact node count.
-    let reference = connect_first_anytime(
-        d.cdfg(),
-        &opts,
-        Budget::unlimited(),
-        &RecorderHandle::default(),
-    );
+    let reference = connect_first_anytime(d.cdfg(), &opts, Budget::unlimited());
     assert_eq!(reference.termination, Termination::Complete);
     let reference = reference.result.expect("adversarial(6) is feasible");
     let nodes = reference.search_stats.as_ref().expect("stats").nodes;
     // Rerun with the ceiling set to exactly that count.
     let budget = Budget::new(BudgetSpec::default().max_nodes(nodes));
-    let out = connect_first_anytime(d.cdfg(), &opts, budget, &RecorderHandle::default());
+    let out = connect_first_anytime(d.cdfg(), &opts, budget);
     assert_eq!(out.termination, Termination::Complete);
     let result = out.result.expect("exact ceiling must not interrupt");
     assert_eq!(result.interconnect, reference.interconnect);
@@ -96,7 +84,7 @@ fn node_budget_outcome_is_identical_across_worker_counts() {
         opts.portfolio = Some(4);
         opts.workers = workers;
         let budget = Budget::new(BudgetSpec::default().max_nodes(1));
-        let out = connect_first_anytime(d.cdfg(), &opts, budget, &RecorderHandle::default());
+        let out = connect_first_anytime(d.cdfg(), &opts, budget);
         (
             out.termination,
             out.result.map(|r| r.interconnect),

@@ -18,6 +18,7 @@ use mcs_ctl::Termination;
 use mcs_explore::{
     sweep, FlowVariant, PointCoord, PointOutcome, PointRunner, PointStatus, SweepOptions, SweepSpec,
 };
+use mcs_metrics::MetricsHandle;
 use mcs_obs::{summary::summarize, BufferingRecorder, Event, RecorderHandle};
 
 /// Serializes fault tests and guarantees cleanup: the guard disarms
@@ -53,7 +54,7 @@ fn portfolio_worker_panic_degrades_to_the_remaining_workers_result() {
     let buf = Arc::new(BufferingRecorder::new());
     let cfg = SearchConfig::new(2)
         .with_portfolio(4)
-        .with_recorder(RecorderHandle::new(buf.clone()));
+        .with_metrics(MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone())));
     let (ic, stats) = synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &cfg);
 
     let ic = ic.expect("remaining workers still find a connection");
@@ -64,10 +65,10 @@ fn portfolio_worker_panic_degrades_to_the_remaining_workers_result() {
     // The quarantined worker's plan loses; a surviving worker wins.
     assert_ne!(stats.winner, Some(1));
 
-    let events = buf.timed_events();
+    let events = buf.events();
     let panics: Vec<_> = events
         .iter()
-        .filter_map(|t| match &t.event {
+        .filter_map(|e| match e {
             Event::WorkerPanic {
                 pool,
                 worker,
@@ -144,7 +145,7 @@ fn explore_point_panic_is_quarantined_to_its_slot() {
     };
     let buf = Arc::new(BufferingRecorder::new());
     let opts = SweepOptions {
-        recorder: RecorderHandle::new(buf.clone()),
+        metrics: MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone())),
         ..SweepOptions::default()
     };
     let report = sweep(&spec, &TrivialRunner, &opts).expect("sweep completes despite the panic");
@@ -175,7 +176,7 @@ fn explore_point_panic_is_quarantined_to_its_slot() {
         .filter(|o| o.status == PointStatus::Feasible)
         .count();
     assert_eq!(feasible, 3);
-    assert_eq!(summarize(&buf.timed_events()).worker_panics, 1);
+    assert_eq!(summarize(&buf.events()).worker_panics, 1);
 }
 
 /// A stalled worker is not a panic: the search just takes longer and

@@ -15,12 +15,12 @@ use mcs_cdfg::fuzz::{
     DesignStats, FuzzConfig,
 };
 use mcs_cdfg::{format, timing, PortMode};
-use mcs_obs::{BufferingRecorder, Event, RecorderHandle};
+use mcs_metrics::{MetricsHandle, Registry};
 use multichip_hls::differential::{
     anytime_differential, flow_differential, flow_differential_with_ports, probe_differential,
     sim_differential,
 };
-use multichip_hls::flows::{simple_flow, simple_flow_traced, FlowError};
+use multichip_hls::flows::{simple_flow, simple_flow_with, FlowError, SynthesisConfig};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
@@ -346,17 +346,18 @@ fn corpus_finding1_still_reaches_the_exact_fallback() {
         .expect("finding1 reproducer present");
     let design = format::parse(&text).expect("parses");
     let rate = timing::min_initiation_rate(design.cdfg()).max(1);
-    let buf = Arc::new(BufferingRecorder::new());
-    let rec = RecorderHandle::new(buf.clone());
-    let _ = simple_flow_traced(design.cdfg(), rate, &rec);
-    let fallbacks: i64 = buf
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Counter { name, value } if *name == "probe.exact_fallbacks" => Some(*value),
-            _ => None,
-        })
-        .sum();
+    let reg = Arc::new(Registry::new());
+    let config = SynthesisConfig {
+        metrics: MetricsHandle::new(reg.clone()),
+        ..SynthesisConfig::default()
+    };
+    let _ = simple_flow_with(design.cdfg(), rate, &config);
+    let snap = reg.snapshot();
+    let fallbacks = snap
+        .counters
+        .get("probe.exact_fallbacks")
+        .copied()
+        .unwrap_or(0);
     assert!(fallbacks > 0, "reproducer no longer stresses the solver");
 }
 

@@ -12,24 +12,23 @@ use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
 use multichip_hls::metrics::{export as metrics_export, MetricsHandle, Registry};
 use multichip_hls::obs::{export as obs_export, BufferingRecorder, Event, RecorderHandle};
 
-/// 8 threads hammer one registry and one recorder concurrently. Counter
-/// totals must be exact (no lost updates), histogram counts must account
-/// for every observation, and both trace export formats must still pass
-/// the strict in-tree JSON validator.
+/// 8 threads hammer one telemetry handle — a registry plus an event
+/// sink — concurrently. Counter totals must be exact (no lost updates),
+/// histogram counts must account for every observation, every decision
+/// and phase event must land in the sink, and both trace export formats
+/// must still pass the strict in-tree JSON validator.
 #[test]
 fn stress_eight_threads_exact_totals_and_valid_exports() {
     const THREADS: u64 = 8;
     const ROUNDS: u64 = 10_000;
 
     let reg = Arc::new(Registry::new());
-    let metrics = MetricsHandle::new(reg.clone());
     let buf = Arc::new(BufferingRecorder::with_capacity(1 << 20));
-    let rec = RecorderHandle::new(buf.clone());
+    let metrics = MetricsHandle::new(reg.clone()).with_events(&RecorderHandle::new(buf.clone()));
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let metrics = metrics.clone();
-            let rec = rec.clone();
             scope.spawn(move || {
                 // Resolved handles, the hot-loop pattern.
                 let pivots = metrics.counter("ilp.pivots");
@@ -41,7 +40,11 @@ fn stress_eight_threads_exact_totals_and_valid_exports() {
                     depth.set(i as i64);
                     let _span = metrics.span("stress");
                     if i % 64 == 0 {
-                        rec.counter("stress.events", 1);
+                        metrics.record(Event::WorkerPanic {
+                            pool: "stress",
+                            worker: t as u32,
+                            epoch: i as u32,
+                        });
                     }
                 }
             });
@@ -66,18 +69,21 @@ fn stress_eight_threads_exact_totals_and_valid_exports() {
         .sum();
     assert_eq!(spans, THREADS * ROUNDS);
 
-    // The recorder took the same hammering; both export formats must
-    // still be strict JSON, and no events may have been dropped.
+    // The event sink took the same hammering: every decision and every
+    // span's phase pair arrived, none was dropped, and both export
+    // formats must still be strict JSON.
     assert_eq!(buf.dropped(), 0);
-    let recorded: i64 = buf
-        .events()
+    let events = buf.events();
+    let decisions = events
         .iter()
-        .filter_map(|e| match e {
-            Event::Counter { name, value } if *name == "stress.events" => Some(*value),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(recorded as u64, THREADS * ROUNDS.div_ceil(64));
+        .filter(|e| matches!(e, Event::WorkerPanic { pool: "stress", .. }))
+        .count() as u64;
+    assert_eq!(decisions, THREADS * ROUNDS.div_ceil(64));
+    let phases = events
+        .iter()
+        .filter(|e| matches!(e, Event::PhaseBegin { .. } | Event::PhaseEnd { .. }))
+        .count() as u64;
+    assert_eq!(phases, 2 * THREADS * ROUNDS);
     let timed = buf.timed_events();
     json::parse(&obs_export::chrome_trace(&timed)).expect("chrome export valid");
     for (i, line) in obs_export::jsonl(&timed).lines().enumerate() {
@@ -142,4 +148,52 @@ fn elliptic_sweep_metrics_identical_across_jobs() {
     assert!(prom1.contains("explore_points"), "{prom1}");
     assert!(prom1.contains("connect_epoch_us_count"), "{prom1}");
     assert!(prom1.contains("profile_wall_us"), "{prom1}");
+}
+
+/// The event-stream half of the sweep determinism gate: per-point flows
+/// run on sweep worker threads without the event sink, so a sweep traced
+/// through a live recorder produces the same decision stream at `--jobs
+/// 1/2/8` — the `explore` phase pair and nothing a worker recorded.
+#[test]
+fn elliptic_sweep_event_stream_identical_across_jobs() {
+    let text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/benchmarks/elliptic.mcs"),
+    )
+    .expect("elliptic benchmark present");
+    let design = format::parse(&text).expect("benchmark parses");
+    let spec = SweepSpec {
+        design: "elliptic".into(),
+        flow: FlowVariant::ConnectFirst,
+        rates: vec![5, 6],
+        budgets: vec![vec![48, 48, 64, 48, 48], vec![32, 48, 64, 48, 48]],
+    };
+
+    let events_at = |jobs: usize| -> Vec<Event> {
+        let buf = Arc::new(BufferingRecorder::new());
+        let opts = SweepOptions {
+            jobs,
+            metrics: MetricsHandle::new(Arc::new(Registry::new())),
+            ..SweepOptions::default()
+        };
+        run_sweep(
+            design.cdfg(),
+            &spec,
+            &opts,
+            &RecorderHandle::new(buf.clone()),
+        )
+        .expect("sweep runs");
+        buf.events()
+    };
+
+    let reference = events_at(1);
+    assert_eq!(
+        reference,
+        vec![
+            Event::PhaseBegin { phase: "explore" },
+            Event::PhaseEnd { phase: "explore" },
+        ]
+    );
+    assert_eq!(events_at(2), reference, "event stream differs at jobs 2");
+    assert_eq!(events_at(8), reference, "event stream differs at jobs 8");
 }

@@ -60,19 +60,18 @@ fn ar_filter_connection_is_identical_across_thread_counts() {
 /// connect-first run is byte-identical across thread counts.
 #[test]
 fn traced_flow_event_stream_is_identical_across_thread_counts() {
-    use multichip_hls::flows::connect_first_flow_traced;
+    use multichip_hls::metrics::MetricsHandle;
     use multichip_hls::obs::{BufferingRecorder, Event, RecorderHandle};
     use std::sync::Arc;
 
     let d = designs::ar_filter::general(3, PortMode::Unidirectional);
     let trace = |workers: usize| -> Vec<Event> {
         let buf = Arc::new(BufferingRecorder::new());
-        let rec = RecorderHandle::new(buf.clone());
         let mut opts = ConnectFirstOptions::new(3);
         opts.workers = workers;
         opts.portfolio = Some(PORTFOLIO);
-        connect_first_flow_traced(d.cdfg(), &opts, &rec)
-            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        opts.metrics = MetricsHandle::default().with_events(&RecorderHandle::new(buf.clone()));
+        connect_first_flow(d.cdfg(), &opts).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         buf.events()
     };
     let reference = trace(1);

@@ -8,6 +8,7 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -15,10 +16,14 @@ use mcs_cdfg::delta::DesignDelta;
 use mcs_cdfg::designs::{ar_filter, elliptic};
 use mcs_cdfg::fuzz::{design_digest, design_from_seed, FuzzConfig};
 use mcs_cdfg::{format, Cdfg, OpId};
+use mcs_metrics::{MetricsHandle, Registry};
+use mcs_obs::RecorderHandle;
 use mcs_serve::json::escape;
 use mcs_serve::{ServeConfig, Server};
 use multichip_hls::flows::{connect_first_flow, simple_flow, ConnectFirstOptions};
-use multichip_hls::resynth::{classify, differential, result_to_json, resynth_flow, ResynthPath};
+use multichip_hls::resynth::{
+    classify, differential, result_to_json, resynth_flow, resynth_flow_traced, ResynthPath,
+};
 
 const BIN: &str = env!("CARGO_BIN_EXE_mcs-hls");
 
@@ -128,6 +133,43 @@ fn differential_oracle_agrees_across_a_200_seed_edit_sweep() {
     assert!(
         synthesized >= 20,
         "sweep is vacuous: only {synthesized}/200 seeds synthesized"
+    );
+}
+
+/// The cold rung reports through the caller's telemetry handle: a cold
+/// resynthesis of a Chapter 3 (simple-flow) design records its flow's
+/// span tree and probe counters in the caller's registry. Forced by a
+/// previous result without a connection, which no warm rung can reuse.
+#[test]
+fn cold_simple_resynthesis_records_flow_spans_and_probe_counters() {
+    let d = ar_filter::simple();
+    let mut prev = simple_flow(d.cdfg(), 2).expect("the chapter 3 design synthesizes");
+    prev.interconnect.buses.clear();
+    prev.interconnect.assignment.clear();
+    let delta = DesignDelta::parse("width:a3q=2").unwrap();
+    let reg = Arc::new(Registry::new());
+    let out = resynth_flow_traced(
+        d.cdfg(),
+        &prev,
+        &delta,
+        &RecorderHandle::default(),
+        &MetricsHandle::new(reg.clone()),
+    )
+    .expect("cold resynthesis succeeds");
+    assert_eq!(out.path, ResynthPath::Cold);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters.get("resynth.path.cold"), Some(&1));
+    assert!(
+        snap.profile
+            .iter()
+            .any(|n| n.path.ends_with("flow/schedule")),
+        "no flow/schedule span: {:?}",
+        snap.profile
+    );
+    assert!(
+        snap.counters.get("probe.solver").copied().unwrap_or(0) > 0,
+        "no probe.solver count: {:?}",
+        snap.counters
     );
 }
 

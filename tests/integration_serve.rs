@@ -96,16 +96,14 @@ fn probe_memo_roundtrip_is_verdict_identical() {
 #[test]
 fn refutation_cert_roundtrip_is_verdict_identical() {
     let d = designs::elliptic::partitioned();
-    let recorder = RecorderHandle::default();
     let mut opts = ConnectFirstOptions::new(ELLIPTIC_RATE);
     opts.workers = 1;
     opts.portfolio = Some(4);
 
-    let (cold, cold_report) = connect_first_flow_seeded(d.cdfg(), &opts, &[], &recorder);
+    let (cold, cold_report) = connect_first_flow_seeded(d.cdfg(), &opts, &[]);
     let cold = cold.expect("the chapter 6 benchmark synthesizes");
 
-    let (warm, warm_report) =
-        connect_first_flow_seeded(d.cdfg(), &opts, &cold_report.learned, &recorder);
+    let (warm, warm_report) = connect_first_flow_seeded(d.cdfg(), &opts, &cold_report.learned);
     let warm = warm.expect("the seeded rerun synthesizes");
 
     assert_eq!(cold.pipe_length, warm.pipe_length);
