@@ -50,8 +50,7 @@ use mcs_cdfg::{format, timing, Cdfg, PortMode};
 use multichip_hls::explore::run_sweep;
 use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
 use multichip_hls::flows::{
-    connect_first_anytime, connect_first_flow, schedule_first_flow_traced, simple_flow_anytime,
-    simple_flow_with, AnytimeOutcome, ConnectFirstOptions, SynthesisConfig, SynthesisResult,
+    run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult, WarmStart,
 };
 use multichip_hls::metrics::{export as metrics_export, MetricsHandle, Registry};
 use multichip_hls::netlist;
@@ -61,7 +60,6 @@ use multichip_hls::report::{
     render_schedule, render_search_stats, render_trace_aggregates,
 };
 use multichip_hls::resynth::{self, resynth_flow_traced};
-use multichip_hls::sched::Schedule;
 use multichip_hls::sim::{verify, Semantics, Stimulus};
 
 struct Args {
@@ -69,7 +67,7 @@ struct Args {
     file: String,
     rate: u32,
     pipe: Option<i64>,
-    flow: String,
+    flow: FlowVariant,
     bidir: bool,
     sharing: bool,
     instances: u32,
@@ -131,7 +129,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         file,
         rate: 1,
         pipe: None,
-        flow: "connect".into(),
+        flow: FlowVariant::ConnectFirst,
         bidir: false,
         sharing: false,
         instances: 8,
@@ -184,7 +182,13 @@ fn parse_args() -> Result<Args, ExitCode> {
                         .map_err(|_| usage())?,
                 )
             }
-            "--flow" => out.flow = next_value(&mut args, "--flow")?,
+            "--flow" => {
+                let name = next_value(&mut args, "--flow")?;
+                out.flow = FlowVariant::parse(&name).ok_or_else(|| {
+                    eprintln!("unknown flow `{name}` (simple|connect|schedule)");
+                    ExitCode::from(2)
+                })?;
+            }
             "--bidir" => out.bidir = true,
             "--sharing" => out.sharing = true,
             "--instances" => {
@@ -336,10 +340,6 @@ fn load(path: &str) -> Result<mcs_cdfg::designs::Design, ExitCode> {
     })
 }
 
-fn synthesize(cdfg: &Cdfg, a: &Args) -> Result<SynthesisResult, ExitCode> {
-    synthesize_traced(cdfg, a, &MetricsHandle::default())
-}
-
 /// The metrics registry backing `--metrics-out` (and the `explain`
 /// metrics table): a real monotonic clock, so span wall times and
 /// latency histograms are meaningful.
@@ -404,67 +404,70 @@ fn ctl_budget(a: &Args) -> Option<mcs_ctl::Budget> {
     Some(mcs_ctl::Budget::new(spec))
 }
 
-/// Runs the selected flow under `budget`. `Ok(Some(result))` is a full
-/// synthesis; `Ok(None)` means the budget tripped first — the anytime
-/// summary (verdict, best partial connection) has already been printed
-/// and the process should exit 0: an interruption is a successful
-/// interaction with the tool, not a synthesis failure.
-fn synthesize_anytime(
-    cdfg: &Cdfg,
-    a: &Args,
-    metrics: &MetricsHandle,
-    budget: mcs_ctl::Budget,
-) -> Result<Option<SynthesisResult>, ExitCode> {
-    let out: AnytimeOutcome = match a.flow.as_str() {
-        "simple" => {
-            let config = SynthesisConfig {
-                pivot_budget: a.pivot_budget,
-                probe_differential: a.probe_differential,
-                budget: None,
-                metrics: metrics.clone(),
-            };
-            simple_flow_anytime(cdfg, a.rate, &config, budget)
-        }
-        "connect" => {
+/// The one flow spec of a command: `--flow` with its knobs.
+fn flow_spec(a: &Args) -> FlowSpec {
+    let mode = if a.bidir {
+        PortMode::Bidirectional
+    } else {
+        PortMode::Unidirectional
+    };
+    match a.flow {
+        FlowVariant::Simple => FlowSpec::Simple {
+            rate: a.rate,
+            pivot_budget: a.pivot_budget,
+            probe_differential: a.probe_differential,
+        },
+        FlowVariant::ConnectFirst => {
             let mut opts = ConnectFirstOptions::new(a.rate);
-            opts.mode = if a.bidir {
-                PortMode::Bidirectional
-            } else {
-                PortMode::Unidirectional
-            };
+            opts.mode = mode;
             opts.sharing = a.sharing;
             opts.workers = a.workers;
             opts.portfolio = a.portfolio;
             opts.branching_factor = a.branching;
             opts.node_budget = a.budget;
-            opts.metrics = metrics.clone();
-            connect_first_anytime(cdfg, &opts, budget)
+            FlowSpec::Connect(opts)
         }
-        "schedule" => {
-            eprintln!(
-                "note: the schedule flow has no interruption points; \
-                 --deadline-ms/--max-pivots/--max-nodes are ignored"
-            );
-            return synthesize_traced(cdfg, a, metrics).map(Some);
-        }
-        other => {
-            eprintln!("unknown flow `{other}` (simple|connect|schedule)");
-            return Err(ExitCode::from(2));
-        }
-    };
-    if let Some(e) = out.error {
-        eprintln!("synthesis failed: {e}");
-        return Err(ExitCode::FAILURE);
+        FlowVariant::ScheduleFirst => FlowSpec::Schedule {
+            rate: a.rate,
+            pipe_length: a.pipe,
+            mode,
+        },
     }
+}
+
+/// Runs the command's flow under `budget`. `Ok(Some(result))` is a full
+/// synthesis; `Ok(None)` means the budget tripped first — the anytime
+/// summary (verdict, best partial connection) has already been printed
+/// and the process should exit 0: an interruption is a successful
+/// interaction with the tool, not a synthesis failure.
+fn synthesize_within(
+    cdfg: &Cdfg,
+    a: &Args,
+    metrics: &MetricsHandle,
+    budget: Option<mcs_ctl::Budget>,
+) -> Result<Option<SynthesisResult>, ExitCode> {
+    let spec = flow_spec(a);
+    if budget.is_some() && matches!(spec, FlowSpec::Schedule { .. }) {
+        eprintln!(
+            "note: the schedule flow has no interruption points; \
+             --deadline-ms/--max-pivots/--max-nodes are ignored"
+        );
+    }
+    let ctx = RunContext {
+        budget,
+        metrics: metrics.clone(),
+        warm: WarmStart::default(),
+    };
+    let out = run(cdfg, &spec, &ctx);
     match out.result {
-        Some(r) => {
+        Ok(r) => {
             if out.termination != mcs_ctl::Termination::Complete {
                 eprintln!("note: degraded result ({})", out.termination);
             }
             Ok(Some(r))
         }
-        None => {
-            println!("synthesis interrupted ({})", out.termination);
+        Err(FlowError::Interrupted(t)) => {
+            println!("synthesis interrupted ({t})");
             println!(
                 "best-so-far: {} of {} transfers placed on {} buses",
                 out.best_depth,
@@ -479,64 +482,17 @@ fn synthesize_anytime(
             }
             Ok(None)
         }
+        Err(e) => {
+            eprintln!("synthesis failed: {e}");
+            Err(ExitCode::FAILURE)
+        }
     }
 }
 
-fn synthesize_traced(
-    cdfg: &Cdfg,
-    a: &Args,
-    metrics: &MetricsHandle,
-) -> Result<SynthesisResult, ExitCode> {
-    let mode = if a.bidir {
-        PortMode::Bidirectional
-    } else {
-        PortMode::Unidirectional
-    };
-    let result = match a.flow.as_str() {
-        "simple" => {
-            let config = SynthesisConfig {
-                pivot_budget: a.pivot_budget,
-                probe_differential: a.probe_differential,
-                budget: None,
-                metrics: metrics.clone(),
-            };
-            simple_flow_with(cdfg, a.rate, &config)
-        }
-        "connect" => {
-            let mut opts = ConnectFirstOptions::new(a.rate);
-            opts.mode = mode;
-            opts.sharing = a.sharing;
-            opts.workers = a.workers;
-            opts.portfolio = a.portfolio;
-            opts.branching_factor = a.branching;
-            opts.node_budget = a.budget;
-            opts.metrics = metrics.clone();
-            connect_first_flow(cdfg, &opts)
-        }
-        "schedule" => {
-            let pipe = a.pipe.unwrap_or_else(|| {
-                timing::asap(cdfg)
-                    .map(|t| {
-                        Schedule {
-                            rate: a.rate,
-                            start: t.start,
-                        }
-                        .pipe_length(cdfg)
-                            + a.rate as i64
-                    })
-                    .unwrap_or(3 * a.rate as i64)
-            });
-            schedule_first_flow_traced(cdfg, a.rate, pipe, mode, metrics)
-        }
-        other => {
-            eprintln!("unknown flow `{other}` (simple|connect|schedule)");
-            return Err(ExitCode::from(2));
-        }
-    };
-    result.map_err(|e| {
-        eprintln!("synthesis failed: {e}");
-        ExitCode::FAILURE
-    })
+/// [`synthesize_within`] without an execution budget, so the flow always
+/// reaches a verdict.
+fn synthesize(cdfg: &Cdfg, a: &Args, metrics: &MetricsHandle) -> Result<SynthesisResult, ExitCode> {
+    synthesize_within(cdfg, a, metrics, None)?.ok_or(ExitCode::FAILURE)
 }
 
 /// Exports the recorded trace to `path` in the requested format and
@@ -609,31 +565,11 @@ fn main() -> ExitCode {
             let buf = trace_buffer(&a);
             let reg = metrics_registry(&a);
             let metrics = telemetry(reg.as_ref(), buf.as_ref());
-            let r = match ctl_budget(&a) {
-                Some(budget) => match synthesize_anytime(cdfg, &a, &metrics, budget) {
-                    Ok(Some(r)) => r,
-                    Ok(None) => {
-                        // Interrupted: the anytime summary is printed;
-                        // flush the trace and metrics, exit cleanly.
-                        if let (Some(buf), Some(path)) = (&buf, &a.trace_out) {
-                            if let Err(code) = write_trace(buf, &a, path) {
-                                return code;
-                            }
-                        }
-                        if let (Some(reg), Some(path)) = (&reg, &a.metrics_out) {
-                            if let Err(code) = write_metrics(reg, &a, path) {
-                                return code;
-                            }
-                        }
-                        return ExitCode::SUCCESS;
-                    }
-                    Err(code) => return code,
-                },
-                None => match synthesize_traced(cdfg, &a, &metrics) {
-                    Ok(r) => r,
-                    Err(code) => return code,
-                },
+            let r = match synthesize_within(cdfg, &a, &metrics, ctl_budget(&a)) {
+                Ok(r) => r,
+                Err(code) => return code,
             };
+            // Interrupted or not, the trace and metrics are flushed.
             if let (Some(buf), Some(path)) = (&buf, &a.trace_out) {
                 if let Err(code) = write_trace(buf, &a, path) {
                     return code;
@@ -644,6 +580,10 @@ fn main() -> ExitCode {
                     return code;
                 }
             }
+            // Interrupted: the anytime summary is printed; exit cleanly.
+            let Some(r) = r else {
+                return ExitCode::SUCCESS;
+            };
             if let Some(path) = &a.out_result {
                 if let Err(code) = write_result(cdfg, &r, path) {
                     return code;
@@ -707,7 +647,7 @@ fn main() -> ExitCode {
             // or without --trace-out/--metrics-out.
             let buf = Arc::new(BufferingRecorder::new());
             let reg = Arc::new(Registry::new());
-            let r = match synthesize_traced(cdfg, &a, &telemetry(Some(&reg), Some(&buf))) {
+            let r = match synthesize(cdfg, &a, &telemetry(Some(&reg), Some(&buf))) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -727,7 +667,7 @@ fn main() -> ExitCode {
                 design.name(),
                 r.pipe_length,
                 a.rate,
-                a.flow,
+                a.flow.as_str(),
                 summary.total_events,
             );
             println!();
@@ -846,7 +786,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "simulate" => {
-            let r = match synthesize(cdfg, &a) {
+            let r = match synthesize(cdfg, &a, &MetricsHandle::default()) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -877,7 +817,7 @@ fn main() -> ExitCode {
             }
         }
         "rtl" => {
-            let r = match synthesize(cdfg, &a) {
+            let r = match synthesize(cdfg, &a, &MetricsHandle::default()) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -887,7 +827,7 @@ fn main() -> ExitCode {
         }
         "dot" => {
             if a.buses {
-                let r = match synthesize(cdfg, &a) {
+                let r = match synthesize(cdfg, &a, &MetricsHandle::default()) {
                     Ok(r) => r,
                     Err(code) => return code,
                 };
@@ -913,18 +853,9 @@ fn main() -> ExitCode {
                 eprintln!("--pin-budgets must be colon-separated comma lists, e.g. 48,48:32,32");
                 return ExitCode::from(2);
             };
-            let flow = match a.flow.as_str() {
-                "simple" => FlowVariant::Simple,
-                "connect" => FlowVariant::ConnectFirst,
-                "schedule" => FlowVariant::ScheduleFirst,
-                other => {
-                    eprintln!("unknown flow `{other}` (simple|connect|schedule)");
-                    return ExitCode::from(2);
-                }
-            };
             let spec = SweepSpec {
                 design: design.name().to_string(),
-                flow,
+                flow: a.flow,
                 rates,
                 budgets,
             };

@@ -33,8 +33,8 @@ use mcs_postsyn::{verify_against_schedule, verify_against_schedule_with_budgets}
 use mcs_sim::{verify, Semantics, Stimulus, Violation};
 
 use crate::flows::{
-    connect_first_anytime, connect_first_flow, schedule_first_flow, simple_flow,
-    simple_flow_anytime, ConnectFirstOptions, FlowError, SynthesisConfig, SynthesisResult,
+    connect_first_flow, run, schedule_first_flow, simple_flow, ConnectFirstOptions, FlowError,
+    FlowOutcome, FlowSpec, RunContext, SynthesisResult,
 };
 
 /// What one synthesis flow concluded about a design.
@@ -336,12 +336,17 @@ pub struct AnytimeDifferential {
 /// with the unbudgeted verdict.
 pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
     let mut out = AnytimeDifferential::default();
-    let opts = ConnectFirstOptions::new(rate);
+    let budgeted = |budget: Budget| RunContext {
+        budget: Some(budget),
+        ..RunContext::default()
+    };
+    let interrupted = |o: &FlowOutcome| matches!(o.result, Err(FlowError::Interrupted(_)));
 
     // Ground truth: unbudgeted connect-first.
-    let truth = connect_first_flow(cdfg, &opts);
-    let truth_feasible = truth.is_ok();
-    let truth_depth = connect_first_anytime(cdfg, &opts, Budget::unlimited()).best_depth;
+    let connect = FlowSpec::Connect(ConnectFirstOptions::new(rate));
+    let truth = run(cdfg, &connect, &RunContext::default());
+    let truth_feasible = truth.result.is_ok();
+    let truth_depth = truth.best_depth;
 
     let mut specs: Vec<(String, Budget)> = [1u64, 4, 32, 1024]
         .iter()
@@ -358,9 +363,9 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
 
     for (name, budget) in specs {
         out.checks += 1;
-        let o = connect_first_anytime(cdfg, &opts, budget);
+        let o = run(cdfg, &connect, &budgeted(budget));
         if o.termination == Termination::Complete {
-            let got = o.result.is_some();
+            let got = o.result.is_ok();
             if got != truth_feasible {
                 out.violations.push(format!(
                     "connect-first under {name} completed with feasible={got} but \
@@ -368,7 +373,7 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
                 ));
             }
         } else {
-            if o.result.is_some() || o.error.is_some() {
+            if !interrupted(&o) {
                 out.violations.push(format!(
                     "connect-first under {name} was interrupted ({}) yet reported a \
                      definitive answer",
@@ -389,19 +394,24 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
     let simple_truth = simple_flow(cdfg, rate);
     if !matches!(simple_truth, Err(FlowError::NotSimple(_))) {
         let truth_feasible = simple_truth.is_ok();
+        let simple = FlowSpec::Simple {
+            rate,
+            pivot_budget: None,
+            probe_differential: false,
+        };
         for n in [1u64, 16, 256] {
             out.checks += 1;
             let budget = Budget::new(BudgetSpec::default().max_probes(n));
-            let o = simple_flow_anytime(cdfg, rate, &SynthesisConfig::default(), budget);
+            let o = run(cdfg, &simple, &budgeted(budget));
             if o.termination == Termination::Complete {
-                let got = o.result.is_some();
+                let got = o.result.is_ok();
                 if got != truth_feasible {
                     out.violations.push(format!(
                         "simple flow under max_probes({n}) completed with feasible={got} \
                          but unbudgeted ground truth says feasible={truth_feasible}"
                     ));
                 }
-            } else if o.result.is_some() {
+            } else if o.result.is_ok() {
                 out.violations.push(format!(
                     "simple flow under max_probes({n}) was interrupted ({}) yet \
                      reported a result",

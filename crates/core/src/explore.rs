@@ -10,46 +10,81 @@
 //!   environment). Any `fixed_split` is cleared — the sweep explores
 //!   total budgets, not fixed input/output splits.
 //! * Every flow runs behind the exact pin-feasibility gate
-//!   ([`PinChecker::new`]): `InfeasibleFromTheStart` is the *only*
-//!   verdict reported as [`PointStatus::PinInfeasible`], because it is
-//!   the only one sound to lift to dominated points. Incomplete-search
-//!   failures are [`PointStatus::SearchFailed`] and never prune.
-//! * Warm starts transfer two payloads between points at the same rate:
-//!   `false` epoch-0 probe verdicts (a probe infeasible under a looser
-//!   budget stays infeasible under a tighter one — the `true` direction
-//!   does not transfer and is filtered out) and connection-search
-//!   refutation certificates (exhaustive-failure proofs, valid for any
-//!   same-or-tighter budget; see [`mcs_connect::synthesize_seeded`]).
+//!   ([`pin_gate`]): `InfeasibleFromTheStart` is the *only* verdict
+//!   reported as [`PointStatus::PinInfeasible`], because it is the only
+//!   one sound to lift to dominated points. Incomplete-search failures
+//!   are [`PointStatus::SearchFailed`] and never prune.
+//! * Warm starts transfer a [`WarmStart`] between points at the same
+//!   rate: `false` epoch-0 probe verdicts (a probe infeasible under a
+//!   looser budget stays infeasible under a tighter one — the `true`
+//!   direction does not transfer and is filtered out) and
+//!   connection-search refutation certificates (exhaustive-failure
+//!   proofs, valid for any same-or-tighter budget; see
+//!   [`mcs_connect::synthesize_seeded`]).
 
 use mcs_cdfg::{Cdfg, PartitionId, PortMode};
-use mcs_connect::RefutationCert;
 use mcs_explore::{
     sweep, FlowVariant, PointCoord, PointOutcome, PointRunner, PointStatus, SweepError,
     SweepOptions, SweepReport, SweepSpec,
 };
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinAllocError, PinChecker};
-use mcs_sched::Schedule;
+use mcs_pinalloc::PinAllocError;
 
 use crate::flows::{
-    connect_first_flow_seeded, schedule_first_flow_traced, simple_flow_with_checker,
-    ConnectFirstOptions, FlowError, SynthesisResult,
+    pin_gate, run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult, WarmStart,
 };
 use crate::netlist;
 
-/// Portfolio size for connect-first sweep points. Pinned (rather than
-/// derived from thread count) so the search — and therefore the report —
-/// is identical however many sweep workers run.
-const SWEEP_PORTFOLIO: usize = 4;
+/// Portfolio size for connect-first points. Pinned (rather than derived
+/// from thread count) so the search — and therefore the report — is
+/// identical however many sweep or daemon workers run.
+const POINT_PORTFOLIO: usize = 4;
 
-/// Warm-start payload carried between sweep points at the same rate.
-#[derive(Clone, Debug, Default)]
-pub struct ExploreExport {
-    /// Epoch-0 pin-probe verdicts ([`PinChecker::initial_probe_memo`]).
-    /// Only `false` entries are seeded into dominated points.
-    pub probe_memo: Vec<((usize, i64), bool)>,
-    /// Refutation certificates learned by the connection search.
-    pub certs: Vec<RefutationCert>,
+/// The spec one sweep point — or one serve daemon job — runs for `flow`
+/// at `rate`: each flow's defaults, with a single-worker connection
+/// search over a pinned portfolio.
+pub fn point_spec(flow: FlowVariant, rate: u32) -> FlowSpec {
+    match flow {
+        FlowVariant::Simple => FlowSpec::Simple {
+            rate,
+            pivot_budget: None,
+            probe_differential: false,
+        },
+        FlowVariant::ConnectFirst => {
+            let mut opts = ConnectFirstOptions::new(rate);
+            opts.portfolio = Some(POINT_PORTFOLIO);
+            FlowSpec::Connect(opts)
+        }
+        FlowVariant::ScheduleFirst => FlowSpec::Schedule {
+            rate,
+            pipe_length: None,
+            mode: PortMode::Unidirectional,
+        },
+    }
+}
+
+/// Maps a definitive flow failure onto the point-status taxonomy, with
+/// its detail text. Only the gate's exact `InfeasibleFromTheStart`
+/// lifts to dominated points; everything downstream of the gate is an
+/// incomplete search. Interruption is not a verdict about the design: it
+/// lands in the error bucket, so it can never prune or export. A gate
+/// rejection's detail is the pin allocator's own message.
+pub fn failure_status(err: &FlowError) -> (PointStatus, String) {
+    let status = match err {
+        FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => {
+            PointStatus::PinInfeasible
+        }
+        FlowError::NotSimple(_) | FlowError::PinAllocation(_) | FlowError::Interrupted(_) => {
+            PointStatus::Error
+        }
+        _ => PointStatus::SearchFailed,
+    };
+    // A gate rejection reads as the pin allocator's own message.
+    let detail = match err {
+        FlowError::PinAllocation(e) => e.to_string(),
+        e => e.to_string(),
+    };
+    (status, detail)
 }
 
 /// Anything [`run_sweep`] can fail with before synthesis starts.
@@ -93,10 +128,11 @@ impl From<SweepError> for ExploreError {
 }
 
 /// The concrete lattice-point runner: clones the design, applies the
-/// budget override, runs the configured flow, and packages warm-start
-/// exports. Per-point synthesis runs on sweep worker threads without an
-/// event sink, so the event stream does not depend on the worker count;
-/// its counters, histograms and spans still aggregate into the registry.
+/// budget override, runs the configured flow through [`pin_gate`] and
+/// [`run`], and packages warm-start exports. Per-point synthesis runs on
+/// sweep worker threads without an event sink, so the event stream does
+/// not depend on the worker count; its counters, histograms and spans
+/// still aggregate into the registry.
 pub struct DesignRunner<'a> {
     cdfg: &'a Cdfg,
     flow: FlowVariant,
@@ -115,11 +151,12 @@ impl<'a> DesignRunner<'a> {
         }
     }
 
-    /// Shares an execution budget with every point's flow: pin probes,
-    /// Gomory pivots, search nodes and scheduling steps all charge this
-    /// ledger, so the sweep driver (given the same handle) observes a
-    /// mid-wave trip at the next wave barrier. An interrupted point
-    /// reports [`PointStatus::Error`] and never prunes.
+    /// Shares an execution budget with every point's flow: the pin gate's
+    /// construction-time solve, pin probes, Gomory pivots, search nodes
+    /// and scheduling steps all charge this ledger, so the sweep driver
+    /// (given the same handle) observes a mid-wave trip at the next wave
+    /// barrier. An interrupted point reports [`PointStatus::Error`] and
+    /// never prunes.
     pub fn with_budget(mut self, budget: Option<mcs_ctl::Budget>) -> Self {
         self.budget = budget;
         self
@@ -161,175 +198,84 @@ impl<'a> DesignRunner<'a> {
         );
     }
 
-    /// Maps a flow failure onto the point-status taxonomy. Only the
-    /// gate's exact `InfeasibleFromTheStart` lifts to dominated points;
-    /// everything downstream of the gate is an incomplete search.
-    fn fail(err: FlowError, out: &mut PointOutcome) {
-        out.status = Some(match err {
-            FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => {
-                PointStatus::PinInfeasible
-            }
-            // Interruption is not a verdict about the design; it lands
-            // in the error bucket so it can never prune or export.
-            FlowError::NotSimple(_) | FlowError::PinAllocation(_) | FlowError::Interrupted(_) => {
-                PointStatus::Error
-            }
-            _ => PointStatus::SearchFailed,
-        });
-        out.detail = err.to_string();
+    /// Records a flow failure on the point.
+    fn fail(err: &FlowError, out: &mut PointOutcome) {
+        let (status, detail) = failure_status(err);
+        out.status = Some(status);
+        out.detail = detail;
     }
 }
 
 impl PointRunner for DesignRunner<'_> {
-    type Export = ExploreExport;
+    type Export = WarmStart;
 
     fn run(
         &self,
         coord: PointCoord,
         budget: &[u32],
-        seeds: &[(PointCoord, std::sync::Arc<ExploreExport>)],
-    ) -> (PointOutcome, Option<ExploreExport>) {
+        seeds: &[(PointCoord, std::sync::Arc<WarmStart>)],
+    ) -> (PointOutcome, Option<WarmStart>) {
         let cdfg = self.apply_budget(budget);
         let mut out = PointOutcome::default();
-
-        // The exact pin-feasibility gate, shared by every flow. Its
-        // construction-time rejection is the one budget-dependent
-        // verdict sound to lift (the dominance pruning rule).
-        let mut checker = match PinChecker::new(&cdfg, coord.rate) {
-            Ok(c) => c,
-            Err(PinAllocError::InfeasibleFromTheStart) => {
-                out.status = Some(PointStatus::PinInfeasible);
-                out.detail = PinAllocError::InfeasibleFromTheStart.to_string();
-                return (out, None);
-            }
-            Err(e) => {
-                out.status = Some(PointStatus::Error);
-                out.detail = e.to_string();
-                return (out, None);
-            }
+        let spec = point_spec(self.flow, coord.rate);
+        let mut ctx = RunContext {
+            budget: self.budget.clone(),
+            metrics: self.metrics.clone(),
+            warm: WarmStart::default(),
         };
-
-        // Only `false` verdicts transfer from looser-budget donors: an
-        // infeasible probe stays infeasible with fewer pins, but a
-        // feasible one may not.
-        let seed_memo: Vec<((usize, i64), bool)> = seeds
-            .iter()
-            .flat_map(|(_, e)| e.probe_memo.iter())
-            .filter(|&&(_, verdict)| !verdict)
-            .copied()
-            .collect();
-        let seed_certs: Vec<RefutationCert> = seeds
-            .iter()
-            .flat_map(|(_, e)| e.certs.iter().cloned())
-            .collect();
-
-        match self.flow {
-            FlowVariant::Simple => {
-                checker.seed_initial_memo(&seed_memo);
-                if let Some(b) = &self.budget {
-                    checker.set_budget(b.clone());
-                }
-                match simple_flow_with_checker(
-                    &cdfg,
-                    coord.rate,
-                    checker,
-                    &RecorderHandle::default(),
-                    &self.metrics,
-                ) {
-                    Ok((result, probe)) => {
-                        Self::measure(&cdfg, &result, &mut out);
-                        out.solver_probes = probe.stats.solver_probes;
-                        out.probe_memo_hits = probe.stats.memo_hits;
-                        out.probe_seed_hits = probe.stats.seed_hits;
-                        let export = ExploreExport {
-                            probe_memo: probe.initial_memo,
-                            certs: Vec::new(),
-                        };
-                        (out, Some(export))
-                    }
-                    Err(e) => {
-                        Self::fail(e, &mut out);
-                        (out, None)
-                    }
-                }
-            }
-            FlowVariant::ConnectFirst => {
-                let mut opts = ConnectFirstOptions::new(coord.rate);
-                opts.workers = 1;
-                opts.portfolio = Some(SWEEP_PORTFOLIO);
-                opts.budget = self.budget.clone();
-                opts.metrics = self.metrics.clone();
-                let (res, report) = connect_first_flow_seeded(&cdfg, &opts, &seed_certs);
-                out.search_nodes = report.stats.nodes;
-                out.search_cache_hits = report.stats.cache_hits;
-                out.cert_seed_hits = report.stats.seed_hits;
-                // Certificates export even from failed points — failed
-                // searches produce the most valuable proofs.
-                let export = ExploreExport {
-                    probe_memo: Vec::new(),
-                    certs: report.learned,
-                };
-                match res {
-                    Ok(result) => Self::measure(&cdfg, &result, &mut out),
-                    Err(e) => Self::fail(e, &mut out),
-                }
-                (out, Some(export))
-            }
-            FlowVariant::ScheduleFirst => {
-                let pipe = default_pipe_length(&cdfg, coord.rate);
-                match schedule_first_flow_traced(
-                    &cdfg,
-                    coord.rate,
-                    pipe,
-                    PortMode::Unidirectional,
-                    &self.metrics,
-                ) {
-                    Ok(result) => {
-                        // The Chapter 5 flow reports pins instead of
-                        // constraining them; budgets are checked after
-                        // the fact. An over-budget result is a search
-                        // failure, NOT a liftable infeasibility — the
-                        // flow never consulted the budget, so the
-                        // verdict carries no dominance information.
-                        let over: Vec<String> = result
-                            .pins_used
-                            .iter()
-                            .enumerate()
-                            .skip(1)
-                            .filter(|&(i, &used)| used > budget[i - 1])
-                            .map(|(i, &used)| {
-                                format!("chip {} uses {} > {}", i, used, budget[i - 1])
-                            })
-                            .collect();
-                        if over.is_empty() {
-                            Self::measure(&cdfg, &result, &mut out);
-                        } else {
-                            out.status = Some(PointStatus::SearchFailed);
-                            out.detail = format!("over budget: {}", over.join(", "));
-                        }
-                    }
-                    Err(e) => Self::fail(e, &mut out),
-                }
-                (out, None)
-            }
+        for (_, donor) in seeds {
+            ctx.warm.adopt(donor);
         }
-    }
-}
-
-/// The pipe-length bound the schedule-first flow uses when the sweep
-/// does not fix one: ASAP critical path plus one initiation interval
-/// (the same default the `mcs-hls` CLI applies).
-fn default_pipe_length(cdfg: &Cdfg, rate: u32) -> i64 {
-    mcs_cdfg::timing::asap(cdfg)
-        .map(|t| {
-            Schedule {
-                rate,
-                start: t.start,
+        if let Err(e) = pin_gate(&cdfg, &spec, &ctx) {
+            Self::fail(&e, &mut out);
+            return (out, None);
+        }
+        let outcome = run(&cdfg, &spec, &ctx);
+        if let Some(st) = &outcome.search_stats {
+            out.search_nodes = st.nodes;
+            out.search_cache_hits = st.cache_hits;
+            out.cert_seed_hits = st.seed_hits;
+        }
+        if let Some(probe) = &outcome.probe_stats {
+            out.solver_probes = probe.solver_probes;
+            out.probe_memo_hits = probe.memo_hits;
+            out.probe_seed_hits = probe.seed_hits;
+        }
+        match &outcome.result {
+            Ok(result) => {
+                // The Chapter 5 flow reports pins instead of constraining
+                // them, so budgets are checked after the fact. An
+                // over-budget result is a search failure, NOT a liftable
+                // infeasibility — the flow never consulted the budget, so
+                // the verdict carries no dominance information.
+                let over: Vec<String> = result
+                    .pins_used
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .filter(|&(i, &used)| used > budget[i - 1])
+                    .map(|(i, &used)| format!("chip {} uses {} > {}", i, used, budget[i - 1]))
+                    .collect();
+                if over.is_empty() {
+                    Self::measure(&cdfg, result, &mut out);
+                } else {
+                    out.status = Some(PointStatus::SearchFailed);
+                    out.detail = format!("over budget: {}", over.join(", "));
+                }
             }
-            .pipe_length(cdfg)
-                + rate as i64
-        })
-        .unwrap_or(3 * rate as i64)
+            Err(e) => Self::fail(e, &mut out),
+        }
+        // A finished Chapter 3 run exports its probe verdicts; the
+        // connection search exports its certificates even from failed
+        // points — failed searches produce the most valuable proofs. The
+        // Chapter 5 flow has nothing to export.
+        let publish = match self.flow {
+            FlowVariant::Simple => outcome.result.is_ok(),
+            FlowVariant::ConnectFirst => true,
+            FlowVariant::ScheduleFirst => false,
+        };
+        (out, publish.then_some(outcome.exports))
+    }
 }
 
 /// Runs a full design-space sweep over `cdfg` inside an `explore` span.
@@ -337,7 +283,10 @@ fn default_pipe_length(cdfg: &Cdfg, rate: u32) -> i64 {
 /// only decision events a sweep records are the `explore` phase pair and
 /// a `WorkerPanic` per quarantined point at its wave barrier, because
 /// per-point flows run without a sink (see [`DesignRunner`]). The
-/// aggregate `explore.*` counters and gauges go to the registry.
+/// aggregate `explore.*` counters and gauges go to the registry. The
+/// `recorder` parameter stays because the frozen benchmark harness
+/// (`perfbench/`) compiles against this signature; it goes with the next
+/// change to that benchmark.
 ///
 /// # Errors
 ///

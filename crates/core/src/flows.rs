@@ -11,7 +11,10 @@ use mcs_connect::{
 use mcs_ctl::{Budget, Termination};
 use mcs_metrics::MetricsHandle;
 use mcs_obs::{Event, RecorderHandle};
-use mcs_pinalloc::{check_simple, PinAllocError, PinChecker, ProbeCacheStats, SimplicityViolation};
+use mcs_pinalloc::{
+    check_simple, PinAllocError, PinChecker, ProbeCacheStats, SimplicityViolation,
+    DEFAULT_PIVOT_BUDGET,
+};
 use mcs_postsyn::{
     connect_after_scheduling, connect_packed, verify_against_schedule, PostsynConfig,
 };
@@ -91,31 +94,254 @@ impl From<SchedError> for FlowError {
     }
 }
 
-/// Cross-flow synthesis tunables (the knobs of the copy-free probe
-/// engine). The default is the production configuration: the stock pivot
-/// budget and no differential cross-checking.
+/// What [`run`] synthesizes: one of the paper's three orderings of the
+/// same problem.
+#[derive(Clone, Debug)]
+pub enum FlowSpec {
+    /// Chapter 3, for simple partitionings: verify Definition 3.2,
+    /// list-schedule under the incremental pin-allocation feasibility
+    /// checker, then build the interchip connection from the finished
+    /// schedule (the constructive guarantee of Theorem 3.1).
+    Simple {
+        /// Initiation rate `L`.
+        rate: u32,
+        /// Pivot budget per pin-feasibility solve; `None` keeps
+        /// [`mcs_pinalloc::DEFAULT_PIVOT_BUDGET`]. Any value — including
+        /// 0 — is sound: the exact branch-and-bound fallback decides when
+        /// the budget runs out.
+        pivot_budget: Option<usize>,
+        /// Cross-check every trail-based probe against the legacy
+        /// clone-based path, panicking on divergence (differential
+        /// testing; roughly doubles probe cost).
+        probe_differential: bool,
+    },
+    /// Chapters 4 and 6: synthesize the interchip connection first, then
+    /// list-schedule with bus slot allocation and dynamic reassignment.
+    /// [`run`] ignores the options' `budget` and `metrics` fields and
+    /// reads both from the [`RunContext`].
+    Connect(ConnectFirstOptions),
+    /// Chapter 5: force-directed scheduling under a pipe-length bound,
+    /// then interchip connection synthesis by clique partitioning.
+    /// Resource and pin numbers are *reported*, not constrained — exactly
+    /// how Tables 5.1 and 5.3 are produced. The flow has no interruption
+    /// points, so it ignores the context's budget.
+    Schedule {
+        /// Initiation rate `L`.
+        rate: u32,
+        /// Pipe-length bound in control steps; `None` resolves through
+        /// [`default_pipe_length`].
+        pipe_length: Option<i64>,
+        /// Port directionality of the constructed connection.
+        mode: PortMode,
+    },
+}
+
+impl FlowSpec {
+    /// The initiation rate the spec synthesizes at.
+    pub fn rate(&self) -> u32 {
+        match self {
+            FlowSpec::Simple { rate, .. } | FlowSpec::Schedule { rate, .. } => *rate,
+            FlowSpec::Connect(opts) => opts.rate,
+        }
+    }
+}
+
+/// Cross-run warm-start payload: the seeds one [`run`] takes in and the
+/// exports it hands out. Both payloads are pure functions of `(design,
+/// rate, budgets)`, so a later run of the same design and rate may adopt
+/// them (see [`WarmStart::adopt`] for the direction that is sound).
 #[derive(Clone, Debug, Default)]
-pub struct SynthesisConfig {
-    /// Pivot budget per pin-feasibility solve; `None` keeps
-    /// [`mcs_pinalloc::DEFAULT_PIVOT_BUDGET`]. Any value — including 0 —
-    /// is sound: the exact branch-and-bound fallback decides when the
-    /// budget runs out.
-    pub pivot_budget: Option<usize>,
-    /// Cross-check every trail-based probe against the legacy clone-based
-    /// path, panicking on divergence (differential testing; roughly
-    /// doubles probe cost).
-    pub probe_differential: bool,
-    /// Optional execution budget shared by the pin checker (probes and
-    /// Gomory pivots) and the list scheduler (control-step boundaries).
-    /// A tripped budget surfaces as [`FlowError::Interrupted`].
+pub struct WarmStart {
+    /// Epoch-0 pin-probe verdicts ([`PinChecker::initial_probe_memo`]),
+    /// read and written by the Simple flow.
+    pub probe_memo: Vec<((usize, i64), bool)>,
+    /// Connection-search refutation certificates (see
+    /// [`mcs_connect::synthesize_seeded`]), read and written by the
+    /// Connect flow.
+    pub certs: Vec<RefutationCert>,
+}
+
+impl WarmStart {
+    /// Adopts what soundly transfers from `donor`, an export of the same
+    /// design at the same rate under same-or-looser pin budgets: every
+    /// refutation certificate, but only the `false` probe verdicts — a
+    /// probe infeasible under a looser budget stays infeasible with fewer
+    /// pins, while a feasible one may not.
+    pub fn adopt(&mut self, donor: &WarmStart) {
+        self.probe_memo
+            .extend(donor.probe_memo.iter().filter(|&&(_, verdict)| !verdict));
+        self.certs.extend(donor.certs.iter().cloned());
+    }
+}
+
+/// How [`run`] runs a [`FlowSpec`]: the execution budget, the telemetry
+/// handle and the warm-start seeds. The default runs unbudgeted, unmetered
+/// and cold.
+#[derive(Clone, Debug, Default)]
+pub struct RunContext {
+    /// Optional execution budget shared by every layer the flow touches:
+    /// the pin checker (its construction-time solve included), the
+    /// connection search's epoch barriers and the list scheduler's
+    /// control-step boundaries. A tripped budget surfaces as
+    /// [`FlowError::Interrupted`].
     pub budget: Option<Budget>,
     /// Telemetry handle threaded through every layer the flow touches:
     /// the pin checker's probe histograms, the embedded ILP solver's
-    /// counters, the list scheduler's placement attempts, the flow's own
+    /// counters, the connection search, the schedulers, the flow's own
     /// `flow/...` phase span tree, and — when it carries an event sink —
     /// every decision event. Disconnected by default (one branch per
     /// instrumentation point).
     pub metrics: MetricsHandle,
+    /// Warm-start seeds from earlier runs. The caller upholds the
+    /// soundness contract of [`WarmStart::adopt`]; seeding never changes
+    /// verdicts, only which probes reach the solver and which search
+    /// subtrees are skipped.
+    pub warm: WarmStart,
+}
+
+/// Everything one [`run`] produced: the verdict, how the run ended, the
+/// best partial progress and the cross-run exports. An interrupted run
+/// still reports — never a hang, never an abort.
+#[derive(Clone, Debug)]
+pub struct FlowOutcome {
+    /// The synthesis result, or why there is none. Interruption is
+    /// [`FlowError::Interrupted`]: not evidence of infeasibility.
+    pub result: Result<SynthesisResult, FlowError>,
+    /// How the run ended. [`Termination::Complete`] means the flow ran
+    /// to its natural verdict (success *or* a definitive failure).
+    pub termination: Termination,
+    /// Deepest partial connection the search reached — transfers placed
+    /// on buses — even when no complete connection was found (0 for the
+    /// flows without a connection search).
+    pub best_depth: u64,
+    /// Bus count of that deepest partial connection.
+    pub best_buses: u32,
+    /// Portfolio telemetry, when the flow ran the connection search.
+    pub search_stats: Option<SearchStats>,
+    /// The pin checker's probe-cache counters, when the Simple flow
+    /// finished scheduling.
+    pub probe_stats: Option<ProbeCacheStats>,
+    /// What later runs may adopt: the Simple flow's epoch-0 probe
+    /// verdicts (from a successful run) and the Connect flow's learned
+    /// refutation certificates (from every run — failed searches produce
+    /// the most valuable proofs).
+    pub exports: WarmStart,
+}
+
+impl From<Result<SynthesisResult, FlowError>> for FlowOutcome {
+    /// The outcome of a flow without a connection search or exports.
+    fn from(result: Result<SynthesisResult, FlowError>) -> Self {
+        let termination = match &result {
+            Err(FlowError::Interrupted(t)) => *t,
+            _ => Termination::Complete,
+        };
+        FlowOutcome {
+            result,
+            termination,
+            best_depth: 0,
+            best_buses: 0,
+            search_stats: None,
+            probe_stats: None,
+            exports: WarmStart::default(),
+        }
+    }
+}
+
+/// Runs one synthesis flow: the single entry point that chooses between
+/// the paper's three orderings. `spec` says what to synthesize, `ctx` how
+/// (budget, telemetry, warm start). With an event sink on the handle,
+/// every flow records a `flow` span over its phases — `connect`,
+/// `schedule`, `postsyn` — and a closing `pin-check` budget audit.
+/// Interruption is reported, not raised: the outcome carries the
+/// termination and the best partial progress.
+///
+/// ```
+/// use mcs_cdfg::designs::elliptic;
+/// use multichip_hls::flows::{run, ConnectFirstOptions, FlowError, FlowSpec, RunContext};
+/// use mcs_ctl::{Budget, BudgetSpec, Termination};
+///
+/// let d = elliptic::partitioned();
+/// // A one-node ceiling trips at the first epoch barrier.
+/// let ctx = RunContext {
+///     budget: Some(Budget::new(BudgetSpec::default().max_nodes(1))),
+///     ..RunContext::default()
+/// };
+/// let out = run(d.cdfg(), &FlowSpec::Connect(ConnectFirstOptions::new(6)), &ctx);
+/// if out.termination == Termination::BudgetExhausted {
+///     assert!(matches!(out.result, Err(FlowError::Interrupted(_))));
+///     assert!(out.best_depth > 0, "partial progress is still reported");
+/// }
+/// ```
+pub fn run(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> FlowOutcome {
+    match spec {
+        FlowSpec::Simple {
+            rate,
+            pivot_budget,
+            probe_differential,
+        } => simple(cdfg, *rate, *pivot_budget, *probe_differential, ctx),
+        FlowSpec::Connect(opts) => connect_first(cdfg, opts, ctx),
+        FlowSpec::Schedule {
+            rate,
+            pipe_length,
+            mode,
+        } => {
+            let pipe = pipe_length.unwrap_or_else(|| default_pipe_length(cdfg, *rate));
+            schedule_first(cdfg, *rate, pipe, *mode, &ctx.metrics).into()
+        }
+    }
+}
+
+/// The exact pin-feasibility gate the design-space sweep and the serve
+/// daemon put in front of every flow: its construction-time rejection,
+/// [`PinAllocError::InfeasibleFromTheStart`], is the one budget-dependent
+/// verdict sound to lift to dominated budgets. The gate charges the
+/// context's budget, so a deadline interrupts it too. The Simple flow's
+/// own pin checker is built through the same constructor and *is* the
+/// gate, so for a [`FlowSpec::Simple`] spec this solves nothing and
+/// [`run`] reports any rejection.
+///
+/// # Errors
+///
+/// The gate's rejection, as [`run`] would report it.
+pub fn pin_gate(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> Result<(), FlowError> {
+    if let FlowSpec::Simple { .. } = spec {
+        return Ok(());
+    }
+    pin_checker(cdfg, spec.rate(), None, ctx)?;
+    Ok(())
+}
+
+/// The one pin-checker constructor path of the flows: the pivot budget
+/// and the context's execution budget both attach before the
+/// construction-time feasibility solve.
+fn pin_checker(
+    cdfg: &Cdfg,
+    rate: u32,
+    pivot_budget: Option<usize>,
+    ctx: &RunContext,
+) -> Result<PinChecker, PinAllocError> {
+    PinChecker::with_budgets(
+        cdfg,
+        rate,
+        pivot_budget.unwrap_or(DEFAULT_PIVOT_BUDGET),
+        ctx.budget.clone(),
+    )
+}
+
+/// The pipe-length bound of the Chapter 5 flow when none is given: the
+/// ASAP critical path plus one initiation interval, or `3 * rate` when
+/// the design has no ASAP schedule.
+pub fn default_pipe_length(cdfg: &Cdfg, rate: u32) -> i64 {
+    mcs_cdfg::timing::asap(cdfg)
+        .map(|t| {
+            Schedule {
+                rate,
+                start: t.start,
+            }
+            .pipe_length(cdfg)
+                + rate as i64
+        })
+        .unwrap_or(3 * rate as i64)
 }
 
 /// Common result pieces every flow produces.
@@ -203,106 +429,93 @@ fn record_pin_budget(cdfg: &Cdfg, result: &SynthesisResult, metrics: &MetricsHan
     }
 }
 
-/// The Chapter 3 flow for simple partitionings: verify Definition 3.2,
-/// list-schedule under the incremental pin-allocation feasibility checker,
-/// then build the interchip connection from the finished schedule (the
-/// constructive guarantee of Theorem 3.1).
+/// The Chapter 3 flow ([`FlowSpec::Simple`]) with the default pivot
+/// budget, unbudgeted and unmetered. Kept as a wrapper over [`run`]
+/// because the tests, examples and benches call it on every design.
 ///
 /// # Errors
 ///
 /// [`FlowError::NotSimple`], [`FlowError::PinAllocation`], or any
 /// scheduling failure.
 pub fn simple_flow(cdfg: &Cdfg, rate: u32) -> Result<SynthesisResult, FlowError> {
-    simple_flow_with(cdfg, rate, &SynthesisConfig::default())
+    simple(cdfg, rate, None, false, &RunContext::default()).result
 }
 
-/// [`simple_flow`] with explicit [`SynthesisConfig`] tunables: the pin
-/// checker's pivot budget, the probe differential mode, an execution
-/// budget, and the telemetry handle. With an event sink on the handle,
-/// the run records a `schedule` phase carrying the list scheduler's
-/// placement verdicts and the pin checker's feasibility probes (Gomory
-/// pivots included), a `postsyn` phase for the clique-partitioning
-/// connection construction, and a closing `pin-check` budget audit.
+/// The Chapter 3 flow over a caller-prepared [`PinChecker`], which must
+/// have been built for `(cdfg, rate)` and must not have committed
+/// anything yet; returns the checker's final probe-cache counters with
+/// the result. An active `recorder` becomes the event sink of `metrics`
+/// for this run. Kept because the frozen benchmark harness (`perfbench/`)
+/// times checker construction and the flow separately and compiles
+/// against this signature; the `recorder` parameter goes with the next
+/// change to that benchmark. Everything else calls [`run`].
 ///
 /// # Errors
 ///
-/// Identical to [`simple_flow`]; the tunables and telemetry never change
-/// verdicts, only how they are computed.
-pub fn simple_flow_with(
-    cdfg: &Cdfg,
-    rate: u32,
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, FlowError> {
-    let mut checker = match config.pivot_budget {
-        Some(b) => PinChecker::with_pivot_budget(cdfg, rate, b)?,
-        None => PinChecker::new(cdfg, rate)?,
-    };
-    checker.set_differential(config.probe_differential);
-    if let Some(b) = &config.budget {
-        checker.set_budget(b.clone());
-    }
-    simple_flow_with_checker(
-        cdfg,
-        rate,
-        checker,
-        &RecorderHandle::default(),
-        &config.metrics,
-    )
-    .map(|(result, _)| result)
-}
-
-/// What the pin checker did during one [`simple_flow_with_checker`] run:
-/// the probe counters plus the epoch-0 verdict export that a later
-/// checker for a dominated budget point may adopt (the design-space
-/// explorer's cross-point warm start).
-#[derive(Clone, Debug)]
-pub struct SimpleFlowProbeReport {
-    /// Final probe-cache counters (memo/surrogate/solver/seed hits).
-    pub stats: ProbeCacheStats,
-    /// Pre-commit probe verdicts this run computed itself
-    /// ([`PinChecker::initial_probe_memo`]).
-    pub initial_memo: Vec<((usize, i64), bool)>,
-}
-
-/// [`simple_flow_with`] taking a caller-prepared [`PinChecker`] —
-/// possibly pre-seeded via [`PinChecker::seed_initial_memo`] — and
-/// additionally returning the checker's probe report for cross-run
-/// reuse. The checker must have been built for `(cdfg, rate)` and must
-/// not have committed anything yet. An active `recorder` becomes the
-/// event sink of `metrics` for this run; pass the default handle when
-/// `metrics` already carries the sink (or none is wanted).
-///
-/// # Errors
-///
-/// Identical to [`simple_flow`]; seeding never changes verdicts, only
-/// which probes reach the solver.
+/// As [`simple_flow`].
 pub fn simple_flow_with_checker(
     cdfg: &Cdfg,
     rate: u32,
-    mut checker: PinChecker,
+    checker: PinChecker,
     recorder: &RecorderHandle,
     metrics: &MetricsHandle,
-) -> Result<(SynthesisResult, SimpleFlowProbeReport), FlowError> {
-    let metrics = &metrics.clone().with_events(recorder);
+) -> Result<(SynthesisResult, ProbeCacheStats), FlowError> {
+    let metrics = metrics.clone().with_events(recorder);
+    simple_body(cdfg, rate, checker, &metrics).map(|(result, stats, _)| (result, stats))
+}
+
+/// [`FlowSpec::Simple`]: builds the pin checker under both budgets,
+/// seeds it from the context's probe memo and runs the flow.
+fn simple(
+    cdfg: &Cdfg,
+    rate: u32,
+    pivot_budget: Option<usize>,
+    probe_differential: bool,
+    ctx: &RunContext,
+) -> FlowOutcome {
+    let mut checker = match pin_checker(cdfg, rate, pivot_budget, ctx) {
+        Ok(c) => c,
+        Err(e) => return Err(e.into()).into(),
+    };
+    checker.set_differential(probe_differential);
+    checker.seed_initial_memo(&ctx.warm.probe_memo);
+    match simple_body(cdfg, rate, checker, &ctx.metrics) {
+        Ok((result, stats, exports)) => FlowOutcome {
+            probe_stats: Some(stats),
+            exports,
+            ..FlowOutcome::from(Ok(result))
+        },
+        Err(e) => Err(e).into(),
+    }
+}
+
+/// The Chapter 3 flow body over a prepared checker. The checker's budget
+/// (if any) is shared with the list scheduler, so both layers charge one
+/// ledger. Returns the probe-cache counters and the epoch-0 probe-memo
+/// export with the result.
+fn simple_body(
+    cdfg: &Cdfg,
+    rate: u32,
+    mut checker: PinChecker,
+    metrics: &MetricsHandle,
+) -> Result<(SynthesisResult, ProbeCacheStats, WarmStart), FlowError> {
     let _flow_span = metrics.span("flow");
     check_simple(cdfg).map_err(FlowError::NotSimple)?;
     checker.set_metrics(metrics);
     let mut policy = PinPolicy::new(checker);
     let mut lc = ListConfig::new(rate);
     lc.metrics = metrics.clone();
-    // Share the checker's budget (if any) with the scheduler so both
-    // layers charge one ledger and trip at the same ceiling.
     lc.budget = policy.checker().budget().cloned();
     let schedule = {
         let _span = metrics.span("schedule");
         list_schedule(cdfg, &lc, &mut policy)?
     };
-    let probe = SimpleFlowProbeReport {
-        stats: policy.checker().probe_stats(),
-        initial_memo: policy.checker().initial_probe_memo(),
+    let stats = policy.checker().probe_stats();
+    let exports = WarmStart {
+        probe_memo: policy.checker().initial_probe_memo(),
+        certs: Vec::new(),
     };
     if metrics.enabled() {
-        let stats = &probe.stats;
         metrics.add("probe.memo_hits", stats.memo_hits);
         metrics.add("probe.seed_hits", stats.seed_hits);
         metrics.add("probe.surrogate_rejects", stats.surrogate_rejects);
@@ -374,7 +587,7 @@ pub fn simple_flow_with_checker(
     }
     let result = SynthesisResult::common(cdfg, schedule, ic);
     record_pin_budget(cdfg, &result, metrics);
-    Ok((result, probe))
+    Ok((result, stats, exports))
 }
 
 /// Options for the connection-before-scheduling flow (Chapters 4 and 6).
@@ -399,15 +612,15 @@ pub struct ConnectFirstOptions {
     /// Override of the per-worker node budget (`None` keeps the
     /// default).
     pub node_budget: Option<usize>,
-    /// Optional execution budget shared by the connection search (epoch
-    /// barriers) and the bus-slot scheduler (control-step boundaries).
-    /// A tripped budget surfaces as [`FlowError::Interrupted`]; use
-    /// [`connect_first_anytime`] to also recover partial progress.
+    /// Execution budget read only by [`connect_first_flow`], which moves
+    /// it into [`RunContext::budget`]; [`run`] ignores it. Kept because
+    /// the frozen benchmark harness sets it; goes with the next change to
+    /// that benchmark.
     pub budget: Option<Budget>,
-    /// Telemetry handle threaded through the connection search, the bus
-    /// allocator and the flow's own `flow/...` phase span tree; with an
-    /// event sink, it also takes every decision event. Disconnected by
-    /// default.
+    /// Telemetry handle read only by [`connect_first_flow`], which moves
+    /// it into [`RunContext::metrics`]; [`run`] ignores it. Kept because
+    /// the frozen benchmark harness sets it; goes with the next change to
+    /// that benchmark.
     pub metrics: MetricsHandle,
 }
 
@@ -429,8 +642,9 @@ impl ConnectFirstOptions {
         }
     }
 
-    /// The [`SearchConfig`] these options describe.
-    pub fn search_config(&self) -> SearchConfig {
+    /// The [`SearchConfig`] these options describe, under `ctx`'s budget
+    /// and telemetry.
+    fn search_config(&self, ctx: &RunContext) -> SearchConfig {
         let mut cfg = SearchConfig::new(self.rate).with_workers(self.workers);
         if self.sharing {
             cfg = cfg.with_sharing();
@@ -444,15 +658,18 @@ impl ConnectFirstOptions {
         if let Some(b) = self.node_budget {
             cfg.node_budget = b;
         }
-        if let Some(b) = &self.budget {
+        if let Some(b) = &ctx.budget {
             cfg = cfg.with_budget(b.clone());
         }
-        cfg.with_metrics(self.metrics.clone())
+        cfg.with_metrics(ctx.metrics.clone())
     }
 }
 
-/// The Chapter 4 (and 6) flow: synthesize the interchip connection first,
-/// then list-schedule with bus slot allocation and dynamic reassignment.
+/// The Chapter 4/6 flow ([`FlowSpec::Connect`]) with `opts.budget` and
+/// `opts.metrics` as its [`RunContext`]. Kept as a wrapper over the same
+/// body as [`run`] because the tests, examples and benches call it on
+/// every design, and because the frozen benchmark harness sets those two
+/// fields and reads the budget's trip and the metrics through it.
 ///
 /// # Errors
 ///
@@ -461,148 +678,50 @@ pub fn connect_first_flow(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
 ) -> Result<SynthesisResult, FlowError> {
-    connect_first_flow_seeded(cdfg, opts, &[]).0
+    let ctx = RunContext {
+        budget: opts.budget.clone(),
+        metrics: opts.metrics.clone(),
+        warm: WarmStart::default(),
+    };
+    connect_first(cdfg, opts, &ctx).result
 }
 
-/// The connection search's cross-run byproducts, returned by
-/// [`connect_first_flow_seeded`] even when the flow fails — failed
-/// searches produce the most valuable refutation certificates.
-#[derive(Clone, Debug, Default)]
-pub struct ConnectSeedReport {
-    /// Failure proofs learned by this run's portfolio, in deterministic
-    /// barrier order.
-    pub learned: Vec<RefutationCert>,
-    /// The portfolio telemetry (also in the result's `search_stats` on
-    /// success).
-    pub stats: SearchStats,
-}
-
-/// [`connect_first_flow`] with refutation-certificate transfer: `seed`
-/// pre-populates the portfolio's failure cache (see
-/// [`mcs_connect::synthesize_seeded`] for the soundness contract the
-/// caller must uphold) and the report carries what this run learned.
+/// [`FlowSpec::Connect`]: the portfolio connection search, seeded with
+/// the context's refutation certificates, then bus-slot scheduling. The
+/// run exports what the search learned even when the flow fails.
 ///
-/// With an event sink on `opts.metrics`, the run records a `connect`
-/// phase carrying per-worker-epoch [`Event::SearchNode`] telemetry from
-/// the portfolio search, a `schedule` phase carrying placement verdicts
-/// and bus reassignments from every scheduling attempt (including
-/// hold-back retries that lose), and a closing `pin-check` budget audit.
-/// A live handle (registry or sink) also gets a `postsyn` span auditing
-/// the final connection against the winning schedule.
-pub fn connect_first_flow_seeded(
-    cdfg: &Cdfg,
-    opts: &ConnectFirstOptions,
-    seed: &[RefutationCert],
-) -> (Result<SynthesisResult, FlowError>, ConnectSeedReport) {
-    let _flow_span = opts.metrics.span("flow");
-    let cfg = opts.search_config();
-    let (ic, search_stats, learned) = {
-        let _span = opts.metrics.span("connect");
-        synthesize_seeded(cdfg, opts.mode, &cfg, seed)
+/// With an event sink on the handle, the run records a `connect` phase
+/// carrying per-worker-epoch [`Event::SearchNode`] telemetry from the
+/// portfolio search, a `schedule` phase carrying placement verdicts and
+/// bus reassignments from every scheduling attempt (including hold-back
+/// retries that lose), and a closing `pin-check` budget audit. A live
+/// handle (registry or sink) also gets a `postsyn` span auditing the
+/// final connection against the winning schedule.
+fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> FlowOutcome {
+    let _flow_span = ctx.metrics.span("flow");
+    let cfg = opts.search_config(ctx);
+    let (ic, stats, learned) = {
+        let _span = ctx.metrics.span("connect");
+        synthesize_seeded(cdfg, opts.mode, &cfg, &ctx.warm.certs)
     };
-    let report = ConnectSeedReport {
-        learned,
-        stats: search_stats.clone(),
+    let result = ic
+        .map_err(FlowError::from)
+        .and_then(|ic| connect_first_schedule(cdfg, opts, ctx, ic, stats.clone()));
+    let termination = match &result {
+        Err(FlowError::Interrupted(t)) => *t,
+        _ => stats.termination,
     };
-    let ic = match ic {
-        Ok(ic) => ic,
-        Err(e) => return (Err(e.into()), report),
-    };
-    (connect_first_schedule(cdfg, opts, ic, search_stats), report)
-}
-
-/// The structured outcome of an interruptible flow run: the full result
-/// when the flow finished, or the best partial progress when the
-/// attached [`Budget`] tripped first. Either way the caller gets a
-/// usable report — never a hang, never an abort.
-///
-/// ```
-/// use mcs_cdfg::designs::elliptic;
-/// use multichip_hls::flows::{connect_first_anytime, ConnectFirstOptions};
-/// use mcs_ctl::{Budget, BudgetSpec, Termination};
-///
-/// let d = elliptic::partitioned();
-/// // A one-node ceiling trips at the first epoch barrier.
-/// let budget = Budget::new(BudgetSpec::default().max_nodes(1));
-/// let out = connect_first_anytime(d.cdfg(), &ConnectFirstOptions::new(6), budget);
-/// if out.termination == Termination::BudgetExhausted {
-///     assert!(out.result.is_none());
-///     assert!(out.best_depth > 0, "partial progress is still reported");
-/// }
-/// ```
-#[derive(Clone, Debug)]
-pub struct AnytimeOutcome {
-    /// How the run ended. [`Termination::Complete`] means the flow ran
-    /// to its natural verdict (success *or* a definitive failure).
-    pub termination: Termination,
-    /// The full synthesis result, when the flow produced one.
-    pub result: Option<SynthesisResult>,
-    /// A definitive, non-interruption failure (infeasible design,
-    /// malformed input). `None` when interrupted: interruption is not
-    /// evidence of infeasibility.
-    pub error: Option<FlowError>,
-    /// Deepest partial connection the search reached — transfers placed
-    /// on buses — even when no complete connection was found. The
-    /// "best-so-far" half of the anytime contract.
-    pub best_depth: u64,
-    /// Bus count of that deepest partial connection.
-    pub best_buses: u32,
-    /// Portfolio telemetry, when the flow ran the connection search.
-    pub search_stats: Option<SearchStats>,
-}
-
-/// [`connect_first_flow`] under an execution [`Budget`], never
-/// failing with [`FlowError::Interrupted`]: interruption becomes a
-/// structured [`AnytimeOutcome`] carrying the best partial connection
-/// the portfolio reached before the budget tripped.
-pub fn connect_first_anytime(
-    cdfg: &Cdfg,
-    opts: &ConnectFirstOptions,
-    budget: Budget,
-) -> AnytimeOutcome {
-    let mut opts = opts.clone();
-    opts.budget = Some(budget);
-    let (res, report) = connect_first_flow_seeded(cdfg, &opts, &[]);
-    let stats = report.stats;
-    let (termination, result, error) = match res {
-        Ok(r) => (stats.termination, Some(r), None),
-        Err(FlowError::Interrupted(t)) => (t, None, None),
-        Err(e) => (stats.termination, None, Some(e)),
-    };
-    AnytimeOutcome {
-        termination,
+    FlowOutcome {
         result,
-        error,
+        termination,
         best_depth: stats.deepest,
         best_buses: stats.deepest_buses,
         search_stats: Some(stats),
-    }
-}
-
-/// [`simple_flow_with`] under an execution [`Budget`]: the Chapter 3
-/// flow with interruption reported as a structured [`AnytimeOutcome`]
-/// instead of an error. The simple flow has no connection search, so
-/// `best_depth`/`best_buses` stay 0 on interruption.
-pub fn simple_flow_anytime(
-    cdfg: &Cdfg,
-    rate: u32,
-    config: &SynthesisConfig,
-    budget: Budget,
-) -> AnytimeOutcome {
-    let mut config = config.clone();
-    config.budget = Some(budget);
-    let (termination, result, error) = match simple_flow_with(cdfg, rate, &config) {
-        Ok(r) => (Termination::Complete, Some(r), None),
-        Err(FlowError::Interrupted(t)) => (t, None, None),
-        Err(e) => (Termination::Complete, None, Some(e)),
-    };
-    AnytimeOutcome {
-        termination,
-        result,
-        error,
-        best_depth: 0,
-        best_buses: 0,
-        search_stats: None,
+        probe_stats: None,
+        exports: WarmStart {
+            probe_memo: Vec::new(),
+            certs: learned,
+        },
     }
 }
 
@@ -611,6 +730,7 @@ pub fn simple_flow_anytime(
 fn connect_first_schedule(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
+    ctx: &RunContext,
     ic: Interconnect,
     search_stats: SearchStats,
 ) -> Result<SynthesisResult, FlowError> {
@@ -621,6 +741,7 @@ fn connect_first_schedule(
     // constraint proves too tight, the consumers of feedback transfers are
     // held back a few steps and the run repeated (the paper's "constrain
     // some of the operations and rerun").
+    let metrics = &ctx.metrics;
     let mut attempts: Vec<bool> = vec![false];
     if opts.reassign {
         attempts.insert(0, true);
@@ -628,17 +749,17 @@ fn connect_first_schedule(
     let holdable = mcs_sched::feedback_consumers(cdfg);
     let mut best: Option<(Schedule, BusPolicy)> = None;
     let mut last_err = SchedError::StepLimit;
-    let sched_span = opts.metrics.span("schedule");
+    let sched_span = metrics.span("schedule");
     for &reassign in &attempts {
         for hold in [0i64, 2, 4, 6, 8] {
             let mut lc = ListConfig::new(opts.rate);
-            lc.metrics = opts.metrics.clone();
-            lc.budget = opts.budget.clone();
+            lc.metrics = metrics.clone();
+            lc.budget = ctx.budget.clone();
             for &op in &holdable {
                 lc.hold_back.insert(op, hold);
             }
             let mut policy = BusPolicy::new(ic.clone(), opts.rate, reassign);
-            policy.set_metrics(&opts.metrics);
+            policy.set_metrics(metrics);
             match list_schedule(cdfg, &lc, &mut policy) {
                 Ok(s) => {
                     let better = best
@@ -672,7 +793,6 @@ fn connect_first_schedule(
     result.placements = policy.placements().clone();
     result.reassigned = policy.reassigned_count();
     result.search_stats = Some(search_stats);
-    let metrics = &opts.metrics;
     if metrics.enabled() || metrics.tracing() {
         // Audit the winning schedule against the *final* connection (the
         // checks the schedule-first flows run inline), purely for the
@@ -693,10 +813,9 @@ fn connect_first_schedule(
     Ok(result)
 }
 
-/// The Chapter 5 flow: force-directed scheduling under a pipe-length
-/// constraint, then interchip connection synthesis by clique partitioning.
-/// Resource and pin numbers are *reported*, not constrained — exactly how
-/// Tables 5.1 and 5.3 are produced.
+/// The Chapter 5 flow ([`FlowSpec::Schedule`]) at an explicit pipe
+/// length, unmetered. Kept as a wrapper over the same body as [`run`]
+/// because the tests, examples and benches call it on every design.
 ///
 /// # Errors
 ///
@@ -707,19 +826,14 @@ pub fn schedule_first_flow(
     pipe_length: i64,
     mode: PortMode,
 ) -> Result<SynthesisResult, FlowError> {
-    schedule_first_flow_traced(cdfg, rate, pipe_length, mode, &MetricsHandle::default())
+    schedule_first(cdfg, rate, pipe_length, mode, &MetricsHandle::default())
 }
 
-/// [`schedule_first_flow`] with telemetry: a `flow` span over a
-/// `schedule` span around force-directed scheduling (with the
-/// `sched.pipe_length` peak gauge), a `postsyn` span carrying the
-/// clique-partitioning counters, and a closing `pin-check` budget audit.
-///
-/// # Errors
-///
-/// Identical to [`schedule_first_flow`]; telemetry never changes the
-/// result.
-pub fn schedule_first_flow_traced(
+/// The Chapter 5 flow body: a `flow` span over a `schedule` span around
+/// force-directed scheduling (with the `sched.pipe_length` peak gauge), a
+/// `postsyn` span carrying the clique-partitioning counters, and a
+/// closing `pin-check` budget audit.
+fn schedule_first(
     cdfg: &Cdfg,
     rate: u32,
     pipe_length: i64,

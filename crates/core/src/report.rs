@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn simple_flow_trace_reports_probe_resolution_sources() {
-        use crate::flows::{simple_flow_with, SynthesisConfig};
+        use crate::flows::{run, FlowSpec, RunContext};
         use mcs_cdfg::designs::synthetic;
         use mcs_metrics::{MetricsHandle, Registry};
         use mcs_obs::{summary::summarize, BufferingRecorder, RecorderHandle};
@@ -529,12 +529,16 @@ mod tests {
         let d = synthetic::fig_2_5();
         let buf = Arc::new(BufferingRecorder::new());
         let reg = Arc::new(Registry::new());
-        let config = SynthesisConfig {
+        let spec = FlowSpec::Simple {
+            rate: 2,
+            pivot_budget: None,
             probe_differential: true,
-            metrics: MetricsHandle::new(reg.clone()).with_events(&RecorderHandle::new(buf.clone())),
-            ..SynthesisConfig::default()
         };
-        simple_flow_with(d.cdfg(), 2, &config).unwrap();
+        let ctx = RunContext {
+            metrics: MetricsHandle::new(reg.clone()).with_events(&RecorderHandle::new(buf.clone())),
+            ..RunContext::default()
+        };
+        run(d.cdfg(), &spec, &ctx).result.unwrap();
         // Each probe is one `ProbeResolved` decision in the schedule
         // phase, and its resolution layer is counted once, as a metric.
         let summary = summarize(&buf.events());

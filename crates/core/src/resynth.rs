@@ -43,10 +43,7 @@ use mcs_pinalloc::PinChecker;
 use mcs_postsyn::verify_against_schedule;
 use mcs_sched::{list_schedule, validate, BusPolicy, ListConfig, Schedule, SlotPlacement};
 
-use crate::flows::{
-    connect_first_flow, simple_flow_with, ConnectFirstOptions, FlowError, SynthesisConfig,
-    SynthesisResult,
-};
+use crate::flows::{run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult};
 
 /// Which rung of the resynthesis ladder produced the result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,7 +209,9 @@ pub struct ResynthOutcome {
 
 /// Incremental resynthesis: applies `delta` to `old` and re-solves the
 /// edited design, reusing as much of `prev` as the [`DirtyRegion`]
-/// classifier can justify. See the module docs for the ladder.
+/// classifier can justify. See the module docs for the ladder. This is
+/// an edit ladder over a previous result, not a fourth flow, so it stays
+/// beside [`crate::flows::run`]; its cold rung calls `run`.
 ///
 /// # Errors
 ///
@@ -239,7 +238,10 @@ pub fn resynth_flow(
 /// `resynth.trail_undone`, `resynth.rollbacks`,
 /// `resynth.reused_assignments`, `resynth.fresh_assignments`; the
 /// patched and cold rungs also record their flow's own spans, counters
-/// and decision events through the same handle.
+/// and decision events through the same handle. The `recorder`
+/// parameter stays because the frozen benchmark harness (`perfbench/`)
+/// compiles against this signature; it goes with the next change to that
+/// benchmark.
 ///
 /// # Errors
 ///
@@ -321,18 +323,22 @@ fn cold_flow(
     prev: &SynthesisResult,
     metrics: &MetricsHandle,
 ) -> Result<SynthesisResult, FlowError> {
-    if connect_like(prev) {
+    let spec = if connect_like(prev) {
         let mut opts = ConnectFirstOptions::new(rate);
         opts.mode = prev.interconnect.mode;
-        opts.metrics = metrics.clone();
-        connect_first_flow(cdfg, &opts)
+        FlowSpec::Connect(opts)
     } else {
-        let config = SynthesisConfig {
-            metrics: metrics.clone(),
-            ..SynthesisConfig::default()
-        };
-        simple_flow_with(cdfg, rate, &config)
-    }
+        FlowSpec::Simple {
+            rate,
+            pivot_budget: None,
+            probe_differential: false,
+        }
+    };
+    let ctx = RunContext {
+        metrics: metrics.clone(),
+        ..RunContext::default()
+    };
+    run(cdfg, &spec, &ctx).result
 }
 
 /// Path 1: revalidate the previous solution against the edited graph and

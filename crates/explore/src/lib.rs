@@ -62,12 +62,13 @@ impl FlowVariant {
         }
     }
 
-    /// Inverse of [`FlowVariant::as_str`].
+    /// Inverse of [`FlowVariant::as_str`]; also accepts the CLI
+    /// spellings `connect` and `schedule`.
     pub fn parse(s: &str) -> Option<FlowVariant> {
         match s {
             "simple" => Some(FlowVariant::Simple),
-            "connect-first" => Some(FlowVariant::ConnectFirst),
-            "schedule-first" => Some(FlowVariant::ScheduleFirst),
+            "connect" | "connect-first" => Some(FlowVariant::ConnectFirst),
+            "schedule" | "schedule-first" => Some(FlowVariant::ScheduleFirst),
             _ => None,
         }
     }
@@ -549,5 +550,18 @@ mod tests {
             assert_eq!(FlowVariant::parse(f.as_str()), Some(f));
         }
         assert_eq!(FlowVariant::parse("nope"), None);
+    }
+
+    #[test]
+    fn flow_variant_parses_the_cli_spellings() {
+        assert_eq!(
+            FlowVariant::parse("connect"),
+            Some(FlowVariant::ConnectFirst)
+        );
+        assert_eq!(
+            FlowVariant::parse("schedule"),
+            Some(FlowVariant::ScheduleFirst)
+        );
+        assert_eq!(FlowVariant::ConnectFirst.as_str(), "connect-first");
     }
 }

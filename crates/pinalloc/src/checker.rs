@@ -208,22 +208,7 @@ impl PinChecker {
     /// [`PinAllocError::InfeasibleFromTheStart`] if the pin budgets cannot
     /// carry the design's transfers at all.
     pub fn new(cdfg: &Cdfg, rate: u32) -> Result<Self, PinAllocError> {
-        Self::with_pivot_budget(cdfg, rate, DEFAULT_PIVOT_BUDGET)
-    }
-
-    /// [`PinChecker::new`] with an execution [`Budget`] attached *before*
-    /// the construction-time feasibility solve, so even the initial
-    /// exact resolve is interruptible. [`PinChecker::new`] runs that
-    /// solve unbudgeted, which on adversarial designs can take
-    /// arbitrarily long; long-running callers (the serve daemon, any
-    /// deadline-bound driver) should construct through here.
-    ///
-    /// # Errors
-    ///
-    /// As [`PinChecker::new`], plus [`PinAllocError::Interrupted`] when
-    /// the budget trips mid-construction.
-    pub fn new_budgeted(cdfg: &Cdfg, rate: u32, budget: Budget) -> Result<Self, PinAllocError> {
-        Self::construct(cdfg, rate, DEFAULT_PIVOT_BUDGET, Some(budget))
+        Self::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, None)
     }
 
     /// [`PinChecker::new`] with an explicit pivot budget per feasibility
@@ -234,10 +219,21 @@ impl PinChecker {
         rate: u32,
         pivot_budget: usize,
     ) -> Result<Self, PinAllocError> {
-        Self::construct(cdfg, rate, pivot_budget, None)
+        Self::with_budgets(cdfg, rate, pivot_budget, None)
     }
 
-    fn construct(
+    /// [`PinChecker::with_pivot_budget`] with an optional execution
+    /// [`Budget`] attached *before* the construction-time feasibility
+    /// solve, so even that initial exact resolve is interruptible.
+    /// Without a budget the solve runs unbounded, which on adversarial
+    /// designs can take arbitrarily long; any deadline-bound caller
+    /// should construct through here.
+    ///
+    /// # Errors
+    ///
+    /// As [`PinChecker::new`], plus [`PinAllocError::Interrupted`] when
+    /// the budget trips mid-construction.
+    pub fn with_budgets(
         cdfg: &Cdfg,
         rate: u32,
         pivot_budget: usize,

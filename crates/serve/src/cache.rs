@@ -4,9 +4,9 @@
 //! After every job that runs to a *complete* termination (success or a
 //! definitive failure — failed searches produce the most valuable
 //! refutation certificates), the daemon publishes the job's canonical
-//! response body plus its warm-start exports (the `PinChecker`
-//! epoch-0 probe memo and the connection search's learned
-//! [`RefutationCert`]s) under a key derived from the design digest, the
+//! response body plus its [`WarmStart`] exports (the `PinChecker`
+//! epoch-0 probe memo and the connection search's learned refutation
+//! certificates) under a key derived from the design digest, the
 //! rate and the effective pin-budget vector. Lookups then tier:
 //!
 //! 1. **Exact hit** — same key: the stored response body is replayed
@@ -27,8 +27,8 @@
 
 use mcs_cdfg::fuzz::design_digest;
 use mcs_cdfg::{Cdfg, PartitionId};
-use mcs_connect::RefutationCert;
 use mcs_explore::WarmStartCache;
+use multichip_hls::flows::WarmStart;
 
 use crate::proto::JobFlow;
 
@@ -108,24 +108,11 @@ impl ServeKey {
 /// What one completed job publishes.
 #[derive(Clone, Debug, Default)]
 pub struct ServeEntry {
-    /// Epoch-0 probe verdicts ([`mcs_pinalloc::PinChecker::initial_probe_memo`]);
-    /// only `false` entries transfer to dominated budgets.
-    pub probe_memo: Vec<((usize, i64), bool)>,
-    /// Refutation certificates learned by the connection search.
-    pub certs: Vec<RefutationCert>,
+    /// The run's warm-start exports; only what [`WarmStart::adopt`]
+    /// keeps transfers to dominated budgets.
+    pub exports: WarmStart,
     /// Canonical response body (no `cache` member) for exact replay.
     pub body: String,
-}
-
-/// Warm-start seeds assembled from donor entries.
-#[derive(Clone, Debug, Default)]
-pub struct Seeds {
-    /// Probe verdicts to adopt (already filtered to `false`).
-    pub memo: Vec<((usize, i64), bool)>,
-    /// Certificates to adopt.
-    pub certs: Vec<RefutationCert>,
-    /// How many donor entries contributed.
-    pub donors: usize,
 }
 
 /// Outcome of a cache lookup, in decreasing warmth.
@@ -133,8 +120,9 @@ pub struct Seeds {
 pub enum Lookup {
     /// Exact key match: replay this stored response body.
     Hit(String),
-    /// Same design/flow/rate under a dominating budget: seed the run.
-    Seeds(Seeds),
+    /// Same design/flow/rate under dominating budgets: seed the run
+    /// with what the donors export.
+    Warm(WarmStart),
     /// Nothing applicable.
     Cold,
 }
@@ -170,7 +158,7 @@ impl ServeCache {
         if key.flow > 1 {
             return Lookup::Cold;
         }
-        let mut seeds = Seeds::default();
+        let mut seeds: Option<WarmStart> = None;
         for donor in self.inner.keys() {
             let applicable = donor.digest == key.digest
                 && donor.flow == key.flow
@@ -187,17 +175,11 @@ impl ServeCache {
             }
             if let Some(entry) = self.inner.get(&donor) {
                 seeds
-                    .memo
-                    .extend(entry.probe_memo.iter().filter(|&&(_, v)| !v));
-                seeds.certs.extend(entry.certs.iter().cloned());
-                seeds.donors += 1;
+                    .get_or_insert_with(WarmStart::default)
+                    .adopt(&entry.exports);
             }
         }
-        if seeds.donors == 0 {
-            Lookup::Cold
-        } else {
-            Lookup::Seeds(seeds)
-        }
+        seeds.map_or(Lookup::Cold, Lookup::Warm)
     }
 
     /// Resident entries.
@@ -250,8 +232,10 @@ mod tests {
 
     fn entry(body: &str, memo: Vec<((usize, i64), bool)>) -> ServeEntry {
         ServeEntry {
-            probe_memo: memo,
-            certs: Vec::new(),
+            exports: WarmStart {
+                probe_memo: memo,
+                certs: Vec::new(),
+            },
             body: body.to_string(),
         }
     }
@@ -277,9 +261,9 @@ mod tests {
         );
         let poorer = ServeKey::synth(7, JobFlow::Simple, 4, vec![48, 64]);
         match cache.lookup(&poorer) {
-            Lookup::Seeds(seeds) => {
-                assert_eq!(seeds.donors, 1);
-                assert_eq!(seeds.memo, vec![((0, 2), false), ((1, 0), false)]);
+            Lookup::Warm(seeds) => {
+                assert_eq!(seeds.probe_memo, vec![((0, 2), false), ((1, 0), false)]);
+                assert!(seeds.certs.is_empty());
             }
             other => panic!("expected seeds, got {other:?}"),
         }

@@ -27,6 +27,6 @@ pub mod server;
 
 pub use mcs_codec::json;
 
-pub use cache::{Lookup, Seeds, ServeCache, ServeEntry, ServeKey};
+pub use cache::{Lookup, ServeCache, ServeEntry, ServeKey};
 pub use proto::{ErrorKind, JobFlow, Request};
 pub use server::{ServeConfig, Server};

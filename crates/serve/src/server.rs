@@ -22,21 +22,19 @@ use std::time::Duration;
 use mcs_cdfg::{format, Cdfg, PartitionId};
 use mcs_codec::fnv::fnv1a;
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_explore::{FlowVariant, SweepOptions, SweepSpec};
+use mcs_explore::{SweepOptions, SweepSpec};
 use mcs_metrics::export::{to_json, to_prometheus};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinAllocError, PinChecker};
-use multichip_hls::explore::run_sweep;
+use multichip_hls::explore::{failure_status, point_spec, run_sweep};
 use multichip_hls::flows::{
-    connect_first_flow_seeded, simple_flow_with_checker, ConnectFirstOptions, FlowError,
-    SynthesisResult,
+    pin_gate, run, FlowError, FlowOutcome, RunContext, SynthesisResult, WarmStart,
 };
 use multichip_hls::netlist;
 use multichip_hls::resynth;
 
 use crate::cache::{
-    effective_budgets, normalized_digest, Lookup, Seeds, ServeCache, ServeEntry, ServeKey,
+    effective_budgets, normalized_digest, Lookup, ServeCache, ServeEntry, ServeKey,
 };
 use crate::json;
 use crate::pool::{Lane, WorkerPool};
@@ -44,11 +42,6 @@ use crate::proto::{
     error_response, parse_request, with_provenance, ErrorKind, ExploreRequest, JobFlow, Request,
     ResynthRequest, SynthRequest,
 };
-
-/// Portfolio size pinned for every connect-first job, mirroring the
-/// sweep driver's fixed portfolio: the search result must not depend on
-/// how many daemon workers happen to run.
-const SERVE_PORTFOLIO: usize = 4;
 
 /// Longest request line the daemon reads, newline excluded. A longer
 /// line gets a `parse` error naming this cap, the rest of it is
@@ -231,34 +224,31 @@ impl Server {
         };
         let digest = normalized_digest(&cdfg);
         let key = ServeKey::synth(digest, req.flow, req.rate, effective_budgets(&cdfg));
-        let seeds = match self.cache.lookup(&key) {
+        let (seeds, provenance) = match self.cache.lookup(&key) {
             Lookup::Hit(body) => {
                 self.metrics.add("serve.hits.exact", 1);
                 return with_provenance(&body, "hit");
             }
-            Lookup::Seeds(seeds) => {
+            Lookup::Warm(seeds) => {
                 self.metrics.add("serve.hits.seed", 1);
-                seeds
+                (seeds, "warm")
             }
             Lookup::Cold => {
                 self.metrics.add("serve.misses", 1);
-                Seeds::default()
+                (WarmStart::default(), "cold")
             }
         };
-        let provenance = if seeds.donors > 0 { "warm" } else { "cold" };
         let budget = self.job_budget(&req.budget);
         let cache = self.cache.clone();
         let metrics = self.metrics.clone();
         let job = Box::new(move || {
             let (core, termination, exports) =
-                run_synth(&cdfg, digest, req.rate, req.flow, budget, &seeds, &metrics);
+                run_synth(&cdfg, digest, req.rate, req.flow, budget, seeds, &metrics);
             if termination == Termination::Complete {
-                let (probe_memo, certs) = exports;
                 cache.insert(
                     key,
                     ServeEntry {
-                        probe_memo,
-                        certs,
+                        exports,
                         body: core.clone(),
                     },
                 );
@@ -284,7 +274,7 @@ impl Server {
                 self.metrics.add("serve.hits.exact", 1);
                 return with_provenance(&body, "hit");
             }
-            Lookup::Seeds(_) | Lookup::Cold => self.metrics.add("serve.misses", 1),
+            Lookup::Warm(_) | Lookup::Cold => self.metrics.add("serve.misses", 1),
         }
         let budget = self.job_budget(&req.budget);
         let cache = self.cache.clone();
@@ -299,9 +289,8 @@ impl Server {
                 cache.insert(
                     key,
                     ServeEntry {
-                        probe_memo: Vec::new(),
-                        certs: Vec::new(),
                         body: core.clone(),
+                        ..ServeEntry::default()
                     },
                 );
             }
@@ -355,7 +344,7 @@ impl Server {
                 self.metrics.add("serve.hits.exact", 1);
                 return with_provenance(&body, "hit");
             }
-            Lookup::Seeds(_) | Lookup::Cold => self.metrics.add("serve.misses", 1),
+            Lookup::Warm(_) | Lookup::Cold => self.metrics.add("serve.misses", 1),
         }
         let cache = self.cache.clone();
         let metrics = self.metrics.clone();
@@ -366,9 +355,8 @@ impl Server {
             cache.insert(
                 key,
                 ServeEntry {
-                    probe_memo: Vec::new(),
-                    certs: Vec::new(),
                     body: core.clone(),
+                    ..ServeEntry::default()
                 },
             );
             with_provenance(&core, "cold")
@@ -604,167 +592,49 @@ fn detail_extra(detail: &str) -> String {
     format!(",\"detail\":\"{}\"", json::escape(detail))
 }
 
-/// Maps a definitive flow failure onto the response status taxonomy —
-/// the same split the sweep runner makes: only the gate's exact
-/// `InfeasibleFromTheStart` is an infeasibility proof; everything else
-/// is an incomplete search or a malformed request.
-fn fail_status(err: &FlowError) -> &'static str {
-    match err {
-        FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => "pin-infeasible",
-        FlowError::NotSimple(_) | FlowError::PinAllocation(_) => "error",
-        _ => "search-failed",
-    }
-}
-
-type SynthExports = (Vec<((usize, i64), bool)>, Vec<mcs_connect::RefutationCert>);
-
-/// Runs one synth job. Returns the canonical response core, how the run
+/// Runs one synth job behind the exact pin-feasibility gate, exactly as
+/// a sweep point runs. Returns the canonical response core, how the run
 /// terminated (only [`Termination::Complete`] results are cacheable),
-/// and the warm-start exports to publish.
+/// and the warm-start exports to publish. The budget attaches *before*
+/// the gate's construction-time solve — on adversarial designs that
+/// solve alone can exceed any deadline, and a daemon must be able to
+/// interrupt it.
 fn run_synth(
     cdfg: &Cdfg,
     digest: u64,
     rate: u32,
     flow: JobFlow,
     budget: Option<Budget>,
-    seeds: &Seeds,
+    seeds: WarmStart,
     metrics: &MetricsHandle,
-) -> (String, Termination, SynthExports) {
-    let complete = Termination::Complete;
-    let none: SynthExports = (Vec::new(), Vec::new());
-    // The exact pin-feasibility gate fronts every flow, exactly as in
-    // the sweep runner: its construction-time rejection is the one
-    // budget-sound infeasibility proof. The budget attaches *before*
-    // the gate's construction-time solve — on adversarial designs that
-    // solve alone can exceed any deadline, and a daemon must be able to
-    // interrupt it.
-    let gate = match &budget {
-        Some(b) => PinChecker::new_budgeted(cdfg, rate, b.clone()),
-        None => PinChecker::new(cdfg, rate),
+) -> (String, Termination, WarmStart) {
+    let spec = point_spec(flow.variant(), rate);
+    let ctx = RunContext {
+        budget,
+        metrics: metrics.clone(),
+        warm: seeds,
     };
-    let mut checker = match gate {
-        Ok(c) => c,
-        Err(PinAllocError::Interrupted(t)) => {
-            let core = synth_core(
-                digest,
-                rate,
-                flow,
-                "interrupted",
-                t,
-                ",\"best_depth\":0,\"best_buses\":0",
-            );
-            return (core, t, none);
-        }
-        Err(e @ PinAllocError::InfeasibleFromTheStart) => {
-            let core = synth_core(
-                digest,
-                rate,
-                flow,
-                "pin-infeasible",
-                complete,
-                &detail_extra(&e.to_string()),
-            );
-            return (core, complete, none);
-        }
+    let outcome = match pin_gate(cdfg, &spec, &ctx) {
+        Ok(()) => run(cdfg, &spec, &ctx),
+        Err(e) => FlowOutcome::from(Err(e)),
+    };
+    let termination = outcome.termination;
+    let (status, extra) = match &outcome.result {
+        Ok(result) => ("feasible", measure_extra(cdfg, result)),
+        Err(FlowError::Interrupted(_)) => (
+            "interrupted",
+            format!(
+                ",\"best_depth\":{},\"best_buses\":{}",
+                outcome.best_depth, outcome.best_buses
+            ),
+        ),
         Err(e) => {
-            let core = synth_core(
-                digest,
-                rate,
-                flow,
-                "error",
-                complete,
-                &detail_extra(&e.to_string()),
-            );
-            return (core, complete, none);
+            let (status, detail) = failure_status(e);
+            (status.as_str(), detail_extra(&detail))
         }
     };
-    match flow {
-        JobFlow::Simple => {
-            checker.seed_initial_memo(&seeds.memo);
-            if let Some(b) = &budget {
-                checker.set_budget(b.clone());
-            }
-            match simple_flow_with_checker(cdfg, rate, checker, &RecorderHandle::default(), metrics)
-            {
-                Ok((result, probe)) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        "feasible",
-                        complete,
-                        &measure_extra(cdfg, &result),
-                    );
-                    (core, complete, (probe.initial_memo, Vec::new()))
-                }
-                Err(FlowError::Interrupted(t)) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        "interrupted",
-                        t,
-                        ",\"best_depth\":0,\"best_buses\":0",
-                    );
-                    (core, t, none)
-                }
-                Err(e) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        fail_status(&e),
-                        complete,
-                        &detail_extra(&e.to_string()),
-                    );
-                    (core, complete, none)
-                }
-            }
-        }
-        JobFlow::Connect => {
-            let mut opts = ConnectFirstOptions::new(rate);
-            opts.workers = 1;
-            opts.portfolio = Some(SERVE_PORTFOLIO);
-            opts.budget = budget.clone();
-            opts.metrics = metrics.clone();
-            let (res, report) = connect_first_flow_seeded(cdfg, &opts, &seeds.certs);
-            // Certificates export even from failed runs — failed
-            // searches produce the most valuable proofs.
-            let exports = (Vec::new(), report.learned);
-            match res {
-                Ok(result) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        "feasible",
-                        complete,
-                        &measure_extra(cdfg, &result),
-                    );
-                    (core, complete, exports)
-                }
-                Err(FlowError::Interrupted(t)) => {
-                    let extra = format!(
-                        ",\"best_depth\":{},\"best_buses\":{}",
-                        report.stats.deepest, report.stats.deepest_buses
-                    );
-                    let core = synth_core(digest, rate, flow, "interrupted", t, &extra);
-                    (core, t, exports)
-                }
-                Err(e) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        fail_status(&e),
-                        complete,
-                        &detail_extra(&e.to_string()),
-                    );
-                    (core, complete, exports)
-                }
-            }
-        }
-    }
+    let core = synth_core(digest, rate, flow, status, termination, &extra);
+    (core, termination, outcome.exports)
 }
 
 /// Runs one resynth job: the incremental ladder, with the path taken,
@@ -825,10 +695,7 @@ fn run_explore(
 ) -> Result<(String, Termination), String> {
     let spec = SweepSpec {
         design: flow_label(digest),
-        flow: match req.flow {
-            JobFlow::Simple => FlowVariant::Simple,
-            JobFlow::Connect => FlowVariant::ConnectFirst,
-        },
+        flow: req.flow.variant(),
         rates: req.rates.clone(),
         budgets: req.pin_budgets.clone(),
     };

@@ -6,15 +6,30 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::Arc;
 
-use mcs_cdfg::{designs, PortMode};
+use mcs_cdfg::{designs, PartitionId, PortMode};
 use mcs_connect::{synthesize_seeded, ConnectError, SearchConfig};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
+use mcs_explore::{FlowVariant, PointStatus, SweepOptions, SweepSpec};
+use mcs_metrics::{MetricsHandle, Registry};
+use mcs_obs::RecorderHandle;
+use mcs_pinalloc::{PinChecker, DEFAULT_PIVOT_BUDGET};
+use multichip_hls::explore::run_sweep;
 use multichip_hls::flows::{
-    connect_first_anytime, simple_flow_anytime, ConnectFirstOptions, SynthesisConfig,
+    run, ConnectFirstOptions, FlowError, FlowOutcome, FlowSpec, RunContext,
 };
 
 const BIN: &str = env!("CARGO_BIN_EXE_mcs-hls");
+
+/// `spec` on `cdfg` under `budget`, through the one flow entry point.
+fn run_within(cdfg: &mcs_cdfg::Cdfg, spec: FlowSpec, budget: Budget) -> FlowOutcome {
+    let ctx = RunContext {
+        budget: Some(budget),
+        ..RunContext::default()
+    };
+    run(cdfg, &spec, &ctx)
+}
 
 fn design_path(name: &str) -> String {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -26,17 +41,20 @@ fn design_path(name: &str) -> String {
 
 /// A zero-millisecond deadline trips at the very first safe point, yet
 /// the flow still returns a valid, empty anytime result: termination
-/// verdict, no result, no error — interruption is not a failure.
+/// verdict, no result, no definitive error — interruption is not a
+/// failure.
 #[test]
 fn deadline_zero_yields_an_empty_but_valid_anytime_result() {
     let d = designs::synthetic::portfolio_adversarial(6);
     let mut opts = ConnectFirstOptions::new(2);
     opts.portfolio = Some(4);
     let budget = Budget::new(BudgetSpec::default().deadline_ms(0));
-    let out = connect_first_anytime(d.cdfg(), &opts, budget);
+    let out = run_within(d.cdfg(), FlowSpec::Connect(opts), budget);
     assert_eq!(out.termination, Termination::DeadlineExceeded);
-    assert!(out.result.is_none());
-    assert!(out.error.is_none(), "interruption is not an error");
+    assert!(
+        matches!(out.result, Err(FlowError::Interrupted(_))),
+        "interruption is not a definitive error"
+    );
     let stats = out.search_stats.expect("connect flow always reports stats");
     assert!(stats.nodes > 0, "some work happened before the trip");
 }
@@ -47,10 +65,14 @@ fn deadline_zero_yields_an_empty_but_valid_anytime_result() {
 fn deadline_zero_interrupts_the_simple_flow() {
     let d = designs::ar_filter::simple();
     let budget = Budget::new(BudgetSpec::default().deadline_ms(0));
-    let out = simple_flow_anytime(d.cdfg(), 2, &SynthesisConfig::default(), budget);
+    let spec = FlowSpec::Simple {
+        rate: 2,
+        pivot_budget: None,
+        probe_differential: false,
+    };
+    let out = run_within(d.cdfg(), spec, budget);
     assert_eq!(out.termination, Termination::DeadlineExceeded);
-    assert!(out.result.is_none());
-    assert!(out.error.is_none());
+    assert!(matches!(out.result, Err(FlowError::Interrupted(_))));
 }
 
 /// Natural-finish-wins: a node ceiling met *exactly* by the successful
@@ -62,13 +84,14 @@ fn exact_node_ceiling_still_completes() {
     let mut opts = ConnectFirstOptions::new(2);
     opts.portfolio = Some(4);
     // Reference run without a budget, to learn the exact node count.
-    let reference = connect_first_anytime(d.cdfg(), &opts, Budget::unlimited());
+    let spec = FlowSpec::Connect(opts);
+    let reference = run_within(d.cdfg(), spec.clone(), Budget::unlimited());
     assert_eq!(reference.termination, Termination::Complete);
     let reference = reference.result.expect("adversarial(6) is feasible");
     let nodes = reference.search_stats.as_ref().expect("stats").nodes;
     // Rerun with the ceiling set to exactly that count.
     let budget = Budget::new(BudgetSpec::default().max_nodes(nodes));
-    let out = connect_first_anytime(d.cdfg(), &opts, budget);
+    let out = run_within(d.cdfg(), spec, budget);
     assert_eq!(out.termination, Termination::Complete);
     let result = out.result.expect("exact ceiling must not interrupt");
     assert_eq!(result.interconnect, reference.interconnect);
@@ -84,10 +107,10 @@ fn node_budget_outcome_is_identical_across_worker_counts() {
         opts.portfolio = Some(4);
         opts.workers = workers;
         let budget = Budget::new(BudgetSpec::default().max_nodes(1));
-        let out = connect_first_anytime(d.cdfg(), &opts, budget);
+        let out = run_within(d.cdfg(), FlowSpec::Connect(opts), budget);
         (
             out.termination,
-            out.result.map(|r| r.interconnect),
+            out.result.ok().map(|r| r.interconnect),
             out.best_depth,
             out.best_buses,
         )
@@ -217,4 +240,75 @@ fn cli_explore_with_expired_deadline_reports_skipped_lattice() {
         stderr.contains("interrupted (deadline-exceeded)"),
         "{stderr}"
     );
+}
+
+/// The pin checker's construction-time feasibility solve charges the
+/// run's budget: a pivot ceiling below that solve's own pivot count
+/// interrupts `run` before the flow starts, and a sweep reports the
+/// point as an `error` — never as `pin-infeasible`, which would prune
+/// every dominated point on the strength of a deadline.
+#[test]
+fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
+    let d = designs::ar_filter::simple();
+    let rate = 2;
+    let ledger = Budget::unlimited();
+    PinChecker::with_budgets(d.cdfg(), rate, DEFAULT_PIVOT_BUDGET, Some(ledger.clone()))
+        .expect("the chapter 3 design passes the gate");
+    let pivots = ledger.pivots_spent();
+    assert!(pivots > 0, "the construction solve pivots");
+    let ceiling = || Budget::new(BudgetSpec::default().max_pivots(pivots - 1));
+
+    let reg = Arc::new(Registry::new());
+    let ctx = RunContext {
+        budget: Some(ceiling()),
+        metrics: MetricsHandle::new(reg.clone()),
+        ..RunContext::default()
+    };
+    let simple = FlowSpec::Simple {
+        rate,
+        pivot_budget: None,
+        probe_differential: false,
+    };
+    let out = run(d.cdfg(), &simple, &ctx);
+    assert!(
+        matches!(
+            out.result,
+            Err(FlowError::Interrupted(Termination::BudgetExhausted))
+        ),
+        "{:?}",
+        out.result
+    );
+    assert_eq!(out.termination, Termination::BudgetExhausted);
+    let spans = reg.snapshot().profile;
+    assert!(
+        spans.iter().all(|s| s.path != "flow"),
+        "the trip must come before the flow starts: {spans:?}"
+    );
+
+    // The sweep's gate fronts every flow through the same constructor.
+    let budgets = vec![(1..d.cdfg().partition_count())
+        .map(|p| d.cdfg().partition(PartitionId::new(p as u32)).total_pins)
+        .collect()];
+    for flow in [FlowVariant::Simple, FlowVariant::ConnectFirst] {
+        let spec = SweepSpec {
+            design: "ar_filter".into(),
+            flow,
+            rates: vec![rate],
+            budgets: budgets.clone(),
+        };
+        let opts = SweepOptions {
+            jobs: 1,
+            budget: Some(ceiling()),
+            ..SweepOptions::default()
+        };
+        let report = run_sweep(d.cdfg(), &spec, &opts, &RecorderHandle::default())
+            .expect("well-formed spec");
+        let point = &report.outcomes[0];
+        assert_eq!(point.status, PointStatus::Error, "{flow:?}: {point:?}");
+        assert!(
+            point.outcome.detail.contains("interrupted"),
+            "{flow:?}: {}",
+            point.outcome.detail
+        );
+    }
 }

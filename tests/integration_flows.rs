@@ -2,10 +2,17 @@
 //! paper's benchmark designs, with full schedule and connection
 //! validation.
 
+use std::sync::Arc;
+
 use mcs_cdfg::{designs, PartitionId, PortMode};
+use mcs_ctl::{Budget, BudgetSpec, Termination};
+use mcs_metrics::{MetricsHandle, Registry};
+use mcs_obs::{BufferingRecorder, Event, RecorderHandle};
+use mcs_pinalloc::PinChecker;
 use mcs_sched::validate;
 use multichip_hls::flows::{
-    connect_first_flow, schedule_first_flow, simple_flow, ConnectFirstOptions, FlowError,
+    connect_first_flow, default_pipe_length, run, schedule_first_flow, simple_flow,
+    simple_flow_with_checker, ConnectFirstOptions, FlowError, FlowSpec, RunContext,
 };
 
 #[test]
@@ -115,4 +122,103 @@ fn quickstart_design_runs_every_flow() {
     assert_eq!(validate(d.cdfg(), &r.schedule), vec![]);
     let r = schedule_first_flow(d.cdfg(), 2, 8, PortMode::Unidirectional).expect("ch5");
     assert!(r.pipe_length <= 8);
+}
+
+/// `run` and the kept wrappers execute the same flow bodies: identical
+/// schedules and connections on every flow, with the Chapter 5 flow's
+/// missing pipe length resolved through `default_pipe_length`.
+#[test]
+fn run_matches_the_wrappers_on_every_flow() {
+    let d = designs::ar_filter::simple();
+    let cdfg = d.cdfg();
+    let ctx = RunContext::default();
+    let same = |a: &multichip_hls::flows::SynthesisResult,
+                b: &multichip_hls::flows::SynthesisResult| {
+        assert_eq!(a.schedule.start, b.schedule.start);
+        assert_eq!(a.interconnect, b.interconnect);
+        assert_eq!(a.pins_used, b.pins_used);
+        assert_eq!(a.placements, b.placements);
+    };
+
+    let spec = FlowSpec::Simple {
+        rate: 2,
+        pivot_budget: None,
+        probe_differential: false,
+    };
+    let out = run(cdfg, &spec, &ctx);
+    assert_eq!(out.termination, Termination::Complete);
+    assert!(out.probe_stats.is_some() && !out.exports.probe_memo.is_empty());
+    same(
+        &out.result.expect("ch3"),
+        &simple_flow(cdfg, 2).expect("ch3"),
+    );
+
+    let opts = ConnectFirstOptions::new(3);
+    let out = run(cdfg, &FlowSpec::Connect(opts.clone()), &ctx);
+    assert!(out.search_stats.is_some());
+    same(
+        &out.result.expect("ch4"),
+        &connect_first_flow(cdfg, &opts).expect("ch4"),
+    );
+
+    let spec = FlowSpec::Schedule {
+        rate: 3,
+        pipe_length: None,
+        mode: PortMode::Unidirectional,
+    };
+    let pipe = default_pipe_length(cdfg, 3);
+    same(
+        &run(cdfg, &spec, &ctx).result.expect("ch5"),
+        &schedule_first_flow(cdfg, 3, pipe, PortMode::Unidirectional).expect("ch5"),
+    );
+}
+
+/// The frozen benchmark sets `ConnectFirstOptions::{budget, metrics}`
+/// and calls `connect_first_flow`: the wrapper must still honour both —
+/// a one-node ceiling interrupts the search, and the search's node
+/// counter lands on the registry behind `opts.metrics`. (The classic
+/// single-plan search needs many epochs on the adversarial design, so
+/// the ceiling trips at the first barrier.)
+#[test]
+fn connect_first_flow_honours_the_options_budget_and_metrics() {
+    let d = designs::synthetic::portfolio_adversarial(6);
+    let reg = Arc::new(Registry::new());
+    let mut opts = ConnectFirstOptions::new(2);
+    opts.budget = Some(Budget::new(BudgetSpec::default().max_nodes(1)));
+    opts.metrics = MetricsHandle::new(reg.clone());
+    let res = connect_first_flow(d.cdfg(), &opts);
+    assert!(
+        matches!(
+            res,
+            Err(FlowError::Interrupted(Termination::BudgetExhausted))
+        ),
+        "{res:?}"
+    );
+    let nodes = reg.snapshot().counters.get("connect.nodes").copied();
+    assert!(nodes.is_some_and(|n| n > 0), "{nodes:?}");
+}
+
+/// The frozen benchmark passes a recorder to `simple_flow_with_checker`:
+/// it must become the run's event sink, so the `flow` phase opens and
+/// closes on it.
+#[test]
+fn simple_flow_with_checker_routes_the_recorder_to_the_event_sink() {
+    let d = designs::ar_filter::simple();
+    let buf = Arc::new(BufferingRecorder::new());
+    let checker = PinChecker::new(d.cdfg(), 2).expect("the gate accepts the design");
+    simple_flow_with_checker(
+        d.cdfg(),
+        2,
+        checker,
+        &RecorderHandle::new(buf.clone()),
+        &MetricsHandle::default(),
+    )
+    .expect("the chapter 3 experiment succeeds");
+    let events = buf.events();
+    assert_eq!(
+        events.first(),
+        Some(&Event::PhaseBegin { phase: "flow" }),
+        "{events:?}"
+    );
+    assert_eq!(events.last(), Some(&Event::PhaseEnd { phase: "flow" }));
 }

@@ -20,7 +20,7 @@ use multichip_hls::differential::{
     anytime_differential, flow_differential, flow_differential_with_ports, probe_differential,
     sim_differential,
 };
-use multichip_hls::flows::{simple_flow, simple_flow_with, FlowError, SynthesisConfig};
+use multichip_hls::flows::{run, simple_flow, FlowError, FlowSpec, RunContext};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
@@ -347,11 +347,16 @@ fn corpus_finding1_still_reaches_the_exact_fallback() {
     let design = format::parse(&text).expect("parses");
     let rate = timing::min_initiation_rate(design.cdfg()).max(1);
     let reg = Arc::new(Registry::new());
-    let config = SynthesisConfig {
-        metrics: MetricsHandle::new(reg.clone()),
-        ..SynthesisConfig::default()
+    let spec = FlowSpec::Simple {
+        rate,
+        pivot_budget: None,
+        probe_differential: false,
     };
-    let _ = simple_flow_with(design.cdfg(), rate, &config);
+    let ctx = RunContext {
+        metrics: MetricsHandle::new(reg.clone()),
+        ..RunContext::default()
+    };
+    let _ = run(design.cdfg(), &spec, &ctx);
     let snap = reg.snapshot();
     let fallbacks = snap
         .counters

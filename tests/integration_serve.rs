@@ -8,15 +8,10 @@
 
 use mcs_cdfg::designs;
 use mcs_cdfg::format;
-use mcs_metrics::MetricsHandle;
-use mcs_pinalloc::PinChecker;
 use mcs_serve::json::escape;
 use mcs_serve::server::MAX_LINE_BYTES;
 use mcs_serve::{ServeConfig, Server};
-use multichip_hls::flows::{
-    connect_first_flow_seeded, simple_flow_with_checker, ConnectFirstOptions,
-};
-use multichip_hls::obs::RecorderHandle;
+use multichip_hls::flows::{run, ConnectFirstOptions, FlowSpec, RunContext, WarmStart};
 
 /// The elliptic-filter benchmark's text form plus a feasible serve
 /// request regime (rate and per-chip budgets from the explore suite's
@@ -58,29 +53,29 @@ fn provenance(line: &str) -> &str {
 }
 
 /// The simple flow's epoch-0 probe memo round trip: exporting the memo
-/// from a cold run and seeding a fresh checker with its `false`
-/// verdicts (the cache's transfer rule) must reproduce the identical
-/// synthesis result — seeding changes which probes reach the solver,
-/// never what they conclude.
+/// from a cold run and seeding a fresh run with its `false` verdicts
+/// (the cache's transfer rule, [`WarmStart::adopt`]) must reproduce the
+/// identical synthesis result — seeding changes which probes reach the
+/// solver, never what they conclude.
 #[test]
 fn probe_memo_roundtrip_is_verdict_identical() {
     let d = designs::ar_filter::simple();
-    let recorder = RecorderHandle::default();
-    let metrics = MetricsHandle::default();
+    let spec = FlowSpec::Simple {
+        rate: 2,
+        pivot_budget: None,
+        probe_differential: false,
+    };
 
-    let checker = PinChecker::new(d.cdfg(), 2).expect("the gate accepts the chapter 3 design");
-    let (cold, probe) = simple_flow_with_checker(d.cdfg(), 2, checker, &recorder, &metrics)
-        .expect("the chapter 3 experiment succeeds");
-    let seeds: Vec<_> = probe
-        .initial_memo
-        .iter()
-        .copied()
-        .filter(|&(_, verdict)| !verdict)
-        .collect();
-
-    let mut seeded = PinChecker::new(d.cdfg(), 2).expect("the gate accepts the same design");
-    seeded.seed_initial_memo(&seeds);
-    let (warm, _) = simple_flow_with_checker(d.cdfg(), 2, seeded, &recorder, &metrics)
+    let cold_run = run(d.cdfg(), &spec, &RunContext::default());
+    let cold = cold_run.result.expect("the chapter 3 experiment succeeds");
+    let mut seeded = RunContext::default();
+    seeded.warm.adopt(&cold_run.exports);
+    assert!(
+        seeded.warm.probe_memo.iter().all(|&(_, verdict)| !verdict),
+        "only false verdicts transfer"
+    );
+    let warm = run(d.cdfg(), &spec, &seeded)
+        .result
         .expect("the seeded rerun succeeds");
 
     assert_eq!(cold.pipe_length, warm.pipe_length);
@@ -90,8 +85,8 @@ fn probe_memo_roundtrip_is_verdict_identical() {
 }
 
 /// The connect search's refutation-certificate round trip: certs
-/// learned by a cold run, fed back through `connect_first_flow_seeded`,
-/// must leave the result identical — and when anything was learned, the
+/// learned by a cold run, fed back through [`RunContext::warm`], must
+/// leave the result identical — and when anything was learned, the
 /// seeded run must actually consume it (`seed_hits`).
 #[test]
 fn refutation_cert_roundtrip_is_verdict_identical() {
@@ -99,19 +94,33 @@ fn refutation_cert_roundtrip_is_verdict_identical() {
     let mut opts = ConnectFirstOptions::new(ELLIPTIC_RATE);
     opts.workers = 1;
     opts.portfolio = Some(4);
+    let spec = FlowSpec::Connect(opts);
 
-    let (cold, cold_report) = connect_first_flow_seeded(d.cdfg(), &opts, &[]);
-    let cold = cold.expect("the chapter 6 benchmark synthesizes");
+    let cold_run = run(d.cdfg(), &spec, &RunContext::default());
+    let learned = cold_run.exports.certs;
+    let cold = cold_run
+        .result
+        .expect("the chapter 6 benchmark synthesizes");
 
-    let (warm, warm_report) = connect_first_flow_seeded(d.cdfg(), &opts, &cold_report.learned);
-    let warm = warm.expect("the seeded rerun synthesizes");
+    let seeded = RunContext {
+        warm: WarmStart {
+            probe_memo: Vec::new(),
+            certs: learned.clone(),
+        },
+        ..RunContext::default()
+    };
+    let warm_run = run(d.cdfg(), &spec, &seeded);
+    let warm_stats = warm_run
+        .search_stats
+        .expect("the connect flow reports stats");
+    let warm = warm_run.result.expect("the seeded rerun synthesizes");
 
     assert_eq!(cold.pipe_length, warm.pipe_length);
     assert_eq!(cold.pins_used, warm.pins_used);
     assert_eq!(cold.interconnect.buses.len(), warm.interconnect.buses.len());
-    if !cold_report.learned.is_empty() {
+    if !learned.is_empty() {
         assert!(
-            warm_report.stats.seed_hits > 0,
+            warm_stats.seed_hits > 0,
             "certs were exported but the seeded run never consumed them"
         );
     }
