@@ -6,11 +6,13 @@
 //! bench_compare fuzz  <baseline.json> <fresh.json>
 //! bench_compare serve <baseline.json> <fresh.json>
 //! bench_compare resynth <baseline.json> <fresh.json>
+//! bench_compare search <baseline.json> <fresh.json>
 //! bench_compare --self-test
 //! ```
 //!
 //! Deterministic fields (probe counts, verdict digests, differential
-//! agreement, fuzz outcomes, shrink results) hard-fail on any change.
+//! agreement, fuzz outcomes, shrink results, search node counts and
+//! result digests) hard-fail on any change.
 //! Within-run performance ratios (trail-vs-clone speedup, trail
 //! allocations) fail past a tolerance. Absolute wall times are never
 //! compared — they belong to the machine, not the code. The field
@@ -22,12 +24,14 @@
 use std::process::ExitCode;
 
 use mcs_bench::compare::{
-    compare_fuzz, compare_probe, compare_resynth, compare_serve, render_findings, Finding,
+    compare_fuzz, compare_probe, compare_resynth, compare_search, compare_serve, render_findings,
+    Finding,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_compare <probe|fuzz|serve|resynth> <baseline.json> <fresh.json> | --self-test"
+        "usage: bench_compare <probe|fuzz|serve|resynth|search> <baseline.json> <fresh.json> \
+         | --self-test"
     );
     ExitCode::from(2)
 }
@@ -92,7 +96,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--self-test") => self_test(),
-        Some(mode @ ("probe" | "fuzz" | "serve" | "resynth")) => {
+        Some(mode @ ("probe" | "fuzz" | "serve" | "resynth" | "search")) => {
             let (Some(baseline), Some(fresh)) = (args.get(1), args.get(2)) else {
                 return usage();
             };
@@ -104,6 +108,7 @@ fn main() -> ExitCode {
                 "probe" => compare_probe(&baseline, &fresh),
                 "fuzz" => compare_fuzz(&baseline, &fresh),
                 "resynth" => compare_resynth(&baseline, &fresh),
+                "search" => compare_search(&baseline, &fresh),
                 _ => compare_serve(&baseline, &fresh),
             };
             match result {

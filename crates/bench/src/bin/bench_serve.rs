@@ -233,9 +233,15 @@ impl Client {
     }
 
     /// Sends one request line, returns `(response line, latency in µs)`.
+    /// The line leaves in one write: `writeln!` on the unbuffered stream
+    /// would send the body and the newline as two segments, and Nagle's
+    /// algorithm would hold the second one for the daemon's delayed ACK.
     fn roundtrip(&mut self, request: &str) -> (String, f64) {
+        let line = format!("{request}\n");
         let started = Instant::now();
-        writeln!(self.stream, "{request}").expect("send request");
+        self.stream
+            .write_all(line.as_bytes())
+            .expect("send request");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response");
         let us = started.elapsed().as_secs_f64() * 1e6;

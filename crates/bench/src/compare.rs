@@ -1,6 +1,6 @@
 //! BENCH baseline regression comparison: diff a fresh `BENCH_probe.json`,
-//! `BENCH_fuzz.json` or `BENCH_serve.json` against a committed baseline,
-//! field by field.
+//! `BENCH_fuzz.json`, `BENCH_serve.json`, `BENCH_resynth.json` or
+//! `BENCH_search.json` against a committed baseline, field by field.
 //!
 //! Two classes of field:
 //!
@@ -370,6 +370,27 @@ pub fn compare_resynth(baseline: &str, fresh: &str) -> Result<Vec<Finding>, Stri
     Ok(findings)
 }
 
+/// Diffs a fresh `BENCH_search.json` against the committed baseline.
+///
+/// Every compared field is hard: the search is deterministic, so the
+/// nodes expanded, the digest of the connection found and its bus count
+/// are functions of the code alone, and a change means the node order
+/// moved. The recorded wall time and microseconds per node are never
+/// compared.
+///
+/// # Errors
+///
+/// A parse error on malformed input in either file.
+pub fn compare_search(baseline: &str, fresh: &str) -> Result<Vec<Finding>, String> {
+    let (pairs, mut findings) = matched_lines(baseline, fresh, "design")?;
+    for (k, b, f) in &pairs {
+        for path in ["rate", "nodes", "digest", "buses"] {
+            hard_compare(k, b, f, path, &mut findings);
+        }
+    }
+    Ok(findings)
+}
+
 /// Renders findings as the `bench_compare` report; empty input renders
 /// the all-clear line.
 pub fn render_findings(findings: &[Finding]) -> String {
@@ -585,6 +606,33 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].severity, Severity::Threshold);
         assert_eq!(findings[0].field, "speedup");
+    }
+
+    const SEARCH_BASE: &str = "{\"bench\":\"search\",\"design\":\"large_mesh8_L4\",\
+        \"rate\":4,\"nodes\":173268,\"digest\":17058123341809352787,\"buses\":14,\
+        \"wall_ms\":77.699,\"us_per_node\":0.448}";
+
+    #[test]
+    fn search_node_count_or_digest_change_is_hard() {
+        assert!(compare_search(SEARCH_BASE, SEARCH_BASE).unwrap().is_empty());
+        for (from, to, field) in [
+            ("173268", "173269", "nodes"),
+            ("17058123341809352787", "17058123341809352788", "digest"),
+        ] {
+            let fresh = SEARCH_BASE.replace(from, to);
+            let findings = compare_search(SEARCH_BASE, &fresh).unwrap();
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].field, field);
+            assert_eq!(findings[0].severity, Severity::Hard);
+        }
+    }
+
+    #[test]
+    fn search_timings_are_ignored() {
+        let fresh = SEARCH_BASE
+            .replace("77.699", "1550.000")
+            .replace("0.448", "8.950");
+        assert!(compare_search(SEARCH_BASE, &fresh).unwrap().is_empty());
     }
 
     #[test]

@@ -432,7 +432,10 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                 if widths.is_empty() {
                     return err(line, "split needs `: <w0> <w1> ...`");
                 }
-                if widths.iter().sum::<u32>() != b.value_bits(v) || widths.contains(&0) {
+                // Checked: a wrapping sum would let `4294967295 33` pass
+                // as 32 bits.
+                let total = widths.iter().try_fold(0u32, |acc, &w| acc.checked_add(w));
+                if total != Some(b.value_bits(v)) || widths.contains(&0) {
                     return err(
                         line,
                         format!(
@@ -905,6 +908,17 @@ mod tests {
         // The builder asserts on width mismatch; either an Err or a panic
         // is acceptable rejection, silence is not.
         assert!(e.is_err() || e.unwrap().is_err());
+    }
+
+    #[test]
+    fn overflowing_split_widths_are_a_parse_error() {
+        // 4294967295 + 33 wraps to 32 in u32 arithmetic; the parser must
+        // reject it as a sum mismatch in debug and release alike.
+        let bad = "stage 100\npartition P1 64\ninput wide 32 P1\n\
+                   split halves wide : 4294967295 33\n";
+        let e = parse(bad).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.msg.contains("sum to 32 bits"), "{}", e.msg);
     }
 
     #[test]

@@ -995,10 +995,10 @@ impl CdfgBuilder {
     ///
     /// Panics if the widths do not sum to the width of `value`.
     pub fn split(&mut self, name: &str, value: ValueId, widths: &[u32]) -> (OpId, Vec<ValueId>) {
-        let total: u32 = widths.iter().sum();
+        let total = widths.iter().try_fold(0u32, |acc, &w| acc.checked_add(w));
         assert_eq!(
             total,
-            self.values[value.index()].bits,
+            Some(self.values[value.index()].bits),
             "split widths must sum to the value width"
         );
         let home = self.home[value.index()];

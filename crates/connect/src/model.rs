@@ -11,8 +11,10 @@
 //! sub-buses of a bus for one cycle (Section 6.1).
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 use mcs_cdfg::{BusId, Cdfg, OpId, PartitionId, PortMode};
+use mcs_codec::fnv::Fnv;
 
 /// A contiguous range of sub-bus indices, inclusive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -138,24 +140,6 @@ impl Bus {
             }
         }
     }
-
-    /// Topology signature: the partitions on the output and input sides
-    /// (Section 4.1.2: buses with the same topology are explored once).
-    pub fn topology(&self) -> (Vec<PartitionId>, Vec<PartitionId>) {
-        let outs: Vec<_> = self
-            .out_ports
-            .keys()
-            .chain(self.bi_ports.keys())
-            .copied()
-            .collect();
-        let ins: Vec<_> = self
-            .in_ports
-            .keys()
-            .chain(self.bi_ports.keys())
-            .copied()
-            .collect();
-        (outs, ins)
-    }
 }
 
 /// An I/O-operation-to-bus assignment.
@@ -210,6 +194,41 @@ impl Interconnect {
             }
         }
         found
+    }
+
+    /// FNV-1a fingerprint of the whole structure: port mode, every bus's
+    /// sub-bus widths and port widths, every assignment. Little-endian
+    /// throughout, so equal structures digest equally on every platform;
+    /// baselines and golden tests pin search results by it.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv::default();
+        let mut put = |x: u32| h.write(&x.to_le_bytes());
+        put(match self.mode {
+            PortMode::Unidirectional => 0,
+            PortMode::Bidirectional => 1,
+        });
+        put(self.buses.len() as u32);
+        for bus in &self.buses {
+            put(bus.sub_widths.len() as u32);
+            for &w in &bus.sub_widths {
+                put(w);
+            }
+            for ports in [&bus.out_ports, &bus.in_ports, &bus.bi_ports] {
+                put(ports.len() as u32);
+                for (&p, &w) in ports {
+                    put(p.0);
+                    put(w);
+                }
+            }
+        }
+        put(self.assignment.len() as u32);
+        for (&op, a) in &self.assignment {
+            put(op.0);
+            put(a.bus.0);
+            put(a.range.lo as u32);
+            put(a.range.hi as u32);
+        }
+        h.finish()
     }
 
     /// Verifies that every I/O operation's assigned bus can actually carry
@@ -328,9 +347,6 @@ mod tests {
         assert_eq!(bus.pins_of(p(2)), 8);
         assert_eq!(bus.pins_of(p(4)), 0);
         assert_eq!(bus.connected(), vec![p(1), p(2), p(3)]);
-        let (outs, ins) = bus.topology();
-        assert_eq!(outs, vec![p(1)]);
-        assert_eq!(ins, vec![p(2), p(3)]);
     }
 
     #[test]

@@ -51,8 +51,8 @@ use mcs_pinalloc::PinChecker;
 
 use crate::model::Interconnect;
 use crate::search::{
-    apply_move, candidate_moves, future_feasible, initial_state, share_pass, total_pins,
-    ConnectError, Move, SearchConfig, State,
+    apply_move, candidate_moves, future_feasible, share_pass, total_pins, ConnectError,
+    GroupWindows, IoOp, Move, SearchConfig, State,
 };
 
 /// The order in which I/O operations are fed to the branching search.
@@ -440,27 +440,31 @@ impl SharedCache {
 /// values riding each bus with their sub-ranges. Everything the future
 /// search can observe is derived from these, so two states with equal
 /// signatures have identical subtrees under the same plan.
+///
+/// The bytes are a stable format: [`RefutationCert`]s carry them across
+/// runs. Per bus: `0xB5`, the sub-bus count and widths (always one
+/// sub-bus in a search state), the output, input and bidirectional port
+/// maps as counts plus `(partition, width)` pairs in partition order,
+/// then the riding values in id order, each with its sub-range (always
+/// the whole bus, `0..=0`).
 fn state_sig(state: &State, depth: usize) -> Vec<u8> {
-    let mut sig = Vec::with_capacity(32 + state.buses.len() * 48);
+    let mut sig = Vec::with_capacity(32 + state.bus_count() * 48);
     sig.extend_from_slice(&(depth as u32).to_le_bytes());
-    for (bus, values) in state.buses.iter().zip(&state.bus_values) {
+    for (bus, values) in state.values.iter().enumerate() {
         sig.push(0xB5);
-        sig.push(bus.sub_widths.len() as u8);
-        for &w in &bus.sub_widths {
-            sig.extend_from_slice(&w.to_le_bytes());
-        }
-        for ports in [&bus.out_ports, &bus.in_ports, &bus.bi_ports] {
-            sig.push(ports.len() as u8);
-            for (&p, &w) in ports {
-                sig.extend_from_slice(&p.0.to_le_bytes());
+        sig.push(1);
+        sig.extend_from_slice(&state.widths[bus].to_le_bytes());
+        for ports in state.port_rows(bus) {
+            sig.push(ports.iter().filter(|&&w| w > 0).count() as u8);
+            for (p, &w) in ports.iter().enumerate().filter(|&(_, &w)| w > 0) {
+                sig.extend_from_slice(&(p as u32).to_le_bytes());
                 sig.extend_from_slice(&w.to_le_bytes());
             }
         }
         sig.push(values.len() as u8);
-        for (&v, r) in values {
+        for v in values {
             sig.extend_from_slice(&v.0.to_le_bytes());
-            sig.push(r.lo as u8);
-            sig.push(r.hi as u8);
+            sig.extend_from_slice(&[0, 0]);
         }
     }
     sig
@@ -590,14 +594,15 @@ enum WorkerStatus {
     Panicked,
 }
 
-/// One suspended node of the iterative backtracking search.
+/// One suspended node of the iterative backtracking search. Its
+/// candidates live in the worker's move buffer for the frame's depth.
 struct Frame {
-    /// State at node entry; candidate application and backtracking
-    /// restore from it.
-    saved: State,
+    /// Trail mark at node entry: trying the next candidate and
+    /// backtracking both undo the state back to it.
+    mark: usize,
     /// Signature to publish if the whole subtree fails (cache runs only).
     key: Option<Vec<u8>>,
-    moves: Vec<Move>,
+    /// Index of the next candidate to try.
     next: usize,
 }
 
@@ -609,15 +614,19 @@ struct Frame {
 /// the classic search.
 struct Worker<'a> {
     cdfg: &'a Cdfg,
-    mode: PortMode,
     rate: u32,
     allow_split: bool,
     plan: WorkerPlan,
     strength: Strength,
     cache_enabled: bool,
-    ops: Vec<OpId>,
+    /// The I/O operations in this plan's order; depth `d` assigns
+    /// `io[d]`.
+    io: Vec<IoOp>,
+    windows: GroupWindows,
     state: State,
     stack: Vec<Frame>,
+    /// Candidate moves of the frame at each depth, reused across nodes.
+    moves: Vec<Vec<Move>>,
     budget_left: usize,
     /// Next step enters a fresh node at depth `stack.len()`.
     entering: bool,
@@ -645,6 +654,14 @@ struct Worker<'a> {
     /// `connect.epoch_us`: one observation per live epoch this worker
     /// expanded, on the registry clock.
     m_epoch_us: Histogram,
+    /// Test builds only: the state at each frame's entry, which undoing
+    /// the trail must give back exactly, and the tally of that check.
+    #[cfg(test)]
+    snapshots: Vec<State>,
+    #[cfg(test)]
+    restores: u64,
+    #[cfg(test)]
+    mismatches: u64,
 }
 
 impl<'a> Worker<'a> {
@@ -655,11 +672,13 @@ impl<'a> Worker<'a> {
         plan: WorkerPlan,
         cache_enabled: bool,
     ) -> Self {
-        let ops = ordered_ops(cdfg, plan.order, cfg.rate);
-        let state = initial_state(cdfg, cfg.rate, &ops);
+        let io: Vec<IoOp> = ordered_ops(cdfg, plan.order, cfg.rate)
+            .into_iter()
+            .map(|op| IoOp::of(cdfg, op))
+            .collect();
+        let state = State::new(cdfg, mode, &io);
         Worker {
             cdfg,
-            mode,
             rate: cfg.rate,
             allow_split: cfg.allow_split,
             strength: Strength {
@@ -670,9 +689,11 @@ impl<'a> Worker<'a> {
             budget_left: plan.node_budget,
             plan,
             cache_enabled,
-            ops,
+            windows: GroupWindows::new(cdfg, cfg.rate),
+            io,
             state,
             stack: Vec::new(),
+            moves: Vec::new(),
             entering: true,
             resuming: false,
             status: WorkerStatus::Running,
@@ -689,6 +710,12 @@ impl<'a> Worker<'a> {
             deepest_buses: 0,
             metrics: cfg.metrics.clone(),
             m_epoch_us: cfg.metrics.histogram("connect.epoch_us"),
+            #[cfg(test)]
+            snapshots: Vec::new(),
+            #[cfg(test)]
+            restores: 0,
+            #[cfg(test)]
+            mismatches: 0,
         }
     }
 
@@ -725,14 +752,10 @@ impl<'a> Worker<'a> {
         let depth = self.stack.len();
         if depth > self.deepest {
             self.deepest = depth;
-            self.deepest_buses = self.state.buses.len() as u32;
+            self.deepest_buses = self.state.bus_count() as u32;
         }
-        if depth == self.ops.len() {
-            let mut ic = Interconnect {
-                mode: self.mode,
-                buses: self.state.buses.clone(),
-                assignment: self.state.assignment.clone(),
-            };
+        if depth == self.io.len() {
+            let mut ic = self.state.to_interconnect(&self.io);
             if self.allow_split {
                 share_pass(self.cdfg, &mut ic, self.rate);
             }
@@ -765,22 +788,38 @@ impl<'a> Worker<'a> {
                 return;
             }
         }
-        let moves = candidate_moves(
-            self.cdfg,
-            self.mode,
-            self.rate,
+        if self.moves.len() == depth {
+            self.moves.push(Vec::new());
+        }
+        candidate_moves(
+            &self.state,
+            &self.windows,
             self.plan.branching_factor,
             self.plan.candidates,
-            &self.state,
-            self.ops[depth],
+            &self.io[depth],
+            &mut self.moves[depth],
         );
         self.stack.push(Frame {
-            saved: self.state.clone(),
+            mark: self.state.mark(),
             key,
-            moves,
             next: 0,
         });
+        #[cfg(test)]
+        self.snapshots.push(self.state.clone());
         self.entering = false;
+    }
+
+    /// Undoes the trail back to the top frame's entry state.
+    fn restore_top(&mut self) {
+        let mark = self.stack.last().expect("non-empty stack").mark;
+        self.state.undo_to(mark);
+        #[cfg(test)]
+        {
+            self.restores += 1;
+            if self.snapshots.last() != Some(&self.state) {
+                self.mismatches += 1;
+            }
+        }
     }
 
     /// Resumes the top frame: try its next candidate, or pop it as an
@@ -800,17 +839,15 @@ impl<'a> Worker<'a> {
                 return;
             }
         }
-        let op = self.ops[depth - 1];
         loop {
             let frame = self.stack.last_mut().expect("non-empty stack");
-            if frame.next >= frame.moves.len() {
+            let Some(&mv) = self.moves[depth - 1].get(frame.next) else {
                 break;
-            }
-            let mv = frame.moves[frame.next].clone();
+            };
             frame.next += 1;
-            self.state = frame.saved.clone();
-            apply_move(self.cdfg, self.mode, &mut self.state, op, &mv);
-            if future_feasible(self.cdfg, self.mode, &self.state, &self.ops[depth..]) {
+            self.restore_top();
+            apply_move(&mut self.state, &self.io[depth - 1], mv.bus);
+            if future_feasible(&self.state, &self.io[depth..]) {
                 self.entering = true;
                 return;
             }
@@ -820,13 +857,15 @@ impl<'a> Worker<'a> {
                 return;
             }
         }
+        self.restore_top();
         let frame = self.stack.pop().expect("non-empty stack");
+        #[cfg(test)]
+        self.snapshots.pop();
         self.backtracks += 1;
         if let Some(key) = frame.key {
             self.staged.push((key, self.strength));
             self.published += 1;
         }
-        self.state = frame.saved;
         self.child_failed();
     }
 
@@ -1394,6 +1433,114 @@ mod tests {
             let back = RefutationCert::from_parts(cert.key.clone(), cert.strength());
             assert_eq!(back, cert);
         }
+    }
+
+    /// Runs a portfolio single-threaded to its end, barrier by barrier,
+    /// and returns the trail restores checked against the frame-entry
+    /// snapshots and how many of them differed.
+    fn run_checked(cdfg: &Cdfg, mode: PortMode, cfg: &SearchConfig) -> (u64, u64) {
+        let plans = portfolio_plans(cfg);
+        let cache = SharedCache::new(plans.len() > 1);
+        let mut workers: Vec<Worker<'_>> = plans
+            .into_iter()
+            .map(|plan| Worker::new(cdfg, mode, cfg, plan, cache.enabled))
+            .collect();
+        while workers.iter().any(Worker::running)
+            && !workers.iter().any(|w| w.status == WorkerStatus::Succeeded)
+        {
+            for w in &mut workers {
+                w.run_epoch(cfg.epoch_nodes, &cache);
+            }
+            for w in &mut workers {
+                cache.publish(std::mem::take(&mut w.staged), false);
+            }
+        }
+        workers
+            .iter()
+            .fold((0, 0), |(r, m), w| (r + w.restores, m + w.mismatches))
+    }
+
+    /// The trail-vs-clone differential: over the fuzz corpus, every
+    /// sibling restore and every backtrack must undo the trail to exactly
+    /// the state a clone taken at frame entry holds. Two plans share the
+    /// failure cache, so cache-pruned children are covered too.
+    #[test]
+    fn trail_undo_matches_frame_snapshots_over_the_fuzz_corpus() {
+        use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
+        let config = FuzzConfig::default();
+        let (mut restores, mut mismatches) = (0u64, 0u64);
+        for seed in 0..200 {
+            let d = design_from_seed(&config, seed);
+            for rate in [2u32, 3, 4] {
+                for mode in [PortMode::Unidirectional, PortMode::Bidirectional] {
+                    let mut cfg = SearchConfig::new(rate).with_portfolio(2);
+                    cfg.node_budget = 2_000;
+                    let (r, m) = run_checked(d.cdfg(), mode, &cfg);
+                    restores += r;
+                    mismatches += m;
+                }
+            }
+        }
+        assert!(restores > 10_000, "only {restores} restores checked");
+        assert_eq!(
+            mismatches, 0,
+            "{mismatches} of {restores} restores differed"
+        );
+    }
+
+    /// A state built by putting the first operations of the classic order
+    /// on the given buses (`bus_count()` opens a fresh one), whatever
+    /// their gain or pin cost.
+    fn built_state(cdfg: &Cdfg, mode: PortMode, rate: u32, buses: &[usize]) -> State {
+        let io: Vec<IoOp> = ordered_ops(cdfg, OpOrder::WidthDesc, rate)
+            .into_iter()
+            .map(|op| IoOp::of(cdfg, op))
+            .collect();
+        let mut state = State::new(cdfg, mode, &io);
+        for (op, &bus) in io.iter().zip(buses) {
+            apply_move(&mut state, op, bus);
+        }
+        state
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `state_sig` bytes are the key of every cached and exported
+    /// refutation certificate, so they are pinned exactly. The expected
+    /// strings were recorded from the map-based search state this dense
+    /// one replaced: a uni- and a bidirectional elliptic state with a
+    /// shared value and three buses, and an AR-filter state whose first
+    /// bus widens and whose ports grow unevenly.
+    #[test]
+    fn state_signature_bytes_are_stable() {
+        let uni = elliptic::partitioned();
+        let bi = elliptic::partitioned_with(6, PortMode::Bidirectional);
+        let ar = ar_filter::general(3, PortMode::Unidirectional);
+        let seq = [0usize, 1, 0, 0, 2, 1, 2, 0];
+        let sig = |cdfg: &Cdfg, mode, rate, buses: &[usize]| {
+            hex(&state_sig(
+                &built_state(cdfg, mode, rate, buses),
+                buses.len(),
+            ))
+        };
+        assert_eq!(
+            sig(uni.cdfg(), PortMode::Unidirectional, 6, &[]),
+            "00000000"
+        );
+        assert_eq!(
+            sig(uni.cdfg(), PortMode::Unidirectional, 6, &seq),
+            "08000000b5011000000003000000001000000004000000100000000500000010000000020000000010000000010000001000000000040000000000002c0000000000320000000000350000000000b501100000000200000000100000000100000010000000020200000010000000030000001000000000020000000000000e0000000000b50110000000010100000010000000020200000010000000050000001000000000020d0000000000120000000000"
+        );
+        assert_eq!(
+            sig(bi.cdfg(), PortMode::Bidirectional, 6, &seq),
+            "08000000b501100000000000040000000010000000010000001000000004000000100000000500000010000000040000000000001200000000002c0000000000320000000000b50110000000000003000000001000000001000000100000000200000010000000020000000000000d0000000000b501100000000000040100000010000000020000001000000003000000100000000500000010000000020e0000000000340000000000"
+        );
+        assert_eq!(
+            sig(ar.cdfg(), PortMode::Unidirectional, 3, &[0, 0, 1, 0, 1, 2]),
+            "06000000b50118000000020300000010000000040000001800000002000000001800000004000000100000000003450000000000540000000000550000000000b5011000000002010000000c000000030000001000000002030000000c00000004000000100000000002160000000000440000000000b5010c00000001010000000c00000001040000000c0000000001170000000000"
+        );
     }
 
     #[test]

@@ -13,10 +13,18 @@
 //! * `g3` balances bus utilization (free slots).
 //!
 //! The branching factor trades run time against the chance of finding a
-//! connection; exploration is additionally capped by a node budget. With
-//! sub-bus sharing enabled, assignment may also split an unsplit bus in
-//! two when the incoming transfer fits beside a previously assigned one
-//! (the prototype's at-most-two-sub-buses restriction, Section 6.1.2).
+//! connection; exploration is additionally capped by a node budget. The
+//! branch search builds unsplit buses only; with sub-bus sharing enabled,
+//! [`share_pass`] then splits buses in two where a transfer fits beside a
+//! previously assigned one (the prototype's at-most-two-sub-buses
+//! restriction, Section 6.1.2).
+//!
+//! The search state is dense — per-bus widths, a flat table of port
+//! widths by bus and partition, sorted value lists, the assigned buses
+//! in assignment order — and every change to it goes on an undo trail.
+//! Backtracking pops the trail back to a mark instead of restoring a
+//! saved copy, so a node costs its own changes, never a copy of the
+//! whole structure.
 
 use std::collections::BTreeMap;
 
@@ -170,83 +178,304 @@ impl std::fmt::Display for ConnectError {
 
 impl std::error::Error for ConnectError {}
 
-#[derive(Clone)]
+/// One I/O operation as the search sees it: the transfer's value,
+/// endpoint partitions and width, looked up once per worker rather than
+/// at every node.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct IoOp {
+    pub(crate) op: OpId,
+    pub(crate) value: ValueId,
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+    pub(crate) bits: u32,
+}
+
+impl IoOp {
+    pub(crate) fn of(cdfg: &Cdfg, op: OpId) -> IoOp {
+        let (value, from, to) = cdfg.op(op).io_endpoints().expect("io op");
+        IoOp {
+            op,
+            value,
+            from: from.index(),
+            to: to.index(),
+            bits: cdfg.io_bits(op),
+        }
+    }
+}
+
+/// One reversible change to a [`State`], recorded on its trail.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Undo {
+    /// A fresh bus was opened; it is the last bus.
+    OpenBus,
+    /// A bus widened from `old` bits.
+    Widen { bus: usize, old: u32 },
+    /// A port grew from `old` bits; the growth goes back to the port's
+    /// partition's pin budget.
+    Grow { slot: usize, old: u32 },
+    /// A value joined a bus at position `at` of the bus's value list.
+    Join { bus: usize, at: usize },
+    /// An operation was assigned; its bits go back to both endpoints'
+    /// demand.
+    Assign { from: usize, to: usize, bits: u32 },
+}
+
+/// The partial connection structure of one search path, dense by bus and
+/// partition, with the undo trail that restores any earlier node of the
+/// path. Every bus is unsplit and every value rides a whole bus: the
+/// branch search never splits (see [`share_pass`]).
+#[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 pub(crate) struct State {
-    pub(crate) buses: Vec<Bus>,
-    /// Values riding each bus and their sub-ranges.
-    pub(crate) bus_values: Vec<BTreeMap<ValueId, SubRange>>,
-    pub(crate) assignment: BTreeMap<OpId, BusAssignment>,
-    pub(crate) pins_left: Vec<i64>,
-    pub(crate) demand_left: Vec<i64>,
-    /// Static group windows of feedback values (Section 7.1): a bus can
-    /// only host value sets whose windows admit distinct step groups.
-    pub(crate) windows: BTreeMap<ValueId, std::collections::BTreeSet<u32>>,
+    mode: PortMode,
+    nparts: usize,
+    /// Width of each bus.
+    pub(crate) widths: Vec<u32>,
+    /// Port widths, one row per bus, indexed by partition: output ports
+    /// then input ports in unidirectional mode, bidirectional ports in
+    /// bidirectional mode. Zero means no port.
+    ports: Vec<u32>,
+    /// Values riding each bus, ascending.
+    pub(crate) values: Vec<Vec<ValueId>>,
+    /// Carrying bus of each assigned operation, in assignment order.
+    assigned: Vec<usize>,
+    /// Unallocated pins per partition.
+    pins_left: Vec<i64>,
+    /// Bits of still-unassigned transfers touching each partition.
+    demand_left: Vec<i64>,
+    trail: Vec<Undo>,
 }
 
-/// Builds the root search state: empty connection structure, full pin
-/// budgets, per-partition bit demand, and feedback group windows.
-pub(crate) fn initial_state(cdfg: &Cdfg, rate: u32, ops: &[OpId]) -> State {
-    let nparts = cdfg.partition_count();
-    let mut pins_left = vec![0i64; nparts];
-    let mut demand_left = vec![0i64; nparts];
-    for (pi, part) in cdfg.partitions().iter().enumerate() {
-        pins_left[pi] = part.total_pins as i64;
+impl State {
+    /// The root state: no buses, full pin budgets, and the bit demand of
+    /// the operations in `io` on each partition.
+    pub(crate) fn new(cdfg: &Cdfg, mode: PortMode, io: &[IoOp]) -> State {
+        let nparts = cdfg.partition_count();
+        let pins_left = cdfg
+            .partitions()
+            .iter()
+            .map(|part| part.total_pins as i64)
+            .collect();
+        let mut demand_left = vec![0i64; nparts];
+        for op in io {
+            demand_left[op.from] += op.bits as i64;
+            demand_left[op.to] += op.bits as i64;
+        }
+        State {
+            mode,
+            nparts,
+            widths: Vec::new(),
+            ports: Vec::new(),
+            values: Vec::new(),
+            assigned: Vec::new(),
+            pins_left,
+            demand_left,
+            trail: Vec::new(),
+        }
     }
-    for &op in ops {
-        let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-        let bits = cdfg.io_bits(op) as i64;
-        demand_left[from.index()] += bits;
-        demand_left[to.index()] += bits;
+
+    pub(crate) fn bus_count(&self) -> usize {
+        self.widths.len()
     }
-    State {
-        buses: Vec::new(),
-        bus_values: Vec::new(),
-        assignment: BTreeMap::new(),
-        pins_left,
-        demand_left,
-        windows: mcs_cdfg::timing::feedback_group_windows(cdfg, rate),
+
+    fn row_len(&self) -> usize {
+        match self.mode {
+            PortMode::Unidirectional => 2 * self.nparts,
+            PortMode::Bidirectional => self.nparts,
+        }
+    }
+
+    fn row(&self, bus: usize) -> &[u32] {
+        let n = self.row_len();
+        &self.ports[bus * n..(bus + 1) * n]
+    }
+
+    /// Slot of the port through which partition `p` drives bus `bus`.
+    fn src_slot(&self, bus: usize, p: usize) -> usize {
+        bus * self.row_len() + p
+    }
+
+    /// Slot of the port through which partition `p` reads bus `bus`.
+    fn dst_slot(&self, bus: usize, p: usize) -> usize {
+        match self.mode {
+            PortMode::Unidirectional => bus * self.row_len() + self.nparts + p,
+            PortMode::Bidirectional => bus * self.row_len() + p,
+        }
+    }
+
+    /// Current widths of the two endpoint ports `io` would use on `bus`.
+    fn endpoint_ports(&self, bus: usize, io: &IoOp) -> (u32, u32) {
+        (
+            self.ports[self.src_slot(bus, io.from)],
+            self.ports[self.dst_slot(bus, io.to)],
+        )
+    }
+
+    /// Output, input and bidirectional port rows of `bus`, by partition;
+    /// the rows the port mode does not use are empty.
+    pub(crate) fn port_rows(&self, bus: usize) -> [&[u32]; 3] {
+        let row = self.row(bus);
+        match self.mode {
+            PortMode::Unidirectional => {
+                let (outs, ins) = row.split_at(self.nparts);
+                [outs, ins, &[]]
+            }
+            PortMode::Bidirectional => [&[], &[], row],
+        }
+    }
+
+    /// Whether buses `a` and `b` connect the same partitions in the same
+    /// roles (Section 4.1.2: buses with the same topology are explored
+    /// once).
+    fn same_topology(&self, a: usize, b: usize) -> bool {
+        self.row(a)
+            .iter()
+            .zip(self.row(b))
+            .all(|(x, y)| (*x > 0) == (*y > 0))
+    }
+
+    /// The trail position to [`undo_to`](Self::undo_to) to get back to
+    /// this state.
+    pub(crate) fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Reverts every change recorded since `mark`, newest first.
+    pub(crate) fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            match self.trail.pop().expect("trail above mark") {
+                Undo::OpenBus => {
+                    self.widths.pop();
+                    self.values.pop();
+                    self.ports.truncate(self.ports.len() - self.row_len());
+                }
+                Undo::Widen { bus, old } => self.widths[bus] = old,
+                Undo::Grow { slot, old } => {
+                    self.pins_left[slot % self.nparts] += (self.ports[slot] - old) as i64;
+                    self.ports[slot] = old;
+                }
+                Undo::Join { bus, at } => {
+                    self.values[bus].remove(at);
+                }
+                Undo::Assign { from, to, bits } => {
+                    self.assigned.pop();
+                    self.demand_left[from] += bits as i64;
+                    self.demand_left[to] += bits as i64;
+                }
+            }
+        }
+    }
+
+    /// Grows port `slot` to `need` lines, charging the growth to the
+    /// port's partition.
+    fn grow(&mut self, slot: usize, need: u32) {
+        let old = self.ports[slot];
+        if need > old {
+            self.ports[slot] = need;
+            self.pins_left[slot % self.nparts] -= (need - old) as i64;
+            self.trail.push(Undo::Grow { slot, old });
+        }
+    }
+
+    /// The public connection structure of a complete assignment of `io`
+    /// (in assignment order).
+    pub(crate) fn to_interconnect(&self, io: &[IoOp]) -> Interconnect {
+        let ports_of = |row: &[u32]| -> BTreeMap<PartitionId, u32> {
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &w)| w > 0)
+                .map(|(p, &w)| (PartitionId::new(p as u32), w))
+                .collect()
+        };
+        let buses = (0..self.bus_count())
+            .map(|b| {
+                let [outs, ins, bis] = self.port_rows(b);
+                Bus {
+                    out_ports: ports_of(outs),
+                    in_ports: ports_of(ins),
+                    bi_ports: ports_of(bis),
+                    sub_widths: vec![self.widths[b]],
+                }
+            })
+            .collect();
+        let assignment = io
+            .iter()
+            .zip(&self.assigned)
+            .map(|(op, &b)| {
+                let a = BusAssignment {
+                    bus: BusId::new(b as u32),
+                    range: SubRange::whole(1),
+                };
+                (op.op, a)
+            })
+            .collect();
+        Interconnect {
+            mode: self.mode,
+            buses,
+            assignment,
+        }
     }
 }
 
-/// Can every value get its own step group, respecting feedback windows?
-/// A tiny augmenting-path matching of values to groups. Buses carrying a
-/// feedback value additionally keep one spare group: the static windows
-/// underestimate how far resource contention pushes the real ones, and a
-/// fully packed bus leaves the preloaded transfer no room to maneuver.
-pub(crate) fn groups_assignable(
-    values: &[ValueId],
-    windows: &BTreeMap<ValueId, std::collections::BTreeSet<u32>>,
-    l: u32,
-) -> bool {
-    let has_feedback = values.iter().any(|v| windows.contains_key(v));
-    let cap = if has_feedback {
-        (l as usize).saturating_sub(1)
-    } else {
-        l as usize
-    };
-    if values.len() > cap {
-        return false;
+/// Static step-group windows of feedback values (Section 7.1), by value:
+/// a bus can only host value sets whose windows admit distinct step
+/// groups. Fixed for a design and rate, so one copy serves a whole
+/// search.
+pub(crate) struct GroupWindows {
+    rate: u32,
+    by_value: Vec<Option<Vec<u32>>>,
+}
+
+impl GroupWindows {
+    pub(crate) fn new(cdfg: &Cdfg, rate: u32) -> Self {
+        let mut by_value = vec![None; cdfg.values().len()];
+        for (v, groups) in mcs_cdfg::timing::feedback_group_windows(cdfg, rate) {
+            by_value[v.index()] = Some(groups.into_iter().collect());
+        }
+        GroupWindows { rate, by_value }
     }
-    let mut owner: Vec<Option<usize>> = vec![None; l as usize];
-    fn try_give(
+
+    fn of(&self, v: ValueId) -> Option<&[u32]> {
+        self.by_value.get(v.index()).and_then(|w| w.as_deref())
+    }
+
+    /// Can `values` plus `extra` each get their own step group,
+    /// respecting feedback windows? A tiny augmenting-path matching of
+    /// values to groups. Buses carrying a feedback value additionally
+    /// keep one spare group: the static windows underestimate how far
+    /// resource contention pushes the real ones, and a fully packed bus
+    /// leaves the preloaded transfer no room to maneuver.
+    pub(crate) fn assignable(&self, values: &[ValueId], extra: ValueId) -> bool {
+        let l = self.rate as usize;
+        let count = values.len() + 1;
+        let has_feedback = values.iter().chain([&extra]).any(|&v| self.of(v).is_some());
+        if !has_feedback {
+            // Without windows every value fits any group.
+            return count <= l;
+        }
+        if count > l.saturating_sub(1) {
+            return false;
+        }
+        let joined: Vec<ValueId> = values.iter().copied().chain([extra]).collect();
+        let mut owner: Vec<Option<usize>> = vec![None; l];
+        (0..joined.len()).all(|i| self.give(i, &joined, &mut owner, &mut vec![false; l]))
+    }
+
+    fn give(
+        &self,
         i: usize,
         values: &[ValueId],
-        windows: &BTreeMap<ValueId, std::collections::BTreeSet<u32>>,
-        l: u32,
-        owner: &mut Vec<Option<usize>>,
-        seen: &mut Vec<bool>,
+        owner: &mut [Option<usize>],
+        seen: &mut [bool],
     ) -> bool {
-        let all: std::collections::BTreeSet<u32> = (0..l).collect();
-        let groups = windows.get(&values[i]).unwrap_or(&all).clone();
-        for g in groups {
-            let g = g as usize;
-            if g >= l as usize || seen[g] {
+        let window = self.of(values[i]);
+        for g in 0..owner.len() {
+            if seen[g] || window.is_some_and(|w| !w.contains(&(g as u32))) {
                 continue;
             }
             seen[g] = true;
             let free = match owner[g] {
                 None => true,
-                Some(j) => try_give(j, values, windows, l, owner, seen),
+                Some(j) => self.give(j, values, owner, seen),
             };
             if free {
                 owner[g] = Some(i);
@@ -255,22 +484,13 @@ pub(crate) fn groups_assignable(
         }
         false
     }
-    for i in 0..values.len() {
-        let mut seen = vec![false; l as usize];
-        if !try_give(i, values, windows, l, &mut owner, &mut seen) {
-            return false;
-        }
-    }
-    true
 }
 
-#[derive(Clone, Debug)]
+/// One candidate of a search node: put the node's operation on bus
+/// `bus` (`== bus_count()` opens a fresh bus).
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Move {
-    /// Bus index; `== buses.len()` means a fresh bus.
     pub(crate) bus: usize,
-    /// Replace the bus's sub-widths before assigning (a Chapter 6 split).
-    pub(crate) split_into: Option<Vec<u32>>,
-    pub(crate) range: SubRange,
     pub(crate) gain: f64,
 }
 
@@ -303,7 +523,7 @@ type ShareMove = (OpId, usize, SubRange, Option<Vec<u32>>, u32);
 /// sub-bus sharing never costs pins relative to the plain structure
 /// (the comparison of Table 6.4).
 pub fn share_pass(cdfg: &Cdfg, ic: &mut Interconnect, rate: u32) {
-    let windows = mcs_cdfg::timing::feedback_group_windows(cdfg, rate);
+    let windows = GroupWindows::new(cdfg, rate);
     loop {
         let total_before = total_pins(cdfg, ic);
         let mut best: Option<ShareMove> = None;
@@ -357,9 +577,8 @@ pub fn share_pass(cdfg: &Cdfg, ic: &mut Interconnect, rate: u32) {
                     // scheduler may still exploit, the pruned-search
                     // spirit of Section 6.2), and feedback values must
                     // keep a cycle inside their static group windows.
-                    let mut joined: Vec<ValueId> = vals.keys().copied().collect();
-                    joined.push(value);
-                    if !groups_assignable(&joined, &windows, rate) {
+                    let riding: Vec<ValueId> = vals.keys().copied().collect();
+                    if !windows.assignable(&riding, value) {
                         continue;
                     }
                     // Simulate the move (growing endpoint ports if needed)
@@ -524,28 +743,18 @@ fn shrink_bus(cdfg: &Cdfg, ic: &mut Interconnect, j: usize) {
 /// or a port extension/fresh bus the remaining pin budgets can pay for).
 /// Slot capacity is ignored here — the check is a cheap necessary
 /// condition that cuts hopeless subtrees early.
-pub(crate) fn future_feasible(cdfg: &Cdfg, mode: PortMode, state: &State, rest: &[OpId]) -> bool {
-    'ops: for &op in rest {
-        let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-        let bits = cdfg.io_bits(op) as i64;
+pub(crate) fn future_feasible(state: &State, rest: &[IoOp]) -> bool {
+    'ops: for io in rest {
+        let bits = io.bits as i64;
+        let (pins_from, pins_to) = (state.pins_left[io.from], state.pins_left[io.to]);
         // Fresh bus.
-        if state.pins_left[from.index()] >= bits && state.pins_left[to.index()] >= bits {
+        if pins_from >= bits && pins_to >= bits {
             continue;
         }
-        for bus in &state.buses {
-            let (cur_f, cur_t) = match mode {
-                PortMode::Unidirectional => (
-                    bus.out_ports.get(&from).copied().unwrap_or(0) as i64,
-                    bus.in_ports.get(&to).copied().unwrap_or(0) as i64,
-                ),
-                PortMode::Bidirectional => (
-                    bus.bi_ports.get(&from).copied().unwrap_or(0) as i64,
-                    bus.bi_ports.get(&to).copied().unwrap_or(0) as i64,
-                ),
-            };
+        for bus in 0..state.bus_count() {
+            let (cur_f, cur_t) = state.endpoint_ports(bus, io);
             // Riding the low lines needs at most `bits` of port.
-            if state.pins_left[from.index()] >= (bits - cur_f).max(0)
-                && state.pins_left[to.index()] >= (bits - cur_t).max(0)
+            if pins_from >= (bits - cur_f as i64).max(0) && pins_to >= (bits - cur_t as i64).max(0)
             {
                 continue 'ops;
             }
@@ -556,76 +765,28 @@ pub(crate) fn future_feasible(cdfg: &Cdfg, mode: PortMode, state: &State, rest: 
 }
 
 /// Enumerates, scores, deduplicates and truncates the moves for one
-/// operation. `branching_factor` and `cand` come from the worker plan so
+/// operation into `moves` (cleared first, so a worker reuses one buffer
+/// per depth). `branching_factor` and `cand` come from the worker plan so
 /// portfolio members can disagree on how wide and in what order to
 /// explore.
 pub(crate) fn candidate_moves(
-    cdfg: &Cdfg,
-    mode: PortMode,
-    rate: u32,
+    state: &State,
+    windows: &GroupWindows,
     branching_factor: usize,
     cand: crate::portfolio::CandidateOrder,
-    state: &State,
-    op: OpId,
-) -> Vec<Move> {
-    let (value, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-    let bits = cdfg.io_bits(op);
-    let l = rate as i64;
-
-    let mut moves: Vec<Move> = Vec::new();
-    for (h, bus) in state.buses.iter().enumerate() {
-        let values = &state.bus_values[h];
-        // Ranges to try on this bus.
-        let mut options: Vec<(SubRange, Option<Vec<u32>>)> = Vec::new();
-        if let Some(&r) = values.get(&value) {
-            // Same value already rides this bus: share its slot and range
-            // (no extra capacity).
-            options.push((r, None));
-        } else {
-            if bus.sub_count() == 1 {
-                // Whole (possibly widening) assignment. Sub-bus sharing is
-                // applied as a pin-saving post-pass (see `share_pass`)
-                // rather than inside the branch search.
-                options.push((SubRange { lo: 0, hi: 0 }, None));
-            } else {
-                for lo in 0..bus.sub_count() {
-                    for hi in lo..bus.sub_count() {
-                        let r = SubRange { lo, hi };
-                        // No widening of split buses (Section 6.1.2).
-                        if bus.range_width(r) >= bits {
-                            options.push((r, None));
-                        }
-                    }
-                }
-            }
-        }
-        for (range, split_into) in options {
-            if let Some(gain) = score_move(
-                cdfg,
-                mode,
-                rate,
-                state,
-                h,
-                &split_into,
-                range,
-                value,
-                from,
-                to,
-                bits,
-            ) {
-                moves.push(Move {
-                    bus: h,
-                    split_into,
-                    range,
-                    gain,
-                });
-            }
+    io: &IoOp,
+    moves: &mut Vec<Move>,
+) {
+    use crate::portfolio::CandidateOrder;
+    moves.clear();
+    for bus in 0..state.bus_count() {
+        if let Some(gain) = score_move(state, windows, bus, io) {
+            moves.push(Move { bus, gain });
         }
     }
 
-    // Order by gain, dedup same-topology buses (Section 4.1.2), truncate.
-    use crate::portfolio::CandidateOrder;
-    moves.sort_by(|a, b| {
+    // Order by gain. Bus indices are distinct, so the order is total.
+    moves.sort_unstable_by(|a, b| {
         let tie = match cand {
             // The classic search prefers lower bus indices among equal
             // gains; the reversed plan breaks ties the other way to
@@ -638,28 +799,31 @@ pub(crate) fn candidate_moves(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(tie)
     });
-    let mut seen = std::collections::BTreeSet::new();
-    moves.retain(|mv| {
-        let sig = (
-            state.buses[mv.bus].topology(),
-            mv.range,
-            mv.split_into.clone(),
-        );
-        seen.insert(sig)
-    });
-    moves.truncate(branching_factor.max(1));
+    // Keep the best move of each bus topology (Section 4.1.2), up to the
+    // branching factor, compacting in place.
+    let mut kept = 0;
+    for i in 0..moves.len() {
+        if kept == branching_factor.max(1) {
+            break;
+        }
+        let mv = moves[i];
+        if moves[..kept]
+            .iter()
+            .all(|k| !state.same_topology(k.bus, mv.bus))
+        {
+            moves[kept] = mv;
+            kept += 1;
+        }
+    }
+    moves.truncate(kept);
 
     // A fresh bus is always a candidate if pins allow: last resort for the
     // gain-ordered plans, first move for the fresh-first plan.
-    let fresh = state.buses.len();
-    let fresh_feasible =
-        state.pins_left[from.index()] >= bits as i64 && state.pins_left[to.index()] >= bits as i64;
-    if fresh_feasible {
+    let bits = io.bits as i64;
+    if state.pins_left[io.from] >= bits && state.pins_left[io.to] >= bits {
         let mv = Move {
-            bus: fresh,
-            split_into: None,
-            range: SubRange { lo: 0, hi: 0 },
-            gain: l as f64, // g1 = g2 = 0, g3 = L free slots
+            bus: state.bus_count(),
+            gain: windows.rate as f64, // g1 = g2 = 0, g3 = L free slots
         };
         if matches!(cand, CandidateOrder::FreshFirst) {
             moves.insert(0, mv);
@@ -667,73 +831,20 @@ pub(crate) fn candidate_moves(
             moves.push(mv);
         }
     }
-    moves
 }
 
-/// Scores assigning `value` to bus `h` at `range`; `None` when infeasible
-/// (pins or slot capacity).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_move(
-    _cdfg: &Cdfg,
-    mode: PortMode,
-    rate: u32,
-    state: &State,
-    h: usize,
-    split_into: &Option<Vec<u32>>,
-    range: SubRange,
-    value: ValueId,
-    from: PartitionId,
-    to: PartitionId,
-    bits: u32,
-) -> Option<f64> {
-    let bus = &state.buses[h];
-    let l = rate as i64;
-    let shares_value = state.bus_values[h].contains_key(&value);
-
-    // Geometry after the move.
-    let new_widths: Vec<u32> = match split_into {
-        Some(w) => w.clone(),
-        None => {
-            if bus.sub_count() == 1 {
-                vec![bus.width().max(bits)]
-            } else {
-                bus.sub_widths.clone()
-            }
-        }
-    };
-    // A transfer occupies the low-order lines of its range; ports may be
-    // narrower than the bus (Figure 4.2).
-    let prefix_need: u32 = new_widths[..range.lo].iter().sum::<u32>() + bits;
-
+/// Scores putting `io` on bus `bus`; `None` when infeasible (pins or slot
+/// capacity). The transfer rides the bus's low-order lines, so ports may
+/// stay narrower than the bus (Figure 4.2).
+fn score_move(state: &State, windows: &GroupWindows, bus: usize, io: &IoOp) -> Option<f64> {
+    let (cur_f, cur_t) = state.endpoint_ports(bus, io);
     // Pin deltas for the two endpoint ports.
-    let port_width =
-        |ports: &BTreeMap<PartitionId, u32>, p: PartitionId| ports.get(&p).copied().unwrap_or(0);
-    let (delta_from, delta_to, had_from, had_to) = match mode {
-        PortMode::Unidirectional => {
-            let cur_out = port_width(&bus.out_ports, from);
-            let cur_in = port_width(&bus.in_ports, to);
-            (
-                prefix_need.saturating_sub(cur_out) as i64,
-                prefix_need.saturating_sub(cur_in) as i64,
-                cur_out > 0,
-                cur_in > 0,
-            )
-        }
-        PortMode::Bidirectional => {
-            let cur_f = port_width(&bus.bi_ports, from);
-            let cur_t = port_width(&bus.bi_ports, to);
-            (
-                prefix_need.saturating_sub(cur_f) as i64,
-                prefix_need.saturating_sub(cur_t) as i64,
-                cur_f > 0,
-                cur_t > 0,
-            )
-        }
-    };
-    if state.pins_left[from.index()] < delta_from || state.pins_left[to.index()] < delta_to {
+    let delta_from = io.bits.saturating_sub(cur_f) as i64;
+    let delta_to = io.bits.saturating_sub(cur_t) as i64;
+    if state.pins_left[io.from] < delta_from || state.pins_left[io.to] < delta_to {
         return None;
     }
-    if from == to {
+    if io.from == io.to {
         return None;
     }
 
@@ -741,128 +852,56 @@ pub(crate) fn score_move(
     // (sub-bus pairing is opportunistic, Section 6.2), and feedback
     // values additionally need a cycle inside their static group window
     // (Section 7.1) — the bus must admit a system of distinct groups.
-    if !shares_value {
-        let mut values: Vec<ValueId> = state.bus_values[h].keys().copied().collect();
-        values.push(value);
-        if !groups_assignable(&values, &state.windows, rate) {
-            return None;
-        }
+    let values = &state.values[bus];
+    let shares_value = values.binary_search(&io.value).is_ok();
+    if !shares_value && !windows.assignable(values, io.value) {
+        return None;
     }
 
     // Gain per Section 4.1.2 / Section 4.3.
-    let wf = |p: PartitionId| -> f64 {
-        state.demand_left[p.index()] as f64 / state.pins_left[p.index()].max(1) as f64
-    };
-    let g1 = match (had_from, had_to) {
+    let wf = |p: usize| -> f64 { state.demand_left[p] as f64 / state.pins_left[p].max(1) as f64 };
+    let g1 = match (cur_f > 0, cur_t > 0) {
         (false, false) => 0.0,
-        (true, false) => wf(from),
-        (false, true) => wf(to),
-        (true, true) => wf(from) + wf(to),
+        (true, false) => wf(io.from),
+        (false, true) => wf(io.to),
+        (true, true) => wf(io.from) + wf(io.to),
     };
     let g2 = if shares_value { 1.0 } else { 0.0 };
-    let used: i64 = {
-        let vals = &state.bus_values[h];
-        vals.len() as i64
-    };
-    let g3 = (l - used).max(0) as f64;
+    let g3 = (windows.rate as i64 - values.len() as i64).max(0) as f64;
     Some(10_000.0 * g1 + 100.0 * g2 + g3)
 }
 
-pub(crate) fn apply_move(cdfg: &Cdfg, mode: PortMode, state: &mut State, op: OpId, mv: &Move) {
-    let (value, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-    let bits = cdfg.io_bits(op);
-    if mv.bus == state.buses.len() {
-        state.buses.push(Bus::new());
-        state.bus_values.push(BTreeMap::new());
+/// Puts `io` on bus `bus` (opening it when `bus == bus_count()`),
+/// recording every change on the trail: the bus widens to the transfer,
+/// both endpoint ports grow to its low-order lines, and the value joins
+/// the bus unless it already rides there.
+pub(crate) fn apply_move(state: &mut State, io: &IoOp, bus: usize) {
+    if bus == state.bus_count() {
+        state.widths.push(0);
+        state.values.push(Vec::new());
+        let len = state.ports.len() + state.row_len();
+        state.ports.resize(len, 0);
+        state.trail.push(Undo::OpenBus);
     }
-    let shares = state.bus_values[mv.bus].contains_key(&value);
-    // Split geometry and remap existing values.
-    if let Some(widths) = &mv.split_into {
-        state.buses[mv.bus].sub_widths = widths.clone();
-        let remapped: Vec<(ValueId, SubRange)> = state.bus_values[mv.bus]
-            .iter()
-            .map(|(&v, _)| {
-                let r = if cdfg.value(v).bits <= widths[0] {
-                    SubRange { lo: 0, hi: 0 }
-                } else {
-                    SubRange { lo: 0, hi: 1 }
-                };
-                (v, r)
-            })
-            .collect();
-        for (v, r) in remapped {
-            state.bus_values[mv.bus].insert(v, r);
-            // Reassigned earlier transfers keep their bus but move range.
-            let ids: Vec<OpId> = state
-                .assignment
-                .iter()
-                .filter(|(_, a)| a.bus.index() == mv.bus)
-                .map(|(&o, _)| o)
-                .collect();
-            for o in ids {
-                if cdfg.op(o).io_endpoints().map(|(vv, _, _)| vv) == Some(v) {
-                    state.assignment.insert(
-                        o,
-                        BusAssignment {
-                            bus: BusId::new(mv.bus as u32),
-                            range: r,
-                        },
-                    );
-                }
-            }
-        }
-    } else if state.buses[mv.bus].sub_count() == 1 {
-        let w = state.buses[mv.bus].width().max(bits);
-        state.buses[mv.bus].sub_widths = vec![w];
+    let old = state.widths[bus];
+    if io.bits > old {
+        state.widths[bus] = io.bits;
+        state.trail.push(Undo::Widen { bus, old });
     }
-    let range = if shares {
-        state.bus_values[mv.bus][&value]
-    } else {
-        mv.range
-    };
-    // Port growth and pin accounting: the transfer needs its range's
-    // low-order lines only.
-    let prefix = state.buses[mv.bus].prefix_start(range) + bits;
-    let mut grow = |ports_owner: PortSide, p: PartitionId| {
-        let bus = &mut state.buses[mv.bus];
-        let ports = match ports_owner {
-            PortSide::Out => &mut bus.out_ports,
-            PortSide::In => &mut bus.in_ports,
-            PortSide::Bi => &mut bus.bi_ports,
-        };
-        let cur = ports.get(&p).copied().unwrap_or(0);
-        if prefix > cur {
-            ports.insert(p, prefix);
-            state.pins_left[p.index()] -= (prefix - cur) as i64;
-        }
-    };
-    match mode {
-        PortMode::Unidirectional => {
-            grow(PortSide::Out, from);
-            grow(PortSide::In, to);
-        }
-        PortMode::Bidirectional => {
-            grow(PortSide::Bi, from);
-            grow(PortSide::Bi, to);
-        }
+    state.grow(state.src_slot(bus, io.from), io.bits);
+    state.grow(state.dst_slot(bus, io.to), io.bits);
+    if let Err(at) = state.values[bus].binary_search(&io.value) {
+        state.values[bus].insert(at, io.value);
+        state.trail.push(Undo::Join { bus, at });
     }
-    state.bus_values[mv.bus].insert(value, range);
-    state.assignment.insert(
-        op,
-        BusAssignment {
-            bus: BusId::new(mv.bus as u32),
-            range,
-        },
-    );
-    state.demand_left[from.index()] -= bits as i64;
-    state.demand_left[to.index()] -= bits as i64;
-}
-
-#[derive(Clone, Copy)]
-enum PortSide {
-    Out,
-    In,
-    Bi,
+    state.assigned.push(bus);
+    state.demand_left[io.from] -= io.bits as i64;
+    state.demand_left[io.to] -= io.bits as i64;
+    state.trail.push(Undo::Assign {
+        from: io.from,
+        to: io.to,
+        bits: io.bits,
+    });
 }
 
 #[cfg(test)]

@@ -48,6 +48,36 @@ pub struct SeededMatching {
     pub augmentations: usize,
 }
 
+/// The left-to-right adjacency an augmenting-path matching searches.
+///
+/// A slice of rows is the plain form. A caller whose rows are costly may
+/// build each one only when [`Adjacency::row`] first asks for it: a warm
+/// start checks its seed pairs through [`Adjacency::has_edge`] and builds
+/// no row for them, so only the rows an augmenting search reaches get
+/// built.
+pub trait Adjacency {
+    /// Number of left nodes.
+    fn left_count(&self) -> usize;
+
+    /// The right nodes adjacent to left node `l`, in search order.
+    fn row(&self, l: usize) -> &[usize];
+
+    /// Is `(l, r)` an edge?
+    fn has_edge(&self, l: usize, r: usize) -> bool {
+        self.row(l).contains(&r)
+    }
+}
+
+impl Adjacency for [Vec<usize>] {
+    fn left_count(&self) -> usize {
+        self.len()
+    }
+
+    fn row(&self, l: usize) -> &[usize] {
+        &self[l]
+    }
+}
+
 /// One augmenting-path search (Kuhn's algorithm) from left node `l`,
 /// iterative — the search depth equals the augmenting-path length, which
 /// on large designs overflows the call stack if done recursively.
@@ -57,9 +87,9 @@ pub struct SeededMatching {
 /// clearing a boolean array. `match_left` / `match_right` are updated in
 /// place when an augmenting path is found. Returns whether `l` got
 /// matched.
-pub fn augment(
+pub fn augment<A: Adjacency + ?Sized>(
     l: usize,
-    adj: &[Vec<usize>],
+    adj: &A,
     visited: &mut [u64],
     stamp: u64,
     match_left: &mut [Option<usize>],
@@ -68,7 +98,7 @@ pub fn augment(
     // DFS frames: (left node, next edge index, right node entered via).
     let mut stack: Vec<(usize, usize, Option<usize>)> = vec![(l, 0, None)];
     while let Some(&mut (cur, ref mut ei, _)) = stack.last_mut() {
-        let Some(&r) = adj[cur].get(*ei) else {
+        let Some(&r) = adj.row(cur).get(*ei) else {
             stack.pop();
             continue;
         };
@@ -115,12 +145,12 @@ pub fn max_bipartite_matching(n_right: usize, adj: &[Vec<usize>]) -> Vec<Option<
 /// matching". Greedily adopting any valid partial matching and augmenting
 /// the rest still yields a maximum matching, so the cardinality is
 /// identical to the cold-start result; only the search work shrinks.
-pub fn max_bipartite_matching_seeded(
+pub fn max_bipartite_matching_seeded<A: Adjacency + ?Sized>(
     n_right: usize,
-    adj: &[Vec<usize>],
+    adj: &A,
     seed: &[(usize, usize)],
 ) -> SeededMatching {
-    let n_left = adj.len();
+    let n_left = adj.left_count();
     let mut match_right: Vec<Option<usize>> = vec![None; n_right];
     let mut match_left: Vec<Option<usize>> = vec![None; n_left];
     let mut seeded = 0usize;
@@ -129,7 +159,7 @@ pub fn max_bipartite_matching_seeded(
             && r < n_right
             && match_left[l].is_none()
             && match_right[r].is_none()
-            && adj[l].contains(&r)
+            && adj.has_edge(l, r)
         {
             match_left[l] = Some(r);
             match_right[r] = Some(l);
@@ -327,7 +357,7 @@ mod tests {
             .enumerate()
             .filter_map(|(l, r)| r.map(|r| (l, r)))
             .collect();
-        let warm = max_bipartite_matching_seeded(3, &adj, &seed);
+        let warm = max_bipartite_matching_seeded(3, &adj[..], &seed);
         assert_eq!(warm.pairs, cold);
         assert_eq!(warm.seeded, 3);
         assert_eq!(warm.augmentations, 0);
@@ -335,19 +365,65 @@ mod tests {
 
     #[test]
     fn seeded_matching_skips_stale_pairs_and_stays_maximum() {
-        let adj = vec![vec![0, 1], vec![0], vec![1, 2]];
+        let adj = [vec![0, 1], vec![0], vec![1, 2]];
         // Out-of-range, non-edge and conflicting pairs are all ignored.
-        let warm = max_bipartite_matching_seeded(3, &adj, &[(0, 2), (1, 0), (2, 0), (9, 9)]);
+        let warm = max_bipartite_matching_seeded(3, &adj[..], &[(0, 2), (1, 0), (2, 0), (9, 9)]);
         assert_eq!(warm.seeded, 1, "only (1,0) is a valid fresh pair");
         assert_eq!(warm.augmentations, 2);
         assert_eq!(warm.pairs.iter().filter(|x| x.is_some()).count(), 3);
+    }
+
+    /// An adjacency that notes which rows a matching asks it for.
+    struct CountingRows<'a> {
+        rows: &'a [Vec<usize>],
+        read: std::cell::RefCell<std::collections::BTreeSet<usize>>,
+    }
+
+    impl Adjacency for CountingRows<'_> {
+        fn left_count(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn row(&self, l: usize) -> &[usize] {
+            self.read.borrow_mut().insert(l);
+            &self.rows[l]
+        }
+
+        fn has_edge(&self, l: usize, r: usize) -> bool {
+            self.rows[l].contains(&r)
+        }
+    }
+
+    #[test]
+    fn seed_checks_read_no_rows_and_searches_only_what_they_reach() {
+        let adj = vec![vec![0, 1], vec![0], vec![1, 2], vec![3]];
+        let counting = |seed: &[(usize, usize)]| {
+            let rows = CountingRows {
+                rows: &adj,
+                read: Default::default(),
+            };
+            let m = max_bipartite_matching_seeded(4, &rows, seed);
+            assert_eq!(m, max_bipartite_matching_seeded(4, &adj[..], seed));
+            (m, rows.read.into_inner().into_iter().collect::<Vec<_>>())
+        };
+        // Every seed holds: the answer is the seed, and no row is read.
+        let (m, read) = counting(&[(0, 1), (1, 0), (2, 2), (3, 3)]);
+        assert_eq!(m.pairs, vec![Some(1), Some(0), Some(2), Some(3)]);
+        assert_eq!((m.seeded, m.augmentations), (4, 0));
+        assert_eq!(read, Vec::<usize>::new());
+        // Left 0 lost its seed: its search walks 0 -> 1 -> 2 and reads
+        // those three rows only, never left 3's.
+        let (m, read) = counting(&[(1, 0), (2, 1), (3, 3)]);
+        assert_eq!(m.pairs, vec![Some(1), Some(0), Some(2), Some(3)]);
+        assert_eq!((m.seeded, m.augmentations), (3, 1));
+        assert_eq!(read, vec![0, 1, 2]);
     }
 
     #[test]
     fn seeded_with_empty_seed_equals_cold_start() {
         let adj = vec![vec![0], vec![0, 1], vec![1, 2], vec![2]];
         let cold = max_bipartite_matching(3, &adj);
-        let warm = max_bipartite_matching_seeded(3, &adj, &[]);
+        let warm = max_bipartite_matching_seeded(3, &adj[..], &[]);
         assert_eq!(warm.pairs, cold);
         assert_eq!(warm.seeded, 0);
         assert_eq!(warm.augmentations, 4);

@@ -12,11 +12,13 @@
 //! (Chapter 6) the slot supply is tokenized conservatively, mirroring the
 //! pruned preemption of Section 6.2.
 
-use std::collections::BTreeMap;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mcs_cdfg::{BusId, Cdfg, OpId, ValueId};
 use mcs_connect::{BusAssignment, Interconnect, SubRange};
-use mcs_matching::max_bipartite_matching_seeded;
+use mcs_matching::{max_bipartite_matching_seeded, Adjacency};
 use mcs_metrics::{Histogram, MetricsHandle};
 use mcs_obs::{Event, PlaceVerdict};
 
@@ -42,6 +44,51 @@ pub struct RematchStats {
 /// the exact control step of the transfer.
 type SlotEntry = (SubRange, ValueId, i64);
 
+/// What dynamic allocation needs of the design and the connection. Both
+/// are fixed for the policy's life, so this is derived once, on the first
+/// placement, rather than on every placement and matching.
+#[derive(Debug)]
+struct Routes {
+    /// One entry per planned value, ascending by value.
+    values: Vec<ValueRoutes>,
+    /// Index into `values` per op index; `None` for unplanned ops.
+    of_op: Vec<Option<usize>>,
+    /// [`Interconnect::capable_carriers`] per op index.
+    carriers: Vec<Vec<BusAssignment>>,
+}
+
+/// One planned value as the pending-feasibility matching sees it.
+#[derive(Debug)]
+struct ValueRoutes {
+    value: ValueId,
+    /// The value's planned transfers, ascending.
+    ops: Vec<OpId>,
+    /// Per bus, ascending, the sub-ranges able to carry every one of
+    /// `ops`, in [`Interconnect::capable_carriers`] order.
+    carriers: Vec<(u32, Vec<SubRange>)>,
+    /// Step groups a feedback transfer of the value may occupy; `None`
+    /// when it has none.
+    groups: Option<BTreeSet<u32>>,
+}
+
+impl ValueRoutes {
+    /// May a transfer of the value occupy step group `g`?
+    fn allows(&self, g: u32) -> bool {
+        self.groups.as_ref().is_none_or(|gs| gs.contains(&g))
+    }
+}
+
+/// Where one planned value stands while scheduling.
+#[derive(Clone, Copy, Debug, Default)]
+struct RouteState {
+    /// Some transfer of the value is placed; the rest free-ride its slot.
+    placed: bool,
+    /// `(bus, group, range)` of the value in the last adopted Figure 4.5
+    /// matching: its planned carrier, and the warm-start seed of the next
+    /// matching. `None` until a matching routes it.
+    matched: Option<(u32, u32, SubRange)>,
+}
+
 /// A committed bus allocation: which bus/range carries a transfer and in
 /// which control step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,24 +107,22 @@ pub struct BusPolicy {
     interconnect: Interconnect,
     rate: u32,
     allow_reassign: bool,
-    /// Current planned bus per pending I/O operation.
-    plan: BTreeMap<OpId, BusAssignment>,
-    /// Values occupying each `(bus, group)`: `(range, value, step)`.
-    /// Same-value transfers share a slot only at the *same step* — at
-    /// different steps of one group the bus would carry two instances'
-    /// copies simultaneously.
-    used: BTreeMap<(u32, u32), Vec<SlotEntry>>,
+    /// Values occupying each `(bus, group)`, at index `bus * rate +
+    /// group`: `(range, value, step)`. Same-value transfers share a slot
+    /// only at the *same step* — at different steps of one group the bus
+    /// would carry two instances' copies simultaneously.
+    used: Vec<Vec<SlotEntry>>,
     /// Final placements of scheduled transfers.
     placements: BTreeMap<OpId, SlotPlacement>,
     /// Transfers whose final bus differs from the initial assignment.
     reassigned: usize,
-    /// Lazily computed static group windows for feedback values: the step
-    /// groups their transfer can legally occupy, estimated from ASAP times
-    /// (used to keep phase-1 placements from exhausting them).
-    feedback_groups: Option<BTreeMap<ValueId, std::collections::BTreeSet<u32>>>,
-    /// `(bus, group)` each pending value matched to in the last adopted
-    /// Figure 4.5 matching — the warm-start seed for the next one.
-    last_match: BTreeMap<ValueId, (u32, u32)>,
+    /// Built on the first dynamic placement; shared by the preemption
+    /// chain's trial clones.
+    routes: Option<Arc<Routes>>,
+    /// Per entry of `routes.values`. A transfer's planned carrier is its
+    /// value's `matched` one, or the initial assignment until a matching
+    /// routes the value.
+    route_state: Vec<RouteState>,
     /// Warm-start accounting (rounds / seeded pairs / augmentations).
     rematch: RematchStats,
     /// Telemetry handle whose event sink takes `BusReassign` events
@@ -100,17 +145,16 @@ impl BusPolicy {
     /// `allow_reassign = false` reproduces the static-assignment baseline
     /// of Tables 4.2 and 4.10.
     pub fn new(interconnect: Interconnect, rate: u32, allow_reassign: bool) -> Self {
-        let plan = interconnect.assignment.clone();
+        let slots = interconnect.buses.len() * rate as usize;
         BusPolicy {
             interconnect,
             rate,
             allow_reassign,
-            plan,
-            used: BTreeMap::new(),
+            used: vec![Vec::new(); slots],
             placements: BTreeMap::new(),
             reassigned: 0,
-            feedback_groups: None,
-            last_match: BTreeMap::new(),
+            routes: None,
+            route_state: Vec::new(),
             rematch: RematchStats::default(),
             metrics: MetricsHandle::default(),
             m_rematch_size: Histogram::default(),
@@ -154,90 +198,135 @@ impl BusPolicy {
         step.rem_euclid(self.rate as i64) as u32
     }
 
+    /// Index of `(bus, group)` in `used`.
+    fn slot(&self, bus: u32, group: u32) -> usize {
+        bus as usize * self.rate as usize + group as usize
+    }
+
     /// Is `(bus, range)` free for `value` at `step`? Same-value transfers
     /// on the same range at the same step share the slot (Section 4.4.2's
     /// `(Ia, Ib)`).
     fn slot_free(&self, bus: BusId, range: SubRange, step: i64, value: ValueId) -> bool {
-        let group = self.group(step);
-        match self.used.get(&(bus.0, group)) {
-            None => true,
-            Some(entries) => entries.iter().all(|&(r, v, t)| {
-                if v == value && r == range && t == step {
-                    true
-                } else {
-                    !r.overlaps(range)
-                }
-            }),
-        }
+        self.used[self.slot(bus.0, self.group(step))]
+            .iter()
+            .all(|&(r, v, t)| (v == value && r == range && t == step) || !r.overlaps(range))
     }
 
-    /// Static group windows for feedback values (Section 7.1): a transfer
-    /// fed by a recursive edge of degree `d` must start within
-    /// `[asap(producer) + cycles - d*L, asap(consumer) - 1]`; the groups of
-    /// that interval are the slots worth reserving for it.
-    fn feedback_groups(
-        &mut self,
-        cdfg: &Cdfg,
-    ) -> BTreeMap<ValueId, std::collections::BTreeSet<u32>> {
-        if let Some(fg) = &self.feedback_groups {
-            return fg.clone();
+    /// The routes of the design over the connection, built on first use.
+    fn routes(&mut self, cdfg: &Cdfg) -> Arc<Routes> {
+        if let Some(routes) = &self.routes {
+            return routes.clone();
         }
-        let mut map: BTreeMap<ValueId, std::collections::BTreeSet<u32>> = BTreeMap::new();
-        if let Ok(asap) = mcs_cdfg::timing::asap(cdfg) {
-            let l = self.rate as i64;
-            for op in cdfg.io_ops() {
-                let recursive: Vec<_> = cdfg
-                    .preds(op)
-                    .iter()
-                    .map(|&e| cdfg.edge(e))
-                    .filter(|e| e.degree > 0)
-                    .cloned()
-                    .collect();
-                if recursive.is_empty() {
-                    continue;
+        let mut carriers = vec![Vec::new(); cdfg.ops().len()];
+        for op in cdfg.io_ops() {
+            carriers[op.index()] = self.interconnect.capable_carriers(cdfg, op);
+        }
+        let feedback = feedback_groups(cdfg, self.rate);
+        let mut by_value: BTreeMap<ValueId, Vec<OpId>> = BTreeMap::new();
+        for &op in self.interconnect.assignment.keys() {
+            let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
+            by_value.entry(v).or_default().push(op);
+        }
+        let mut of_op = vec![None; cdfg.ops().len()];
+        let values: Vec<ValueRoutes> = by_value
+            .into_iter()
+            .enumerate()
+            .map(|(i, (value, ops))| {
+                // Ranges every transfer of the value can ride.
+                let mut shared: Option<Vec<BusAssignment>> = None;
+                for &op in &ops {
+                    of_op[op.index()] = Some(i);
+                    let own = &carriers[op.index()];
+                    shared = Some(match shared {
+                        None => own.clone(),
+                        Some(prev) => prev.into_iter().filter(|c| own.contains(c)).collect(),
+                    });
                 }
-                let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
-                let lo = recursive
-                    .iter()
-                    .map(|e| {
-                        asap.of(e.from).step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * l
-                    })
-                    .max()
-                    .expect("nonempty");
-                let hi = cdfg
-                    .succs(op)
-                    .iter()
-                    .map(|&e| cdfg.edge(e))
-                    .filter(|e| e.degree == 0)
-                    .map(|e| asap.of(e.to).step - 1)
-                    .min()
-                    .unwrap_or(lo + l - 1);
-                let mut groups = std::collections::BTreeSet::new();
-                if hi - lo + 1 >= l {
-                    groups.extend(0..self.rate);
-                } else {
-                    for s in lo..=hi.max(lo) {
-                        groups.insert(s.rem_euclid(l) as u32);
+                let mut by_bus: Vec<(u32, Vec<SubRange>)> = Vec::new();
+                for c in shared.unwrap_or_default() {
+                    match by_bus.last_mut() {
+                        Some((bus, ranges)) if *bus == c.bus.0 => ranges.push(c.range),
+                        _ => by_bus.push((c.bus.0, vec![c.range])),
                     }
                 }
-                map.entry(v)
-                    .and_modify(|g| {
-                        let inter: std::collections::BTreeSet<u32> =
-                            g.intersection(&groups).copied().collect();
-                        if !inter.is_empty() {
-                            *g = inter;
-                        }
-                    })
-                    .or_insert(groups);
-            }
-        }
-        self.feedback_groups = Some(map.clone());
-        map
+                ValueRoutes {
+                    groups: feedback.get(&value).cloned(),
+                    value,
+                    ops,
+                    carriers: by_bus,
+                }
+            })
+            .collect();
+        self.route_state = values
+            .iter()
+            .map(|r| RouteState {
+                placed: r.ops.iter().any(|op| self.placements.contains_key(op)),
+                matched: None,
+            })
+            .collect();
+        let routes = Arc::new(Routes {
+            values,
+            of_op,
+            carriers,
+        });
+        self.routes = Some(routes.clone());
+        routes
     }
 
-    /// Checks that all pending transfers (minus `except`) can still be
-    /// accommodated given an extra tentative occupation, reassigning plans
-    /// from the matching when successful.
+    /// Records `op`'s committed slot.
+    fn commit(&mut self, op: OpId, placement: SlotPlacement) {
+        self.placements.insert(op, placement);
+        if let Some(i) = self.route_index(op) {
+            self.route_state[i].placed = true;
+        }
+    }
+
+    /// Index of `op`'s value in `routes.values`, once routes are built.
+    fn route_index(&self, op: OpId) -> Option<usize> {
+        self.routes
+            .as_ref()?
+            .of_op
+            .get(op.index())
+            .copied()
+            .flatten()
+    }
+
+    /// The carrier `op` is planned onto: its value's carrier in the last
+    /// adopted matching, else its initial assignment.
+    fn planned(&self, op: OpId) -> Option<BusAssignment> {
+        let matched = self
+            .route_index(op)
+            .and_then(|i| self.route_state[i].matched);
+        match matched {
+            Some((bus, _, range)) => Some(BusAssignment {
+                bus: BusId::new(bus),
+                range,
+            }),
+            None => self.interconnect.assignment.get(&op).copied(),
+        }
+    }
+
+    /// The first of `ranges` on `bus` that no committed transfer in step
+    /// group `g` — nor the tentative occupation `extra` — overlaps.
+    fn free_range(
+        &self,
+        bus: u32,
+        g: u32,
+        ranges: &[SubRange],
+        extra: Option<(BusId, u32, SubRange, ValueId)>,
+    ) -> Option<SubRange> {
+        let used = &self.used[self.slot(bus, g)];
+        ranges.iter().copied().find(|&range| {
+            used.iter().all(|&(er, _, _)| !er.overlaps(range))
+                && !extra
+                    .is_some_and(|(eb, eg, er, _)| eb.0 == bus && eg == g && er.overlaps(range))
+        })
+    }
+
+    /// Checks that all pending transfers can still be accommodated given
+    /// an extra tentative occupation, reassigning plans from the matching
+    /// when successful. The transfer being placed is never pending: its
+    /// value is `extra`'s, or its placement is already recorded.
     ///
     /// The matching works at *value* granularity: transfers of one value
     /// share a communication slot when co-scheduled (Section 2.2.1), and
@@ -247,119 +336,61 @@ impl BusPolicy {
     fn pending_feasible(
         &mut self,
         cdfg: &Cdfg,
-        except: OpId,
         extra: Option<(BusId, u32, SubRange, ValueId)>,
     ) -> bool {
-        // Demand: pending values whose transfers are all unscheduled.
-        let mut pending: BTreeMap<ValueId, Vec<OpId>> = BTreeMap::new();
-        let mut placed_values: std::collections::BTreeSet<ValueId> =
-            std::collections::BTreeSet::new();
-        if let Some((_, _, _, v)) = extra {
-            placed_values.insert(v);
-        }
-        for &op in self.plan.keys() {
-            let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
-            if self.placements.contains_key(&op) {
-                placed_values.insert(v);
-            } else if op != except {
-                pending.entry(v).or_default().push(op);
-            }
-        }
-        // Values with a placed sibling free-ride that slot.
-        pending.retain(|v, _| !placed_values.contains(v));
+        let routes = self.routes(cdfg);
+        // Demand: values whose transfers are all unscheduled. Values with
+        // a placed sibling free-ride that slot.
+        let pending: Vec<usize> = (0..routes.values.len())
+            .filter(|&i| {
+                !self.route_state[i].placed
+                    && extra.is_none_or(|(_, _, _, v)| v != routes.values[i].value)
+            })
+            .collect();
         self.last_pending = pending.len() as u64;
         if pending.is_empty() {
             return true;
         }
-
-        let feedback_groups = self.feedback_groups(cdfg);
-        // Supply: one planning token per (bus, group) — even a split bus is
-        // planned with a single value per cycle; in-cycle sub-bus pairing
-        // is opportunistic at placement time. A token exists for a value
-        // when some sub-range it can ride is still free in that group.
-        let mut units: Vec<(u32, u32)> = Vec::new();
-        for h in 0..self.interconnect.buses.len() {
-            for g in 0..self.rate {
-                units.push((h as u32, g));
-            }
-        }
-        let values: Vec<(&ValueId, &Vec<OpId>)> = pending.iter().collect();
-        let mut adj: Vec<Vec<usize>> = Vec::with_capacity(values.len());
-        let mut token_range: BTreeMap<(usize, usize), SubRange> = BTreeMap::new();
-        for (vi, (v, ops)) in values.iter().enumerate() {
-            // Ranges every transfer of the value can ride.
-            let mut shared: Option<Vec<BusAssignment>> = None;
-            for &op in ops.iter() {
-                let carriers = self.interconnect.capable_carriers(cdfg, op);
-                shared = Some(match shared {
-                    None => carriers,
-                    Some(prev) => prev.into_iter().filter(|c| carriers.contains(c)).collect(),
-                });
-            }
-            let shared = shared.unwrap_or_default();
-            let groups = feedback_groups.get(*v);
-            let mut edges = Vec::new();
-            for (ti, &(bus, g)) in units.iter().enumerate() {
-                if !groups.is_none_or(|gs| gs.contains(&g)) {
-                    continue;
-                }
-                let free_range = shared.iter().find(|c| {
-                    if c.bus.0 != bus {
-                        return false;
-                    }
-                    let mut free = self
-                        .used
-                        .get(&(bus, g))
-                        .is_none_or(|es| es.iter().all(|&(er, _, _)| !er.overlaps(c.range)));
-                    if let Some((eb, eg, er, _)) = extra {
-                        if eb.0 == bus && eg == g && er.overlaps(c.range) {
-                            free = false;
-                        }
-                    }
-                    free
-                });
-                if let Some(c) = free_range {
-                    token_range.insert((vi, ti), c.range);
-                    edges.push(ti);
-                }
-            }
-            adj.push(edges);
-        }
+        self.rematch.rounds += 1;
         // Warm start from the last adopted matching: a value that kept
-        // its `(bus, group)` unit is re-adopted without search, and only
+        // its `(bus, group)` token is re-adopted without search, and only
         // the values the placement displaced get an augmenting path
         // (Section 4.2's "augment from the previous matching").
-        let seed: Vec<(usize, usize)> = values
+        let seed: Vec<(usize, usize)> = pending
             .iter()
             .enumerate()
-            .filter_map(|(vi, (v, _))| {
-                let &(bus, g) = self.last_match.get(*v)?;
-                Some((vi, bus as usize * self.rate as usize + g as usize))
+            .filter_map(|(vi, &i)| {
+                let (bus, g, _) = self.route_state[i].matched?;
+                Some((vi, self.slot(bus, g)))
             })
             .collect();
-        let seeded = max_bipartite_matching_seeded(units.len(), &adj, &seed);
-        self.rematch.rounds += 1;
+        let graph = PendingGraph {
+            policy: self,
+            routes: &routes,
+            pending: &pending,
+            extra,
+            rows: vec![OnceCell::new(); pending.len()],
+        };
+        let seeded = max_bipartite_matching_seeded(self.used.len(), &graph, &seed);
+        // Adopt a perfect matching as the new plan (dynamic reassignment).
+        let rate = self.rate as usize;
+        let adopted: Option<Vec<(u32, u32, SubRange)>> = seeded
+            .pairs
+            .iter()
+            .enumerate()
+            .map(|(vi, t)| {
+                let t = (*t)?;
+                let range = graph.token_range(vi, t).expect("matched along an edge");
+                Some(((t / rate) as u32, (t % rate) as u32, range))
+            })
+            .collect();
         self.rematch.seeded += seeded.seeded as u64;
         self.rematch.augmentations += seeded.augmentations as u64;
-        let matching = seeded.pairs;
-        if matching.iter().any(Option::is_none) {
+        let Some(adopted) = adopted else {
             return false;
-        }
-        // Adopt the matching as the new plan (dynamic reassignment).
-        for (i, (v, ops)) in values.iter().enumerate() {
-            let ti = matching[i].expect("perfect matching");
-            let (bus, group) = units[ti];
-            self.last_match.insert(**v, (bus, group));
-            let range = token_range[&(i, ti)];
-            for &op in ops.iter() {
-                self.plan.insert(
-                    op,
-                    BusAssignment {
-                        bus: BusId::new(bus),
-                        range,
-                    },
-                );
-            }
+        };
+        for (&i, m) in pending.iter().zip(adopted) {
+            self.route_state[i].matched = Some(m);
         }
         true
     }
@@ -376,16 +407,13 @@ impl BusPolicy {
         bus: u32,
         range: SubRange,
         g: u32,
-        visited: &mut std::collections::BTreeSet<u32>,
+        visited: &mut BTreeSet<u32>,
     ) -> bool {
-        let occupants: Vec<SlotEntry> = match self.used.get(&(bus, g)) {
-            None => return true,
-            Some(es) => es
-                .iter()
-                .copied()
-                .filter(|&(r, _, _)| r.overlaps(range))
-                .collect(),
-        };
+        let occupants: Vec<SlotEntry> = self.used[self.slot(bus, g)]
+            .iter()
+            .copied()
+            .filter(|&(r, _, _)| r.overlaps(range))
+            .collect();
         if occupants.is_empty() {
             return true;
         }
@@ -406,11 +434,12 @@ impl BusPolicy {
                 return false; // reserved by the pending op being placed
             }
             // A new home must carry every moved transfer at the same group.
+            let routes = self.routes(cdfg);
             let mut shared: Option<Vec<BusAssignment>> = None;
             for &o in &moved_ops {
-                let carriers = self.interconnect.capable_carriers(cdfg, o);
+                let carriers = &routes.carriers[o.index()];
                 shared = Some(match shared {
-                    None => carriers,
+                    None => carriers.clone(),
                     Some(prev) => prev.into_iter().filter(|c| carriers.contains(c)).collect(),
                 });
             }
@@ -423,13 +452,9 @@ impl BusPolicy {
                 let free = self.slot_free(cand.bus, cand.range, occ_step, occ_value);
                 if free || self.evict_value(cdfg, cand.bus.0, cand.range, g, visited) {
                     // Move the value.
-                    if let Some(es) = self.used.get_mut(&(bus, g)) {
-                        es.retain(|&(r, v, _)| !(r == occ_range && v == occ_value));
-                    }
-                    self.used
-                        .entry((cand.bus.0, g))
-                        .or_default()
-                        .push((cand.range, occ_value, occ_step));
+                    let (from, to) = (self.slot(bus, g), self.slot(cand.bus.0, g));
+                    self.used[from].retain(|&(r, v, _)| !(r == occ_range && v == occ_value));
+                    self.used[to].push((cand.range, occ_value, occ_step));
                     for &o in &moved_ops {
                         let pl = self.placements.get_mut(&o).expect("placed");
                         pl.bus = cand.bus;
@@ -494,8 +519,9 @@ impl BusPolicy {
         let original = self.interconnect.assignment.get(&op).copied();
         let mut options: Vec<BusAssignment> = Vec::new();
         if self.allow_reassign {
-            let planned = self.plan.get(&op).copied();
-            let mut carriers = self.interconnect.capable_carriers(cdfg, op);
+            let routes = self.routes(cdfg);
+            let planned = self.planned(op);
+            let mut carriers = routes.carriers[op.index()].clone();
             carriers.sort_by_key(|c| (Some(*c) != planned, Some(*c) != original, c.bus, c.range));
             options = carriers;
         } else if let Some(a) = original {
@@ -517,26 +543,23 @@ impl BusPolicy {
             if !self.slot_free(cand.bus, cand.range, step, value) {
                 continue;
             }
-            let sharing = self.used.get(&(cand.bus.0, g)).is_some_and(|es| {
-                es.iter()
-                    .any(|&(r, v, t)| v == value && r == cand.range && t == step)
-            });
+            let slot = self.slot(cand.bus.0, g);
+            let sharing = self.used[slot]
+                .iter()
+                .any(|&(r, v, t)| v == value && r == cand.range && t == step);
             if !sharing {
                 saw_free_slot = true;
             }
             let ran_matching = !sharing && self.allow_reassign;
             let admissible = sharing
                 || !self.allow_reassign
-                || self.pending_feasible(cdfg, op, Some((cand.bus, g, cand.range, value)));
+                || self.pending_feasible(cdfg, Some((cand.bus, g, cand.range, value)));
             if admissible {
                 if ran_matching {
                     self.m_rematch_size.observe(self.last_pending);
                 }
-                self.used
-                    .entry((cand.bus.0, g))
-                    .or_default()
-                    .push((cand.range, value, step));
-                self.placements.insert(
+                self.used[slot].push((cand.range, value, step));
+                self.commit(
                     op,
                     SlotPlacement {
                         bus: cand.bus,
@@ -563,9 +586,9 @@ impl BusPolicy {
         let is_feedback = cdfg.preds(op).iter().any(|&e| cdfg.edge(e).degree > 0);
         if self.allow_reassign && is_feedback {
             let before = self.reassigned;
-            let carriers = self.interconnect.capable_carriers(cdfg, op);
+            let carriers = self.routes(cdfg).carriers[op.index()].clone();
             for cand in carriers {
-                let mut visited = std::collections::BTreeSet::new();
+                let mut visited = BTreeSet::new();
                 visited.insert(cand.bus.0);
                 let mut trial = self.clone();
                 if !(trial.evict_value(cdfg, cand.bus.0, cand.range, g, &mut visited)
@@ -573,12 +596,9 @@ impl BusPolicy {
                 {
                     continue;
                 }
-                trial
-                    .used
-                    .entry((cand.bus.0, g))
-                    .or_default()
-                    .push((cand.range, value, step));
-                trial.placements.insert(
+                let slot = trial.slot(cand.bus.0, g);
+                trial.used[slot].push((cand.range, value, step));
+                trial.commit(
                     op,
                     SlotPlacement {
                         bus: cand.bus,
@@ -586,7 +606,7 @@ impl BusPolicy {
                         range: cand.range,
                     },
                 );
-                if trial.pending_feasible(cdfg, op, None) {
+                if trial.pending_feasible(cdfg, None) {
                     *self = trial;
                     self.m_rematch_size.observe(self.last_pending);
                     // Scheduled transfers moved by the eviction chain.
@@ -608,6 +628,121 @@ impl BusPolicy {
             PlaceVerdict::SameCycleConflict
         }
     }
+}
+
+/// The Figure 4.5 graph of one matching round: pending values against
+/// `(bus, group)` tokens, numbered like their `used` slot. Even a split
+/// bus is planned with a single value per cycle; in-cycle sub-bus pairing
+/// is opportunistic at placement time. A value has an edge to a token
+/// when some sub-range it can ride is free in that group. Rows are built
+/// only when the augmenting search reaches them; seeds are checked one
+/// token at a time.
+struct PendingGraph<'a> {
+    policy: &'a BusPolicy,
+    routes: &'a Routes,
+    /// Indices into `routes.values` of the pending values.
+    pending: &'a [usize],
+    /// The tentative occupation of the placement being checked.
+    extra: Option<(BusId, u32, SubRange, ValueId)>,
+    rows: Vec<OnceCell<Vec<usize>>>,
+}
+
+impl PendingGraph<'_> {
+    /// The sub-range pending value `l` would ride on token `t`, when
+    /// `(l, t)` is an edge.
+    fn token_range(&self, l: usize, t: usize) -> Option<SubRange> {
+        let rate = self.policy.rate as usize;
+        let (bus, g) = ((t / rate) as u32, (t % rate) as u32);
+        let r = &self.routes.values[self.pending[l]];
+        if !r.allows(g) {
+            return None;
+        }
+        let (_, ranges) = r.carriers.iter().find(|(b, _)| *b == bus)?;
+        self.policy.free_range(bus, g, ranges, self.extra)
+    }
+}
+
+impl Adjacency for PendingGraph<'_> {
+    fn left_count(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn row(&self, l: usize) -> &[usize] {
+        self.rows[l].get_or_init(|| {
+            let r = &self.routes.values[self.pending[l]];
+            let mut tokens = Vec::new();
+            for (bus, ranges) in &r.carriers {
+                for g in (0..self.policy.rate).filter(|&g| r.allows(g)) {
+                    if self
+                        .policy
+                        .free_range(*bus, g, ranges, self.extra)
+                        .is_some()
+                    {
+                        tokens.push(self.policy.slot(*bus, g));
+                    }
+                }
+            }
+            tokens
+        })
+    }
+
+    fn has_edge(&self, l: usize, t: usize) -> bool {
+        self.token_range(l, t).is_some()
+    }
+}
+
+/// Static group windows for feedback values (Section 7.1): a transfer
+/// fed by a recursive edge of degree `d` must start within
+/// `[asap(producer) + cycles - d*L, asap(consumer) - 1]`; the groups of
+/// that interval are the slots worth reserving for it.
+fn feedback_groups(cdfg: &Cdfg, rate: u32) -> BTreeMap<ValueId, BTreeSet<u32>> {
+    let mut map: BTreeMap<ValueId, BTreeSet<u32>> = BTreeMap::new();
+    if let Ok(asap) = mcs_cdfg::timing::asap(cdfg) {
+        let l = rate as i64;
+        for op in cdfg.io_ops() {
+            let recursive: Vec<_> = cdfg
+                .preds(op)
+                .iter()
+                .map(|&e| cdfg.edge(e))
+                .filter(|e| e.degree > 0)
+                .cloned()
+                .collect();
+            if recursive.is_empty() {
+                continue;
+            }
+            let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
+            let lo = recursive
+                .iter()
+                .map(|e| asap.of(e.from).step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * l)
+                .max()
+                .expect("nonempty");
+            let hi = cdfg
+                .succs(op)
+                .iter()
+                .map(|&e| cdfg.edge(e))
+                .filter(|e| e.degree == 0)
+                .map(|e| asap.of(e.to).step - 1)
+                .min()
+                .unwrap_or(lo + l - 1);
+            let mut groups = BTreeSet::new();
+            if hi - lo + 1 >= l {
+                groups.extend(0..rate);
+            } else {
+                for s in lo..=hi.max(lo) {
+                    groups.insert(s.rem_euclid(l) as u32);
+                }
+            }
+            map.entry(v)
+                .and_modify(|g| {
+                    let inter: BTreeSet<u32> = g.intersection(&groups).copied().collect();
+                    if !inter.is_empty() {
+                        *g = inter;
+                    }
+                })
+                .or_insert(groups);
+        }
+    }
+    map
 }
 
 impl IoPolicy for BusPolicy {
@@ -872,7 +1007,7 @@ mod tests {
         // the number of transferred values.
         assert!(h.count > 0, "dynamic allocation must run matchings");
         assert!(h.count <= policy.rematch_stats().rounds);
-        let values: std::collections::BTreeSet<_> = d
+        let values: BTreeSet<_> = d
             .cdfg()
             .io_ops()
             .filter_map(|op| d.cdfg().op(op).io_endpoints().map(|(v, _, _)| v))

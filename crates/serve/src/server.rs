@@ -464,10 +464,14 @@ impl Server {
             match lines.next_line(&mut reader) {
                 Ok(None) => return,
                 Ok(Some(line)) => {
-                    let Some(response) = self.respond(line) else {
+                    let Some(mut response) = self.respond(line) else {
                         continue;
                     };
-                    if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
+                    // One write per response: `writeln!` on the unbuffered
+                    // stream would spend a second syscall and segment on
+                    // the newline. (Nodelay is set, so it never stalls.)
+                    response.push('\n');
+                    if writer.write_all(response.as_bytes()).is_err() {
                         return;
                     }
                 }

@@ -201,3 +201,81 @@ fn pin_budget_report_covers_exactly_the_used_partitions() {
         assert_eq!(reported.contains(&pid), ic.pins_used(pid) > 0);
     }
 }
+
+/// The `(nodes, digest)` the committed `BENCH_search.json` baseline
+/// holds for `design`: the `search_scale` shapes' golden values live
+/// there only, so this test and the `bench_compare search` gate cannot
+/// drift apart.
+fn bench_search_baseline(design: &str) -> (u64, u64) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_search.json");
+    let text = std::fs::read_to_string(&path).expect("BENCH_search.json at the repository root");
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let row = mcs_codec::json::parse(line).expect("a JSON row");
+        if row.get("design").and_then(|d| d.as_str()) == Some(design) {
+            let field = |k| {
+                row.get(k)
+                    .and_then(|v| v.as_u64())
+                    .expect("nodes and digest")
+            };
+            return (field("nodes"), field("digest"));
+        }
+    }
+    panic!("BENCH_search.json has no {design} row");
+}
+
+/// Golden search counts: the nodes expanded and the digest of the
+/// connection found, at one worker, on two `search_scale` benchmark
+/// shapes and three screened fuzz seeds (feasible at L4 after a few
+/// hundred to a thousand nodes). Any change to the search's node order
+/// moves these numbers, so a pure speed change must leave them alone.
+#[test]
+fn search_node_counts_and_results_are_pinned() {
+    use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
+    let fuzz = |seed| design_from_seed(&FuzzConfig::default(), seed);
+    let (mesh_nodes, mesh_digest) = bench_search_baseline("large_mesh6_L4");
+    let (adv_nodes, adv_digest) = bench_search_baseline("adversarial5_L2");
+    let cases = [
+        (
+            "large_mesh(6)",
+            designs::synthetic::large_mesh(6),
+            4u32,
+            mesh_nodes,
+            mesh_digest,
+        ),
+        (
+            "portfolio_adversarial(5)",
+            designs::synthetic::portfolio_adversarial(5),
+            2,
+            adv_nodes,
+            adv_digest,
+        ),
+        ("fuzz 56", fuzz(56), 4, 151, 0xbcba_b077_a565_8502),
+        ("fuzz 124", fuzz(124), 4, 387, 0x23ad_ed9d_3aec_4e36),
+        ("fuzz 198", fuzz(198), 4, 1_049, 0x1738_7ae8_1f81_7e59),
+    ];
+    for (name, d, rate, nodes, digest) in cases {
+        let (ic, stats) =
+            synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &SearchConfig::new(rate));
+        let ic = ic.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(stats.nodes, nodes, "{name}: node count");
+        assert_eq!(
+            ic.digest(),
+            digest,
+            "{name}: result digest {:#x}",
+            ic.digest()
+        );
+    }
+    // A four-plan portfolio with its shared failure cache: the same
+    // pinned result at 1, 2 and 8 threads.
+    let d = designs::synthetic::large_mesh(6);
+    for workers in [1usize, 2, 8] {
+        let cfg = SearchConfig::new(4).with_portfolio(4).with_workers(workers);
+        let (ic, stats) = synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &cfg);
+        assert_eq!(stats.nodes, 638, "workers={workers}: node count");
+        assert_eq!(
+            ic.unwrap().digest(),
+            0x2516_470e_baa8_b365,
+            "workers={workers}"
+        );
+    }
+}
