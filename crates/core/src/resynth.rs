@@ -789,7 +789,7 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     let v = json::parse(text)?;
     let design_digest = v.field("design")?.u64()?;
     let flow = v.field("flow")?.text()?.to_string();
-    let rate = v.field("rate")?.u64()? as u32;
+    let rate = v.field("rate")?.u32()?;
     let pipe_length = v.field("pipe_length")?.i64()?;
     let start = v
         .field("start")?
@@ -824,7 +824,7 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
                     .field("widths")?
                     .items()?
                     .iter()
-                    .map(|w| Ok(w.u64()? as u32))
+                    .map(|w| w.u32())
                     .collect::<Result<Vec<_>, String>>()?,
             })
         })
@@ -835,14 +835,12 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
         if row.len() != 4 {
             return Err("assignment row is not [op, bus, lo, hi]".into());
         }
+        let bus = bus_id(&buses, &row[1])?;
         assignment.insert(
-            OpId::new(row[0].u64()? as u32),
+            OpId::new(row[0].u32()?),
             BusAssignment {
-                bus: BusId::new(row[1].u64()? as u32),
-                range: SubRange {
-                    lo: row[2].u64()? as usize,
-                    hi: row[3].u64()? as usize,
-                },
+                bus,
+                range: sub_range(&buses[bus.index()], &row[2], &row[3])?,
             },
         );
     }
@@ -850,7 +848,7 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
         .field("pins_used")?
         .items()?
         .iter()
-        .map(|p| Ok(p.u64()? as u32))
+        .map(|p| p.u32())
         .collect::<Result<Vec<_>, String>>()?;
     let mut placements = BTreeMap::new();
     for row in v.field("placements")?.items()? {
@@ -858,19 +856,17 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
         if row.len() != 5 {
             return Err("placement row is not [op, bus, step, lo, hi]".into());
         }
+        let bus = bus_id(&buses, &row[1])?;
         placements.insert(
-            OpId::new(row[0].u64()? as u32),
+            OpId::new(row[0].u32()?),
             SlotPlacement {
-                bus: BusId::new(row[1].u64()? as u32),
+                bus,
                 step: row[2].i64()?,
-                range: SubRange {
-                    lo: row[3].u64()? as usize,
-                    hi: row[4].u64()? as usize,
-                },
+                range: sub_range(&buses[bus.index()], &row[3], &row[4])?,
             },
         );
     }
-    let reassigned = v.field("reassigned")?.u64()? as usize;
+    let reassigned = v.field("reassigned")?.usize()?;
     Ok(SavedResult {
         design_digest,
         flow,
@@ -897,9 +893,33 @@ fn read_ports(v: &Json) -> Result<BTreeMap<PartitionId, u32>, String> {
         if row.len() != 2 {
             return Err("port row is not a [chip, count] pair".into());
         }
-        ports.insert(PartitionId::new(row[0].u64()? as u32), row[1].u64()? as u32);
+        ports.insert(PartitionId::new(row[0].u32()?), row[1].u32()?);
     }
     Ok(ports)
+}
+
+/// A bus index that names one of `buses`.
+fn bus_id(buses: &[Bus], v: &Json) -> Result<BusId, String> {
+    let bus = v.u32()?;
+    if bus as usize >= buses.len() {
+        return Err(format!(
+            "bus {bus} is out of range: the result has {} buses",
+            buses.len()
+        ));
+    }
+    Ok(BusId::new(bus))
+}
+
+/// A sub-bus range `[lo, hi]` inside `bus`.
+fn sub_range(bus: &Bus, lo: &Json, hi: &Json) -> Result<SubRange, String> {
+    let n = bus.sub_widths.len();
+    let (lo, hi) = (lo.usize()?, hi.usize()?);
+    if lo > hi || hi >= n {
+        return Err(format!(
+            "sub-bus range [{lo}, {hi}] does not fit a bus of {n} sub-buses"
+        ));
+    }
+    Ok(SubRange { lo, hi })
 }
 
 /// Typed accessors over the saved-result tree; each error names what
@@ -918,6 +938,16 @@ trait SavedJson {
     fn i64(&self) -> Result<i64, String> {
         let n = self.int()?;
         i64::try_from(n).map_err(|_| format!("integer {n} is out of range"))
+    }
+
+    fn u32(&self) -> Result<u32, String> {
+        let n = self.int()?;
+        u32::try_from(n).map_err(|_| format!("expected 32-bit unsigned integer, got {n}"))
+    }
+
+    fn usize(&self) -> Result<usize, String> {
+        let n = self.int()?;
+        usize::try_from(n).map_err(|_| format!("expected unsigned size, got {n}"))
     }
 }
 
@@ -993,6 +1023,65 @@ mod tests {
     fn hostile_nesting_is_an_error_not_a_stack_overflow() {
         let err = result_from_json(&"[".repeat(200_000)).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
+    }
+
+    /// `text` with column `col` of the first row under `key` set to
+    /// `value`.
+    fn with_first_row(text: &str, key: &str, col: usize, value: &str) -> String {
+        let start = text.find(&format!("\"{key}\":[[")).expect("key present") + key.len() + 5;
+        let end = start + text[start..].find(']').expect("row closes");
+        let mut row: Vec<&str> = text[start..end].split(',').collect();
+        row[col] = value;
+        format!("{}{}{}", &text[..start], row.join(","), &text[end..])
+    }
+
+    #[test]
+    fn rows_outside_the_saved_buses_and_truncating_integers_are_rejected() {
+        let d = elliptic::partitioned();
+        let r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+        let text = result_to_json(design_digest(d.cdfg()), &r);
+        let buses = r.interconnect.buses.len().to_string();
+        // One past the last sub-bus of the first row's bus: past `hi`,
+        // and above any valid `hi` when written as `lo`.
+        let subs_of = |bus: BusId| {
+            r.interconnect.buses[bus.index()]
+                .sub_widths
+                .len()
+                .to_string()
+        };
+        let a_subs = subs_of(r.interconnect.assignment.values().next().unwrap().bus);
+        let p_subs = subs_of(r.placements.values().next().unwrap().bus);
+        let two_32 = (1u64 << 32).to_string();
+        for (bad, needle) in [
+            (
+                with_first_row(&text, "assignment", 1, &buses),
+                "out of range",
+            ),
+            (
+                with_first_row(&text, "placements", 1, &buses),
+                "out of range",
+            ),
+            (
+                with_first_row(&text, "assignment", 2, &a_subs),
+                "does not fit",
+            ),
+            (
+                with_first_row(&text, "assignment", 3, &a_subs),
+                "does not fit",
+            ),
+            (
+                with_first_row(&text, "placements", 4, &p_subs),
+                "does not fit",
+            ),
+            (with_first_row(&text, "assignment", 0, &two_32), "32-bit"),
+            (
+                text.replacen("\"rate\":6", &format!("\"rate\":{}", (1u64 << 32) + 6), 1),
+                "32-bit",
+            ),
+        ] {
+            let err = result_from_json(&bad).unwrap_err();
+            assert!(err.contains(needle), "`{needle}` not in `{err}`");
+        }
     }
 
     #[test]

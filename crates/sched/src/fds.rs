@@ -13,6 +13,21 @@
 //! *enforce* resource constraints. Chapter 5's experiments read the
 //! resulting per-group maxima as the "resources required" for a given
 //! (initiation rate, pipe length) point — Tables 5.1 and 5.3.
+//!
+//! Each pinning step picks, among the unpinned `(op, step)` candidates
+//! inside their current frames, the one of lowest force (ties by op id,
+//! then step) whose placement is consistent with the pins already made.
+//! Forces come from the current distribution graphs alone, so the scan
+//! computes every candidate's force first and solves the pinned frames
+//! only for a candidate that would replace the best so far. The pick is
+//! the one an exhaustive scan that checks every candidate would make: an
+//! inconsistent candidate never becomes the best, and a consistent one
+//! that does not beat the best leaves it unchanged. A pinning step thus
+//! costs one frame solve for the distributions, `O(n·W)` force
+//! evaluations for `n` operations of frame width `W`, and one frame solve
+//! per would-be winner rather than one per candidate. A frame solve is
+//! `O(V + E)` per composite-constraint round, over a topological order
+//! computed once per call.
 
 use std::collections::BTreeMap;
 
@@ -75,19 +90,19 @@ fn composite_constraints(cdfg: &Cdfg, rate: u32, deferred: &[bool]) -> Vec<Compo
 /// they point "backward" against the topological order).
 fn frames(
     cdfg: &Cdfg,
+    order: &[OpId],
     pinned: &[Option<i64>],
     deferred: &[bool],
     composites: &[Composite],
     deadline_steps: i64,
 ) -> Option<(Vec<StepTime>, Vec<StepTime>)> {
-    let order = cdfg.topo_order().ok()?;
     let stage = cdfg.library().stage_ns() as i64;
     let n = cdfg.ops().len();
     // Extra step lower bounds raised by composite constraints.
     let mut floor_step = vec![i64::MIN / 4; n];
     let mut est = vec![StepTime::at_step(0); n];
     for _round in 0..=composites.len() {
-        for &op in &order {
+        for &op in order {
             if deferred[op.index()] {
                 continue;
             }
@@ -283,11 +298,14 @@ impl Distributions {
 /// [`SchedError::StepLimit`] when no placement fits the pipe length,
 /// [`SchedError::Cyclic`] for degree-0 cycles,
 /// [`SchedError::NoWindowSlot`] when a feedback transfer has an empty
-/// window.
+/// window. No caller can reach `Cyclic` today: every public way to build
+/// a [`Cdfg`] (`CdfgBuilder::finish`, `.mcs` parsing, delta application)
+/// rejects degree-0 cycles, so it stays a typed error, not a panic.
 pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError> {
     if cfg.rate == 0 {
         return Err(SchedError::ZeroRate);
     }
+    let order = cdfg.topo_order().map_err(|_| SchedError::Cyclic)?;
     let n = cdfg.ops().len();
     let deferred: Vec<bool> = cdfg
         .op_ids()
@@ -295,15 +313,24 @@ pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError
         .collect();
     let mut pinned: Vec<Option<i64>> = vec![None; n];
     let composites = composite_constraints(cdfg, cfg.rate, &deferred);
+    let solve = |pinned: &[Option<i64>]| {
+        frames(
+            cdfg,
+            &order,
+            pinned,
+            &deferred,
+            &composites,
+            cfg.pipe_length,
+        )
+    };
 
     loop {
-        let Some((est, lst)) = frames(cdfg, &pinned, &deferred, &composites, cfg.pipe_length)
-        else {
+        let Some((est, lst)) = solve(&pinned) else {
             return Err(SchedError::StepLimit);
         };
         let dists = Distributions::build(cdfg, cfg.rate, &est, &lst, &deferred);
-        // Pick the unpinned op/step pair with the lowest force; ties by id
-        // and step for determinism.
+        // Pick the consistent unpinned op/step pair with the lowest force;
+        // ties by id and step for determinism (see the module doc).
         let mut best: Option<(f64, OpId, i64)> = None;
         for op in cdfg.op_ids() {
             if pinned[op.index()].is_some() || deferred[op.index()] {
@@ -319,12 +346,6 @@ pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError
                 break;
             }
             for s in lo..=hi {
-                // Placement must stay consistent with current pins.
-                let mut trial = pinned.clone();
-                trial[op.index()] = Some(s);
-                if frames(cdfg, &trial, &deferred, &composites, cfg.pipe_length).is_none() {
-                    continue;
-                }
                 let f = dists.force(cdfg, cfg.rate, op, lo, hi, s);
                 let better = match &best {
                     None => true,
@@ -332,7 +353,15 @@ pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError
                         f < *bf - 1e-9 || ((f - *bf).abs() <= 1e-9 && (op, s) < (*bop, *bs))
                     }
                 };
-                if better {
+                if !better {
+                    continue;
+                }
+                // Placement must stay consistent with current pins; only
+                // a candidate that would win needs the frame solve.
+                pinned[op.index()] = Some(s);
+                let consistent = solve(&pinned).is_some();
+                pinned[op.index()] = None;
+                if consistent {
                     best = Some((f, op, s));
                 }
             }
@@ -344,7 +373,7 @@ pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError
     }
 
     // Materialize offsets for phase-1 ops.
-    let Some((est, _)) = frames(cdfg, &pinned, &deferred, &composites, cfg.pipe_length) else {
+    let Some((est, _)) = solve(&pinned) else {
         return Err(SchedError::StepLimit);
     };
     let mut start: Vec<StepTime> = est;

@@ -204,6 +204,51 @@ fn cli_round_trips_a_saved_result_and_guards_its_digest() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `saved` with the bus of its first `assignment` row set to `bus`.
+fn with_first_assignment_bus(saved: &str, bus: u32) -> String {
+    let key = "\"assignment\":[[";
+    let row = saved.find(key).expect("saved result has assignments") + key.len();
+    let bus_at = row + saved[row..].find(',').expect("row has a bus column") + 1;
+    let bus_end = bus_at + saved[bus_at..].find(',').expect("row has a range");
+    format!("{}{bus}{}", &saved[..bus_at], &saved[bus_end..])
+}
+
+#[test]
+fn cli_refuses_a_saved_result_naming_a_missing_bus() {
+    let dir = std::env::temp_dir().join("mcs_resynth_cli_bad_bus_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved = dir.join("pipeline.result.json");
+    let bad = dir.join("bad.result.json");
+    let design = example("designs/pipeline.mcs");
+    let saved_s = saved.to_string_lossy();
+    let (ok, _, stderr) = run_cli(&[
+        "synth",
+        &design,
+        "--rate",
+        "2",
+        "--flow",
+        "connect",
+        "--out-result",
+        &saved_s,
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&saved).unwrap();
+    std::fs::write(&bad, with_first_assignment_bus(&text, 9)).unwrap();
+
+    let out = Command::new(BIN)
+        .args(["resynth", &design, "--rate", "2", "--prev"])
+        .arg(&bad)
+        .args(["--edit", "width:corr=8"])
+        .output()
+        .expect("mcs-hls binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("not a saved result"), "{stderr}");
+    assert!(stderr.contains("bus 9 is out of range"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_explain_diagnoses_foreign_metrics_files() {
     let dir = std::env::temp_dir().join("mcs_resynth_explain_test");
@@ -287,4 +332,15 @@ fn serve_resynth_replays_exact_repeats_and_keys_on_the_delta() {
     ));
     assert!(bad.contains("\"ok\":false"), "{bad}");
     assert!(bad.contains("digest"), "{bad}");
+
+    // So is a prev naming a bus it does not have.
+    let buses = prev.interconnect.buses.len() as u32;
+    let corrupt = with_first_assignment_bus(&prev_json, buses);
+    let bad = server.handle_line(&format!(
+        "{{\"cmd\":\"resynth\",\"design\":\"{}\",\"prev\":\"{}\",\"edit\":\"width:a1=8\"}}",
+        escape(&text),
+        escape(&corrupt)
+    ));
+    assert!(bad.contains("\"kind\":\"bad-request\""), "{bad}");
+    assert!(bad.contains("out of range"), "{bad}");
 }
