@@ -3,8 +3,7 @@
 //! design: wall time, nodes expanded, nodes/second and the measured
 //! speedup, plus the exact-fallback count of a probe sweep over the same
 //! design (how often the incremental Gomory tableau overflowed and fell
-//! back to the exact solver, and the batched-probing counters of the
-//! same sweep). The output is one JSON object on stdout,
+//! back to the exact solver). The output is one JSON object on stdout,
 //! suitable for machine-diffing runs before and after search changes.
 //! The rendering lives in [`mcs_bench::search_stats_line`], where it is
 //! golden-tested.
@@ -29,20 +28,18 @@ fn run(workers: usize) -> MeasuredSearch {
 }
 
 /// Probes every transfer of the same design into every control-step
-/// group through one batched call and reports the sweep's cache stats:
-/// how many probes overflowed the incremental tableau and fell back to
-/// the exact solver, plus the batched-path counters.
+/// group and reports the sweep's cache stats: how many probes overflowed
+/// the incremental tableau and fell back to the exact solver.
 fn probe_sweep_stats() -> mcs_pinalloc::ProbeCacheStats {
     let d = synthetic::portfolio_adversarial(6);
     let Ok(mut checker) = PinChecker::new(d.cdfg(), 2) else {
         return mcs_pinalloc::ProbeCacheStats::default();
     };
-    let slate: Vec<_> = d
-        .cdfg()
-        .io_ops()
-        .flat_map(|op| (0..2i64).map(move |k| (op, k)))
-        .collect();
-    let _ = checker.probe_candidates(&slate);
+    for op in d.cdfg().io_ops() {
+        for k in 0..2 {
+            checker.can_commit(op, k);
+        }
+    }
     checker.probe_stats()
 }
 

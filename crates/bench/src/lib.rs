@@ -883,9 +883,8 @@ pub fn fuzz_bench_line(config: &str, m: &MeasuredFuzz) -> String {
 /// single-worker run against the portfolio on the same design, plus a
 /// `probe` sub-object from a probe sweep over the same design: the
 /// exact-fallback count (the Gomory overflow counter — fallbacks to the
-/// exact solver when the all-integer tableau overflows), how many solver
-/// probes went through the batched path, and how many shared checkpoints
-/// those batches opened. This is the exact format the `search_stats`
+/// exact solver when the all-integer tableau overflows). This is the
+/// exact format the `search_stats`
 /// binary prints (golden-tested), so downstream machine-diffing of runs
 /// keeps working across refactors.
 pub fn search_stats_line(
@@ -906,9 +905,8 @@ pub fn search_stats_line(
     };
     let _ = write!(
         out,
-        ",\"probe\":{{\"exact_fallbacks\":{},\"batched\":{},\
-         \"batch_checkpoints\":{}}},\"speedup\":{speedup:.2}}}",
-        probe.exact_fallbacks, probe.batched_probes, probe.batch_shared_checkpoints,
+        ",\"probe\":{{\"exact_fallbacks\":{}}},\"speedup\":{speedup:.2}}}",
+        probe.exact_fallbacks,
     );
     out
 }
@@ -1129,8 +1127,6 @@ mod tests {
         };
         let probe = mcs_pinalloc::ProbeCacheStats {
             exact_fallbacks: 3,
-            batched_probes: 40,
-            batch_shared_checkpoints: 2,
             ..Default::default()
         };
         let line = search_stats_line("portfolio_adversarial", 6, &probe, &before, &after);
@@ -1143,8 +1139,7 @@ mod tests {
              \"after\":{\"ok\":true,\"nodes\":4000,\"nodes_per_sec\":16000,\
              \"epochs\":12,\"threads\":4,\"cache_hits\":7,\"prunes\":5,\
              \"backtracks\":2,\"wall_ms\":125.000,\"winner\":null},\
-             \"probe\":{\"exact_fallbacks\":3,\"batched\":40,\
-             \"batch_checkpoints\":2},\"speedup\":2.00}"
+             \"probe\":{\"exact_fallbacks\":3},\"speedup\":2.00}"
         );
         mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");
     }

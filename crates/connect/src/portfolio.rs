@@ -47,7 +47,6 @@ use mcs_cdfg::{Cdfg, OpId, PartitionId, PortMode};
 use mcs_codec::fnv::fnv1a;
 use mcs_ctl::Termination;
 use mcs_metrics::{Histogram, MetricsHandle};
-use mcs_pinalloc::PinChecker;
 
 use crate::model::Interconnect;
 use crate::search::{
@@ -71,14 +70,6 @@ pub enum OpOrder {
     /// Grouped by communicated value, widest value first: same-value
     /// transfers meet immediately and share a slot.
     ValueGrouped,
-    /// Ranked by pin-feasibility pressure: one batched probe pass of the
-    /// Chapter 3 checker over every (operation, step group) pair, most
-    /// constrained operation (fewest feasible groups) first, width and
-    /// scarcity breaking ties. Deterministic for a fixed design and
-    /// rate; falls back to [`OpOrder::WidthDesc`] keys when the design
-    /// has no admissible pin budget at all. Only offered when
-    /// [`SearchConfig::probe_seed_plans`] opts in.
-    ProbeSeeded,
 }
 
 impl OpOrder {
@@ -88,7 +79,6 @@ impl OpOrder {
             OpOrder::WidthAsc => "width-asc",
             OpOrder::PairGrouped => "pair-grouped",
             OpOrder::ValueGrouped => "value-grouped",
-            OpOrder::ProbeSeeded => "probe-seeded",
         }
     }
 }
@@ -163,12 +153,7 @@ pub fn portfolio_plans(cfg: &SearchConfig) -> Vec<WorkerPlan> {
     ];
     (0..p)
         .map(|i| {
-            let (b, mut order, candidates) = menu[i % menu.len()];
-            // Probe seeding swaps the first diversified slot for the
-            // checker-ranked order; plan 0 stays the classic search.
-            if cfg.probe_seed_plans && i % menu.len() == 1 {
-                order = OpOrder::ProbeSeeded;
-            }
+            let (b, order, candidates) = menu[i % menu.len()];
             WorkerPlan {
                 index: i,
                 // Past one menu cycle, widen the branching factor so
@@ -184,9 +169,8 @@ pub fn portfolio_plans(cfg: &SearchConfig) -> Vec<WorkerPlan> {
 
 /// Sorts the I/O operations of `cdfg` according to `order`. Every key
 /// ends in the operation id, so each order is a total order and identical
-/// across runs. `rate` matters only to [`OpOrder::ProbeSeeded`], whose
-/// pressure ranking probes one candidate per step group.
-pub(crate) fn ordered_ops(cdfg: &Cdfg, order: OpOrder, rate: u32) -> Vec<OpId> {
+/// across runs.
+pub(crate) fn ordered_ops(cdfg: &Cdfg, order: OpOrder) -> Vec<OpId> {
     let mut ops: Vec<OpId> = cdfg.io_ops().collect();
     let scarcity = |op: OpId| {
         let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
@@ -197,32 +181,6 @@ pub(crate) fn ordered_ops(cdfg: &Cdfg, order: OpOrder, rate: u32) -> Vec<OpId> {
     match order {
         OpOrder::WidthDesc => {
             ops.sort_by_key(|&op| (std::cmp::Reverse(cdfg.io_bits(op)), scarcity(op), op));
-        }
-        OpOrder::ProbeSeeded => {
-            // One shared-checkpoint batch over every (op, group) pair
-            // against the empty commitment state. An operation with few
-            // feasible groups is the scarcest resource: assign it first,
-            // while the structure is still unconstrained.
-            let mut feasible_groups: BTreeMap<OpId, u32> = BTreeMap::new();
-            if let Ok(mut checker) = PinChecker::new(cdfg, rate) {
-                let slate: Vec<(OpId, i64)> = ops
-                    .iter()
-                    .flat_map(|&op| (0..rate as i64).map(move |g| (op, g)))
-                    .collect();
-                for (&(op, _), ok) in slate.iter().zip(checker.probe_candidates(&slate)) {
-                    *feasible_groups.entry(op).or_insert(0) += u32::from(ok);
-                }
-            }
-            // No admissible budget (or rate 0): every count is absent and
-            // the order degrades to the classic width-descending keys.
-            ops.sort_by_key(|&op| {
-                (
-                    feasible_groups.get(&op).copied().unwrap_or(0),
-                    std::cmp::Reverse(cdfg.io_bits(op)),
-                    scarcity(op),
-                    op,
-                )
-            });
         }
         OpOrder::WidthAsc => {
             ops.sort_by_key(|&op| (cdfg.io_bits(op), scarcity(op), op));
@@ -672,7 +630,7 @@ impl<'a> Worker<'a> {
         plan: WorkerPlan,
         cache_enabled: bool,
     ) -> Self {
-        let io: Vec<IoOp> = ordered_ops(cdfg, plan.order, cfg.rate)
+        let io: Vec<IoOp> = ordered_ops(cdfg, plan.order)
             .into_iter()
             .map(|op| IoOp::of(cdfg, op))
             .collect();
@@ -1235,64 +1193,11 @@ mod tests {
             OpOrder::WidthAsc,
             OpOrder::PairGrouped,
             OpOrder::ValueGrouped,
-            OpOrder::ProbeSeeded,
         ] {
-            let mut ops = ordered_ops(d.cdfg(), order, 6);
+            let mut ops = ordered_ops(d.cdfg(), order);
             ops.sort();
             assert_eq!(ops, reference, "{order:?}");
         }
-    }
-
-    #[test]
-    fn probe_seeding_is_opt_in_and_preserves_feasibility() {
-        let d = mcs_cdfg::designs::synthetic::portfolio_adversarial(6);
-        // Off by default: no plan carries the probe-seeded order.
-        let base = SearchConfig::new(2).with_portfolio(4);
-        assert!(portfolio_plans(&base)
-            .iter()
-            .all(|p| p.order != OpOrder::ProbeSeeded));
-        let (reference, _) = synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &base);
-        // Opted in: exactly one diversified slot per menu cycle swaps to
-        // the checker-ranked order, plan 0 stays classic, and the search
-        // still connects.
-        let cfg = base.clone().with_probe_seeding();
-        let plans = portfolio_plans(&cfg);
-        assert_eq!(plans[0].order, OpOrder::WidthDesc);
-        assert_eq!(plans[1].order, OpOrder::ProbeSeeded);
-        let (got, stats) = synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &cfg);
-        let ic = got.unwrap();
-        assert!(ic.verify(d.cdfg()).is_empty());
-        assert!(stats
-            .workers
-            .iter()
-            .any(|w| w.config.contains("probe-seeded")));
-        // The classic plan still ran, so feasibility can never regress.
-        assert_eq!(
-            reference.unwrap().buses.len(),
-            ic.buses.len(),
-            "probe seeding may steer the winner but not the bus count here"
-        );
-    }
-
-    #[test]
-    fn probe_seeded_order_puts_pressured_ops_first() {
-        let d = mcs_cdfg::designs::ar_filter::simple();
-        let ops = ordered_ops(d.cdfg(), OpOrder::ProbeSeeded, 2);
-        let mut checker = PinChecker::new(d.cdfg(), 2).unwrap();
-        let slate: Vec<(OpId, i64)> = ops
-            .iter()
-            .flat_map(|&op| (0..2i64).map(move |g| (op, g)))
-            .collect();
-        let verdicts = checker.probe_candidates(&slate);
-        let pressure: Vec<u32> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (0..2).map(|g| u32::from(verdicts[i * 2 + g])).sum())
-            .collect();
-        assert!(
-            pressure.windows(2).all(|w| w[0] <= w[1]),
-            "feasible-group counts must be non-decreasing: {pressure:?}"
-        );
     }
 
     #[test]
@@ -1491,8 +1396,8 @@ mod tests {
     /// A state built by putting the first operations of the classic order
     /// on the given buses (`bus_count()` opens a fresh one), whatever
     /// their gain or pin cost.
-    fn built_state(cdfg: &Cdfg, mode: PortMode, rate: u32, buses: &[usize]) -> State {
-        let io: Vec<IoOp> = ordered_ops(cdfg, OpOrder::WidthDesc, rate)
+    fn built_state(cdfg: &Cdfg, mode: PortMode, buses: &[usize]) -> State {
+        let io: Vec<IoOp> = ordered_ops(cdfg, OpOrder::WidthDesc)
             .into_iter()
             .map(|op| IoOp::of(cdfg, op))
             .collect();
@@ -1519,26 +1424,20 @@ mod tests {
         let bi = elliptic::partitioned_with(6, PortMode::Bidirectional);
         let ar = ar_filter::general(3, PortMode::Unidirectional);
         let seq = [0usize, 1, 0, 0, 2, 1, 2, 0];
-        let sig = |cdfg: &Cdfg, mode, rate, buses: &[usize]| {
-            hex(&state_sig(
-                &built_state(cdfg, mode, rate, buses),
-                buses.len(),
-            ))
+        let sig = |cdfg: &Cdfg, mode, buses: &[usize]| {
+            hex(&state_sig(&built_state(cdfg, mode, buses), buses.len()))
         };
+        assert_eq!(sig(uni.cdfg(), PortMode::Unidirectional, &[]), "00000000");
         assert_eq!(
-            sig(uni.cdfg(), PortMode::Unidirectional, 6, &[]),
-            "00000000"
-        );
-        assert_eq!(
-            sig(uni.cdfg(), PortMode::Unidirectional, 6, &seq),
+            sig(uni.cdfg(), PortMode::Unidirectional, &seq),
             "08000000b5011000000003000000001000000004000000100000000500000010000000020000000010000000010000001000000000040000000000002c0000000000320000000000350000000000b501100000000200000000100000000100000010000000020200000010000000030000001000000000020000000000000e0000000000b50110000000010100000010000000020200000010000000050000001000000000020d0000000000120000000000"
         );
         assert_eq!(
-            sig(bi.cdfg(), PortMode::Bidirectional, 6, &seq),
+            sig(bi.cdfg(), PortMode::Bidirectional, &seq),
             "08000000b501100000000000040000000010000000010000001000000004000000100000000500000010000000040000000000001200000000002c0000000000320000000000b50110000000000003000000001000000001000000100000000200000010000000020000000000000d0000000000b501100000000000040100000010000000020000001000000003000000100000000500000010000000020e0000000000340000000000"
         );
         assert_eq!(
-            sig(ar.cdfg(), PortMode::Unidirectional, 3, &[0, 0, 1, 0, 1, 2]),
+            sig(ar.cdfg(), PortMode::Unidirectional, &[0, 0, 1, 0, 1, 2]),
             "06000000b50118000000020300000010000000040000001800000002000000001800000004000000100000000003450000000000540000000000550000000000b5011000000002010000000c000000030000001000000002030000000c00000004000000100000000002160000000000440000000000b5010c00000001010000000c00000001040000000c0000000001170000000000"
         );
     }

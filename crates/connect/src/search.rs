@@ -78,13 +78,6 @@ pub struct SearchConfig {
     /// independent of the thread count; a wall-clock deadline trades
     /// that determinism for latency control.
     pub budget: Option<mcs_ctl::Budget>,
-    /// Seed the diversified portfolio with a probe-ranked plan: one
-    /// worker orders operations by pin-feasibility pressure measured
-    /// through a single batched probe pass over every (operation, step
-    /// group) pair ([`crate::portfolio::OpOrder::ProbeSeeded`]). Off by
-    /// default so the classic plan menu — and every event stream and
-    /// result derived from it — stays byte-identical.
-    pub probe_seed_plans: bool,
 }
 
 impl SearchConfig {
@@ -100,7 +93,6 @@ impl SearchConfig {
             epoch_nodes: 512,
             metrics: mcs_metrics::MetricsHandle::default(),
             budget: None,
-            probe_seed_plans: false,
         }
     }
 
@@ -136,13 +128,6 @@ impl SearchConfig {
     /// [`SearchConfig::budget`]).
     pub fn with_budget(mut self, budget: mcs_ctl::Budget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Seeds the portfolio with a probe-ranked plan (see
-    /// [`SearchConfig::probe_seed_plans`]).
-    pub fn with_probe_seeding(mut self) -> Self {
-        self.probe_seed_plans = true;
         self
     }
 }

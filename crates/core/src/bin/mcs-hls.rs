@@ -10,7 +10,6 @@
 //!                  [--deadline-ms N] [--max-pivots N] [--max-nodes N]
 //!                                                (execution budget: interrupt at
 //!                                                the ceiling, report best-so-far)
-//!                  [--probe-differential]        (cross-check trail vs clone probes)
 //!                  [--trace-out trace.json [--trace-format chrome|jsonl]]
 //!                  [--metrics-out m.json [--metrics-format json|prom]]
 //!                  [--out-result out.json]       (persist the result for `resynth`)
@@ -83,7 +82,6 @@ struct Args {
     max_pivots: Option<u64>,
     max_nodes: Option<u64>,
     pivot_budget: Option<usize>,
-    probe_differential: bool,
     trace_out: Option<String>,
     trace_format: String,
     metrics_out: Option<String>,
@@ -110,7 +108,7 @@ fn usage() -> ExitCode {
          [--chips N] [--pins N] [--buses] \
          [--workers N] [--portfolio N] [--branching N] [--budget N] \
          [--deadline-ms N] [--max-pivots N] [--max-nodes N] \
-         [--pivot-budget N] [--probe-differential] \
+         [--pivot-budget N] \
          [--trace-out FILE] [--trace-format chrome|jsonl] \
          [--metrics-out FILE] [--metrics-format json|prom] [--metrics-in FILE] \
          [--out-result FILE] [--prev FILE] [--edit SPEC] \
@@ -145,7 +143,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         max_pivots: None,
         max_nodes: None,
         pivot_budget: None,
-        probe_differential: false,
         trace_out: None,
         trace_format: "chrome".into(),
         metrics_out: None,
@@ -266,7 +263,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                         .map_err(|_| usage())?,
                 )
             }
-            "--probe-differential" => out.probe_differential = true,
             "--rates" => out.rates = Some(next_value(&mut args, "--rates")?),
             "--pin-budgets" => out.pin_budgets = Some(next_value(&mut args, "--pin-budgets")?),
             "--jobs" => {
@@ -415,7 +411,6 @@ fn flow_spec(a: &Args) -> FlowSpec {
         FlowVariant::Simple => FlowSpec::Simple {
             rate: a.rate,
             pivot_budget: a.pivot_budget,
-            probe_differential: a.probe_differential,
         },
         FlowVariant::ConnectFirst => {
             let mut opts = ConnectFirstOptions::new(a.rate);

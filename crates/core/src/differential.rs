@@ -397,7 +397,6 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
         let simple = FlowSpec::Simple {
             rate,
             pivot_budget: None,
-            probe_differential: false,
         };
         for n in [1u64, 16, 256] {
             out.checks += 1;

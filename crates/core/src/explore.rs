@@ -48,7 +48,6 @@ pub fn point_spec(flow: FlowVariant, rate: u32) -> FlowSpec {
         FlowVariant::Simple => FlowSpec::Simple {
             rate,
             pivot_budget: None,
-            probe_differential: false,
         },
         FlowVariant::ConnectFirst => {
             let mut opts = ConnectFirstOptions::new(rate);

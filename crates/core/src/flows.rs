@@ -110,10 +110,6 @@ pub enum FlowSpec {
         /// 0 — is sound: the exact branch-and-bound fallback decides when
         /// the budget runs out.
         pivot_budget: Option<usize>,
-        /// Cross-check every trail-based probe against the legacy
-        /// clone-based path, panicking on divergence (differential
-        /// testing; roughly doubles probe cost).
-        probe_differential: bool,
     },
     /// Chapters 4 and 6: synthesize the interchip connection first, then
     /// list-schedule with bus slot allocation and dynamic reassignment.
@@ -274,11 +270,7 @@ impl From<Result<SynthesisResult, FlowError>> for FlowOutcome {
 /// ```
 pub fn run(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> FlowOutcome {
     match spec {
-        FlowSpec::Simple {
-            rate,
-            pivot_budget,
-            probe_differential,
-        } => simple(cdfg, *rate, *pivot_budget, *probe_differential, ctx),
+        FlowSpec::Simple { rate, pivot_budget } => simple(cdfg, *rate, *pivot_budget, ctx),
         FlowSpec::Connect(opts) => connect_first(cdfg, opts, ctx),
         FlowSpec::Schedule {
             rate,
@@ -438,7 +430,7 @@ fn record_pin_budget(cdfg: &Cdfg, result: &SynthesisResult, metrics: &MetricsHan
 /// [`FlowError::NotSimple`], [`FlowError::PinAllocation`], or any
 /// scheduling failure.
 pub fn simple_flow(cdfg: &Cdfg, rate: u32) -> Result<SynthesisResult, FlowError> {
-    simple(cdfg, rate, None, false, &RunContext::default()).result
+    simple(cdfg, rate, None, &RunContext::default()).result
 }
 
 /// The Chapter 3 flow over a caller-prepared [`PinChecker`], which must
@@ -466,18 +458,11 @@ pub fn simple_flow_with_checker(
 
 /// [`FlowSpec::Simple`]: builds the pin checker under both budgets,
 /// seeds it from the context's probe memo and runs the flow.
-fn simple(
-    cdfg: &Cdfg,
-    rate: u32,
-    pivot_budget: Option<usize>,
-    probe_differential: bool,
-    ctx: &RunContext,
-) -> FlowOutcome {
+fn simple(cdfg: &Cdfg, rate: u32, pivot_budget: Option<usize>, ctx: &RunContext) -> FlowOutcome {
     let mut checker = match pin_checker(cdfg, rate, pivot_budget, ctx) {
         Ok(c) => c,
         Err(e) => return Err(e.into()).into(),
     };
-    checker.set_differential(probe_differential);
     checker.seed_initial_memo(&ctx.warm.probe_memo);
     match simple_body(cdfg, rate, checker, &ctx.metrics) {
         Ok((result, stats, exports)) => FlowOutcome {
@@ -521,8 +506,6 @@ fn simple_body(
         metrics.add("probe.surrogate_rejects", stats.surrogate_rejects);
         metrics.add("probe.solver", stats.solver_probes);
         metrics.add("probe.exact_fallbacks", stats.exact_fallbacks);
-        metrics.add("probe.batched", stats.batched_probes);
-        metrics.add("probe.batch_checkpoints", stats.batch_shared_checkpoints);
         // A depth, not a count: the peak over every run on the registry.
         metrics.gauge_max("probe.max_rollback_depth", stats.max_rollback_depth as i64);
     }

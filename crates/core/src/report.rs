@@ -532,7 +532,6 @@ mod tests {
         let spec = FlowSpec::Simple {
             rate: 2,
             pivot_budget: None,
-            probe_differential: true,
         };
         let ctx = RunContext {
             metrics: MetricsHandle::new(reg.clone()).with_events(&RecorderHandle::new(buf.clone())),

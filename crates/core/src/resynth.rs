@@ -331,7 +331,6 @@ fn cold_flow(
         FlowSpec::Simple {
             rate,
             pivot_budget: None,
-            probe_differential: false,
         }
     };
     let ctx = RunContext {

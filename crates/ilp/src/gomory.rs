@@ -36,9 +36,8 @@
 //! checkpoint is outstanding, so committed solves
 //! ([`AllIntegerSolver::assume_at_least`] + [`AllIntegerSolver::solve`])
 //! cost no trail memory at all. The legacy clone-based probe survives as
-//! [`AllIntegerSolver::probe_at_least_via_clone`] and backs a
-//! differential-testing mode ([`AllIntegerSolver::set_differential`])
-//! that cross-checks every trail verdict against it.
+//! [`AllIntegerSolver::probe_at_least_via_clone`], the reference the
+//! differential tests compare trail verdicts against.
 //!
 //! # Adaptive word size
 //!
@@ -325,8 +324,6 @@ pub struct AllIntegerSolver {
     /// Times the narrow representation promoted to wide (overflow-driven
     /// only; `force_wide` does not count).
     promotions: u64,
-    /// Cross-check every trail probe against the clone-based path.
-    differential: bool,
     /// Telemetry handle; its event sink takes per-pivot `GomoryCut`
     /// events (inactive by default). Clones share the sink, so probe
     /// solves report their pivots too.
@@ -367,7 +364,6 @@ impl AllIntegerSolver {
             max_bound: 1,
             pivots_total: 0,
             promotions: 0,
-            differential: false,
             metrics: MetricsHandle::default(),
             budget: None,
             m_pivots: Counter::default(),
@@ -395,15 +391,6 @@ impl AllIntegerSolver {
     /// once it trips; each pivot performed is charged to the budget.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = Some(budget);
-    }
-
-    /// When enabled, every [`AllIntegerSolver::probe_at_least`] verdict is
-    /// cross-checked against the legacy clone-based probe and any
-    /// divergence panics — the differential-testing mode the CI probe
-    /// checks run under. Off by default (the clone path doubles the cost
-    /// of every probe).
-    pub fn set_differential(&mut self, on: bool) {
-        self.differential = on;
     }
 
     /// Number of structural variables.
@@ -642,12 +629,22 @@ impl AllIntegerSolver {
         }
     }
 
-    /// Pops and undoes trail entries until the trail is `target` long.
-    /// The shared engine under [`AllIntegerSolver::rollback`] and the
-    /// per-candidate unwind of [`AllIntegerSolver::probe_batch_with_stats`].
-    fn unwind_to(&mut self, target: usize) -> u64 {
+    /// Undoes every mutation since `cp`, restoring the tableau byte for
+    /// byte, and closes the checkpoint. Returns the number of trail
+    /// entries undone (the probe's rollback depth).
+    ///
+    /// A probe that promoted mid-solve still restores every *value*
+    /// exactly — on the wide representation; promotion is sticky.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no checkpoint is outstanding or the trail is shorter
+    /// than `cp` records (out-of-order rollback).
+    pub fn rollback(&mut self, cp: Checkpoint) -> u64 {
+        assert!(self.watchers > 0, "rollback without a checkpoint");
+        assert!(cp.trail_len <= self.trail.len(), "out-of-order rollback");
         let mut undone = 0u64;
-        while self.trail.len() > target {
+        while self.trail.len() > cp.trail_len {
             let op = self.trail.pop().expect("trail entry");
             undone += 1;
             match op {
@@ -682,24 +679,6 @@ impl AllIntegerSolver {
                 }
             }
         }
-        undone
-    }
-
-    /// Undoes every mutation since `cp`, restoring the tableau byte for
-    /// byte, and closes the checkpoint. Returns the number of trail
-    /// entries undone (the probe's rollback depth).
-    ///
-    /// A probe that promoted mid-solve still restores every *value*
-    /// exactly — on the wide representation; promotion is sticky.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no checkpoint is outstanding or the trail is shorter
-    /// than `cp` records (out-of-order rollback).
-    pub fn rollback(&mut self, cp: Checkpoint) -> u64 {
-        assert!(self.watchers > 0, "rollback without a checkpoint");
-        assert!(cp.trail_len <= self.trail.len(), "out-of-order rollback");
-        let undone = self.unwind_to(cp.trail_len);
         debug_assert_eq!(self.nrows, cp.nrows);
         debug_assert_eq!(self.cut_len(), cp.cuts_len);
         debug_assert_eq!(self.original.len(), cp.original_len);
@@ -885,13 +864,6 @@ impl AllIntegerSolver {
             verdict = self.solve_exact();
         }
         let rollback_ops = self.rollback(cp);
-        if self.differential && verdict != Feasibility::Interrupted {
-            let cloned = self.probe_at_least_via_clone(var, by, max_pivots);
-            assert_eq!(
-                verdict, cloned,
-                "trail-based probe of x{var} >= +{by} disagrees with the clone path"
-            );
-        }
         (
             verdict,
             ProbeStats {
@@ -902,91 +874,12 @@ impl AllIntegerSolver {
         )
     }
 
-    /// Probes every `(var, by)` request under **one** checkpoint: the
-    /// trail is unwound to the batch's start mark between candidates and
-    /// the checkpoint is opened and closed once, so a control step's worth
-    /// of candidates shares the setup/teardown the per-probe path pays
-    /// each time. Verdict-identical to calling
-    /// [`AllIntegerSolver::probe_at_least_with_stats`] per request —
-    /// every candidate still sees the exact pre-batch tableau.
-    pub fn probe_batch_with_stats(
-        &mut self,
-        reqs: &[(usize, i64)],
-        max_pivots: usize,
-    ) -> Vec<(Feasibility, ProbeStats)> {
-        let mut out = Vec::with_capacity(reqs.len());
-        let cp = self.checkpoint();
-        let mark = self.trail.len();
-        for &(var, by) in reqs {
-            let pivots_before = self.pivots_total;
-            self.assume_at_least(var, by);
-            let mut verdict = self.solve(max_pivots);
-            let exact_fallback = verdict == Feasibility::PivotLimit;
-            if exact_fallback {
-                verdict = self.solve_exact();
-            }
-            let rollback_ops = self.unwind_to(mark);
-            self.m_rollback_depth.observe(rollback_ops);
-            out.push((
-                verdict,
-                ProbeStats {
-                    pivots: self.pivots_total - pivots_before,
-                    rollback_ops,
-                    exact_fallback,
-                },
-            ));
-        }
-        // Nothing left to undo; close the checkpoint without skewing the
-        // rollback-depth histogram with a zero-depth entry.
-        assert!(self.watchers > 0, "batch checkpoint vanished");
-        let undone = self.unwind_to(cp.trail_len);
-        debug_assert_eq!(undone, 0);
-        debug_assert_eq!(self.nrows, cp.nrows);
-        debug_assert_eq!(self.cut_len(), cp.cuts_len);
-        self.watchers -= 1;
-        if self.differential {
-            for (&(var, by), &(verdict, _)) in reqs.iter().zip(&out) {
-                if verdict == Feasibility::Interrupted {
-                    continue;
-                }
-                let cloned = self.probe_at_least_via_clone(var, by, max_pivots);
-                assert_eq!(
-                    verdict, cloned,
-                    "batched probe of x{var} >= +{by} disagrees with the clone path"
-                );
-            }
-        }
-        out
-    }
-
-    /// Differential oracle hook: answers the same `x_var >= +by` probe
-    /// through both engines — the trail-based checkpoint/rollback path
-    /// and the legacy clone-per-probe path — and returns the verdict
-    /// pair `(trail, clone)`. The fuzz harness asserts the two agree
-    /// under arbitrary pivot budgets; the built-in differential mode is
-    /// suspended for the trail half so a divergence is *returned* for
-    /// triage instead of panicking mid-sweep.
-    pub fn probe_agreement(
-        &mut self,
-        var: usize,
-        by: i64,
-        max_pivots: usize,
-    ) -> (Feasibility, Feasibility) {
-        let saved = self.differential;
-        self.differential = false;
-        let trail = self.probe_at_least(var, by, max_pivots);
-        self.differential = saved;
-        let clone = self.probe_at_least_via_clone(var, by, max_pivots);
-        (trail, clone)
-    }
-
     /// The legacy clone-per-probe path: deep-copies the solver, commits
     /// the assumption on the copy and solves there. Kept as the reference
     /// implementation for differential testing and the before/after
     /// microbenches.
     pub fn probe_at_least_via_clone(&self, var: usize, by: i64, max_pivots: usize) -> Feasibility {
         let mut clone = self.clone();
-        clone.differential = false;
         // The reference path must not spend or observe the shared budget:
         // it exists to double-check verdicts, not to race the deadline.
         clone.budget = None;
@@ -1223,21 +1116,25 @@ mod tests {
     #[test]
     fn trail_and_clone_probes_agree_with_differential_on() {
         let mut s = AllIntegerSolver::new(3);
-        s.set_differential(true);
         s.add_ge(&[(0, 1), (1, 1), (2, 1)], 2);
         s.add_le(&[(0, 3), (1, 2), (2, 1)], 4);
         assert_eq!(s.solve(10_000), Feasibility::Feasible);
-        for v in 0..3 {
-            // The differential mode asserts agreement internally.
-            let _ = s.probe_at_least(v, 1, 10_000);
-        }
-        s.assume_at_least(2, 1);
-        assert_eq!(s.solve(10_000), Feasibility::Feasible);
-        for v in 0..3 {
-            assert_eq!(
-                s.probe_at_least(v, 1, 10_000),
-                s.probe_at_least_via_clone(v, 1, 10_000),
-            );
+        // Before and after a commit, the two engines agree on every
+        // increment, feasible or not.
+        for commit in [None, Some(2)] {
+            if let Some(var) = commit {
+                s.assume_at_least(var, 1);
+                assert_eq!(s.solve(10_000), Feasibility::Feasible);
+            }
+            for v in 0..3 {
+                for by in 1..=2 {
+                    assert_eq!(
+                        s.probe_at_least(v, by, 10_000),
+                        s.probe_at_least_via_clone(v, by, 10_000),
+                        "x{v} >= +{by} after commit {commit:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -1460,30 +1357,44 @@ mod tests {
 
     #[test]
     fn batch_probe_matches_individual_probes() {
+        // A step's worth of consultations is a run of probes on one
+        // solver: each rolls back completely, so the run leaves no trace
+        // and every verdict equals a probe on a fresh copy.
         let mut s = AllIntegerSolver::new(3);
         s.add_ge(&[(0, 1), (1, 1), (2, 1)], 2);
         s.add_le(&[(0, 3), (1, 2), (2, 1)], 4);
         assert_eq!(s.solve(10_000), Feasibility::Feasible);
         let digest = s.tableau_digest();
         let reqs: Vec<(usize, i64)> = vec![(0, 1), (1, 1), (2, 1), (0, 2), (1, 3)];
-        let batch = s.probe_batch_with_stats(&reqs, 10_000);
-        assert_eq!(s.tableau_digest(), digest, "batch must leave no trace");
+        let run: Vec<Feasibility> = reqs
+            .iter()
+            .map(|&(var, by)| s.probe_at_least(var, by, 10_000))
+            .collect();
+        assert_eq!(s.tableau_digest(), digest, "probes must leave no trace");
         assert_eq!(s.trail_len(), 0);
-        for (&(var, by), (verdict, _)) in reqs.iter().zip(&batch) {
-            assert_eq!(*verdict, s.probe_at_least(var, by, 10_000));
+        for (&(var, by), verdict) in reqs.iter().zip(&run) {
+            assert_eq!(*verdict, s.probe_at_least_via_clone(var, by, 10_000));
         }
     }
 
     #[test]
     fn batch_probe_under_differential_mode_cross_checks() {
+        // x0 + x1 <= 1: each variable may rise by one, neither by two.
         let mut s = AllIntegerSolver::new(2);
-        s.set_differential(true);
         s.add_le(&[(0, 1), (1, 1)], 1);
-        // Panics internally on divergence; passing is the assertion.
-        let out = s.probe_batch_with_stats(&[(0, 1), (1, 1), (0, 2)], 1000);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].0, Feasibility::Feasible);
-        assert_eq!(out[1].0, Feasibility::Feasible);
-        assert_eq!(out[2].0, Feasibility::Infeasible);
+        let expected = [
+            ((0, 1), Feasibility::Feasible),
+            ((1, 1), Feasibility::Feasible),
+            ((0, 2), Feasibility::Infeasible),
+        ];
+        for ((var, by), want) in expected {
+            assert_eq!(s.probe_at_least(var, by, 1000), want, "x{var} >= +{by}");
+            assert_eq!(
+                s.probe_at_least_via_clone(var, by, 1000),
+                want,
+                "clone x{var} >= +{by}"
+            );
+        }
+        assert_eq!(s.trail_len(), 0);
     }
 }

@@ -72,8 +72,6 @@ pub enum PlaceVerdict {
     /// The pin-allocation ILP proves no completion exists if the
     /// operation takes pins in this step's group (Chapter 3 checker).
     PinInfeasible,
-    /// Rejected by a policy that reports no finer reason.
-    Rejected,
 }
 
 impl PlaceVerdict {
@@ -91,7 +89,6 @@ impl PlaceVerdict {
             PlaceVerdict::SameCycleConflict => "same-cycle-conflict",
             PlaceVerdict::PendingInfeasible => "pending-infeasible",
             PlaceVerdict::PinInfeasible => "pin-infeasible",
-            PlaceVerdict::Rejected => "rejected",
         }
     }
 }

@@ -39,6 +39,17 @@ use mcs_obs::{Event, ProbeSource};
 /// fallback always decides.
 pub const DEFAULT_PIVOT_BUDGET: usize = 4_000;
 
+/// Most solver variables a pin-allocation tableau may have. The tableau
+/// is dense, `n * (n + 1)` words, so its memory is quadratic in the
+/// variable count, and the count grows with the transfer groups times
+/// the rate. The largest tableau any design, test or benchmark in this
+/// repository builds has 142 variables (a 50-operation fuzz design at
+/// rate 8); the cap is about 29 times that and bounds the tableau at
+/// 128 MiB of i64 words (256 MiB once promoted to i128), where an
+/// unchecked rate such as 100 000 asks for terabytes and aborts the
+/// process.
+pub const MAX_TABLEAU_VARS: usize = 4_096;
+
 /// Cumulative accounting of how the checker's probe layers resolved
 /// feasibility questions, cheapest first: memo cache, surrogate
 /// capacity bound, tableau solve.
@@ -59,13 +70,6 @@ pub struct ProbeCacheStats {
     /// Memo hits answered by entries seeded from another checker via
     /// [`PinChecker::seed_initial_memo`] (a subset of `memo_hits`).
     pub seed_hits: u64,
-    /// Solver probes resolved through the batched path
-    /// ([`PinChecker::probe_candidates`]) — a subset of `solver_probes`.
-    pub batched_probes: u64,
-    /// Shared checkpoints opened by batched probing: one per
-    /// [`PinChecker::probe_candidates`] call that reached the solver,
-    /// however many candidates it carried.
-    pub batch_shared_checkpoints: u64,
 }
 
 impl ProbeCacheStats {
@@ -87,6 +91,14 @@ pub enum PinAllocError {
     /// The attached execution [`Budget`] tripped before the checker
     /// could reach a verdict; the carried [`Termination`] says why.
     Interrupted(Termination),
+    /// The ILP at this rate would need more solver variables than
+    /// [`MAX_TABLEAU_VARS`]; the checker refuses before allocating.
+    TableauTooLarge {
+        /// Variables the tableau would need.
+        vars: usize,
+        /// The cap, [`MAX_TABLEAU_VARS`].
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for PinAllocError {
@@ -102,6 +114,11 @@ impl std::fmt::Display for PinAllocError {
             PinAllocError::Interrupted(t) => {
                 write!(f, "pin-allocation check interrupted ({t})")
             }
+            PinAllocError::TableauTooLarge { vars, limit } => write!(
+                f,
+                "the pin-allocation ILP at this rate needs {vars} solver variables, \
+                 over the limit of {limit}"
+            ),
         }
     }
 }
@@ -205,6 +222,7 @@ impl PinChecker {
     /// # Errors
     ///
     /// [`PinAllocError::ZeroRate`] for `rate == 0`;
+    /// [`PinAllocError::TableauTooLarge`] past [`MAX_TABLEAU_VARS`];
     /// [`PinAllocError::InfeasibleFromTheStart`] if the pin budgets cannot
     /// carry the design's transfers at all.
     pub fn new(cdfg: &Cdfg, rate: u32) -> Result<Self, PinAllocError> {
@@ -239,9 +257,7 @@ impl PinChecker {
         pivot_budget: usize,
         budget: Option<Budget>,
     ) -> Result<Self, PinAllocError> {
-        if rate == 0 {
-            return Err(PinAllocError::ZeroRate);
-        }
+        let vars = Self::tableau_vars(cdfg, rate)?;
         let l = rate as usize;
         let groups = cdfg.io_ops_by_value();
 
@@ -301,6 +317,7 @@ impl PinChecker {
             }
         }
 
+        debug_assert_eq!(n_vars, vars);
         let mut solver = AllIntegerSolver::new(n_vars);
 
         // Upper bounds: aggregates x_{g,k} <= q, members and y binaries <= 1.
@@ -484,6 +501,48 @@ impl PinChecker {
         }
     }
 
+    /// Solver variables the pin-allocation ILP of `cdfg` at `rate` has:
+    /// one per step group for each aggregate (Section 3.1.2), each
+    /// member of a multi-destination value and each such value's `y`,
+    /// plus one `o_j` per partition without a fixed split. Computed
+    /// without building anything, so a caller can refuse a rate before
+    /// any work is queued.
+    ///
+    /// # Errors
+    ///
+    /// [`PinAllocError::ZeroRate`] for `rate == 0`, and
+    /// [`PinAllocError::TableauTooLarge`] past [`MAX_TABLEAU_VARS`].
+    pub fn tableau_vars(cdfg: &Cdfg, rate: u32) -> Result<usize, PinAllocError> {
+        if rate == 0 {
+            return Err(PinAllocError::ZeroRate);
+        }
+        let mut aggregates = std::collections::BTreeSet::new();
+        let mut blocks = 0usize;
+        for ops in cdfg.io_ops_by_value().values() {
+            if let [op] = ops[..] {
+                let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
+                aggregates.insert((from, to, cdfg.io_bits(op)));
+            } else {
+                blocks += ops.len() + 1;
+            }
+        }
+        let splits = cdfg
+            .partitions()
+            .iter()
+            .filter(|part| part.fixed_split.is_none())
+            .count();
+        let vars = (aggregates.len() + blocks)
+            .saturating_mul(rate as usize)
+            .saturating_add(splits);
+        if vars > MAX_TABLEAU_VARS {
+            return Err(PinAllocError::TableauTooLarge {
+                vars,
+                limit: MAX_TABLEAU_VARS,
+            });
+        }
+        Ok(vars)
+    }
+
     /// Attaches an execution budget: probes are charged against it and
     /// the embedded solver polls it at pivot boundaries, so a long
     /// feasibility solve can be interrupted mid-flight. Interrupted
@@ -527,13 +586,6 @@ impl PinChecker {
     /// depend on the budget.
     pub fn set_pivot_budget(&mut self, pivot_budget: usize) {
         self.pivot_budget = pivot_budget;
-    }
-
-    /// Cross-checks every trail-based solver probe against the legacy
-    /// clone-based path (panicking on divergence). For differential
-    /// testing; off by default.
-    pub fn set_differential(&mut self, on: bool) {
-        self.solver.set_differential(on);
     }
 
     /// Pins the embedded solver to its wide (i128) tableau
@@ -694,110 +746,6 @@ impl PinChecker {
         verdict
     }
 
-    /// Answers [`PinChecker::can_commit`] for a whole slate of
-    /// `(op, step)` candidates — typically every placement a control step
-    /// is considering — sharing the probe machinery across them: the memo
-    /// cache and surrogate quick-reject resolve what they can, and the
-    /// remainder is solved under **one** solver checkpoint
-    /// ([`mcs_ilp::AllIntegerSolver::probe_batch_with_stats`]) instead of
-    /// a checkpoint/rollback pair per candidate. Verdicts are identical
-    /// to calling `can_commit` per candidate, and every solver verdict is
-    /// memoized, so a follow-up `can_commit` on the chosen candidate is a
-    /// memo hit — the scheduler's batch-prime-then-place pattern.
-    ///
-    /// Returns one verdict per candidate, in order. Counted under
-    /// `batched_probes` / `batch_shared_checkpoints` in
-    /// [`PinChecker::probe_stats`].
-    pub fn probe_candidates(&mut self, candidates: &[(OpId, i64)]) -> Vec<bool> {
-        let mut verdicts = vec![false; candidates.len()];
-        let mut sources = vec![ProbeSource::Solver; candidates.len()];
-        // (candidate index, solver var) for everything the cheap layers
-        // could not answer.
-        let mut unresolved: Vec<(usize, usize)> = Vec::new();
-        for (ci, &(op, step)) in candidates.iter().enumerate() {
-            let var = self.var_of(op, step);
-            let k = step.rem_euclid(self.rate as i64) as usize;
-            let probe_start = self.metrics.now_us();
-            if let Some(&v) = self.memo.get(&(var, 1)) {
-                self.stats.memo_hits += 1;
-                if self.seeded.contains(&(var, 1)) {
-                    self.stats.seed_hits += 1;
-                }
-                verdicts[ci] = v;
-                sources[ci] = ProbeSource::Memo;
-                if self.metrics.enabled() {
-                    self.m_lat_memo
-                        .observe(self.metrics.now_us().saturating_sub(probe_start));
-                }
-            } else if self.surrogate_rejects(op, k) {
-                self.stats.surrogate_rejects += 1;
-                self.memo.insert((var, 1), false);
-                if self.stats.commits == 0 {
-                    self.epoch0_learned.insert((var, 1), false);
-                }
-                sources[ci] = ProbeSource::Surrogate;
-                if self.metrics.enabled() {
-                    self.m_lat_surrogate
-                        .observe(self.metrics.now_us().saturating_sub(probe_start));
-                }
-            } else {
-                unresolved.push((ci, var));
-            }
-        }
-        if !unresolved.is_empty() {
-            let reqs: Vec<(usize, i64)> = unresolved.iter().map(|&(_, var)| (var, 1)).collect();
-            let batch_start = self.metrics.now_us();
-            let results = self.solver.probe_batch_with_stats(&reqs, self.pivot_budget);
-            // One latency observation for the whole shared-checkpoint
-            // solve; per-candidate counters stay exact.
-            if self.metrics.enabled() {
-                self.m_lat_solver
-                    .observe(self.metrics.now_us().saturating_sub(batch_start));
-            }
-            self.stats.batch_shared_checkpoints += 1;
-            for (&(ci, var), (f, pstats)) in unresolved.iter().zip(&results) {
-                self.stats.solver_probes += 1;
-                self.stats.batched_probes += 1;
-                if pstats.exact_fallback {
-                    self.stats.exact_fallbacks += 1;
-                }
-                self.stats.max_rollback_depth =
-                    self.stats.max_rollback_depth.max(pstats.rollback_ops);
-                let v = *f == Feasibility::Feasible;
-                if *f != Feasibility::Interrupted {
-                    self.memo.insert((var, 1), v);
-                    if self.stats.commits == 0 {
-                        self.epoch0_learned.insert((var, 1), v);
-                    }
-                }
-                verdicts[ci] = v;
-            }
-        }
-        if let Some(budget) = &self.budget {
-            budget.charge_probes(candidates.len() as u64);
-        }
-        if self.metrics.tracing() {
-            for (ci, &(op, step)) in candidates.iter().enumerate() {
-                let var = self.var_of(op, step);
-                let k = step.rem_euclid(self.rate as i64) as usize;
-                self.metrics.record(Event::PinCheck {
-                    group: k as u32,
-                    pins_used: self.group_load[k] + self.op_bits.get(&op).copied().unwrap_or(0),
-                    cap: self.total_cap,
-                    verdict: verdicts[ci],
-                });
-                self.metrics.record(Event::ProbeResolved {
-                    var: var as u32,
-                    by: 1,
-                    verdict: verdicts[ci],
-                    source: sources[ci],
-                    trail_depth: 0,
-                });
-            }
-        }
-        verdicts
-    }
-
     /// Probes `op` at `step` through a chosen engine — the trail-based
     /// checkpoint/rollback path or the legacy clone-per-probe path —
     /// bypassing the memo cache and the surrogate bound. Benchmark and
@@ -819,23 +767,14 @@ impl PinChecker {
     /// disagreeing `(op, step, trail, clone)` tuples. An empty sweep
     /// means the trail-based engine is verdict-identical to the clone
     /// oracle on the checker's full probe surface at the current pivot
-    /// budget.
-    ///
-    /// The candidate order is derived once at construction
-    /// (`sweep_order`), and the trail half runs through the same
-    /// shared-checkpoint batch the scheduler's
-    /// [`PinChecker::probe_candidates`] uses, so the fuzz differential
-    /// exercises the production probe path, not a bespoke loop.
+    /// budget. The candidate order is derived once at construction
+    /// (`sweep_order`); each candidate costs one trail probe and one
+    /// clone probe through [`PinChecker::probe_uncached`].
     pub fn probe_sweep(&mut self) -> Vec<(OpId, i64, bool, bool)> {
         let candidates = std::mem::take(&mut self.sweep_order);
-        let reqs: Vec<(usize, i64)> = candidates
-            .iter()
-            .map(|&(op, step)| (self.var_of(op, step), 1))
-            .collect();
-        let batch = self.solver.probe_batch_with_stats(&reqs, self.pivot_budget);
         let mut diffs = Vec::new();
-        for (&(op, step), (f, _)) in candidates.iter().zip(&batch) {
-            let trail = *f == Feasibility::Feasible;
+        for &(op, step) in &candidates {
+            let trail = self.probe_uncached(op, step, false);
             let clone = self.probe_uncached(op, step, true);
             if trail != clone {
                 diffs.push((op, step, trail, clone));
@@ -874,8 +813,6 @@ impl PinChecker {
         // Infeasible verdicts survive: adding constraints can never make
         // an infeasible increment feasible again, so a `false` entry —
         // including a seeded one — stays sound for the rest of the run.
-        // This is what lets a batch-primed candidate slate keep its
-        // rejections across the commits the scheduler interleaves.
         self.memo.retain(|_, v| !*v);
         self.seeded.retain(|key| self.memo.contains_key(key));
         self.stats.commits += 1;
@@ -1031,6 +968,27 @@ mod tests {
             PinChecker::new(d.cdfg(), 0).unwrap_err(),
             PinAllocError::ZeroRate
         );
+    }
+
+    #[test]
+    fn oversized_rate_is_refused_before_allocating() {
+        let d = ar_filter::simple();
+        // The variable count is affine in the rate; construction checks
+        // it against what it builds (a debug assertion).
+        let vars: Vec<usize> = (2..=4)
+            .map(|l| PinChecker::tableau_vars(d.cdfg(), l).unwrap())
+            .collect();
+        assert_eq!(vars[2] - vars[1], vars[1] - vars[0]);
+        assert!(PinChecker::new(d.cdfg(), 4).is_ok());
+        for rate in [100_000, u32::MAX] {
+            match PinChecker::new(d.cdfg(), rate) {
+                Err(PinAllocError::TableauTooLarge { vars, limit }) => {
+                    assert_eq!(limit, MAX_TABLEAU_VARS);
+                    assert!(vars > limit, "rate {rate}: {vars}");
+                }
+                other => panic!("rate {rate}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1257,14 +1215,27 @@ mod tests {
     fn differential_mode_agrees_across_a_full_schedule() {
         let d = synthetic::fig_2_5();
         let mut c = PinChecker::new(d.cdfg(), 2).unwrap();
-        c.set_differential(true);
-        for (name, step) in [("V1", 0), ("V2", 1), ("V3", 1), ("V4", 0)] {
-            let op = d.op_named(name);
-            // Probe a few wrong steps too; differential mode panics on
-            // any trail/clone divergence.
-            let _ = c.can_commit(op, step + 1);
-            assert!(c.can_commit(op, step), "{name} at {step}");
-            c.commit(op, step).unwrap();
+        let ops: Vec<OpId> = ["V1", "V2", "V3", "V4"]
+            .iter()
+            .map(|n| d.op_named(n))
+            .collect();
+        for (i, (name, step)) in [("V1", 0), ("V2", 1), ("V3", 1), ("V4", 0)]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(c.can_commit(ops[i], step), "{name} at {step}");
+            c.commit(ops[i], step).unwrap();
+            // Every transfer, committed or not, in both groups: the
+            // trail engine answers exactly as the clone reference.
+            for &op in &ops {
+                for k in 0..2 {
+                    assert_eq!(
+                        c.probe_uncached(op, k, false),
+                        c.probe_uncached(op, k, true),
+                        "{op} at {k} after committing {name}"
+                    );
+                }
+            }
         }
         assert_eq!(c.probe_stats().commits, 4);
         assert!(c.probe_stats().solver_probes > 0);
@@ -1329,9 +1300,12 @@ mod tests {
 
     #[test]
     fn batched_probe_candidates_match_can_commit_and_prime_the_memo() {
+        // A step's slate of candidates, consulted one `can_commit` each
+        // on one checker, answers as a fresh checker per candidate does;
+        // every verdict lands in the memo, so asking the slate again
+        // costs no solver work.
         let d = synthetic::fig_2_5();
-        let mut batched = PinChecker::new(d.cdfg(), 2).unwrap();
-        let mut single = PinChecker::new(d.cdfg(), 2).unwrap();
+        let mut slate = PinChecker::new(d.cdfg(), 2).unwrap();
         let cands: Vec<(OpId, i64)> = ["V1", "V2", "V3", "V4"]
             .iter()
             .flat_map(|n| {
@@ -1339,35 +1313,43 @@ mod tests {
                 (0..2i64).map(move |k| (op, k))
             })
             .collect();
-        let verdicts = batched.probe_candidates(&cands);
+        let verdicts: Vec<bool> = cands
+            .iter()
+            .map(|&(op, step)| slate.can_commit(op, step))
+            .collect();
         for (&(op, step), &v) in cands.iter().zip(&verdicts) {
-            assert_eq!(v, single.can_commit(op, step), "{op} at {step}");
+            let mut fresh = PinChecker::new(d.cdfg(), 2).unwrap();
+            assert_eq!(v, fresh.can_commit(op, step), "{op} at {step}");
         }
-        let stats = batched.probe_stats();
-        assert!(stats.batched_probes > 0);
-        assert_eq!(stats.batched_probes, stats.solver_probes);
-        assert_eq!(stats.batch_shared_checkpoints, 1);
-        // The batch primed the memo: placing any probed candidate later
-        // costs no further solver work.
-        let before = batched.probe_stats().solver_probes;
-        assert_eq!(batched.can_commit(d.op_named("V1"), 0), verdicts[0]);
-        assert_eq!(batched.probe_stats().solver_probes, before);
-        assert!(batched.probe_stats().memo_hits > 0);
-        // A repeated batch is all memo hits: no new shared checkpoint.
-        let again = batched.probe_candidates(&cands);
+        let stats = slate.probe_stats();
+        assert_eq!(stats.total_probes(), cands.len() as u64, "one probe each");
+        assert!(stats.solver_probes > 0);
+        let again: Vec<bool> = cands
+            .iter()
+            .map(|&(op, step)| slate.can_commit(op, step))
+            .collect();
         assert_eq!(again, verdicts);
-        assert_eq!(batched.probe_stats().batch_shared_checkpoints, 1);
+        let after = slate.probe_stats();
+        assert_eq!(after.solver_probes, stats.solver_probes);
+        assert_eq!(after.memo_hits, stats.memo_hits + cands.len() as u64);
     }
 
     #[test]
     fn batched_probe_candidates_respect_commits() {
+        // After V1 in group 0, V2 fits only the other group, in every
+        // pipeline instance; the repeats resolve from the memo.
         let d = synthetic::fig_2_5();
         let mut c = PinChecker::new(d.cdfg(), 2).unwrap();
         let v1 = d.op_named("V1");
         let v2 = d.op_named("V2");
         c.commit(v1, 0).unwrap();
-        let verdicts = c.probe_candidates(&[(v2, 0), (v2, 1)]);
-        assert_eq!(verdicts, vec![false, true], "fig. 2.5 dead end");
+        let verdicts: Vec<bool> = (0..4).map(|step| c.can_commit(v2, step)).collect();
+        assert_eq!(
+            verdicts,
+            vec![false, true, false, true],
+            "fig. 2.5 dead end"
+        );
+        assert_eq!(c.probe_stats().memo_hits, 2);
     }
 
     #[test]

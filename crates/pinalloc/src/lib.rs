@@ -25,5 +25,6 @@ pub mod simple;
 
 pub use checker::{
     CommitSavepoint, PinAllocError, PinChecker, ProbeCacheStats, DEFAULT_PIVOT_BUDGET,
+    MAX_TABLEAU_VARS,
 };
 pub use simple::{check_simple, is_simple, SimplicityViolation};

@@ -492,142 +492,6 @@ impl BusPolicy {
             });
         }
     }
-
-    /// Attempts to allocate a communication slot for `op` at `step`.
-    pub fn try_place_impl(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> bool {
-        self.place_explained(cdfg, op, step).placed()
-    }
-
-    /// Like [`BusPolicy::try_place_impl`], but reports the accurate
-    /// rejection reason instead of a bare `false`:
-    ///
-    /// * [`PlaceVerdict::NoCapableBus`] — no bus can geometrically carry
-    ///   the transfer, so no candidate slot existed at all;
-    /// * [`PlaceVerdict::SameCycleConflict`] — capable buses exist but
-    ///   every candidate slot in the step's group is occupied by a
-    ///   conflicting transfer;
-    /// * [`PlaceVerdict::PendingInfeasible`] — a free slot exists but
-    ///   taking it would strand a not-yet-scheduled transfer (the
-    ///   Figure 4.5 matching loses perfection).
-    ///
-    /// These used to be conflated, making postponement undiagnosable.
-    pub fn place_explained(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
-        let Some((value, _, _)) = cdfg.op(op).io_endpoints() else {
-            return PlaceVerdict::Placed;
-        };
-        let g = self.group(step);
-        let original = self.interconnect.assignment.get(&op).copied();
-        let mut options: Vec<BusAssignment> = Vec::new();
-        if self.allow_reassign {
-            let routes = self.routes(cdfg);
-            let planned = self.planned(op);
-            let mut carriers = routes.carriers[op.index()].clone();
-            carriers.sort_by_key(|c| (Some(*c) != planned, Some(*c) != original, c.bus, c.range));
-            options = carriers;
-        } else if let Some(a) = original {
-            options.push(a);
-        }
-        if options.is_empty() {
-            return PlaceVerdict::NoCapableBus;
-        }
-        let mut saw_free_slot = false;
-        // Every placement must keep the remaining transfers routable — the
-        // invariant behind the paper's preemption chains: whenever the
-        // bipartite matching between pending transfers and free slots is
-        // perfect before a step, some admissible placement order keeps it
-        // perfect, so the allocator never strands a transfer. Same-value
-        // free rides cannot shrink the free-slot supply and skip the
-        // check.
-        for cand in &options {
-            let cand = *cand;
-            if !self.slot_free(cand.bus, cand.range, step, value) {
-                continue;
-            }
-            let slot = self.slot(cand.bus.0, g);
-            let sharing = self.used[slot]
-                .iter()
-                .any(|&(r, v, t)| v == value && r == cand.range && t == step);
-            if !sharing {
-                saw_free_slot = true;
-            }
-            let ran_matching = !sharing && self.allow_reassign;
-            let admissible = sharing
-                || !self.allow_reassign
-                || self.pending_feasible(cdfg, Some((cand.bus, g, cand.range, value)));
-            if admissible {
-                if ran_matching {
-                    self.m_rematch_size.observe(self.last_pending);
-                }
-                self.used[slot].push((cand.range, value, step));
-                self.commit(
-                    op,
-                    SlotPlacement {
-                        bus: cand.bus,
-                        step,
-                        range: cand.range,
-                    },
-                );
-                if original.map(|a| a.bus) != Some(cand.bus) {
-                    self.reassigned += 1;
-                    self.record_reassign(op, step, original, cand.bus, 0);
-                }
-                return if sharing {
-                    PlaceVerdict::SharedSlot
-                } else {
-                    PlaceVerdict::Placed
-                };
-            }
-        }
-        // Last resort, for feedback transfers only: their placement window
-        // is bounded (Section 7.1), so instead of postponing, run a
-        // preemption chain over already-scheduled transfers — bus changes
-        // only, steps untouched (Section 4.2's augmentation, applied at
-        // the point the paper's negative-step preloads are committed).
-        let is_feedback = cdfg.preds(op).iter().any(|&e| cdfg.edge(e).degree > 0);
-        if self.allow_reassign && is_feedback {
-            let before = self.reassigned;
-            let carriers = self.routes(cdfg).carriers[op.index()].clone();
-            for cand in carriers {
-                let mut visited = BTreeSet::new();
-                visited.insert(cand.bus.0);
-                let mut trial = self.clone();
-                if !(trial.evict_value(cdfg, cand.bus.0, cand.range, g, &mut visited)
-                    && trial.slot_free(cand.bus, cand.range, step, value))
-                {
-                    continue;
-                }
-                let slot = trial.slot(cand.bus.0, g);
-                trial.used[slot].push((cand.range, value, step));
-                trial.commit(
-                    op,
-                    SlotPlacement {
-                        bus: cand.bus,
-                        step,
-                        range: cand.range,
-                    },
-                );
-                if trial.pending_feasible(cdfg, None) {
-                    *self = trial;
-                    self.m_rematch_size.observe(self.last_pending);
-                    // Scheduled transfers moved by the eviction chain.
-                    let chain = (self.reassigned - before) as u32;
-                    let moved = original.map(|a| a.bus) != Some(cand.bus);
-                    if moved {
-                        self.reassigned += 1;
-                    }
-                    if moved || chain > 0 {
-                        self.record_reassign(op, step, original, cand.bus, chain);
-                    }
-                    return PlaceVerdict::Placed;
-                }
-            }
-        }
-        if saw_free_slot {
-            PlaceVerdict::PendingInfeasible
-        } else {
-            PlaceVerdict::SameCycleConflict
-        }
-    }
 }
 
 /// The Figure 4.5 graph of one matching round: pending values against
@@ -746,12 +610,133 @@ fn feedback_groups(cdfg: &Cdfg, rate: u32) -> BTreeMap<ValueId, BTreeSet<u32>> {
 }
 
 impl IoPolicy for BusPolicy {
-    fn try_place(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> bool {
-        self.try_place_impl(cdfg, op, step)
-    }
-
-    fn try_place_explained(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
-        self.place_explained(cdfg, op, step)
+    /// Allocates a communication slot for `op` at `step`, reporting the
+    /// accurate rejection reason when there is none:
+    ///
+    /// * [`PlaceVerdict::NoCapableBus`] — no bus can geometrically carry
+    ///   the transfer, so no candidate slot existed at all;
+    /// * [`PlaceVerdict::SameCycleConflict`] — capable buses exist but
+    ///   every candidate slot in the step's group is occupied by a
+    ///   conflicting transfer;
+    /// * [`PlaceVerdict::PendingInfeasible`] — a free slot exists but
+    ///   taking it would strand a not-yet-scheduled transfer (the
+    ///   Figure 4.5 matching loses perfection).
+    fn place(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
+        let Some((value, _, _)) = cdfg.op(op).io_endpoints() else {
+            return PlaceVerdict::Placed;
+        };
+        let g = self.group(step);
+        let original = self.interconnect.assignment.get(&op).copied();
+        let mut options: Vec<BusAssignment> = Vec::new();
+        if self.allow_reassign {
+            let routes = self.routes(cdfg);
+            let planned = self.planned(op);
+            let mut carriers = routes.carriers[op.index()].clone();
+            carriers.sort_by_key(|c| (Some(*c) != planned, Some(*c) != original, c.bus, c.range));
+            options = carriers;
+        } else if let Some(a) = original {
+            options.push(a);
+        }
+        if options.is_empty() {
+            return PlaceVerdict::NoCapableBus;
+        }
+        let mut saw_free_slot = false;
+        // Every placement must keep the remaining transfers routable — the
+        // invariant behind the paper's preemption chains: whenever the
+        // bipartite matching between pending transfers and free slots is
+        // perfect before a step, some admissible placement order keeps it
+        // perfect, so the allocator never strands a transfer. Same-value
+        // free rides cannot shrink the free-slot supply and skip the
+        // check.
+        for cand in &options {
+            let cand = *cand;
+            if !self.slot_free(cand.bus, cand.range, step, value) {
+                continue;
+            }
+            let slot = self.slot(cand.bus.0, g);
+            let sharing = self.used[slot]
+                .iter()
+                .any(|&(r, v, t)| v == value && r == cand.range && t == step);
+            if !sharing {
+                saw_free_slot = true;
+            }
+            let ran_matching = !sharing && self.allow_reassign;
+            let admissible = sharing
+                || !self.allow_reassign
+                || self.pending_feasible(cdfg, Some((cand.bus, g, cand.range, value)));
+            if admissible {
+                if ran_matching {
+                    self.m_rematch_size.observe(self.last_pending);
+                }
+                self.used[slot].push((cand.range, value, step));
+                self.commit(
+                    op,
+                    SlotPlacement {
+                        bus: cand.bus,
+                        step,
+                        range: cand.range,
+                    },
+                );
+                if original.map(|a| a.bus) != Some(cand.bus) {
+                    self.reassigned += 1;
+                    self.record_reassign(op, step, original, cand.bus, 0);
+                }
+                return if sharing {
+                    PlaceVerdict::SharedSlot
+                } else {
+                    PlaceVerdict::Placed
+                };
+            }
+        }
+        // Last resort, for feedback transfers only: their placement window
+        // is bounded (Section 7.1), so instead of postponing, run a
+        // preemption chain over already-scheduled transfers — bus changes
+        // only, steps untouched (Section 4.2's augmentation, applied at
+        // the point the paper's negative-step preloads are committed).
+        let is_feedback = cdfg.preds(op).iter().any(|&e| cdfg.edge(e).degree > 0);
+        if self.allow_reassign && is_feedback {
+            let before = self.reassigned;
+            let carriers = self.routes(cdfg).carriers[op.index()].clone();
+            for cand in carriers {
+                let mut visited = BTreeSet::new();
+                visited.insert(cand.bus.0);
+                let mut trial = self.clone();
+                if !(trial.evict_value(cdfg, cand.bus.0, cand.range, g, &mut visited)
+                    && trial.slot_free(cand.bus, cand.range, step, value))
+                {
+                    continue;
+                }
+                let slot = trial.slot(cand.bus.0, g);
+                trial.used[slot].push((cand.range, value, step));
+                trial.commit(
+                    op,
+                    SlotPlacement {
+                        bus: cand.bus,
+                        step,
+                        range: cand.range,
+                    },
+                );
+                if trial.pending_feasible(cdfg, None) {
+                    *self = trial;
+                    self.m_rematch_size.observe(self.last_pending);
+                    // Scheduled transfers moved by the eviction chain.
+                    let chain = (self.reassigned - before) as u32;
+                    let moved = original.map(|a| a.bus) != Some(cand.bus);
+                    if moved {
+                        self.reassigned += 1;
+                    }
+                    if moved || chain > 0 {
+                        self.record_reassign(op, step, original, cand.bus, chain);
+                    }
+                    return PlaceVerdict::Placed;
+                }
+            }
+        }
+        if saw_free_slot {
+            PlaceVerdict::PendingInfeasible
+        } else {
+            PlaceVerdict::SameCycleConflict
+        }
     }
 }
 
@@ -877,9 +862,9 @@ mod tests {
     fn same_value_same_step_shares_the_slot() {
         let (g, ic, ops) = one_bus_fixture();
         let mut policy = BusPolicy::new(ic, 2, false);
-        assert!(policy.try_place_impl(&g, ops[0], 2), "first transfer");
+        assert!(policy.place(&g, ops[0], 2).placed(), "first transfer");
         assert!(
-            policy.try_place_impl(&g, ops[1], 2),
+            policy.place(&g, ops[1], 2).placed(),
             "same value at the same step rides along"
         );
         assert_eq!(policy.placements().len(), 2);
@@ -891,19 +876,19 @@ mod tests {
         // pipeline instances: the bus would carry two different words.
         let (g, ic, ops) = one_bus_fixture();
         let mut policy = BusPolicy::new(ic, 2, false);
-        assert!(policy.try_place_impl(&g, ops[0], 2));
-        assert!(!policy.try_place_impl(&g, ops[1], 4), "instances collide");
-        assert!(policy.try_place_impl(&g, ops[1], 3), "other group is free");
+        assert!(policy.place(&g, ops[0], 2).placed());
+        assert!(!policy.place(&g, ops[1], 4).placed(), "instances collide");
+        assert!(policy.place(&g, ops[1], 3).placed(), "other group is free");
     }
 
     #[test]
     fn different_values_never_share_a_group() {
         let (g, ic, ops) = one_bus_fixture();
         let mut policy = BusPolicy::new(ic, 2, false);
-        assert!(policy.try_place_impl(&g, ops[0], 2));
-        assert!(!policy.try_place_impl(&g, ops[2], 2), "same step");
-        assert!(!policy.try_place_impl(&g, ops[2], 4), "same group");
-        assert!(policy.try_place_impl(&g, ops[2], 3), "other group");
+        assert!(policy.place(&g, ops[0], 2).placed());
+        assert!(!policy.place(&g, ops[2], 2).placed(), "same step");
+        assert!(!policy.place(&g, ops[2], 4).placed(), "same group");
+        assert!(policy.place(&g, ops[2], 3).placed(), "other group");
     }
 
     #[test]
@@ -912,59 +897,62 @@ mod tests {
         // Same-cycle conflict: a capable bus exists but another value owns
         // the slot in this group.
         let mut policy = BusPolicy::new(ic.clone(), 2, false);
-        assert_eq!(policy.place_explained(&g, ops[0], 2), PlaceVerdict::Placed);
+        assert_eq!(policy.place(&g, ops[0], 2), PlaceVerdict::Placed);
         assert_eq!(
-            policy.place_explained(&g, ops[1], 2),
+            policy.place(&g, ops[1], 2),
             PlaceVerdict::SharedSlot,
             "same value, same step rides along"
         );
+        assert_eq!(policy.place(&g, ops[2], 2), PlaceVerdict::SameCycleConflict);
         assert_eq!(
-            policy.place_explained(&g, ops[2], 2),
-            PlaceVerdict::SameCycleConflict
-        );
-        assert_eq!(
-            policy.place_explained(&g, ops[2], 4),
+            policy.place(&g, ops[2], 4),
             PlaceVerdict::SameCycleConflict,
             "same group of another instance is still a transfer conflict"
         );
-        assert_eq!(policy.place_explained(&g, ops[2], 3), PlaceVerdict::Placed);
+        assert_eq!(policy.place(&g, ops[2], 3), PlaceVerdict::Placed);
 
         // No capable bus: static allocation with no initial assignment has
         // no candidate at all — distinct from a full slot.
         let mut bare = ic.clone();
         bare.assignment.remove(&ops[2]);
         let mut policy = BusPolicy::new(bare, 2, false);
-        assert_eq!(
-            policy.place_explained(&g, ops[2], 3),
-            PlaceVerdict::NoCapableBus
-        );
+        assert_eq!(policy.place(&g, ops[2], 3), PlaceVerdict::NoCapableBus);
 
         // Pending-infeasible: at rate 1 the lone bus slot must serve two
         // values; taking it for one strands the other, so the slot is free
         // yet the placement is inadmissible.
         let mut policy = BusPolicy::new(ic, 1, true);
-        assert_eq!(
-            policy.place_explained(&g, ops[0], 0),
-            PlaceVerdict::PendingInfeasible
-        );
+        assert_eq!(policy.place(&g, ops[0], 0), PlaceVerdict::PendingInfeasible);
     }
 
     #[test]
     fn explained_and_bool_paths_agree() {
+        // One verdict answers both questions: `placed()` holds exactly
+        // when the placement was committed, and a rejection, whatever its
+        // reason, leaves the allocator as it was.
         let (g, ic, ops) = one_bus_fixture();
-        let mut a = BusPolicy::new(ic.clone(), 2, true);
-        let mut b = BusPolicy::new(ic, 2, true);
+        let mut policy = BusPolicy::new(ic, 2, true);
         for &op in &ops {
+            let mut placed_at = None;
             for step in 2..6 {
+                let before = policy.placements().clone();
+                let reassigned = policy.reassigned_count();
+                let verdict = policy.place(&g, op, step);
+                if verdict.placed() {
+                    assert_eq!(policy.placements()[&op].step, step, "op {op}");
+                    placed_at = Some(step);
+                    break;
+                }
                 assert_eq!(
-                    a.try_place_impl(&g, op, step),
-                    b.place_explained(&g, op, step).placed(),
-                    "op {op} step {step}"
+                    policy.placements(),
+                    &before,
+                    "op {op} step {step}: {verdict:?}"
                 );
+                assert_eq!(policy.reassigned_count(), reassigned);
             }
+            assert!(placed_at.is_some(), "op {op} never placed");
         }
-        assert_eq!(a.placements(), b.placements());
-        assert_eq!(a.reassigned_count(), b.reassigned_count());
+        assert_eq!(policy.placements().len(), ops.len());
     }
 
     #[test]
@@ -1020,7 +1008,7 @@ mod tests {
         let (g, ic, _) = one_bus_fixture();
         let mut policy = BusPolicy::new(ic, 2, false);
         let func = g.func_ops().next().unwrap();
-        assert!(policy.try_place_impl(&g, func, 0));
+        assert!(policy.place(&g, func, 0).placed());
         assert!(policy.placements().is_empty(), "no slot consumed");
     }
 }

@@ -28,8 +28,7 @@ mod wheel;
 pub use bus_policy::{BusPolicy, SlotPlacement};
 pub use fds::{fds_schedule, FdsConfig};
 pub use list::{
-    feedback_consumers, list_schedule, list_schedule_restarts, IoPolicy, ListConfig, NullPolicy,
-    PinPolicy, SchedError,
+    feedback_consumers, list_schedule, IoPolicy, ListConfig, NullPolicy, PinPolicy, SchedError,
 };
 pub use schedule::{validate, Schedule, ScheduleViolation};
 pub use wheel::{AllocationWheel, WheelError};

@@ -28,31 +28,11 @@ use crate::wheel::{AllocationWheel, WheelError};
 
 /// Pin/bus admission control consulted before every I/O placement.
 pub trait IoPolicy {
-    /// Attempts to allocate resources for `op` in `step`; commits and
-    /// returns `true` on success, leaves state unchanged and returns
-    /// `false` otherwise.
-    fn try_place(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> bool;
-
-    /// Like [`IoPolicy::try_place`], but reports *why* a placement was
-    /// rejected. The default conflates every rejection into
-    /// [`PlaceVerdict::Rejected`]; policies that know better override it
-    /// (and implement `try_place` in terms of it).
-    fn try_place_explained(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
-        if self.try_place(cdfg, op, step) {
-            PlaceVerdict::Placed
-        } else {
-            PlaceVerdict::Rejected
-        }
-    }
-
-    /// Batch hint: the scheduler is about to consult the policy once per
-    /// `(op, step)` entry of `candidates`, all within one control step.
-    /// Policies that can answer a whole slate against a single snapshot
-    /// warm their caches here — the pin checker opens one solver
-    /// checkpoint for the lot instead of one per candidate. Must be
-    /// verdict-neutral: priming may never change what a subsequent
-    /// `try_place` would decide. The default does nothing.
-    fn prime_candidates(&mut self, _cdfg: &Cdfg, _candidates: &[(OpId, i64)]) {}
+    /// Attempts to allocate resources for `op` in `step`. On success the
+    /// allocation is committed and the verdict is
+    /// [`PlaceVerdict::Placed`] or [`PlaceVerdict::SharedSlot`];
+    /// otherwise state is unchanged and the verdict says why.
+    fn place(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict;
 }
 
 /// A policy that admits everything (pure resource-constrained list
@@ -61,8 +41,8 @@ pub trait IoPolicy {
 pub struct NullPolicy;
 
 impl IoPolicy for NullPolicy {
-    fn try_place(&mut self, _cdfg: &Cdfg, _op: OpId, _step: i64) -> bool {
-        true
+    fn place(&mut self, _cdfg: &Cdfg, _op: OpId, _step: i64) -> PlaceVerdict {
+        PlaceVerdict::Placed
     }
 }
 
@@ -86,24 +66,14 @@ impl PinPolicy {
 }
 
 impl IoPolicy for PinPolicy {
-    fn try_place(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> bool {
-        self.try_place_explained(cdfg, op, step).placed()
-    }
-
-    fn try_place_explained(&mut self, _cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
+    /// One [`PinChecker::can_commit`] question per consultation, then the
+    /// commit when the answer is yes.
+    fn place(&mut self, _cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
         if self.checker.can_commit(op, step) && self.checker.commit(op, step).is_ok() {
             PlaceVerdict::Placed
         } else {
             PlaceVerdict::PinInfeasible
         }
-    }
-
-    fn prime_candidates(&mut self, _cdfg: &Cdfg, candidates: &[(OpId, i64)]) {
-        // One shared checkpoint for the step's whole I/O slate. Every
-        // verdict lands in the memo, so the placement loop's `can_commit`
-        // calls are memo hits until the first commit — and rejections
-        // survive even that (infeasibility is monotone under commits).
-        self.checker.probe_candidates(candidates);
     }
 }
 
@@ -114,12 +84,6 @@ pub struct ListConfig {
     pub rate: u32,
     /// Abort if the schedule exceeds this many control steps.
     pub max_steps: i64,
-    /// Deterministic priority perturbation. Zero keeps the pure
-    /// critical-path order; other values postpone different operations,
-    /// the knob behind [`list_schedule_restarts`] (the paper improves
-    /// several Table 5.2/5.4 entries "by postponing some of the operations
-    /// and rerunning the program").
-    pub priority_bias: u64,
     /// Earliest permitted start step per operation. Flows use this to hold
     /// the consumers of feedback transfers back a few steps when a
     /// composite maximum time constraint proved too tight — the "constrain
@@ -138,12 +102,11 @@ pub struct ListConfig {
 }
 
 impl ListConfig {
-    /// Defaults: generous step bound, no perturbation.
+    /// Defaults: generous step bound, no hold-backs.
     pub fn new(rate: u32) -> Self {
         ListConfig {
             rate,
             max_steps: 512,
-            priority_bias: 0,
             hold_back: BTreeMap::new(),
             metrics: MetricsHandle::default(),
             budget: None,
@@ -465,32 +428,10 @@ pub fn list_schedule<P: IoPolicy>(
                 let hold = cfg.hold_back.get(&op).copied().unwrap_or(i64::MIN);
                 let cand = timing::place_after(cdfg, op, ready.max(step * stage));
                 if cand.step == step && cand.step >= hold && cand.step <= deadline[op.index()] {
-                    let jitter = if cfg.priority_bias == 0 {
-                        0
-                    } else {
-                        // Small deterministic hash of (bias, op): enough to
-                        // reorder ties and near-ties between restarts.
-                        let mut h =
-                            cfg.priority_bias ^ (op.0 as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                        h ^= h >> 33;
-                        (h % 64) as i64
-                    };
-                    candidates.push((deadline[op.index()], -prio[op.index()] + jitter, op, cand));
+                    candidates.push((deadline[op.index()], -prio[op.index()], op, cand));
                 }
             }
             candidates.sort();
-            // Hand the step's I/O slate to the policy in one batch before
-            // placing anything: the pin checker probes them all under a
-            // single checkpoint, so the per-candidate consultations below
-            // resolve from the memo.
-            let io_slate: Vec<(OpId, i64)> = candidates
-                .iter()
-                .filter(|c| matches!(cdfg.op(c.2).kind, OpKind::Io { .. }))
-                .map(|c| (c.2, c.3.step))
-                .collect();
-            if io_slate.len() > 1 {
-                policy.prime_candidates(cdfg, &io_slate);
-            }
             let mut placed_any = false;
             for (_, _, op, cand) in candidates {
                 if start[op.index()].is_some() {
@@ -527,7 +468,7 @@ pub fn list_schedule<P: IoPolicy>(
                     }
                     OpKind::Io { .. } => {
                         m_place_attempts.inc();
-                        let verdict = policy.try_place_explained(cdfg, op, cand.step);
+                        let verdict = policy.place(cdfg, op, cand.step);
                         cfg.metrics.record(Event::ScheduleDecision {
                             op: op.0,
                             step: cand.step,
@@ -603,7 +544,7 @@ pub fn list_schedule<P: IoPolicy>(
         let mut s = hi;
         while s >= lo {
             m_place_attempts.inc();
-            let verdict = policy.try_place_explained(cdfg, op, s);
+            let verdict = policy.place(cdfg, op, s);
             cfg.metrics.record(Event::ScheduleDecision {
                 op: op.0,
                 step: s,
@@ -656,42 +597,6 @@ pub fn feedback_consumers(cdfg: &Cdfg) -> Vec<OpId> {
     out.sort();
     out.dedup();
     out
-}
-
-/// Runs list scheduling up to `attempts` times with perturbed priorities
-/// and returns the shortest valid schedule found — the paper's practice of
-/// postponing operations and rerunning to improve tight results
-/// (Sections 5.3, 6.3). `make_policy` builds a fresh I/O policy per
-/// attempt. Returns the last error if every attempt fails.
-///
-/// # Errors
-///
-/// The error of the final attempt when none succeeds.
-pub fn list_schedule_restarts<P: IoPolicy>(
-    cdfg: &Cdfg,
-    base: &ListConfig,
-    attempts: u64,
-    mut make_policy: impl FnMut() -> P,
-) -> Result<(Schedule, P), SchedError> {
-    let mut best: Option<(Schedule, P)> = None;
-    let mut last_err = SchedError::StepLimit;
-    for attempt in 0..attempts.max(1) {
-        let mut cfg = base.clone();
-        cfg.priority_bias = if attempt == 0 { 0 } else { attempt };
-        let mut policy = make_policy();
-        match list_schedule(cdfg, &cfg, &mut policy) {
-            Ok(s) => {
-                let better = best
-                    .as_ref()
-                    .is_none_or(|(b, _)| s.pipe_length(cdfg) < b.pipe_length(cdfg));
-                if better {
-                    best = Some((s, policy));
-                }
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    best.ok_or(last_err)
 }
 
 #[cfg(test)]
@@ -781,16 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn restarts_never_return_worse_schedules() {
-        let d = ar_filter::simple();
-        let base = list_schedule(d.cdfg(), &ListConfig::new(2), &mut NullPolicy).unwrap();
-        let (best, _) =
-            list_schedule_restarts(d.cdfg(), &ListConfig::new(2), 4, || NullPolicy).unwrap();
-        assert!(best.pipe_length(d.cdfg()) <= base.pipe_length(d.cdfg()));
-        assert_eq!(validate(d.cdfg(), &best), vec![]);
-    }
-
-    #[test]
     fn chained_feedback_is_a_typed_error() {
         // Regression: a feedback transfer whose producer is itself a
         // deferred transfer used to panic ("producer scheduled in
@@ -845,25 +740,36 @@ mod tests {
 
     #[test]
     fn batch_priming_keeps_the_schedule_and_feeds_the_memo() {
-        // A pin policy that never primes — the pre-batching behavior.
-        struct UnprimedPin(PinChecker);
-        impl IoPolicy for UnprimedPin {
-            fn try_place(&mut self, _cdfg: &Cdfg, op: OpId, step: i64) -> bool {
-                self.0.can_commit(op, step) && self.0.commit(op, step).is_ok()
+        // The pin policy asks its checker one question per consultation
+        // and schedules exactly as a bare checker loop does; retries of a
+        // transfer in an already-probed step group resolve from the memo.
+        struct Counted<P>(P, u64);
+        impl<P: IoPolicy> IoPolicy for Counted<P> {
+            fn place(&mut self, cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
+                self.1 += 1;
+                self.0.place(cdfg, op, step)
+            }
+        }
+        struct BarePin(PinChecker);
+        impl IoPolicy for BarePin {
+            fn place(&mut self, _cdfg: &Cdfg, op: OpId, step: i64) -> PlaceVerdict {
+                if self.0.can_commit(op, step) && self.0.commit(op, step).is_ok() {
+                    PlaceVerdict::Placed
+                } else {
+                    PlaceVerdict::PinInfeasible
+                }
             }
         }
         for d in [ar_filter::simple(), synthetic::fig_2_5()] {
-            let mut batched = PinPolicy::new(PinChecker::new(d.cdfg(), 2).unwrap());
-            let s = list_schedule(d.cdfg(), &ListConfig::new(2), &mut batched).unwrap();
-            let mut unprimed = UnprimedPin(PinChecker::new(d.cdfg(), 2).unwrap());
-            let s0 = list_schedule(d.cdfg(), &ListConfig::new(2), &mut unprimed).unwrap();
-            // Priming is verdict-neutral: the schedules are identical.
+            let mut pin = Counted(PinPolicy::new(PinChecker::new(d.cdfg(), 2).unwrap()), 0);
+            let s = list_schedule(d.cdfg(), &ListConfig::new(2), &mut pin).unwrap();
+            let mut bare = BarePin(PinChecker::new(d.cdfg(), 2).unwrap());
+            let s0 = list_schedule(d.cdfg(), &ListConfig::new(2), &mut bare).unwrap();
             assert_eq!(s.start, s0.start);
             assert_eq!(validate(d.cdfg(), &s), vec![]);
-            let stats = batched.checker().probe_stats();
-            assert!(stats.batched_probes > 0, "slate probing never engaged");
-            assert!(stats.batch_shared_checkpoints > 0);
-            // The placement loop's own consultations ride the memo.
+            let stats = pin.0.checker().probe_stats();
+            assert_eq!(stats.total_probes(), pin.1, "one probe per consultation");
+            assert_eq!(stats, bare.0.probe_stats());
             assert!(stats.memo_hits > 0);
         }
     }

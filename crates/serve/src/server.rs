@@ -26,6 +26,7 @@ use mcs_explore::{SweepOptions, SweepSpec};
 use mcs_metrics::export::{to_json, to_prometheus};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
+use mcs_pinalloc::{PinAllocError, PinChecker};
 use multichip_hls::explore::{failure_status, point_spec, run_sweep};
 use multichip_hls::flows::{
     pin_gate, run, FlowError, FlowOutcome, RunContext, SynthesisResult, WarmStart,
@@ -215,7 +216,9 @@ impl Server {
 
     fn synth_response(&self, req: SynthRequest) -> String {
         self.metrics.add("serve.jobs.synth", 1);
-        let cdfg = match Self::prepare_design(&req.design, req.pin_budget.as_deref()) {
+        let cdfg = match Self::prepare_design(&req.design, req.pin_budget.as_deref())
+            .and_then(|cdfg| refuse_oversized_rate(&cdfg, req.rate).map(|()| cdfg))
+        {
             Ok(c) => c,
             Err((kind, detail)) => {
                 self.metrics.add("serve.errors", 1);
@@ -337,6 +340,10 @@ impl Server {
             Ok(d) => d,
             Err(e) => return bad(&self.metrics, format!("edit: {e}")),
         };
+        let rate = delta.rate_override().unwrap_or(saved.result.schedule.rate);
+        if let Err((_, detail)) = refuse_oversized_rate(&cdfg, rate) {
+            return bad(&self.metrics, detail);
+        }
         let prev_canon = resynth::result_to_json(digest, &saved.result);
         let key = ServeKey::resynth(digest, fnv1a(prev_canon.as_bytes()), delta.digest());
         match self.cache.lookup(&key) {
@@ -639,6 +646,21 @@ fn run_synth(
     };
     let core = synth_core(digest, rate, flow, status, termination, &extra);
     (core, termination, outcome.exports)
+}
+
+/// Refuses, as a `bad-request` on the connection thread before any job
+/// is queued, a rate whose pin-allocation tableau would pass
+/// [`mcs_pinalloc::MAX_TABLEAU_VARS`]. A synth job puts a pin checker in
+/// front of every flow and a simple-flow resynthesis builds one, so none
+/// of those could finish; a connect-flow resynthesis is held to the same
+/// rule. Other checker errors (a zero rate) are left to the job.
+fn refuse_oversized_rate(cdfg: &Cdfg, rate: u32) -> Result<(), (ErrorKind, String)> {
+    match PinChecker::tableau_vars(cdfg, rate) {
+        Err(e @ PinAllocError::TableauTooLarge { .. }) => {
+            Err((ErrorKind::BadRequest, format!("rate: {e}")))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Runs one resynth job: the incremental ladder, with the path taken,

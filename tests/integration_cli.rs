@@ -338,3 +338,53 @@ fn explore_rejects_malformed_lattices() {
     assert!(!ok);
     assert!(stderr.contains("2 chips"), "{stderr}");
 }
+
+/// A rate whose pin-allocation tableau would need terabytes is refused
+/// with an error and exit 1, not an allocation abort — on `synth`, and
+/// on `resynth` when a saved result carries that rate.
+#[test]
+fn oversized_rate_fails_cleanly() {
+    let sample = sample();
+    let out = Command::new(BIN)
+        .args(["synth", &sample, "--rate", "100000", "--flow", "simple"])
+        .output()
+        .expect("mcs-hls binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("over the limit of"), "{stderr}");
+
+    let dir = std::env::temp_dir().join(format!("mcs-oversized-rate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prev = dir.join("prev.json");
+    let prev = prev.to_string_lossy();
+    let (ok, _, stderr) = run(&[
+        "synth",
+        &sample,
+        "--rate",
+        "2",
+        "--flow",
+        "simple",
+        "--out-result",
+        &prev,
+    ]);
+    assert!(ok, "{stderr}");
+    let saved = std::fs::read_to_string(&*prev).unwrap();
+    let huge = saved.replace("\"rate\":2,", "\"rate\":100000,");
+    assert_ne!(huge, saved);
+    std::fs::write(&*prev, huge).unwrap();
+    let out = Command::new(BIN)
+        .args([
+            "resynth",
+            &sample,
+            "--prev",
+            &prev,
+            "--edit",
+            "width:sum=16",
+        ])
+        .output()
+        .expect("mcs-hls binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("over the limit of"), "{stderr}");
+}

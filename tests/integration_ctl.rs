@@ -68,7 +68,6 @@ fn deadline_zero_interrupts_the_simple_flow() {
     let spec = FlowSpec::Simple {
         rate: 2,
         pivot_budget: None,
-        probe_differential: false,
     };
     let out = run_within(d.cdfg(), spec, budget);
     assert_eq!(out.termination, Termination::DeadlineExceeded);
@@ -267,7 +266,6 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     let simple = FlowSpec::Simple {
         rate,
         pivot_budget: None,
-        probe_differential: false,
     };
     let out = run(d.cdfg(), &simple, &ctx);
     assert!(

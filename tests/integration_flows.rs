@@ -143,7 +143,6 @@ fn run_matches_the_wrappers_on_every_flow() {
     let spec = FlowSpec::Simple {
         rate: 2,
         pivot_budget: None,
-        probe_differential: false,
     };
     let out = run(cdfg, &spec, &ctx);
     assert_eq!(out.termination, Termination::Complete);

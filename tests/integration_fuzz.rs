@@ -350,7 +350,6 @@ fn corpus_finding1_still_reaches_the_exact_fallback() {
     let spec = FlowSpec::Simple {
         rate,
         pivot_budget: None,
-        probe_differential: false,
     };
     let ctx = RunContext {
         metrics: MetricsHandle::new(reg.clone()),

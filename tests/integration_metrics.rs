@@ -197,3 +197,40 @@ fn elliptic_sweep_event_stream_identical_across_jobs() {
     assert_eq!(events_at(2), reference, "event stream differs at jobs 2");
     assert_eq!(events_at(8), reference, "event stream differs at jobs 8");
 }
+
+/// The Chapter 3 scheduler asks the pin checker exactly one question per
+/// I/O placement attempt (Figure 3.4): every probe the checker resolves,
+/// by memo, surrogate bound or solver, is one `sched.place_attempts`.
+#[test]
+fn simple_flow_probes_once_per_placement_attempt() {
+    use mcs_cdfg::designs::{ar_filter, synthetic};
+    use multichip_hls::flows::{run, FlowSpec, RunContext};
+
+    let pipeline =
+        format::parse(include_str!("../examples/designs/pipeline.mcs")).expect("example parses");
+    let cases = [
+        (ar_filter::simple(), 2),
+        (ar_filter::simple(), 3),
+        (ar_filter::simple(), 5),
+        (synthetic::fig_2_5(), 2),
+        (pipeline.clone(), 2),
+        (pipeline, 4),
+    ];
+    for (design, rate) in cases {
+        let reg = Arc::new(Registry::new());
+        let ctx = RunContext {
+            metrics: MetricsHandle::new(reg.clone()),
+            ..RunContext::default()
+        };
+        let spec = FlowSpec::Simple {
+            rate,
+            pivot_budget: None,
+        };
+        let out = run(design.cdfg(), &spec, &ctx);
+        out.result.expect("simple flow synthesizes");
+        let probes = out.probe_stats.expect("probe stats").total_probes();
+        let attempts = reg.snapshot().counters["sched.place_attempts"];
+        assert!(attempts > 0);
+        assert_eq!(probes, attempts, "rate {rate}");
+    }
+}

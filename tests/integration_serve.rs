@@ -63,7 +63,6 @@ fn probe_memo_roundtrip_is_verdict_identical() {
     let spec = FlowSpec::Simple {
         rate: 2,
         pivot_budget: None,
-        probe_differential: false,
     };
 
     let cold_run = run(d.cdfg(), &spec, &RunContext::default());
@@ -211,6 +210,42 @@ fn error_taxonomy_is_structured() {
     // Errors never publish.
     let stats = server.handle_line("{\"cmd\":\"cache\"}");
     assert!(stats.contains("\"entries\":0"), "{stats}");
+}
+
+/// A rate whose pin-allocation tableau would pass the checker's cap is
+/// refused as a `bad-request` before any job runs — whether it comes
+/// from a synth request, a saved result's `rate` or a `rate:` edit.
+#[test]
+fn oversized_rates_are_bad_requests() {
+    let server = Server::new(ServeConfig::default());
+    let text = elliptic_text();
+    let synth = server.handle_line(&synth_line(&text, 100_000, &ELLIPTIC_BUDGETS, ""));
+    assert!(synth.contains("\"kind\":\"bad-request\""), "{synth}");
+    assert!(synth.contains("solver variables"), "{synth}");
+
+    let pipeline = include_str!("../examples/designs/pipeline.mcs");
+    let design = format::parse(pipeline).unwrap();
+    let prev = multichip_hls::flows::simple_flow(design.cdfg(), 2).unwrap();
+    let saved =
+        multichip_hls::resynth::result_to_json(mcs_cdfg::fuzz::design_digest(design.cdfg()), &prev);
+    let resynth = |prev: &str, edit: &str| {
+        server.handle_line(&format!(
+            "{{\"cmd\":\"resynth\",\"design\":\"{}\",\"prev\":\"{}\",\"edit\":\"{edit}\"}}",
+            escape(pipeline),
+            escape(prev)
+        ))
+    };
+    let huge_prev = saved.replace("\"rate\":2,", "\"rate\":100000,");
+    assert_ne!(huge_prev, saved);
+    for line in [
+        resynth(&huge_prev, "width:sum=16"),
+        resynth(&saved, "rate:100000"),
+    ] {
+        assert!(line.contains("\"kind\":\"bad-request\""), "{line}");
+    }
+    // The same saved result at its own rate still resynthesizes.
+    let ok = resynth(&saved, "width:sum=16");
+    assert!(ok.contains("\"ok\":true"), "{ok}");
 }
 
 #[test]
