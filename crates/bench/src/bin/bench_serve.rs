@@ -33,10 +33,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mcs_bench::{response_digest, serve_bench_line, MeasuredServe};
+use mcs_bench::{
+    near_budgets, response_digest, serve_bench_line, serve_fuzz_config, MeasuredServe,
+};
 use mcs_cdfg::format;
-use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
-use mcs_cdfg::PartitionId;
+use mcs_cdfg::fuzz::design_from_seed;
+use mcs_serve::cache::effective_budgets;
 use mcs_serve::json::escape;
 use mcs_serve::{ServeConfig, Server};
 
@@ -48,10 +50,10 @@ const RATE: u32 = 4;
 /// so no request in the mix can run away. The ceiling counts
 /// deterministic search nodes, never wall time, so the screen — and
 /// hence `response_digest` — is machine-independent. "Expensive
-/// enough" is not screened structurally: the fuzz family's wall cost
-/// is dominated by per-node exact-rational work, not node count, so
-/// seeds are pre-scanned offline for cold cost and the hit-speedup
-/// gate itself fails loudly if a pinned seed ever becomes cheap.
+/// enough" is not screened structurally (wall cost per node varies from
+/// design to design), so seeds are pre-scanned offline for cold cost and
+/// the hit-speedup gate itself fails loudly if a pinned seed ever
+/// becomes cheap.
 const SCREEN_MAX_NODES: u64 = 50_000;
 
 struct Mix {
@@ -60,31 +62,6 @@ struct Mix {
     /// Exact-repeat and near-repeat request lines, one pair per design.
     repeat: Vec<String>,
     near: Vec<String>,
-}
-
-/// The design's native per-chip pin budgets (partition 0 is the
-/// environment and carries none). The fuzzer assigns budgets that
-/// track each chip's I/O demand, which keeps the exact feasibility
-/// gate in its fast regime — uniform "generous" overrides push the
-/// gate's ILP into pathological exact-search territory.
-fn native_budgets(cdfg: &mcs_cdfg::Cdfg) -> Vec<u32> {
-    (1..cdfg.partition_count())
-        .map(|i| cdfg.partition(PartitionId::new(i as u32)).total_pins)
-        .collect()
-}
-
-/// The near-repeat vector: one pin removed from the roomiest chip
-/// (ties to the lowest index). The base vector then componentwise
-/// dominates it, which is exactly the donor rule the warm-start tier
-/// seeds across; the pinned seeds are pre-scanned so the tightened
-/// vector stays feasible.
-fn near_budgets(base: &[u32]) -> Vec<u32> {
-    let mut near = base.to_vec();
-    let roomiest = (0..near.len())
-        .max_by_key(|&i| (near[i], std::cmp::Reverse(i)))
-        .expect("at least one chip");
-    near[roomiest] = near[roomiest].saturating_sub(1);
-    near
 }
 
 fn synth_request(text: &str, budgets: &[u32], max_nodes: Option<u64>) -> String {
@@ -127,23 +104,24 @@ fn screen(scratch: &Server, text: &str, base: &[u32]) -> bool {
     near.contains("\"termination\":\"complete\"") && near.contains("\"status\":\"feasible\"")
 }
 
-/// Fuzz seeds (default [`FuzzConfig`]) pre-scanned offline so that
-/// every cold connect search completes, feasibly, within
-/// [`SCREEN_MAX_NODES`] under both the base (native) and near-repeat
-/// budget vectors, while still costing a cache-hit-dwarfing amount of
-/// cold wall time (hundreds of ms of exact-rational work). Node
-/// counts are deterministic, so the screen — and hence the mix and
+/// Fuzz seeds of [`serve_fuzz_config`], pre-scanned offline (by
+/// `scan_serve`) so that every cold connect search completes, feasibly,
+/// within [`SCREEN_MAX_NODES`] under both the base (native) and
+/// near-repeat budget vectors, while still costing a cache-hit-dwarfing
+/// amount of cold wall time (tens to hundreds of ms of connection
+/// search; a feasible job solves no pin ILP). Node counts are
+/// deterministic, so the screen — and hence the mix and
 /// `response_digest` — is machine-independent. The list is pinned
 /// rather than discovered at startup because an open-ended scan can
 /// wander into designs whose searches blow any reasonable deadline;
 /// [`screen`] re-asserts the ceiling on every run, so an algorithm
 /// change that moves a seed out of it fails loudly instead of
 /// silently rescaling the benchmark.
-const SEEDS: &[u64] = &[1, 4, 14, 15, 16, 18, 27, 29, 30, 39];
+const SEEDS: &[u64] = &[2, 13, 16, 30, 44, 56, 89, 94, 109, 121];
 
 /// Builds the request mix from the first `designs` pinned seeds.
 fn build_mix(designs: usize) -> Mix {
-    let config = FuzzConfig::default();
+    let config = serve_fuzz_config();
     let mut mix = Mix {
         cold: Vec::new(),
         repeat: Vec::new(),
@@ -152,7 +130,9 @@ fn build_mix(designs: usize) -> Mix {
     assert!(designs <= SEEDS.len(), "not enough pinned seeds");
     for &seed in SEEDS.iter().take(designs) {
         let design = design_from_seed(&config, seed);
-        let base = native_budgets(design.cdfg());
+        // The design's native per-chip pin budgets, which the fuzzer
+        // sets to track each chip's I/O demand.
+        let base = effective_budgets(design.cdfg());
         assert!(base.len() >= 2, "seed {seed}: needs at least two chips");
         let text = format::write(design.cdfg());
         let scratch = Server::new(ServeConfig {

@@ -10,17 +10,19 @@
 //! the bench's deadline-free, node-count-deterministic screen. Prints
 //! the first ten qualifying seeds for the `SEEDS` list.
 
+use mcs_bench::{near_budgets, serve_fuzz_config};
 use mcs_cdfg::format;
-use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
-use mcs_cdfg::PartitionId;
+use mcs_cdfg::fuzz::design_from_seed;
+use mcs_serve::cache::effective_budgets;
 use mcs_serve::json::escape;
 use mcs_serve::{ServeConfig, Server};
 
 const RATE: u32 = 4;
 const SCREEN_MAX_NODES: u64 = 50_000;
 /// Minimum cold wall for a seed to be worth benchmarking (scan-machine
-/// proxy; the bench's hit-speedup gate re-checks the real criterion).
-const MIN_COLD: std::time::Duration = std::time::Duration::from_millis(150);
+/// proxy; the bench's hit-speedup gate re-checks the real criterion). A
+/// hit costs well under a ms on these designs.
+const MIN_COLD: std::time::Duration = std::time::Duration::from_millis(25);
 
 fn synth_request(text: &str, budgets: &[u32], max_nodes: u64) -> String {
     let budgets = budgets
@@ -48,11 +50,7 @@ fn screen(text: String, base: Vec<u32>) -> Result<(), String> {
     if cold < MIN_COLD {
         return Err(format!("too-cheap: {cold:?}"));
     }
-    let mut near = base;
-    let roomiest = (0..near.len())
-        .max_by_key(|&i| (near[i], std::cmp::Reverse(i)))
-        .expect("at least one chip");
-    near[roomiest] = near[roomiest].saturating_sub(1);
+    let near = near_budgets(&base);
     let near = scratch.handle_line(&synth_request(&text, &near, SCREEN_MAX_NODES));
     if !near.contains("\"termination\":\"complete\"") || !near.contains("\"status\":\"feasible\"") {
         return Err(format!("near: {}", &near[..near.len().min(160)]));
@@ -61,18 +59,11 @@ fn screen(text: String, base: Vec<u32>) -> Result<(), String> {
 }
 
 fn main() {
-    let config = FuzzConfig::default();
+    let config = serve_fuzz_config();
     let mut found = Vec::new();
     for seed in 0u64..1500 {
         let design = design_from_seed(&config, seed);
-        let base: Vec<u32> = (1..design.cdfg().partition_count())
-            .map(|i| {
-                design
-                    .cdfg()
-                    .partition(PartitionId::new(i as u32))
-                    .total_pins
-            })
-            .collect();
+        let base = effective_budgets(design.cdfg());
         if base.len() < 2 {
             continue;
         }

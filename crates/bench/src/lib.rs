@@ -915,6 +915,31 @@ pub fn search_stats_line(
 /// times below cold-path p50 — the `bench_serve` acceptance gate.
 pub const SERVE_SPEEDUP_FLOOR: f64 = 10.0;
 
+/// The fuzz family of `bench_serve`'s mix and `scan_serve`'s scan: up
+/// to 40 operations over four chips, so that a cold connect search costs
+/// tens of ms against a cache hit's fraction of a ms.
+pub fn serve_fuzz_config() -> mcs_cdfg::fuzz::FuzzConfig {
+    mcs_cdfg::fuzz::FuzzConfig {
+        max_ops: 40,
+        max_chips: 4,
+        ..mcs_cdfg::fuzz::FuzzConfig::default()
+    }
+}
+
+/// `bench_serve`'s near-repeat budget vector: one pin removed from the
+/// roomiest chip (ties to the lowest index). The base vector then
+/// componentwise dominates it, which is exactly the donor rule the
+/// warm-start tier seeds across; `scan_serve` checks that the tightened
+/// vector stays feasible.
+pub fn near_budgets(base: &[u32]) -> Vec<u32> {
+    let mut near = base.to_vec();
+    let roomiest = (0..near.len())
+        .max_by_key(|&i| (near[i], std::cmp::Reverse(i)))
+        .expect("at least one chip");
+    near[roomiest] = near[roomiest].saturating_sub(1);
+    near
+}
+
 /// One `bench_serve` load scenario, rendered by [`serve_bench_line`].
 #[derive(Clone, Debug)]
 pub struct MeasuredServe {

@@ -171,6 +171,20 @@ impl Interconnect {
         self.buses.iter().map(|b| b.pins_of(partition)).sum()
     }
 
+    /// Every partition whose pin budget (`total_pins`) this interconnect
+    /// overruns, in partition order, as `(partition, pins used, budget)`.
+    /// The interconnect fits the design's budgets when this yields nothing.
+    pub fn over_budget<'a>(
+        &'a self,
+        cdfg: &'a Cdfg,
+    ) -> impl Iterator<Item = (PartitionId, u32, u32)> + 'a {
+        (0..cdfg.partition_count() as u32).filter_map(move |p| {
+            let p = PartitionId::new(p);
+            let (used, budget) = (self.pins_used(p), cdfg.partition(p).total_pins);
+            (used > budget).then_some((p, used, budget))
+        })
+    }
+
     /// All `(bus, range)` options able to carry I/O operation `op`,
     /// in bus order — the candidate set for dynamic reassignment.
     pub fn capable_carriers(&self, cdfg: &Cdfg, op: OpId) -> Vec<BusAssignment> {
@@ -252,12 +266,8 @@ impl Interconnect {
                 }
             }
         }
-        for (pi, part) in cdfg.partitions().iter().enumerate() {
-            let p = PartitionId::new(pi as u32);
-            let used = self.pins_used(p);
-            if used > part.total_pins {
-                problems.push(format!("{p} uses {used} pins, budget {}", part.total_pins));
-            }
+        for (p, used, budget) in self.over_budget(cdfg) {
+            problems.push(format!("{p} uses {used} pins, budget {budget}"));
         }
         problems
     }

@@ -571,11 +571,7 @@ pub fn share_pass(cdfg: &Cdfg, ic: &mut Interconnect, rate: u32) {
                     let mut trial = ic.clone();
                     apply_share_move(cdfg, &mut trial, op, i, range, &split);
                     let after = total_pins(cdfg, &trial);
-                    let within_budget = (0..cdfg.partition_count()).all(|p| {
-                        let pid = PartitionId::new(p as u32);
-                        trial.pins_used(pid) <= cdfg.partition(pid).total_pins
-                    });
-                    if within_budget && after < total_before {
+                    if trial.over_budget(cdfg).next().is_none() && after < total_before {
                         let saving = total_before - after;
                         // Equal savings prefer the split form: the bus can
                         // then carry two values in one cycle (Figure 6.1),

@@ -1,19 +1,24 @@
-//! Design-space exploration: the concrete [`mcs_explore::PointRunner`]
-//! that maps one sweep lattice point to a synthesis run.
+//! Design-space exploration: the one point runner, [`run_point`], behind
+//! both the sweep's [`mcs_explore::PointRunner`] and the serve daemon's
+//! `synth` jobs.
 //!
 //! The generic engine in `mcs-explore` knows nothing about synthesis;
 //! this module supplies the binding:
 //!
-//! * A lattice point `(rate, budget vector)` is realized by cloning the
-//!   design and overriding each chip partition's `total_pins` (budget
-//!   vector entry `i` maps to partition `i + 1`; partition 0 is the
-//!   environment). Any `fixed_split` is cleared — the sweep explores
-//!   total budgets, not fixed input/output splits.
-//! * Every flow runs behind the exact pin-feasibility gate
-//!   ([`pin_gate`]): `InfeasibleFromTheStart` is the *only* verdict
-//!   reported as [`PointStatus::PinInfeasible`], because it is the only
-//!   one sound to lift to dominated points. Incomplete-search failures
-//!   are [`PointStatus::SearchFailed`] and never prune.
+//! * A lattice point `(rate, budget vector)` is realized by
+//!   [`with_pin_budgets`]; the sweep explores total budgets, not fixed
+//!   input/output splits.
+//! * [`run_point`] runs the flow first and solves the exact Chapter 3
+//!   pin-allocation ILP only to explain a point the flow did not solve.
+//!   The ILP gives each chip one output split for every step group, so
+//!   with the unidirectional ports of every [`point_spec`] a verified
+//!   connection within every partition's budget (the environment's
+//!   included) is a feasible point of it, and the solve would add
+//!   nothing. Its `InfeasibleFromTheStart` is
+//!   the *only* verdict reported as [`PointStatus::PinInfeasible`],
+//!   because it is the only one sound to lift to dominated points.
+//!   Incomplete-search failures are [`PointStatus::SearchFailed`] and
+//!   never prune.
 //! * Warm starts transfer a [`WarmStart`] between points at the same
 //!   rate: `false` epoch-0 probe verdicts (a probe infeasible under a
 //!   looser budget stays infeasible under a tighter one — the `true`
@@ -23,15 +28,16 @@
 //!   [`mcs_connect::synthesize_seeded`]).
 
 use mcs_cdfg::{Cdfg, PartitionId, PortMode};
+use mcs_ctl::Termination;
 use mcs_explore::{
     sweep, FlowVariant, PointCoord, PointOutcome, PointRunner, PointStatus, SweepError,
     SweepOptions, SweepReport, SweepSpec,
 };
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::PinAllocError;
+use mcs_pinalloc::{PinAllocError, PinChecker};
 
 use crate::flows::{
-    pin_gate, run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult, WarmStart,
+    pin_checker, run, ConnectFirstOptions, FlowError, FlowOutcome, FlowSpec, RunContext, WarmStart,
 };
 use crate::netlist;
 
@@ -42,7 +48,8 @@ const POINT_PORTFOLIO: usize = 4;
 
 /// The spec one sweep point — or one serve daemon job — runs for `flow`
 /// at `rate`: each flow's defaults, with a single-worker connection
-/// search over a pinned portfolio.
+/// search over a pinned portfolio. Every spec has unidirectional ports,
+/// which [`run_point`]'s witness argument needs.
 pub fn point_spec(flow: FlowVariant, rate: u32) -> FlowSpec {
     match flow {
         FlowVariant::Simple => FlowSpec::Simple {
@@ -62,12 +69,25 @@ pub fn point_spec(flow: FlowVariant, rate: u32) -> FlowSpec {
     }
 }
 
+/// `cdfg` with chip `i + 1`'s pin budget set to `budget[i]` and its fixed
+/// input/output split cleared; the environment (partition 0) keeps its
+/// own. The caller checks that `budget` has one entry per chip.
+pub fn with_pin_budgets(cdfg: &Cdfg, budget: &[u32]) -> Cdfg {
+    let mut cdfg = cdfg.clone();
+    for (i, &pins) in budget.iter().enumerate() {
+        let p = cdfg.partition_mut(PartitionId::new(i as u32 + 1));
+        p.total_pins = pins;
+        p.fixed_split = None;
+    }
+    cdfg
+}
+
 /// Maps a definitive flow failure onto the point-status taxonomy, with
-/// its detail text. Only the gate's exact `InfeasibleFromTheStart`
-/// lifts to dominated points; everything downstream of the gate is an
-/// incomplete search. Interruption is not a verdict about the design: it
-/// lands in the error bucket, so it can never prune or export. A gate
-/// rejection's detail is the pin allocator's own message.
+/// its detail text. Only the exact pin ILP's `InfeasibleFromTheStart`
+/// lifts to dominated points; every other failure is an incomplete
+/// search. Interruption is not a verdict about the design: it lands in
+/// the error bucket, so it can never prune. A pin-allocation failure's
+/// detail is the pin allocator's own message.
 pub fn failure_status(err: &FlowError) -> (PointStatus, String) {
     let status = match err {
         FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => {
@@ -78,12 +98,111 @@ pub fn failure_status(err: &FlowError) -> (PointStatus, String) {
         }
         _ => PointStatus::SearchFailed,
     };
-    // A gate rejection reads as the pin allocator's own message.
     let detail = match err {
         FlowError::PinAllocation(e) => e.to_string(),
         e => e.to_string(),
     };
     (status, detail)
+}
+
+/// What [`run_point`] made of one point.
+#[derive(Debug)]
+pub struct PointRun {
+    /// Status (always set), detail, measures and work counters.
+    pub point: PointOutcome,
+    /// The flow's outcome, with the point's final verdict in `result` (an
+    /// explanation's `InfeasibleFromTheStart` or interruption replaces
+    /// the flow's failure) and its exports moved to `export`.
+    pub outcome: FlowOutcome,
+    /// What later points may adopt: a finished Chapter 3 run's probe
+    /// verdicts, or the connection search's certificates even from a
+    /// failed point (failed searches produce the most valuable proofs).
+    /// `None` after a pin-allocation failure and for the Chapter 5 flow.
+    pub export: Option<WarmStart>,
+}
+
+/// Runs one point: `flow` at `rate` on `cdfg`, budgets already applied.
+/// [`PinChecker::tableau_vars`] refuses an oversized rate without a
+/// solve; then [`run`] runs the [`point_spec`]. A result within every
+/// partition's budget, the environment's included, is feasible and builds
+/// no pin checker. A failure other than an interruption, or a Chapter 5
+/// result over some budget (that flow never reads one), is explained by
+/// the exact checker under the context's budget: `InfeasibleFromTheStart`
+/// makes the point pin-infeasible, an interrupted solve interrupted, and
+/// any other answer keeps the flow's verdict — a result over a chip's
+/// budget is a search failure, one over the environment's alone stays
+/// feasible. The Chapter 3 flow builds that checker itself.
+pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) -> PointRun {
+    let mut outcome = match PinChecker::tableau_vars(cdfg, rate) {
+        Ok(_) => run(cdfg, &point_spec(flow, rate), ctx),
+        Err(e) => FlowOutcome::from(Err(e.into())),
+    };
+    let over: Vec<_> = outcome
+        .result
+        .iter()
+        .flat_map(|result| result.interconnect.over_budget(cdfg))
+        .collect();
+    let unsolved = match &outcome.result {
+        Ok(_) => !over.is_empty(),
+        Err(e) => !matches!(e, FlowError::Interrupted(_) | FlowError::PinAllocation(_)),
+    };
+    let over_chips: Vec<String> = over
+        .iter()
+        .filter(|(p, ..)| p.index() > 0)
+        .map(|(p, used, budget)| format!("chip {} uses {used} > {budget}", p.index()))
+        .collect();
+    if unsolved && flow != FlowVariant::Simple {
+        match pin_checker(cdfg, rate, None, ctx) {
+            Err(e @ PinAllocError::InfeasibleFromTheStart) => {
+                outcome.result = Err(e.into());
+                outcome.termination = Termination::Complete;
+            }
+            Err(PinAllocError::Interrupted(t)) => {
+                outcome.result = Err(FlowError::Interrupted(t));
+                outcome.termination = t;
+            }
+            _ => {}
+        }
+    }
+    let mut point = PointOutcome::default();
+    if let Some(st) = &outcome.search_stats {
+        point.search_nodes = st.nodes;
+        point.search_cache_hits = st.cache_hits;
+        point.cert_seed_hits = st.seed_hits;
+    }
+    if let Some(probe) = &outcome.probe_stats {
+        point.solver_probes = probe.solver_probes;
+        point.probe_memo_hits = probe.memo_hits;
+        point.probe_seed_hits = probe.seed_hits;
+    }
+    let (status, detail) = match &outcome.result {
+        Ok(_) if !over_chips.is_empty() => (
+            PointStatus::SearchFailed,
+            format!("over budget: {}", over_chips.join(", ")),
+        ),
+        Ok(result) => {
+            point.latency = Some(result.pipe_length);
+            point.total_pins = Some(result.pins_used.iter().skip(1).sum());
+            point.buses = Some(result.interconnect.buses.len() as u32);
+            let nl = netlist::build(cdfg, &result.schedule, &result.interconnect);
+            let registers = nl.chips.values().flat_map(|c| c.registers.iter());
+            point.registers = Some(registers.map(|r| r.copies).sum());
+            (PointStatus::Feasible, String::new())
+        }
+        Err(e) => failure_status(e),
+    };
+    (point.status, point.detail) = (Some(status), detail);
+    let exports = std::mem::take(&mut outcome.exports);
+    let publish = match flow {
+        FlowVariant::Simple => outcome.result.is_ok(),
+        FlowVariant::ConnectFirst => !matches!(outcome.result, Err(FlowError::PinAllocation(_))),
+        FlowVariant::ScheduleFirst => false,
+    };
+    PointRun {
+        point,
+        outcome,
+        export: publish.then_some(exports),
+    }
 }
 
 /// Anything [`run_sweep`] can fail with before synthesis starts.
@@ -126,83 +245,18 @@ impl From<SweepError> for ExploreError {
     }
 }
 
-/// The concrete lattice-point runner: clones the design, applies the
-/// budget override, runs the configured flow through [`pin_gate`] and
-/// [`run`], and packages warm-start exports. Per-point synthesis runs on
+/// The sweep's lattice-point runner: applies the budget vector
+/// ([`with_pin_budgets`]), adopts the seeds and calls [`run_point`] under
+/// the sweep's execution budget, which the driver (given the same
+/// handle) also observes at wave barriers. Per-point synthesis runs on
 /// sweep worker threads without an event sink, so the event stream does
 /// not depend on the worker count; its counters, histograms and spans
 /// still aggregate into the registry.
-pub struct DesignRunner<'a> {
+struct DesignRunner<'a> {
     cdfg: &'a Cdfg,
     flow: FlowVariant,
     budget: Option<mcs_ctl::Budget>,
     metrics: mcs_metrics::MetricsHandle,
-}
-
-impl<'a> DesignRunner<'a> {
-    /// A runner for `cdfg` executing `flow` at every point.
-    pub fn new(cdfg: &'a Cdfg, flow: FlowVariant) -> Self {
-        DesignRunner {
-            cdfg,
-            flow,
-            budget: None,
-            metrics: mcs_metrics::MetricsHandle::default(),
-        }
-    }
-
-    /// Shares an execution budget with every point's flow: the pin gate's
-    /// construction-time solve, pin probes, Gomory pivots, search nodes
-    /// and scheduling steps all charge this ledger, so the sweep driver
-    /// (given the same handle) observes a mid-wave trip at the next wave
-    /// barrier. An interrupted point reports [`PointStatus::Error`] and
-    /// never prunes.
-    pub fn with_budget(mut self, budget: Option<mcs_ctl::Budget>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Metrics registry threaded into every point's flow. Per-point
-    /// probe latencies, solver pivots and search epochs all aggregate
-    /// into the same registry; the sweep driver layers `explore.*` on
-    /// top. Any event sink on `metrics` is detached.
-    pub fn with_metrics(mut self, metrics: mcs_metrics::MetricsHandle) -> Self {
-        self.metrics = metrics.without_events();
-        self
-    }
-
-    /// The design with one budget vector applied.
-    fn apply_budget(&self, budget: &[u32]) -> Cdfg {
-        let mut cdfg = self.cdfg.clone();
-        for (i, &pins) in budget.iter().enumerate() {
-            let p = cdfg.partition_mut(PartitionId::new(i as u32 + 1));
-            p.total_pins = pins;
-            p.fixed_split = None;
-        }
-        cdfg
-    }
-
-    /// Fills the feasible-point cost fields from a flow result.
-    fn measure(cdfg: &Cdfg, result: &SynthesisResult, out: &mut PointOutcome) {
-        out.status = Some(PointStatus::Feasible);
-        out.latency = Some(result.pipe_length);
-        out.total_pins = Some(result.pins_used.iter().skip(1).sum());
-        out.buses = Some(result.interconnect.buses.len() as u32);
-        let nl = netlist::build(cdfg, &result.schedule, &result.interconnect);
-        out.registers = Some(
-            nl.chips
-                .values()
-                .flat_map(|c| c.registers.iter())
-                .map(|r| r.copies)
-                .sum(),
-        );
-    }
-
-    /// Records a flow failure on the point.
-    fn fail(err: &FlowError, out: &mut PointOutcome) {
-        let (status, detail) = failure_status(err);
-        out.status = Some(status);
-        out.detail = detail;
-    }
 }
 
 impl PointRunner for DesignRunner<'_> {
@@ -214,9 +268,7 @@ impl PointRunner for DesignRunner<'_> {
         budget: &[u32],
         seeds: &[(PointCoord, std::sync::Arc<WarmStart>)],
     ) -> (PointOutcome, Option<WarmStart>) {
-        let cdfg = self.apply_budget(budget);
-        let mut out = PointOutcome::default();
-        let spec = point_spec(self.flow, coord.rate);
+        let cdfg = with_pin_budgets(self.cdfg, budget);
         let mut ctx = RunContext {
             budget: self.budget.clone(),
             metrics: self.metrics.clone(),
@@ -225,55 +277,8 @@ impl PointRunner for DesignRunner<'_> {
         for (_, donor) in seeds {
             ctx.warm.adopt(donor);
         }
-        if let Err(e) = pin_gate(&cdfg, &spec, &ctx) {
-            Self::fail(&e, &mut out);
-            return (out, None);
-        }
-        let outcome = run(&cdfg, &spec, &ctx);
-        if let Some(st) = &outcome.search_stats {
-            out.search_nodes = st.nodes;
-            out.search_cache_hits = st.cache_hits;
-            out.cert_seed_hits = st.seed_hits;
-        }
-        if let Some(probe) = &outcome.probe_stats {
-            out.solver_probes = probe.solver_probes;
-            out.probe_memo_hits = probe.memo_hits;
-            out.probe_seed_hits = probe.seed_hits;
-        }
-        match &outcome.result {
-            Ok(result) => {
-                // The Chapter 5 flow reports pins instead of constraining
-                // them, so budgets are checked after the fact. An
-                // over-budget result is a search failure, NOT a liftable
-                // infeasibility — the flow never consulted the budget, so
-                // the verdict carries no dominance information.
-                let over: Vec<String> = result
-                    .pins_used
-                    .iter()
-                    .enumerate()
-                    .skip(1)
-                    .filter(|&(i, &used)| used > budget[i - 1])
-                    .map(|(i, &used)| format!("chip {} uses {} > {}", i, used, budget[i - 1]))
-                    .collect();
-                if over.is_empty() {
-                    Self::measure(&cdfg, result, &mut out);
-                } else {
-                    out.status = Some(PointStatus::SearchFailed);
-                    out.detail = format!("over budget: {}", over.join(", "));
-                }
-            }
-            Err(e) => Self::fail(e, &mut out),
-        }
-        // A finished Chapter 3 run exports its probe verdicts; the
-        // connection search exports its certificates even from failed
-        // points — failed searches produce the most valuable proofs. The
-        // Chapter 5 flow has nothing to export.
-        let publish = match self.flow {
-            FlowVariant::Simple => outcome.result.is_ok(),
-            FlowVariant::ConnectFirst => true,
-            FlowVariant::ScheduleFirst => false,
-        };
-        (out, publish.then_some(outcome.exports))
+        let run = run_point(&cdfg, self.flow, coord.rate, &ctx);
+        (run.point, run.export)
     }
 }
 
@@ -281,7 +286,7 @@ impl PointRunner for DesignRunner<'_> {
 /// An active `recorder` becomes the event sink of `opts.metrics`; the
 /// only decision events a sweep records are the `explore` phase pair and
 /// a `WorkerPanic` per quarantined point at its wave barrier, because
-/// per-point flows run without a sink (see [`DesignRunner`]). The
+/// per-point flows run without a sink. The
 /// aggregate `explore.*` counters and gauges go to the registry. The
 /// `recorder` parameter stays because the frozen benchmark harness
 /// (`perfbench/`) compiles against this signature; it goes with the next
@@ -311,9 +316,12 @@ pub fn run_sweep(
         metrics: opts.metrics.clone().with_events(recorder),
         ..opts.clone()
     };
-    let runner = DesignRunner::new(cdfg, spec.flow)
-        .with_budget(opts.budget.clone())
-        .with_metrics(opts.metrics.clone());
+    let runner = DesignRunner {
+        cdfg,
+        flow: spec.flow,
+        budget: opts.budget.clone(),
+        metrics: opts.metrics.clone().without_events(),
+    };
     let _span = opts.metrics.span("explore");
     Ok(sweep(spec, &runner, &opts)?)
 }

@@ -132,16 +132,6 @@ pub enum FlowSpec {
     },
 }
 
-impl FlowSpec {
-    /// The initiation rate the spec synthesizes at.
-    pub fn rate(&self) -> u32 {
-        match self {
-            FlowSpec::Simple { rate, .. } | FlowSpec::Schedule { rate, .. } => *rate,
-            FlowSpec::Connect(opts) => opts.rate,
-        }
-    }
-}
-
 /// Cross-run warm-start payload: the seeds one [`run`] takes in and the
 /// exports it hands out. Both payloads are pure functions of `(design,
 /// rate, budgets)`, so a later run of the same design and rate may adopt
@@ -283,30 +273,10 @@ pub fn run(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> FlowOutcome {
     }
 }
 
-/// The exact pin-feasibility gate the design-space sweep and the serve
-/// daemon put in front of every flow: its construction-time rejection,
-/// [`PinAllocError::InfeasibleFromTheStart`], is the one budget-dependent
-/// verdict sound to lift to dominated budgets. The gate charges the
-/// context's budget, so a deadline interrupts it too. The Simple flow's
-/// own pin checker is built through the same constructor and *is* the
-/// gate, so for a [`FlowSpec::Simple`] spec this solves nothing and
-/// [`run`] reports any rejection.
-///
-/// # Errors
-///
-/// The gate's rejection, as [`run`] would report it.
-pub fn pin_gate(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> Result<(), FlowError> {
-    if let FlowSpec::Simple { .. } = spec {
-        return Ok(());
-    }
-    pin_checker(cdfg, spec.rate(), None, ctx)?;
-    Ok(())
-}
-
 /// The one pin-checker constructor path of the flows: the pivot budget
 /// and the context's execution budget both attach before the
 /// construction-time feasibility solve.
-fn pin_checker(
+pub(crate) fn pin_checker(
     cdfg: &Cdfg,
     rate: u32,
     pivot_budget: Option<usize>,
@@ -525,13 +495,7 @@ fn simple_body(
         cfg.weights = weights.clone();
         cfg.metrics = metrics.clone();
         let candidate = connect_after_scheduling(cdfg, &schedule, PortMode::Unidirectional, &cfg);
-        let mut over = Vec::new();
-        for p in 0..cdfg.partition_count() {
-            let pid = PartitionId::new(p as u32);
-            if candidate.pins_used(pid) > cdfg.partition(pid).total_pins {
-                over.push(pid);
-            }
-        }
+        let over: Vec<PartitionId> = candidate.over_budget(cdfg).map(|(p, ..)| p).collect();
         if over.is_empty() {
             ic = Some(candidate);
             break;
@@ -548,11 +512,7 @@ fn simple_body(
         cfg.weights = weights;
         cfg.metrics = metrics.clone();
         let candidate = connect_packed(cdfg, &schedule, PortMode::Unidirectional, &cfg);
-        let fits = (0..cdfg.partition_count()).all(|p| {
-            let pid = PartitionId::new(p as u32);
-            candidate.pins_used(pid) <= cdfg.partition(pid).total_pins
-        });
-        if fits {
+        if candidate.over_budget(cdfg).next().is_none() {
             ic = Some(candidate);
         }
     }
@@ -709,7 +669,7 @@ fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> F
 }
 
 /// The scheduling half of the connect-first flow: bus-slot list
-/// scheduling with hold-back retries over a fixed interconnect.
+/// scheduling over the found interconnect, then the telemetry audit.
 fn connect_first_schedule(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
@@ -717,31 +677,65 @@ fn connect_first_schedule(
     ic: Interconnect,
     search_stats: SearchStats,
 ) -> Result<SynthesisResult, FlowError> {
-    // With reassignment enabled, dynamic allocation is an *addition* to
-    // static allocation: the flow runs both and keeps the shorter
-    // schedule, so enabling reassignment can only help — the relation the
-    // paper's Tables 4.2/4.10 report. When a composite maximum time
-    // constraint proves too tight, the consumers of feedback transfers are
-    // held back a few steps and the run repeated (the paper's "constrain
-    // some of the operations and rerun").
     let metrics = &ctx.metrics;
-    let mut attempts: Vec<bool> = vec![false];
-    if opts.reassign {
-        attempts.insert(0, true);
+    let (mut result, policy) = bus_slot_schedule(cdfg, opts.rate, opts.reassign, ic, ctx)?;
+    result.search_stats = Some(search_stats);
+    if metrics.enabled() || metrics.tracing() {
+        // Audit the winning schedule against the *final* connection (the
+        // checks the schedule-first flows run inline), purely for the
+        // telemetry — a clean run counts zero problems.
+        let _span = metrics.span("postsyn");
+        let problems =
+            verify_against_schedule(cdfg, &result.schedule, &result.final_interconnect());
+        metrics.add("postsyn.verify_problems", problems.len() as u64);
     }
+    if metrics.enabled() {
+        metrics.add("flow.reassigned", result.reassigned as u64);
+        let rm = policy.rematch_stats();
+        metrics.add("rematch.rounds", rm.rounds);
+        metrics.add("rematch.seeded", rm.seeded);
+        metrics.add("rematch.augmentations", rm.augmentations);
+    }
+    record_pin_budget(cdfg, &result, metrics);
+    Ok(result)
+}
+
+/// Bus-slot list scheduling over a fixed interconnect, under `ctx`'s
+/// budget and telemetry, inside one `schedule` span. With `reassign`,
+/// dynamic allocation is an *addition* to static allocation: both run and
+/// the shorter schedule wins, so enabling reassignment can only help —
+/// the relation the paper's Tables 4.2/4.10 report. When a composite
+/// maximum time constraint proves too tight, the consumers of feedback
+/// transfers are held back a few steps and the run repeated (the paper's
+/// "constrain some of the operations and rerun"). Returns the validated
+/// result, with the final placements, and the policy that placed it.
+///
+/// # Errors
+///
+/// The last scheduling failure when no variant produced a schedule;
+/// [`FlowError::InvalidSchedule`] when the winner fails validation.
+pub(crate) fn bus_slot_schedule(
+    cdfg: &Cdfg,
+    rate: u32,
+    reassign: bool,
+    ic: Interconnect,
+    ctx: &RunContext,
+) -> Result<(SynthesisResult, BusPolicy), FlowError> {
+    let metrics = &ctx.metrics;
+    let attempts: &[bool] = if reassign { &[true, false] } else { &[false] };
     let holdable = mcs_sched::feedback_consumers(cdfg);
     let mut best: Option<(Schedule, BusPolicy)> = None;
     let mut last_err = SchedError::StepLimit;
     let sched_span = metrics.span("schedule");
-    for &reassign in &attempts {
+    for &reassign in attempts {
         for hold in [0i64, 2, 4, 6, 8] {
-            let mut lc = ListConfig::new(opts.rate);
+            let mut lc = ListConfig::new(rate);
             lc.metrics = metrics.clone();
             lc.budget = ctx.budget.clone();
             for &op in &holdable {
                 lc.hold_back.insert(op, hold);
             }
-            let mut policy = BusPolicy::new(ic.clone(), opts.rate, reassign);
+            let mut policy = BusPolicy::new(ic.clone(), rate, reassign);
             policy.set_metrics(metrics);
             match list_schedule(cdfg, &lc, &mut policy) {
                 Ok(s) => {
@@ -767,7 +761,7 @@ fn connect_first_schedule(
         }
     }
     drop(sched_span);
-    let (schedule, policy) = best.ok_or_else(|| FlowError::from(last_err))?;
+    let (schedule, policy) = best.ok_or(last_err)?;
     let violations = validate(cdfg, &schedule);
     if !violations.is_empty() {
         return Err(FlowError::InvalidSchedule(violations));
@@ -775,25 +769,7 @@ fn connect_first_schedule(
     let mut result = SynthesisResult::common(cdfg, schedule, ic);
     result.placements = policy.placements().clone();
     result.reassigned = policy.reassigned_count();
-    result.search_stats = Some(search_stats);
-    if metrics.enabled() || metrics.tracing() {
-        // Audit the winning schedule against the *final* connection (the
-        // checks the schedule-first flows run inline), purely for the
-        // telemetry — a clean run counts zero problems.
-        let _span = metrics.span("postsyn");
-        let problems =
-            verify_against_schedule(cdfg, &result.schedule, &result.final_interconnect());
-        metrics.add("postsyn.verify_problems", problems.len() as u64);
-    }
-    if metrics.enabled() {
-        metrics.add("flow.reassigned", result.reassigned as u64);
-        let rm = policy.rematch_stats();
-        metrics.add("rematch.rounds", rm.rounds);
-        metrics.add("rematch.seeded", rm.seeded);
-        metrics.add("rematch.augmentations", rm.augmentations);
-    }
-    record_pin_budget(cdfg, &result, metrics);
-    Ok(result)
+    Ok((result, policy))
 }
 
 /// The Chapter 5 flow ([`FlowSpec::Schedule`]) at an explicit pipe

@@ -41,9 +41,11 @@ use mcs_metrics::MetricsHandle;
 use mcs_obs::RecorderHandle;
 use mcs_pinalloc::PinChecker;
 use mcs_postsyn::verify_against_schedule;
-use mcs_sched::{list_schedule, validate, BusPolicy, ListConfig, Schedule, SlotPlacement};
+use mcs_sched::{validate, Schedule, SlotPlacement};
 
-use crate::flows::{run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult};
+use crate::flows::{
+    bus_slot_schedule, run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult,
+};
 
 /// Which rung of the resynthesis ladder produced the result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -357,10 +359,7 @@ fn try_identical(cdfg: &Cdfg, prev: &SynthesisResult) -> Option<SynthesisResult>
     if !verify_against_schedule(cdfg, &prev.schedule, &ic).is_empty() {
         return None;
     }
-    if (0..cdfg.partition_count()).any(|p| {
-        let pid = PartitionId::new(p as u32);
-        ic.pins_used(pid) > cdfg.partition(pid).total_pins
-    }) {
+    if ic.over_budget(cdfg).next().is_some() {
         return None;
     }
     Some(prev.clone())
@@ -411,21 +410,16 @@ fn try_patched(
             return None;
         }
     }
-    let (schedule, policy) = schedule_ladder(cdfg, rate, &ic, metrics)?;
-    if !validate(cdfg, &schedule).is_empty() {
-        return None;
-    }
-    let mut result = SynthesisResult::common(cdfg, schedule, ic);
-    result.placements = policy.placements().clone();
-    result.reassigned = policy.reassigned_count();
+    let ctx = RunContext {
+        metrics: metrics.clone(),
+        ..RunContext::default()
+    };
+    let (result, _) = bus_slot_schedule(cdfg, rate, true, ic, &ctx).ok()?;
     let final_ic = result.final_interconnect();
     if !verify_against_schedule(cdfg, &result.schedule, &final_ic).is_empty() {
         return None;
     }
-    if (0..cdfg.partition_count()).any(|p| {
-        let pid = PartitionId::new(p as u32);
-        final_ic.pins_used(pid) > cdfg.partition(pid).total_pins
-    }) {
+    if final_ic.over_budget(cdfg).next().is_some() {
         return None;
     }
     Some(result)
@@ -537,53 +531,6 @@ fn place_dirty(
     false
 }
 
-/// Bus-slot list scheduling over a fixed interconnect, mirroring the
-/// connect-first flow's retry ladder (dynamic reassignment preferred,
-/// feedback consumers held back on deadline misses).
-fn schedule_ladder(
-    cdfg: &Cdfg,
-    rate: u32,
-    ic: &Interconnect,
-    metrics: &MetricsHandle,
-) -> Option<(Schedule, BusPolicy)> {
-    let holdable = mcs_sched::feedback_consumers(cdfg);
-    let mut best: Option<(Schedule, BusPolicy)> = None;
-    let _span = metrics.span("schedule");
-    for reassign in [true, false] {
-        for hold in [0i64, 2, 4, 6, 8] {
-            let mut lc = ListConfig::new(rate);
-            lc.metrics = metrics.clone();
-            for &op in &holdable {
-                lc.hold_back.insert(op, hold);
-            }
-            let mut policy = BusPolicy::new(ic.clone(), rate, reassign);
-            policy.set_metrics(metrics);
-            match list_schedule(cdfg, &lc, &mut policy) {
-                Ok(s) => {
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|(b, _)| s.pipe_length(cdfg) < b.pipe_length(cdfg));
-                    if better {
-                        best = Some((s, policy));
-                    }
-                    break; // larger holds only lengthen this variant
-                }
-                Err(e) => {
-                    let retryable = matches!(
-                        e,
-                        mcs_sched::SchedError::DeadlineMissed { .. }
-                            | mcs_sched::SchedError::NoWindowSlot { .. }
-                    ) && !holdable.is_empty();
-                    if !retryable {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    best
-}
-
 /// One side-by-side run of the incremental ladder and the cold path.
 #[derive(Clone, Debug)]
 pub struct DifferentialReport {
@@ -638,16 +585,11 @@ pub fn differential(
                     inc.path, conn[0]
                 ));
             }
-            for p in 0..cdfg.partition_count() {
-                let pid = PartitionId::new(p as u32);
-                if ic.pins_used(pid) > cdfg.partition(pid).total_pins {
-                    return Err(format!(
-                        "incremental ({}) overruns {pid}'s pin budget: {} > {}",
-                        inc.path,
-                        ic.pins_used(pid),
-                        cdfg.partition(pid).total_pins
-                    ));
-                }
+            if let Some((pid, used, budget)) = ic.over_budget(cdfg).next() {
+                return Err(format!(
+                    "incremental ({}) overruns {pid}'s pin budget: {used} > {budget}",
+                    inc.path
+                ));
             }
             Ok(DifferentialReport {
                 path: inc.path,

@@ -37,6 +37,16 @@ use mcs_cdfg::{Cdfg, OpId, OpKind, OperatorClass, PartitionId};
 use crate::list::SchedError;
 use crate::schedule::Schedule;
 
+/// Most control steps [`fds_schedule`] spans: a cap on both the pipe
+/// length and the initiation rate. Force evaluation costs the square of a
+/// frame's width, which the pipe length bounds, and the distribution
+/// graphs hold one entry per step group, so an unchecked bound — the
+/// default pipe length at rate 100 000, say — runs for hours or asks for
+/// more memory than exists. The largest any in-repo design, test or bench
+/// schedules is a pipe length of 50 at a rate of at most 9; at the cap
+/// the elliptic filter takes about 5 s in a release build.
+pub const MAX_FDS_STEPS: i64 = 1_024;
+
 /// FDS parameters: the global time constraint is the pipe length.
 #[derive(Clone, Debug)]
 pub struct FdsConfig {
@@ -295,8 +305,9 @@ impl Distributions {
 ///
 /// # Errors
 ///
-/// [`SchedError::StepLimit`] when no placement fits the pipe length,
-/// [`SchedError::Cyclic`] for degree-0 cycles,
+/// [`SchedError::TooManySteps`] past [`MAX_FDS_STEPS`], before any
+/// allocation; [`SchedError::StepLimit`] when no placement fits the pipe
+/// length, [`SchedError::Cyclic`] for degree-0 cycles,
 /// [`SchedError::NoWindowSlot`] when a feedback transfer has an empty
 /// window. No caller can reach `Cyclic` today: every public way to build
 /// a [`Cdfg`] (`CdfgBuilder::finish`, `.mcs` parsing, delta application)
@@ -304,6 +315,13 @@ impl Distributions {
 pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError> {
     if cfg.rate == 0 {
         return Err(SchedError::ZeroRate);
+    }
+    let steps = cfg.pipe_length.max(cfg.rate as i64);
+    if steps > MAX_FDS_STEPS {
+        return Err(SchedError::TooManySteps {
+            steps,
+            limit: MAX_FDS_STEPS,
+        });
     }
     let order = cdfg.topo_order().map_err(|_| SchedError::Cyclic)?;
     let n = cdfg.ops().len();
@@ -457,6 +475,27 @@ mod tests {
     use crate::schedule::validate;
     use mcs_cdfg::designs::{ar_filter, synthetic};
     use mcs_cdfg::PortMode;
+
+    #[test]
+    fn steps_past_the_cap_are_refused() {
+        let d = synthetic::quickstart();
+        let over = MAX_FDS_STEPS + 1;
+        for (rate, pipe_length) in [(1, over), (over as u32, 6), (u32::MAX, i64::MAX)] {
+            let cfg = FdsConfig { rate, pipe_length };
+            match fds_schedule(d.cdfg(), &cfg) {
+                Err(SchedError::TooManySteps { steps, limit }) => {
+                    assert_eq!(limit, MAX_FDS_STEPS);
+                    assert_eq!(steps, pipe_length.max(rate as i64));
+                }
+                other => panic!("{cfg:?}: {other:?}"),
+            }
+        }
+        let at_cap = FdsConfig {
+            rate: 1,
+            pipe_length: MAX_FDS_STEPS,
+        };
+        assert!(fds_schedule(d.cdfg(), &at_cap).is_ok());
+    }
 
     #[test]
     fn quickstart_meets_its_pipe_length() {

@@ -26,7 +26,7 @@ mod schedule;
 mod wheel;
 
 pub use bus_policy::{BusPolicy, SlotPlacement};
-pub use fds::{fds_schedule, FdsConfig};
+pub use fds::{fds_schedule, FdsConfig, MAX_FDS_STEPS};
 pub use list::{
     feedback_consumers, list_schedule, IoPolicy, ListConfig, NullPolicy, PinPolicy, SchedError,
 };

@@ -163,6 +163,15 @@ pub enum SchedError {
     /// The attached execution [`Budget`] tripped; the carried
     /// [`Termination`] says why.
     Interrupted(Termination),
+    /// Force-directed scheduling would span more control steps — the
+    /// larger of the pipe length and the initiation rate — than
+    /// [`crate::MAX_FDS_STEPS`]; it refuses before allocating.
+    TooManySteps {
+        /// Control steps the run would span.
+        steps: i64,
+        /// The cap, [`crate::MAX_FDS_STEPS`].
+        limit: i64,
+    },
 }
 
 impl std::fmt::Display for SchedError {
@@ -194,6 +203,10 @@ impl std::fmt::Display for SchedError {
                 write!(f, "internal scheduler invariant failed: {what}")
             }
             SchedError::Interrupted(t) => write!(f, "scheduling interrupted ({t})"),
+            SchedError::TooManySteps { steps, limit } => write!(
+                f,
+                "force-directed scheduling over {steps} control steps is over the limit of {limit}"
+            ),
         }
     }
 }

@@ -28,6 +28,7 @@
 use mcs_cdfg::fuzz::design_digest;
 use mcs_cdfg::{Cdfg, PartitionId};
 use mcs_explore::WarmStartCache;
+use multichip_hls::explore::with_pin_budgets;
 use multichip_hls::flows::WarmStart;
 
 use crate::proto::JobFlow;
@@ -208,13 +209,8 @@ impl ServeCache {
 /// different budgets — share a digest. The environment partition is
 /// untouched. The per-chip budget lives in [`ServeKey::budgets`].
 pub fn normalized_digest(cdfg: &Cdfg) -> u64 {
-    let mut normalized = cdfg.clone();
-    for i in 1..normalized.partition_count() {
-        let p = normalized.partition_mut(PartitionId::new(i as u32));
-        p.total_pins = 0;
-        p.fixed_split = None;
-    }
-    design_digest(&normalized)
+    let chips = cdfg.partition_count().saturating_sub(1);
+    design_digest(&with_pin_budgets(cdfg, &vec![0; chips]))
 }
 
 /// The effective per-chip budget vector of a design (what the key

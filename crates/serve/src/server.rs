@@ -19,19 +19,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcs_cdfg::{format, Cdfg, PartitionId};
+use mcs_cdfg::{format, Cdfg};
 use mcs_codec::fnv::fnv1a;
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_explore::{SweepOptions, SweepSpec};
+use mcs_explore::{PointStatus, SweepOptions, SweepSpec};
 use mcs_metrics::export::{to_json, to_prometheus};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
 use mcs_pinalloc::{PinAllocError, PinChecker};
-use multichip_hls::explore::{failure_status, point_spec, run_sweep};
-use multichip_hls::flows::{
-    pin_gate, run, FlowError, FlowOutcome, RunContext, SynthesisResult, WarmStart,
-};
-use multichip_hls::netlist;
+use multichip_hls::explore::{run_point, run_sweep, with_pin_budgets, PointRun};
+use multichip_hls::flows::{FlowError, RunContext, SynthesisResult, WarmStart};
 use multichip_hls::resynth;
 
 use crate::cache::{
@@ -181,25 +178,21 @@ impl Server {
     ) -> Result<Cdfg, (ErrorKind, String)> {
         let parsed =
             format::parse(design).map_err(|e| (ErrorKind::BadRequest, format!("design: {e}")))?;
-        let mut cdfg = parsed.cdfg().clone();
-        if let Some(budget) = pin_budget {
-            let chips = cdfg.partition_count().saturating_sub(1);
-            if budget.len() != chips {
-                return Err((
-                    ErrorKind::BadRequest,
-                    format!(
-                        "pin_budget has {} entries but the design has {chips} chips",
-                        budget.len()
-                    ),
-                ));
-            }
-            for (i, &pins) in budget.iter().enumerate() {
-                let p = cdfg.partition_mut(PartitionId::new(i as u32 + 1));
-                p.total_pins = pins;
-                p.fixed_split = None;
-            }
+        let cdfg = parsed.cdfg();
+        let Some(budget) = pin_budget else {
+            return Ok(cdfg.clone());
+        };
+        let chips = cdfg.partition_count().saturating_sub(1);
+        if budget.len() != chips {
+            return Err((
+                ErrorKind::BadRequest,
+                format!(
+                    "pin_budget has {} entries but the design has {chips} chips",
+                    budget.len()
+                ),
+            ));
         }
-        Ok(cdfg)
+        Ok(with_pin_budgets(cdfg, budget))
     }
 
     /// The per-request execution budget: the client's ask clamped by
@@ -241,12 +234,14 @@ impl Server {
                 (WarmStart::default(), "cold")
             }
         };
-        let budget = self.job_budget(&req.budget);
+        let ctx = RunContext {
+            budget: self.job_budget(&req.budget),
+            metrics: self.metrics.clone(),
+            warm: seeds,
+        };
         let cache = self.cache.clone();
-        let metrics = self.metrics.clone();
         let job = Box::new(move || {
-            let (core, termination, exports) =
-                run_synth(&cdfg, digest, req.rate, req.flow, budget, seeds, &metrics);
+            let (core, termination, exports) = run_synth(&cdfg, digest, req.rate, req.flow, &ctx);
             if termination == Termination::Complete {
                 cache.insert(
                     key,
@@ -566,94 +561,69 @@ fn flow_label(digest: u64) -> String {
     format!("{digest:016x}")
 }
 
-fn synth_core(
-    digest: u64,
-    rate: u32,
-    flow: JobFlow,
-    status: &str,
-    termination: Termination,
-    extra: &str,
-) -> String {
-    format!(
-        "{{\"ok\":true,\"cmd\":\"synth\",\"design\":\"{}\",\"rate\":{rate},\"flow\":\"{}\",\"status\":\"{status}\",\"termination\":\"{}\"{extra}}}",
-        flow_label(digest),
-        flow.as_str(),
-        termination.name()
-    )
-}
-
-/// The feasible-result members, mirroring the sweep's point measures.
-fn measure_extra(cdfg: &Cdfg, result: &SynthesisResult) -> String {
-    let total_pins: u32 = result.pins_used.iter().skip(1).sum();
-    let buses = result.interconnect.buses.len();
-    let nl = netlist::build(cdfg, &result.schedule, &result.interconnect);
-    let registers: u32 = nl
-        .chips
-        .values()
-        .flat_map(|c| c.registers.iter())
-        .map(|r| r.copies)
-        .sum();
-    format!(
-        ",\"latency\":{},\"total_pins\":{total_pins},\"buses\":{buses},\"registers\":{registers},\"reassigned\":{}",
-        result.pipe_length, result.reassigned
-    )
-}
-
 fn detail_extra(detail: &str) -> String {
     format!(",\"detail\":\"{}\"", json::escape(detail))
 }
 
-/// Runs one synth job behind the exact pin-feasibility gate, exactly as
-/// a sweep point runs. Returns the canonical response core, how the run
-/// terminated (only [`Termination::Complete`] results are cacheable),
-/// and the warm-start exports to publish. The budget attaches *before*
-/// the gate's construction-time solve — on adversarial designs that
-/// solve alone can exceed any deadline, and a daemon must be able to
-/// interrupt it.
+/// Runs one synth job through the sweep's point runner, [`run_point`].
+/// Returns the canonical response core, how the run terminated (only
+/// [`Termination::Complete`] results are cacheable), and the warm-start
+/// exports to publish. The context's budget covers the flow and the exact
+/// pin checker that explains a failure — on adversarial designs that
+/// checker's solve alone can exceed any deadline, and a daemon must be
+/// able to interrupt it.
 fn run_synth(
     cdfg: &Cdfg,
     digest: u64,
     rate: u32,
     flow: JobFlow,
-    budget: Option<Budget>,
-    seeds: WarmStart,
-    metrics: &MetricsHandle,
+    ctx: &RunContext,
 ) -> (String, Termination, WarmStart) {
-    let spec = point_spec(flow.variant(), rate);
-    let ctx = RunContext {
-        budget,
-        metrics: metrics.clone(),
-        warm: seeds,
-    };
-    let outcome = match pin_gate(cdfg, &spec, &ctx) {
-        Ok(()) => run(cdfg, &spec, &ctx),
-        Err(e) => FlowOutcome::from(Err(e)),
-    };
-    let termination = outcome.termination;
-    let (status, extra) = match &outcome.result {
-        Ok(result) => ("feasible", measure_extra(cdfg, result)),
-        Err(FlowError::Interrupted(_)) => (
+    let PointRun {
+        point,
+        outcome,
+        export,
+    } = run_point(cdfg, flow.variant(), rate, ctx);
+    let (status, extra) = match (&outcome.result, point.status) {
+        (Err(FlowError::Interrupted(_)), _) => (
             "interrupted",
             format!(
                 ",\"best_depth\":{},\"best_buses\":{}",
                 outcome.best_depth, outcome.best_buses
             ),
         ),
-        Err(e) => {
-            let (status, detail) = failure_status(e);
-            (status.as_str(), detail_extra(&detail))
-        }
+        (Ok(result), Some(PointStatus::Feasible)) => (
+            "feasible",
+            format!(
+                ",\"latency\":{},\"total_pins\":{},\"buses\":{},\"registers\":{},\"reassigned\":{}",
+                result.pipe_length,
+                point.total_pins.unwrap_or_default(),
+                point.buses.unwrap_or_default(),
+                point.registers.unwrap_or_default(),
+                result.reassigned
+            ),
+        ),
+        (_, status) => (
+            status.map_or("error", PointStatus::as_str),
+            detail_extra(&point.detail),
+        ),
     };
-    let core = synth_core(digest, rate, flow, status, termination, &extra);
-    (core, termination, outcome.exports)
+    let core = format!(
+        "{{\"ok\":true,\"cmd\":\"synth\",\"design\":\"{}\",\"rate\":{rate},\"flow\":\"{}\",\"status\":\"{status}\",\"termination\":\"{}\"{extra}}}",
+        flow_label(digest),
+        flow.as_str(),
+        outcome.termination.name()
+    );
+    (core, outcome.termination, export.unwrap_or_default())
 }
 
 /// Refuses, as a `bad-request` on the connection thread before any job
 /// is queued, a rate whose pin-allocation tableau would pass
-/// [`mcs_pinalloc::MAX_TABLEAU_VARS`]. A synth job puts a pin checker in
-/// front of every flow and a simple-flow resynthesis builds one, so none
-/// of those could finish; a connect-flow resynthesis is held to the same
-/// rule. Other checker errors (a zero rate) are left to the job.
+/// [`mcs_pinalloc::MAX_TABLEAU_VARS`]. The point runner behind a synth
+/// job refuses such a rate before any flow runs and a simple-flow
+/// resynthesis builds a pin checker, so none of those could finish; a
+/// connect-flow resynthesis is held to the same rule. Other checker
+/// errors (a zero rate) are left to the job.
 fn refuse_oversized_rate(cdfg: &Cdfg, rate: u32) -> Result<(), (ErrorKind, String)> {
     match PinChecker::tableau_vars(cdfg, rate) {
         Err(e @ PinAllocError::TableauTooLarge { .. }) => {

@@ -388,3 +388,35 @@ fn oversized_rate_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("over the limit of"), "{stderr}");
 }
+
+/// The schedule-first flow builds no pin checker, so force-directed
+/// scheduling refuses a rate whose pipe length passes its own step cap:
+/// the command exits 1 within a second instead of running for hours.
+#[test]
+fn oversized_schedule_first_rate_fails_within_a_second() {
+    use std::time::{Duration, Instant};
+    let sample = sample();
+    let mut child = Command::new(BIN)
+        .args(["synth", &sample, "--rate", "100000", "--flow", "schedule"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("mcs-hls binary runs");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on mcs-hls") {
+            break Some(status);
+        }
+        if started.elapsed() > Duration::from_secs(1) {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let status = status.expect("mcs-hls answered within a second");
+    assert_eq!(status.code(), Some(1));
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("over the limit of"), "{stderr}");
+}

@@ -11,11 +11,11 @@ use std::sync::Arc;
 use mcs_cdfg::{designs, PartitionId, PortMode};
 use mcs_connect::{synthesize_seeded, ConnectError, SearchConfig};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_explore::{FlowVariant, PointStatus, SweepOptions, SweepSpec};
+use mcs_explore::{ExploreOutcome, FlowVariant, PointStatus, SweepOptions, SweepSpec};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinChecker, DEFAULT_PIVOT_BUDGET};
-use multichip_hls::explore::run_sweep;
+use mcs_pinalloc::{PinAllocError, PinChecker, DEFAULT_PIVOT_BUDGET};
+use multichip_hls::explore::{run_sweep, with_pin_budgets};
 use multichip_hls::flows::{
     run, ConnectFirstOptions, FlowError, FlowOutcome, FlowSpec, RunContext,
 };
@@ -245,7 +245,9 @@ fn cli_explore_with_expired_deadline_reports_skipped_lattice() {
 /// run's budget: a pivot ceiling below that solve's own pivot count
 /// interrupts `run` before the flow starts, and a sweep reports the
 /// point as an `error` — never as `pin-infeasible`, which would prune
-/// every dominated point on the strength of a deadline.
+/// every dominated point on the strength of a deadline. A connect-first
+/// point builds that checker only to explain a failed search, so its
+/// half runs where the search fails and the explanation trips.
 #[test]
 fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     let d = designs::ar_filter::simple();
@@ -283,30 +285,100 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
         "the trip must come before the flow starts: {spans:?}"
     );
 
-    // The sweep's gate fronts every flow through the same constructor.
-    let budgets = vec![(1..d.cdfg().partition_count())
+    // A Simple sweep point builds its checker through the same
+    // constructor.
+    let native = (1..d.cdfg().partition_count())
         .map(|p| d.cdfg().partition(PartitionId::new(p as u32)).total_pins)
-        .collect()];
-    for flow in [FlowVariant::Simple, FlowVariant::ConnectFirst] {
-        let spec = SweepSpec {
-            design: "ar_filter".into(),
-            flow,
-            rates: vec![rate],
-            budgets: budgets.clone(),
-        };
-        let opts = SweepOptions {
-            jobs: 1,
-            budget: Some(ceiling()),
-            ..SweepOptions::default()
-        };
-        let report = run_sweep(d.cdfg(), &spec, &opts, &RecorderHandle::default())
-            .expect("well-formed spec");
-        let point = &report.outcomes[0];
-        assert_eq!(point.status, PointStatus::Error, "{flow:?}: {point:?}");
-        assert!(
-            point.outcome.detail.contains("interrupted"),
-            "{flow:?}: {}",
-            point.outcome.detail
-        );
-    }
+        .collect();
+    let point = sweep_point(d.cdfg(), FlowVariant::Simple, rate, native, Some(ceiling()));
+    assert_eq!(point.status, PointStatus::Error, "{point:?}");
+    assert!(point.outcome.detail.contains("interrupted"), "{point:?}");
+
+    // The connect-first search fails on the elliptic filter under these
+    // budgets, so the exact checker runs to explain it: pin-infeasible
+    // without a ceiling, an interrupted `error` with one below its solve.
+    let ell = designs::elliptic::partitioned();
+    let (rate, starved) = (6, vec![24, 32, 48, 32, 32]);
+    let ledger = Budget::unlimited();
+    let explained = PinChecker::with_budgets(
+        &with_pin_budgets(ell.cdfg(), &starved),
+        rate,
+        DEFAULT_PIVOT_BUDGET,
+        Some(ledger.clone()),
+    );
+    assert!(
+        matches!(explained, Err(PinAllocError::InfeasibleFromTheStart)),
+        "{:?}",
+        explained.err()
+    );
+    let pivots = ledger.pivots_spent();
+    assert!(pivots > 1, "the explaining solve pivots");
+    let connect = |budget| {
+        sweep_point(
+            ell.cdfg(),
+            FlowVariant::ConnectFirst,
+            rate,
+            starved.clone(),
+            budget,
+        )
+    };
+    assert_eq!(connect(None).status, PointStatus::PinInfeasible);
+    let point = connect(Some(Budget::new(
+        BudgetSpec::default().max_pivots(pivots - 1),
+    )));
+    assert_eq!(point.status, PointStatus::Error, "{point:?}");
+    assert!(point.outcome.detail.contains("interrupted"), "{point:?}");
+}
+
+/// The one point of a single-point sweep of `flow` at `rate` under the
+/// per-chip `budget` vector, with an optional execution budget.
+fn sweep_point(
+    cdfg: &mcs_cdfg::Cdfg,
+    flow: FlowVariant,
+    rate: u32,
+    budget: Vec<u32>,
+    ceiling: Option<Budget>,
+) -> ExploreOutcome {
+    let spec = SweepSpec {
+        design: "point".into(),
+        flow,
+        rates: vec![rate],
+        budgets: vec![budget],
+    };
+    let opts = SweepOptions {
+        jobs: 1,
+        budget: ceiling,
+        ..SweepOptions::default()
+    };
+    let report =
+        run_sweep(cdfg, &spec, &opts, &RecorderHandle::default()).expect("well-formed spec");
+    report.outcomes[0].clone()
+}
+
+/// A feasible connect-first point never builds the exact pin checker:
+/// its verified connection is the witness. The shared ledger spends no
+/// pivot and the registry records none.
+#[test]
+fn a_feasible_connect_first_point_spends_no_pivots() {
+    let d = designs::elliptic::partitioned();
+    let ledger = Budget::unlimited();
+    let reg = Arc::new(Registry::new());
+    let spec = SweepSpec {
+        design: "elliptic".into(),
+        flow: FlowVariant::ConnectFirst,
+        rates: vec![6],
+        budgets: vec![vec![48, 48, 64, 48, 48]],
+    };
+    let opts = SweepOptions {
+        jobs: 1,
+        budget: Some(ledger.clone()),
+        metrics: MetricsHandle::new(reg.clone()),
+        ..SweepOptions::default()
+    };
+    let report =
+        run_sweep(d.cdfg(), &spec, &opts, &RecorderHandle::default()).expect("well-formed spec");
+    assert_eq!(report.outcomes[0].status, PointStatus::Feasible);
+    assert_eq!(ledger.pivots_spent(), 0);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters.get("ilp.pivots").copied().unwrap_or(0), 0);
 }

@@ -10,16 +10,21 @@
 
 use std::sync::Arc;
 
+use mcs_cdfg::designs::elliptic;
 use mcs_cdfg::fuzz::{
     build_design, design_digest, design_from_seed, design_stats, genome_from_seed, genomes,
     DesignStats, FuzzConfig,
 };
-use mcs_cdfg::{format, timing, PortMode};
+use mcs_cdfg::{format, timing, Cdfg, PartitionId, PortMode};
+use mcs_ctl::{Budget, BudgetSpec};
+use mcs_explore::{FlowVariant, PointStatus};
 use mcs_metrics::{MetricsHandle, Registry};
+use mcs_pinalloc::{PinChecker, DEFAULT_PIVOT_BUDGET};
 use multichip_hls::differential::{
     anytime_differential, flow_differential, flow_differential_with_ports, probe_differential,
     sim_differential,
 };
+use multichip_hls::explore::{failure_status, point_spec, run_point, with_pin_budgets};
 use multichip_hls::flows::{run, simple_flow, FlowError, FlowSpec, RunContext};
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -142,6 +147,190 @@ fn probe_and_anytime_contracts_hold() {
         (324, 317),
         "probe/anytime coverage drifted"
     );
+}
+
+/// The order a sweep point or serve job used to run in, kept as the
+/// reference for [`run_point`]: the exact pin gate in front of the flow,
+/// then the flow, then the pin-budget check of its result.
+fn gate_then_run(
+    cdfg: &Cdfg,
+    flow: FlowVariant,
+    rate: u32,
+    ctx: &RunContext,
+) -> (PointStatus, String) {
+    if let Err(e) = PinChecker::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, ctx.budget.clone()) {
+        return failure_status(&e.into());
+    }
+    let result = match run(cdfg, &point_spec(flow, rate), ctx).result {
+        Ok(result) => result,
+        Err(e) => return failure_status(&e),
+    };
+    let budget = |p: usize| cdfg.partition(PartitionId::new(p as u32)).total_pins;
+    let over: Vec<String> = result
+        .pins_used
+        .iter()
+        .enumerate()
+        .skip(1)
+        .filter(|&(p, &used)| used > budget(p))
+        .map(|(p, used)| format!("chip {p} uses {used} > {}", budget(p)))
+        .collect();
+    if over.is_empty() {
+        (PointStatus::Feasible, String::new())
+    } else {
+        (
+            PointStatus::SearchFailed,
+            format!("over budget: {}", over.join(", ")),
+        )
+    }
+}
+
+/// Pivot ceiling of each side of the point-runner equivalence: a
+/// deterministic stand-in for a deadline that keeps the exact
+/// branch-and-bound on the slowest fuzz designs short.
+const EQUIVALENCE_MAX_PIVOTS: u64 = 1_000;
+
+/// Runs one point both ways and demands the same status and detail;
+/// returns the status, or `None` when either side's ceiling tripped.
+fn runner_matches_gate_then_run(
+    what: &str,
+    cdfg: &Cdfg,
+    flow: FlowVariant,
+    rate: u32,
+) -> Option<PointStatus> {
+    let ctx = || RunContext {
+        budget: Some(Budget::new(
+            BudgetSpec::default().max_pivots(EQUIVALENCE_MAX_PIVOTS),
+        )),
+        ..RunContext::default()
+    };
+    let (reference_ctx, runner_ctx) = (ctx(), ctx());
+    let reference = gate_then_run(cdfg, flow, rate, &reference_ctx);
+    let point = run_point(cdfg, flow, rate, &runner_ctx).point;
+    let tripped = |c: &RunContext| c.budget.as_ref().is_some_and(|b| b.verdict().is_some());
+    if tripped(&reference_ctx) || tripped(&runner_ctx) {
+        return None;
+    }
+    assert_eq!(
+        (point.status, point.detail.as_str()),
+        (Some(reference.0), reference.1.as_str()),
+        "{what}, {} at rate {rate}",
+        flow.as_str()
+    );
+    Some(reference.0)
+}
+
+/// The point runner solves the exact pin ILP only to explain a failed
+/// flow, where sweep points and serve jobs used to solve it first. Over
+/// fuzz seeds at L2–4 (a twenty-fifth of the [`fuzz_seeds`] width), the
+/// elliptic filter's 4..8 × 4-vector lattice and `wide_sweep.mcs`'s
+/// 2..6 × 4-vector lattice, the elliptic filter under tight environment
+/// budgets and the two corpus designs with a 4- or 5-pin environment, for
+/// both flows the gate used to front, every point's status and detail
+/// must match the old order. Pairs where either
+/// side's pivot ceiling tripped are skipped.
+#[test]
+fn point_runner_matches_gate_then_run() {
+    let flows = [FlowVariant::ConnectFirst, FlowVariant::ScheduleFirst];
+    let mut seen: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    let mut tally = |status: Option<PointStatus>| {
+        *seen
+            .entry(status.map_or("skipped", PointStatus::as_str))
+            .or_default() += 1;
+    };
+    let config = FuzzConfig::default();
+    for seed in 0..fuzz_seeds() / 25 {
+        let design = design_from_seed(&config, seed);
+        for rate in 2..=4 {
+            for flow in flows {
+                let what = format!("fuzz seed {seed}");
+                tally(runner_matches_gate_then_run(
+                    &what,
+                    design.cdfg(),
+                    flow,
+                    rate,
+                ));
+            }
+        }
+    }
+    let ell = elliptic::partitioned();
+    let ell_budgets = [
+        [48, 48, 64, 48, 48],
+        [32, 48, 64, 48, 48],
+        [24, 32, 48, 32, 32],
+        [16, 16, 16, 16, 16],
+    ];
+    for budget in ell_budgets {
+        let cdfg = with_pin_budgets(ell.cdfg(), &budget);
+        for rate in 4..=8 {
+            for flow in flows {
+                let what = format!("elliptic {budget:?}");
+                tally(runner_matches_gate_then_run(&what, &cdfg, flow, rate));
+            }
+        }
+    }
+    let wide_text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/designs/wide_sweep.mcs"),
+    )
+    .expect("wide_sweep.mcs is readable");
+    let wide = format::parse(&wide_text).expect("wide_sweep.mcs parses");
+    for budget in [[64, 64], [48, 48], [32, 32], [16, 16]] {
+        let cdfg = with_pin_budgets(wide.cdfg(), &budget);
+        for rate in 2..=6 {
+            for flow in flows {
+                let what = format!("wide_sweep {budget:?}");
+                tally(runner_matches_gate_then_run(&what, &cdfg, flow, rate));
+            }
+        }
+    }
+    // Tight environment budgets. The ILP limits the environment's pins
+    // too, and the Chapter 5 flow never reads a budget, so its result can
+    // fit every chip and still overrun the environment: such a point
+    // needs the explanation, not the witness.
+    let mut env_infeasible = 0;
+    for env in [8, 16, 24] {
+        for budget in [[128; 5], ell_budgets[0]] {
+            let mut cdfg = with_pin_budgets(ell.cdfg(), &budget);
+            cdfg.partition_mut(PartitionId::new(0)).total_pins = env;
+            for rate in 4..=8 {
+                for flow in flows {
+                    let what = format!("elliptic {budget:?}, envpins {env}");
+                    let status = runner_matches_gate_then_run(&what, &cdfg, flow, rate);
+                    env_infeasible += usize::from(status == Some(PointStatus::PinInfeasible));
+                    tally(status);
+                }
+            }
+        }
+    }
+    assert!(
+        env_infeasible > 0,
+        "no environment-bound pin-infeasible point"
+    );
+    for name in [
+        "finding2_postsyn_cover_gap.mcs",
+        "finding2_postsyn_cover_gap_b.mcs",
+    ] {
+        let text = std::fs::read_to_string(corpus_dir().join(name)).expect("corpus file");
+        let parsed = format::parse(&text).expect("corpus file parses");
+        for rate in 1..=4 {
+            for flow in flows {
+                tally(runner_matches_gate_then_run(
+                    name,
+                    parsed.cdfg(),
+                    flow,
+                    rate,
+                ));
+            }
+        }
+    }
+    // Both branches of the runner ran: the witness and the explanation.
+    for status in ["feasible", "pin-infeasible", "search-failed"] {
+        assert!(
+            seen.get(status).is_some_and(|&n| n > 0),
+            "no {status} point: {seen:?}"
+        );
+    }
+    eprintln!("point runner vs gate-then-run: {seen:?}");
 }
 
 /// The nightly deep-sweep profile re-runs the flow oracle with the TDM

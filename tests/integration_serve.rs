@@ -168,12 +168,13 @@ fn near_repeat_budgets_run_donor_seeded() {
 fn interrupted_runs_answer_anytime_and_never_publish() {
     let server = Server::new(ServeConfig::default());
     let text = elliptic_text();
-    // Two pivots starve even the gate's construction-time solve, so
-    // this exercises the budgeted-gate interruption path.
+    // The connection search fails under these budgets, so the exact pin
+    // checker runs to explain the failure, and two pivots starve its
+    // construction-time solve: the budgeted-explanation interruption path.
     let request = synth_line(
         &text,
         ELLIPTIC_RATE,
-        &ELLIPTIC_BUDGETS,
+        &[24, 32, 48, 32, 32],
         ",\"budget\":{\"max_pivots\":2}",
     );
 
@@ -188,6 +189,35 @@ fn interrupted_runs_answer_anytime_and_never_publish() {
     }
     let stats = server.handle_line("{\"cmd\":\"cache\"}");
     assert!(stats.contains("\"entries\":0"), "{stats}");
+}
+
+/// A feasible cold synth never builds the exact pin checker: the
+/// verified connection is its own witness. Under a one-pivot ceiling the
+/// job still completes, is cached, and the registry records no pivots.
+#[test]
+fn a_feasible_cold_synth_spends_no_pivots() {
+    let server = Server::new(ServeConfig::default());
+    let text = elliptic_text();
+    let request = synth_line(
+        &text,
+        ELLIPTIC_RATE,
+        &ELLIPTIC_BUDGETS,
+        ",\"budget\":{\"max_pivots\":1}",
+    );
+    let line = server.handle_line(&request);
+    assert_eq!(provenance(&line), "cold", "{line}");
+    assert!(line.contains("\"status\":\"feasible\""), "{line}");
+    assert!(line.contains("\"termination\":\"complete\""), "{line}");
+    let stats = server.handle_line("{\"cmd\":\"cache\"}");
+    assert!(stats.contains("\"entries\":1"), "{stats}");
+    let pivots = server
+        .registry()
+        .snapshot()
+        .counters
+        .get("ilp.pivots")
+        .copied()
+        .unwrap_or(0);
+    assert_eq!(pivots, 0);
 }
 
 #[test]
