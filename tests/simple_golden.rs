@@ -1,10 +1,14 @@
-//! Golden digest of the Chapter 3 simple flow over a fixed corpus: the
+//! Golden digests of the synthesis flows over one fixed corpus: the
 //! simple AR filter at L2–6, the Figure 2.5 dead end, every example
-//! design at L1–6 and a fixed list of fuzz designs. Any change to the
-//! list scheduler's candidate order, the pin checker's verdicts or the
-//! post-scheduling connection that moves a single start time, bus or
-//! pin shows here. Probe *counts* are deliberately not part of the
-//! digest: how a verdict is resolved is free to change, the verdict is
+//! design at L1–6 and a fixed list of fuzz designs. One digest each
+//! covers the Chapter 3 simple flow, the Chapter 4 connect-first flow,
+//! the Chapter 5 schedule-first flow in both port modes, and the
+//! structural Verilog of every result those flows produce. Any change to
+//! a scheduler's candidate order, the pin checker's verdicts, the
+//! connection search, the post-scheduling connection or the netlist
+//! that moves a single start time, bus, pin, slot or Verilog byte shows
+//! here. Probe and search-node *counts* are deliberately not part of the
+//! digests: how a verdict is resolved is free to change, the verdict is
 //! not.
 
 use std::hash::Hasher;
@@ -12,8 +16,13 @@ use std::hash::Hasher;
 use mcs_cdfg::designs::{ar_filter, synthetic, Design};
 use mcs_cdfg::format;
 use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
+use mcs_cdfg::{Cdfg, PortMode};
 use mcs_codec::fnv::Fnv;
-use multichip_hls::flows::simple_flow;
+use multichip_hls::flows::{
+    connect_first_flow, default_pipe_length, schedule_first_flow, simple_flow, ConnectFirstOptions,
+    FlowError, SynthesisResult,
+};
+use multichip_hls::netlist;
 use multichip_hls::resynth::result_to_json;
 
 /// The example designs, by file name.
@@ -62,54 +71,108 @@ const FUZZ_CASES: [(u64, u32); 125] = [
     (58, 3), (58, 4), (59, 2), (59, 3), (59, 4),
 ];
 
-/// Folds one simple-flow run into `h`: the saved-result JSON (schedule,
-/// buses, assignment, pins) on success, the error's `Display` otherwise.
-fn absorb(h: &mut Fnv, label: &str, design: &Design, rate: u32) -> bool {
-    h.write(label.as_bytes());
-    h.write(&rate.to_le_bytes());
-    match simple_flow(design.cdfg(), rate) {
-        Ok(r) => {
-            h.write(b"ok");
-            h.write(result_to_json(0, &r).as_bytes());
-            true
-        }
-        Err(e) => {
-            h.write(b"err");
-            h.write(e.to_string().as_bytes());
-            false
-        }
-    }
-}
-
-#[test]
-fn simple_flow_results_match_the_golden_digest() {
-    let mut h = Fnv::default();
-    let (mut cases, mut ok) = (0u32, 0u32);
-    let mut run = |h: &mut Fnv, label: &str, design: &Design, rate: u32| {
-        cases += 1;
-        ok += u32::from(absorb(h, label, design, rate));
-    };
-    let ar = ar_filter::simple();
+/// The corpus, in digest order: `(label, design, rate)`.
+fn corpus() -> Vec<(&'static str, Design, u32)> {
+    let mut cases = Vec::new();
     for rate in 2..=6 {
-        run(&mut h, "ar_simple", &ar, rate);
+        cases.push(("ar_simple", ar_filter::simple(), rate));
     }
-    let fig = synthetic::fig_2_5();
     for rate in 2..=4 {
-        run(&mut h, "fig_2_5", &fig, rate);
+        cases.push(("fig_2_5", synthetic::fig_2_5(), rate));
     }
     for (name, text) in EXAMPLES {
-        let design = format::parse(text).expect("example parses");
         for rate in 1..=6 {
-            run(&mut h, name, &design, rate);
+            cases.push((name, format::parse(text).expect("example parses"), rate));
         }
     }
     let config = FuzzConfig::default();
     for (seed, rate) in FUZZ_CASES {
-        run(&mut h, "fuzz", &design_from_seed(&config, seed), rate);
+        cases.push(("fuzz", design_from_seed(&config, seed), rate));
     }
+    cases
+}
+
+/// Runs `flow` over the corpus, folding each run into one digest: the
+/// saved-result JSON (schedule, buses, assignment, pins, slot
+/// placements) on success, the error's `Display` otherwise. Returns
+/// `(cases, ok, digest)` and the digest of the structural Verilog of
+/// every successful result.
+fn digest(
+    flow: impl Fn(&Cdfg, u32) -> Result<SynthesisResult, FlowError>,
+) -> ((u32, u32, u64), u64) {
+    let mut h = Fnv::default();
+    let mut verilog = Fnv::default();
+    let (mut cases, mut ok) = (0u32, 0u32);
+    for (label, design, rate) in corpus() {
+        cases += 1;
+        h.write(label.as_bytes());
+        h.write(&rate.to_le_bytes());
+        match flow(design.cdfg(), rate) {
+            Ok(r) => {
+                ok += 1;
+                h.write(b"ok");
+                h.write(result_to_json(0, &r).as_bytes());
+                let nl = netlist::build(design.cdfg(), &r.schedule, &r.interconnect);
+                verilog.write(netlist::to_verilog(&nl).as_bytes());
+            }
+            Err(e) => {
+                h.write(b"err");
+                h.write(e.to_string().as_bytes());
+            }
+        }
+    }
+    ((cases, ok, h.finish()), verilog.finish())
+}
+
+fn schedule_first(cdfg: &Cdfg, rate: u32, mode: PortMode) -> Result<SynthesisResult, FlowError> {
+    schedule_first_flow(cdfg, rate, default_pipe_length(cdfg, rate), mode)
+}
+
+#[test]
+fn simple_flow_results_match_the_golden_digest() {
+    let (results, verilog) = digest(simple_flow);
     assert_eq!(
-        (cases, ok, h.finish()),
+        results,
         (169, 95, 0xff9f_4efc_fde1_d852),
         "simple-flow results drifted from the golden corpus"
+    );
+    assert_eq!(
+        verilog, 0xfdbf_148e_08ab_0e3e,
+        "simple-flow Verilog drifted from the golden corpus"
+    );
+}
+
+#[test]
+fn connect_first_results_match_the_golden_digest() {
+    let (results, verilog) =
+        digest(|cdfg, rate| connect_first_flow(cdfg, &ConnectFirstOptions::new(rate)));
+    assert_eq!(
+        results,
+        (169, 101, 0x5dcf_084c_0995_58ad),
+        "connect-first results drifted from the golden corpus"
+    );
+    assert_eq!(
+        verilog, 0x50f2_b5e6_6a19_4670,
+        "connect-first Verilog drifted from the golden corpus"
+    );
+}
+
+#[test]
+fn schedule_first_results_match_the_golden_digest() {
+    let (uni, uni_verilog) =
+        digest(|cdfg, rate| schedule_first(cdfg, rate, PortMode::Unidirectional));
+    let (bi, bi_verilog) = digest(|cdfg, rate| schedule_first(cdfg, rate, PortMode::Bidirectional));
+    assert_eq!(
+        (uni, bi),
+        (
+            (169, 164, 0xaed5_3b88_76e9_26dc),
+            (169, 164, 0x5a74_4f23_b5aa_9916)
+        ),
+        "schedule-first results drifted from the golden corpus"
+    );
+    assert_eq!(
+        (uni_verilog, bi_verilog),
+        (0x31cd_6944_256c_6311, 0xfe01_01af_4652_03cc),
+        "schedule-first Verilog drifted from the golden corpus"
     );
 }
