@@ -431,10 +431,7 @@ pub fn e7_recursive() -> String {
         let mut bus = Bus::new();
         bus.sub_widths = vec![2];
         for &(f, t) in pairs {
-            let e = bus.out_ports.entry(f).or_insert(0);
-            *e = (*e).max(2);
-            let e = bus.in_ports.entry(t).or_insert(0);
-            *e = (*e).max(2);
+            bus.extend_ports(PortMode::Unidirectional, f, t, 2);
         }
         bus
     };

@@ -140,24 +140,6 @@ pub struct AppliedDelta {
     pub rate: Option<u32>,
 }
 
-fn parse_class(token: &str) -> OperatorClass {
-    match token {
-        "add" => OperatorClass::Add,
-        "sub" => OperatorClass::Sub,
-        "mul" => OperatorClass::Mul,
-        other => OperatorClass::Custom(other.to_string()),
-    }
-}
-
-fn class_token(class: &OperatorClass) -> String {
-    match class {
-        OperatorClass::Add => "add".into(),
-        OperatorClass::Sub => "sub".into(),
-        OperatorClass::Mul => "mul".into(),
-        OperatorClass::Custom(name) => name.clone(),
-    }
-}
-
 /// Accepts `P2` or `2` as a chip index.
 fn parse_chip(token: &str) -> Result<u32, DeltaError> {
     let digits = token.strip_prefix('P').unwrap_or(token);
@@ -239,7 +221,7 @@ impl DesignDelta {
                         .ok_or_else(|| DeltaError::Parse(format!("bad width in `{clause}`")))?;
                     edits.push(DeltaOp::OpAdded {
                         name,
-                        class: parse_class(class),
+                        class: OperatorClass::from_token(class),
                         partition: parse_chip(chip)?,
                         inputs: parts.map(str::to_string).collect(),
                         bits,
@@ -270,7 +252,7 @@ impl DesignDelta {
                     inputs,
                     bits,
                 } => {
-                    let mut s = format!("add:{name}={},{partition},{bits}", class_token(class));
+                    let mut s = format!("add:{name}={},{partition},{bits}", class.token());
                     for i in inputs {
                         s.push(',');
                         s.push_str(i);
@@ -431,7 +413,7 @@ impl DesignDelta {
                         .collect();
                     for ei in in_edges {
                         let producer = edges[ei].from.index();
-                        let sp = source_partition(&ops[producer]);
+                        let sp = ops[producer].source_partition();
                         if sp == dest {
                             continue;
                         }
@@ -481,7 +463,7 @@ impl DesignDelta {
                             .collect();
                         for ei in out_edges {
                             let consumer = edges[ei].to.index();
-                            let sink = sink_partition(&ops[consumer]);
+                            let sink = ops[consumer].sink_partition();
                             if sink == dest {
                                 continue;
                             }
@@ -521,7 +503,7 @@ impl DesignDelta {
                         let v = ops[pi].result.ok_or_else(|| {
                             DeltaError::Unsupported(format!("`{input}` produces no value"))
                         })?;
-                        let sp = source_partition(&ops[pi]);
+                        let sp = ops[pi].source_partition();
                         if sp == dest {
                             in_values.push((OpId::new(pi as u32), v));
                         } else {
@@ -576,22 +558,6 @@ impl DesignDelta {
             dirty: dirty.into_iter().map(|i| OpId::new(i as u32)).collect(),
             rate,
         })
-    }
-}
-
-/// The partition a value produced by `op` is available in.
-fn source_partition(op: &Operation) -> PartitionId {
-    match op.kind {
-        OpKind::Io { to, .. } => to,
-        _ => op.partition,
-    }
-}
-
-/// The partition `op` consumes its inputs in.
-fn sink_partition(op: &Operation) -> PartitionId {
-    match op.kind {
-        OpKind::Io { from, .. } => from,
-        _ => op.partition,
     }
 }
 

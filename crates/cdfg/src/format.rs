@@ -71,24 +71,6 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-fn class_of(token: &str) -> OperatorClass {
-    match token {
-        "add" => OperatorClass::Add,
-        "sub" => OperatorClass::Sub,
-        "mul" => OperatorClass::Mul,
-        other => OperatorClass::Custom(other.to_string()),
-    }
-}
-
-fn class_token(class: &OperatorClass) -> String {
-    match class {
-        OperatorClass::Add => "add".into(),
-        OperatorClass::Sub => "sub".into(),
-        OperatorClass::Mul => "mul".into(),
-        OperatorClass::Custom(name) => name.clone(),
-    }
-}
-
 /// `value[@degree]` reference.
 fn parse_ref(token: &str, line: usize) -> Result<(&str, u32), ParseError> {
     match token.split_once('@') {
@@ -237,7 +219,7 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                     Some(other) => return err(line, format!("unknown module flag `{other}`")),
                 };
                 modules.push(Module {
-                    class: class_of(tokens[1]),
+                    class: OperatorClass::from_token(tokens[1]),
                     delay_ns,
                     pipelined,
                 });
@@ -326,7 +308,7 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                     line,
                     msg: "bad resource count".into(),
                 })?;
-                b.resource(pid, class_of(class), n);
+                b.resource(pid, OperatorClass::from_token(class), n);
             }
             ["extval", name, bits] => {
                 let bits = bits.parse().map_err(|_| ParseError {
@@ -367,7 +349,7 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                     }
                     inputs.push((v, deg));
                 }
-                let class = class_of(class);
+                let class = OperatorClass::from_token(class);
                 let (op, v) = with_guard(
                     &mut b,
                     &guard,
@@ -535,7 +517,7 @@ pub fn write(cdfg: &Cdfg) -> String {
         let _ = writeln!(
             out,
             "module {} {}{}",
-            class_token(&m.class),
+            m.class.token(),
             m.delay_ns,
             if m.pipelined { "" } else { " blocking" }
         );
@@ -590,7 +572,7 @@ pub fn write(cdfg: &Cdfg) -> String {
         }
         let _ = writeln!(out);
         for (class, &n) in &p.resources {
-            let _ = writeln!(out, "resource {} {} {n}", pname[i], class_token(class));
+            let _ = writeln!(out, "resource {} {} {n}", pname[i], class.token());
         }
     }
 
@@ -673,7 +655,7 @@ pub fn write(cdfg: &Cdfg) -> String {
                 let _ = writeln!(
                     out,
                     "func {name} {} {} {bits}{}",
-                    class_token(class),
+                    class.token(),
                     pname[node.partition.index()],
                     guard_clause(op)
                 );

@@ -156,6 +156,24 @@ impl Operation {
             _ => None,
         }
     }
+
+    /// The partition the operation's result lives in: the destination of
+    /// an I/O transfer, the home partition otherwise.
+    pub fn source_partition(&self) -> PartitionId {
+        match self.kind {
+            OpKind::Io { to, .. } => to,
+            _ => self.partition,
+        }
+    }
+
+    /// The partition the operation reads its inputs in: the source of an
+    /// I/O transfer, the home partition otherwise.
+    pub fn sink_partition(&self) -> PartitionId {
+        match self.kind {
+            OpKind::Io { from, .. } => from,
+            _ => self.partition,
+        }
+    }
 }
 
 /// A data-dependence arc. `degree > 0` marks a data recursive edge.
@@ -362,6 +380,14 @@ impl Cdfg {
     /// Outgoing edges of an operation.
     pub fn succs(&self, op: OpId) -> &[EdgeId] {
         &self.succs[op.index()]
+    }
+
+    /// Whether `op` is a *feedback transfer* (Section 7.1): an I/O
+    /// transfer fed by a data recursive edge, which carries a value
+    /// preloaded from an earlier execution instance. The schedulers place
+    /// these after everything else, inside a bounded window.
+    pub fn is_feedback_transfer(&self, op: OpId) -> bool {
+        self.op(op).is_io() && self.preds(op).iter().any(|&e| self.edge(e).degree > 0)
     }
 
     /// Ids of all I/O operations, in creation order.
@@ -584,12 +610,7 @@ impl Cdfg {
                 // Every producer feeding the I/O node must live in `from`.
                 for &eid in self.preds(id) {
                     let producer = self.edge(eid).from;
-                    let p = &self.ops[producer.index()];
-                    let source = match p.kind {
-                        OpKind::Io { to, .. } => to,
-                        _ => p.partition,
-                    };
-                    if source != from {
+                    if self.ops[producer.index()].source_partition() != from {
                         return Err(GraphError::InconsistentIo {
                             op: id,
                             reason: "producer is not in the source partition",
@@ -599,12 +620,7 @@ impl Cdfg {
                 // Every consumer must live in `to`.
                 for &eid in self.succs(id) {
                     let consumer = self.edge(eid).to;
-                    let c = &self.ops[consumer.index()];
-                    let sink = match c.kind {
-                        OpKind::Io { from, .. } => from,
-                        _ => c.partition,
-                    };
-                    if sink != to {
+                    if self.ops[consumer.index()].sink_partition() != to {
                         return Err(GraphError::InconsistentIo {
                             op: id,
                             reason: "consumer is not in the destination partition",

@@ -25,6 +25,27 @@ pub enum OperatorClass {
 }
 
 impl OperatorClass {
+    /// The class named by a `.mcs` or delta token: `add`, `sub` and `mul`
+    /// name the built-in classes, any other token a custom class.
+    pub fn from_token(token: &str) -> OperatorClass {
+        match token {
+            "add" => OperatorClass::Add,
+            "sub" => OperatorClass::Sub,
+            "mul" => OperatorClass::Mul,
+            other => OperatorClass::Custom(other.to_string()),
+        }
+    }
+
+    /// The token [`OperatorClass::from_token`] reads back as this class.
+    pub fn token(&self) -> &str {
+        match self {
+            OperatorClass::Add => "add",
+            OperatorClass::Sub => "sub",
+            OperatorClass::Mul => "mul",
+            OperatorClass::Custom(name) => name,
+        }
+    }
+
     /// Short mnemonic used in schedule/table rendering.
     pub fn symbol(&self) -> &str {
         match self {

@@ -222,6 +222,39 @@ pub fn max_time_constraints(cdfg: &Cdfg, l: u32) -> Vec<MaxTimeConstraint> {
         .collect()
 }
 
+/// Composite maximum time constraints through feedback transfers
+/// ([`Cdfg::is_feedback_transfer`], Section 7.1). The schedulers place a
+/// feedback transfer in its own window after everything else, so the
+/// recursive edge into it cannot bind the other operations directly.
+/// Instead, for a recursive edge of degree `d` from `prod` into a
+/// feedback transfer whose value a degree-0 edge carries to `cons` (not
+/// itself a feedback transfer),
+/// `step(prod) - step(cons) <= d*l - cycles(prod) - 1`: the transfer
+/// itself takes a step between them. Without these the producer can
+/// drift so late that the transfer's window becomes empty.
+pub fn composite_constraints(cdfg: &Cdfg, l: u32) -> Vec<MaxTimeConstraint> {
+    let mut out = Vec::new();
+    for w in cdfg.op_ids().filter(|&w| cdfg.is_feedback_transfer(w)) {
+        for &pe in cdfg.preds(w) {
+            let pe = cdfg.edge(pe);
+            if pe.degree == 0 {
+                continue;
+            }
+            for &se in cdfg.succs(w) {
+                let se = cdfg.edge(se);
+                if se.degree == 0 && !cdfg.is_feedback_transfer(se.to) {
+                    out.push(MaxTimeConstraint {
+                        from: pe.from,
+                        to: se.to,
+                        bound: pe.degree as i64 * l as i64 - cdfg.op_cycles(pe.from) as i64 - 1,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Static step-group windows for *feedback values* — values carried
 /// off-chip by a transfer that is fed by a data recursive edge. For a
 /// transfer of degree `d` the legal start interval is
@@ -241,29 +274,18 @@ pub fn feedback_group_windows(
         return map;
     };
     let rate = l.max(1) as i64;
-    for op in cdfg.op_ids() {
-        if !cdfg.op(op).is_io() {
-            continue;
-        }
-        let recursive: Vec<_> = cdfg
+    for op in cdfg.op_ids().filter(|&op| cdfg.is_feedback_transfer(op)) {
+        let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
+        let lo = cdfg
             .preds(op)
             .iter()
-            .map(|&e| *cdfg.edge(e))
+            .map(|&e| cdfg.edge(e))
             .filter(|e| e.degree > 0)
-            .collect();
-        if recursive.is_empty() {
-            continue;
-        }
-        let Some((v, _, _)) = cdfg.op(op).io_endpoints() else {
-            continue;
-        };
-        let lo = recursive
-            .iter()
             .map(|e| {
                 asap_times.of(e.from).step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * rate
             })
             .max()
-            .expect("nonempty");
+            .expect("a feedback transfer has a recursive input");
         let hi = cdfg
             .succs(op)
             .iter()
@@ -574,6 +596,36 @@ mod tests {
                 assert!(groups.iter().all(|&g| g < l));
             }
         }
+    }
+
+    #[test]
+    fn composite_constraints_of_figure_7_4() {
+        // `join` on P2 feeds the feedback transfer Y over a degree-2 edge,
+        // and Y's value reaches `t1` on P1 over a degree-0 edge: one
+        // composite constraint `step(join) - step(t1) <= 2L - 1 - 1`
+        // (single-cycle adder, minus the step Y itself takes).
+        let d = crate::designs::synthetic::fig_7_4(1, 2, 2);
+        let g = d.cdfg();
+        let (join, t1) = (d.op_named("join"), d.op_named("t1"));
+        assert!(g.is_feedback_transfer(d.op_named("Y")));
+        assert!(!g.is_feedback_transfer(d.op_named("X")));
+        assert_eq!(g.op_cycles(join), 1);
+        for (l, bound) in [(3u32, 4i64), (4, 6), (5, 8)] {
+            assert_eq!(
+                composite_constraints(g, l),
+                vec![MaxTimeConstraint {
+                    from: join,
+                    to: t1,
+                    bound
+                }],
+                "L={l}"
+            );
+        }
+        // Recursion that stays on one chip (the quickstart accumulator)
+        // routes through no transfer, so it adds no composite constraint.
+        let on_chip = crate::designs::synthetic::quickstart();
+        assert!(!max_time_constraints(on_chip.cdfg(), 3).is_empty());
+        assert!(composite_constraints(on_chip.cdfg(), 3).is_empty());
     }
 
     #[test]

@@ -152,20 +152,7 @@ impl Ch4Model {
                 let bits = cdfg.io_bits(w);
                 let bus = &mut buses[h];
                 bus.sub_widths[0] = bus.sub_widths[0].max(bits);
-                match self.mode {
-                    PortMode::Unidirectional => {
-                        let e = bus.out_ports.entry(from).or_insert(0);
-                        *e = (*e).max(bits);
-                        let e = bus.in_ports.entry(to).or_insert(0);
-                        *e = (*e).max(bits);
-                    }
-                    PortMode::Bidirectional => {
-                        let e = bus.bi_ports.entry(from).or_insert(0);
-                        *e = (*e).max(bits);
-                        let e = bus.bi_ports.entry(to).or_insert(0);
-                        *e = (*e).max(bits);
-                    }
-                }
+                bus.extend_ports(self.mode, from, to, bits);
                 assignment.insert(
                     w,
                     BusAssignment {

@@ -140,6 +140,28 @@ impl Bus {
             }
         }
     }
+
+    /// Widens the ports a transfer from `from` to `to` rides so that each
+    /// covers at least `lines` lines: the output and input port in
+    /// unidirectional mode, both bidirectional ports otherwise
+    /// (Section 4.3). The write-side twin of [`Bus::can_carry`], which
+    /// asks for `prefix_start(range) + bits` lines; ports never narrow.
+    pub fn extend_ports(&mut self, mode: PortMode, from: PartitionId, to: PartitionId, lines: u32) {
+        match mode {
+            PortMode::Unidirectional => {
+                let w = self.out_ports.entry(from).or_insert(0);
+                *w = (*w).max(lines);
+                let w = self.in_ports.entry(to).or_insert(0);
+                *w = (*w).max(lines);
+            }
+            PortMode::Bidirectional => {
+                for p in [from, to] {
+                    let w = self.bi_ports.entry(p).or_insert(0);
+                    *w = (*w).max(lines);
+                }
+            }
+        }
+    }
 }
 
 /// An I/O-operation-to-bus assignment.
@@ -309,6 +331,32 @@ mod tests {
         assert!(bus.can_carry(PortMode::Unidirectional, p(1), p(2), 16, whole));
         // Direction matters: P2 has no output port here.
         assert!(!bus.can_carry(PortMode::Unidirectional, p(2), p(1), 8, whole));
+    }
+
+    #[test]
+    fn extended_ports_carry_exactly_the_widened_lines() {
+        let whole = SubRange::whole(1);
+        for mode in [PortMode::Unidirectional, PortMode::Bidirectional] {
+            let mut bus = Bus::new();
+            bus.sub_widths = vec![16];
+            bus.extend_ports(mode, p(1), p(2), 12);
+            assert!(bus.can_carry(mode, p(1), p(2), 12, whole), "{mode:?}");
+            assert!(!bus.can_carry(mode, p(1), p(2), 13, whole), "{mode:?}");
+            // Ports never narrow.
+            bus.extend_ports(mode, p(1), p(2), 8);
+            assert!(bus.can_carry(mode, p(1), p(2), 12, whole), "{mode:?}");
+            // Only bidirectional ports serve the reverse direction.
+            let reverse = bus.can_carry(mode, p(2), p(1), 12, whole);
+            assert_eq!(reverse, mode == PortMode::Bidirectional, "{mode:?}");
+        }
+        // On a split bus the ports cover the range's prefix too.
+        let mut bus = Bus::new();
+        bus.sub_widths = vec![8, 8];
+        let high = SubRange { lo: 1, hi: 1 };
+        let mode = PortMode::Unidirectional;
+        bus.extend_ports(mode, p(1), p(2), bus.prefix_start(high) + 6);
+        assert!(bus.can_carry(mode, p(1), p(2), 6, high));
+        assert!(!bus.can_carry(mode, p(1), p(2), 7, high));
     }
 
     #[test]

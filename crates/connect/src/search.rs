@@ -702,20 +702,7 @@ fn shrink_bus(cdfg: &Cdfg, ic: &mut Interconnect, j: usize) {
     for (o, r) in riders {
         let (_, from, to) = cdfg.op(o).io_endpoints().expect("io op");
         let prefix = bus.prefix_start(r) + cdfg.io_bits(o);
-        match ic.mode {
-            mcs_cdfg::PortMode::Unidirectional => {
-                let e = bus.out_ports.entry(from).or_insert(0);
-                *e = (*e).max(prefix);
-                let e = bus.in_ports.entry(to).or_insert(0);
-                *e = (*e).max(prefix);
-            }
-            mcs_cdfg::PortMode::Bidirectional => {
-                let e = bus.bi_ports.entry(from).or_insert(0);
-                *e = (*e).max(prefix);
-                let e = bus.bi_ports.entry(to).or_insert(0);
-                *e = (*e).max(prefix);
-            }
-        }
+        bus.extend_ports(ic.mode, from, to, prefix);
     }
 }
 

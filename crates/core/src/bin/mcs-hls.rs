@@ -26,6 +26,7 @@
 //!                                                instead of synthesizing)
 //! mcs-hls simulate <design.mcs> --rate N [--instances N] [--seed N]
 //!                  synthesize, execute, cross-check outputs
+//!                  (at most 4096 instances)
 //! mcs-hls rtl      <design.mcs> --rate N         emit structural Verilog
 //! mcs-hls fmt      <design.mcs>                  print the canonical form
 //! mcs-hls partition <design.mcs> --chips N [--pins P]
@@ -98,6 +99,12 @@ struct Args {
     no_prune: bool,
     explain: bool,
 }
+
+/// Most execution instances `simulate` drives. The stimulus and the
+/// simulated firings grow with the count times the design's size; the
+/// largest count any in-repo test or bench simulates is 16, and the
+/// elliptic filter at this ceiling checks in about a second.
+const MAX_INSTANCES: u32 = 4_096;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -191,7 +198,11 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--instances" => {
                 out.instances = next_value(&mut args, "--instances")?
                     .parse()
-                    .map_err(|_| usage())?
+                    .map_err(|_| usage())?;
+                if out.instances > MAX_INSTANCES {
+                    eprintln!("--instances is over the limit of {MAX_INSTANCES}");
+                    return Err(usage());
+                }
             }
             "--seed" => {
                 out.seed = next_value(&mut args, "--seed")?

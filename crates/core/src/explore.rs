@@ -93,9 +93,10 @@ pub fn failure_status(err: &FlowError) -> (PointStatus, String) {
         FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => {
             PointStatus::PinInfeasible
         }
-        FlowError::NotSimple(_) | FlowError::PinAllocation(_) | FlowError::Interrupted(_) => {
-            PointStatus::Error
-        }
+        FlowError::NotSimple(_)
+        | FlowError::PinAllocation(_)
+        | FlowError::Interrupted(_)
+        | FlowError::RateTooLarge { .. } => PointStatus::Error,
         _ => PointStatus::SearchFailed,
     };
     let detail = match err {
@@ -144,7 +145,12 @@ pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) ->
         .collect();
     let unsolved = match &outcome.result {
         Ok(_) => !over.is_empty(),
-        Err(e) => !matches!(e, FlowError::Interrupted(_) | FlowError::PinAllocation(_)),
+        Err(e) => !matches!(
+            e,
+            FlowError::Interrupted(_)
+                | FlowError::PinAllocation(_)
+                | FlowError::RateTooLarge { .. }
+        ),
     };
     let over_chips: Vec<String> = over
         .iter()

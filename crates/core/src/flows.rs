@@ -45,6 +45,14 @@ pub enum FlowError {
     /// fired) before a verdict was reached. Not a property of the
     /// design: rerunning with a larger budget may succeed.
     Interrupted(Termination),
+    /// The initiation rate is past the flows' ceiling of 256, refused
+    /// before any layer allocates.
+    RateTooLarge {
+        /// The requested rate.
+        rate: u32,
+        /// The ceiling.
+        limit: u32,
+    },
 }
 
 impl std::fmt::Display for FlowError {
@@ -61,6 +69,9 @@ impl std::fmt::Display for FlowError {
                 write!(f, "connection failed validation ({} problems)", v.len())
             }
             FlowError::Interrupted(t) => write!(f, "synthesis interrupted ({t})"),
+            FlowError::RateTooLarge { rate, limit } => {
+                write!(f, "initiation rate {rate} is over the limit of {limit}")
+            }
         }
     }
 }
@@ -273,6 +284,26 @@ pub fn run(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> FlowOutcome {
     }
 }
 
+/// Largest initiation rate a flow accepts. Every layer sizes something
+/// by the rate: the bus-slot tables of the connect-first scheduler, the
+/// pin-allocation tableau, the force-directed frames. Unchecked, a rate
+/// of 100 000 000 asks the connect-first flow for gigabytes and aborts
+/// the process. The largest rate any in-repo design, test or bench runs
+/// is 9; the ceiling is about 28 times that.
+const MAX_RATE: u32 = 256;
+
+/// Refuses a rate past [`MAX_RATE`]. Every flow body and the resynthesis
+/// ladder call it first, before any layer allocates.
+pub(crate) fn check_rate(rate: u32) -> Result<(), FlowError> {
+    if rate > MAX_RATE {
+        return Err(FlowError::RateTooLarge {
+            rate,
+            limit: MAX_RATE,
+        });
+    }
+    Ok(())
+}
+
 /// The one pin-checker constructor path of the flows: the pivot budget
 /// and the context's execution budget both attach before the
 /// construction-time feasibility solve.
@@ -422,6 +453,7 @@ pub fn simple_flow_with_checker(
     recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Result<(SynthesisResult, ProbeCacheStats), FlowError> {
+    check_rate(rate)?;
     let metrics = metrics.clone().with_events(recorder);
     simple_body(cdfg, rate, checker, &metrics).map(|(result, stats, _)| (result, stats))
 }
@@ -429,6 +461,9 @@ pub fn simple_flow_with_checker(
 /// [`FlowSpec::Simple`]: builds the pin checker under both budgets,
 /// seeds it from the context's probe memo and runs the flow.
 fn simple(cdfg: &Cdfg, rate: u32, pivot_budget: Option<usize>, ctx: &RunContext) -> FlowOutcome {
+    if let Err(e) = check_rate(rate) {
+        return Err(e).into();
+    }
     let mut checker = match pin_checker(cdfg, rate, pivot_budget, ctx) {
         Ok(c) => c,
         Err(e) => return Err(e.into()).into(),
@@ -641,6 +676,9 @@ pub fn connect_first_flow(
 /// handle (registry or sink) also gets a `postsyn` span auditing the
 /// final connection against the winning schedule.
 fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> FlowOutcome {
+    if let Err(e) = check_rate(opts.rate) {
+        return Err(e).into();
+    }
     let _flow_span = ctx.metrics.span("flow");
     let cfg = opts.search_config(ctx);
     let (ic, stats, learned) = {
@@ -799,6 +837,7 @@ fn schedule_first(
     mode: PortMode,
     metrics: &MetricsHandle,
 ) -> Result<SynthesisResult, FlowError> {
+    check_rate(rate)?;
     let _flow_span = metrics.span("flow");
     let schedule = {
         let _span = metrics.span("schedule");

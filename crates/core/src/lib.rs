@@ -41,7 +41,6 @@ pub mod flows;
 pub mod netlist;
 pub mod report;
 pub mod resynth;
-pub mod rtl;
 
 pub use mcs_cdfg as cdfg;
 pub use mcs_codec as codec;

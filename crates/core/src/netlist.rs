@@ -4,9 +4,9 @@
 //! path of "operators and registers interconnected via multiplexers,
 //! buses, and wires", plus a control unit stepping through the `L` states
 //! of one initiation interval. This module materializes that product from
-//! a `(schedule, interconnect)` pair: functional units from the
-//! allocation-wheel binding ([`crate::rtl::estimate`]), registers from
-//! value lifetimes, multiplexers where several operations share a unit,
+//! a `(schedule, interconnect)` pair: functional units from a first-fit
+//! allocation-wheel binding (Section 7.4), registers from value
+//! lifetimes, multiplexers where several operations share a unit,
 //! chip ports from the bus structure, and a top-level module wiring the
 //! chips together over the shared buses.
 //!
@@ -20,9 +20,7 @@ use std::fmt::Write as _;
 
 use mcs_cdfg::{Cdfg, OpId, OpKind, OperatorClass, PartitionId};
 use mcs_connect::Interconnect;
-use mcs_sched::Schedule;
-
-use crate::rtl::{estimate, DataPath};
+use mcs_sched::{AllocationWheel, Schedule};
 
 /// Direction of one chip port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,9 +121,19 @@ pub struct Netlist {
 /// # Panics
 ///
 /// Panics if the schedule violates its resource constraints (validate
-/// first), mirroring [`crate::rtl::estimate`].
+/// first with [`mcs_sched::validate`]).
 pub fn build(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconnect) -> Netlist {
-    let dp: DataPath = estimate(cdfg, schedule);
+    let mut func_ops: BTreeMap<PartitionId, BTreeMap<OperatorClass, Vec<OpId>>> = BTreeMap::new();
+    for op in cdfg.op_ids() {
+        if let OpKind::Func(class) = &cdfg.op(op).kind {
+            func_ops
+                .entry(cdfg.op(op).partition)
+                .or_default()
+                .entry(class.clone())
+                .or_default()
+                .push(op);
+        }
+    }
     let mut nl = Netlist {
         chips: BTreeMap::new(),
         bus_widths: ic.buses.iter().map(|b| b.width()).collect(),
@@ -162,21 +170,31 @@ pub fn build(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconnect) -> Netlist {
             }
         }
 
-        // Units and multiplexers from the RTL estimate's binding.
-        if let Some(rtl) = dp.partitions.get(&p) {
-            let mut by_unit: BTreeMap<(OperatorClass, u32), Vec<OpId>> = BTreeMap::new();
-            for (&op, (class, unit)) in &rtl.bindings {
-                by_unit.entry((class.clone(), *unit)).or_default().push(op);
+        // Units and multiplexers: each class's operations, in step order,
+        // go first-fit onto the allocation wheel's units.
+        for (class, mut ops) in func_ops.remove(&p).unwrap_or_default() {
+            ops.sort_by_key(|&op| (schedule.of(op).step, op));
+            let mut wheel = AllocationWheel::new(
+                ops.len() as u32,
+                schedule.rate.max(1),
+                cdfg.library().cycles(&class),
+            )
+            .expect("positive rate and cycles");
+            let mut by_unit: BTreeMap<usize, Vec<OpId>> = BTreeMap::new();
+            for op in ops {
+                let unit = wheel
+                    .place(schedule.of(op).step)
+                    .expect("validated schedule binds");
+                by_unit.entry(unit).or_default().push(op);
             }
-            for ((class, unit), mut ops) in by_unit {
-                ops.sort_by_key(|&op| (schedule.of(op).step, op));
+            for (unit, ops) in by_unit {
                 let width = ops
                     .iter()
                     .filter_map(|&op| cdfg.op(op).result)
                     .map(|v| cdfg.value(v).bits)
                     .max()
                     .unwrap_or(0);
-                let name = format!("{}{unit}", class_ident(&class));
+                let name = format!("{}{unit}", sanitize(class.token()));
                 if ops.len() > 1 {
                     // Two-operand units: one mux per operand port.
                     for port in ["a", "b"] {
@@ -192,7 +210,7 @@ pub fn build(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconnect) -> Netlist {
                 }
                 chip.units.push(Unit {
                     name,
-                    class,
+                    class: class.clone(),
                     ops: ops.iter().map(|&op| (op, schedule.of(op).step)).collect(),
                     width,
                 });
@@ -200,17 +218,12 @@ pub fn build(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconnect) -> Netlist {
         }
 
         // Registers: one bank per produced value homed on the chip, sized
-        // by the concurrent-copy count the estimate derives. The estimate
-        // only reports a per-chip total, so recompute per value here.
+        // by its concurrent-copy count.
         for op in cdfg.op_ids() {
             let Some(result) = cdfg.op(op).result else {
                 continue;
             };
-            let home = match cdfg.op(op).kind {
-                OpKind::Io { to, .. } => to,
-                _ => cdfg.op(op).partition,
-            };
-            if home != p {
+            if cdfg.op(op).source_partition() != p {
                 continue;
             }
             let copies = value_copies(cdfg, schedule, op);
@@ -228,8 +241,9 @@ pub fn build(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconnect) -> Netlist {
     nl
 }
 
-/// Concurrent register copies the result of `op` needs (the per-value
-/// version of the lifetime sum in [`crate::rtl::estimate`]).
+/// Concurrent register copies the result of `op` needs: the value is
+/// alive from its producer's finish to its last consumer's start, and in
+/// a pipelined design `ceil(lifetime / L)` instances' copies coexist.
 fn value_copies(cdfg: &Cdfg, schedule: &Schedule, op: OpId) -> u32 {
     let Some(result) = cdfg.op(op).result else {
         return 0;
@@ -265,15 +279,6 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-fn class_ident(class: &OperatorClass) -> String {
-    match class {
-        OperatorClass::Add => "add".into(),
-        OperatorClass::Sub => "sub".into(),
-        OperatorClass::Mul => "mul".into(),
-        OperatorClass::Custom(name) => sanitize(name),
-    }
 }
 
 /// Renders the netlist as structural Verilog: one module per chip and a
@@ -329,7 +334,7 @@ pub fn to_verilog(nl: &Netlist) -> String {
             let _ = writeln!(
                 out,
                 "  {} #(.WIDTH({})) {} (.clk(clk)); // {}",
-                class_ident(&u.class),
+                sanitize(u.class.token()),
                 u.width,
                 u.name,
                 ops.join(" ")
@@ -365,8 +370,9 @@ pub fn to_verilog(nl: &Netlist) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_cdfg::designs::{ar_filter, elliptic};
+    use mcs_cdfg::designs::{ar_filter, elliptic, synthetic};
     use mcs_cdfg::PortMode;
+    use mcs_sched::{list_schedule, ListConfig, NullPolicy};
 
     use crate::flows::{connect_first_flow, simple_flow, ConnectFirstOptions};
 
@@ -435,17 +441,69 @@ mod tests {
         }
     }
 
+    /// Register copies over every chip.
+    fn total_registers(nl: &Netlist) -> u32 {
+        nl.chips
+            .values()
+            .flat_map(|c| c.registers.iter())
+            .map(|r| r.copies)
+            .sum()
+    }
+
     #[test]
-    fn register_banks_sum_to_the_rtl_estimate() {
-        let d = elliptic::partitioned_with(6, PortMode::Unidirectional);
-        let r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
-        let nl = build(d.cdfg(), &r.schedule, &r.interconnect);
-        let dp = estimate(d.cdfg(), &r.schedule);
+    fn quickstart_binds_onto_declared_units() {
+        let d = synthetic::quickstart();
+        let s = list_schedule(d.cdfg(), &ListConfig::new(1), &mut NullPolicy).unwrap();
+        let nl = build(d.cdfg(), &s, &Interconnect::default());
         for (&p, chip) in &nl.chips {
-            let total: u32 = chip.registers.iter().map(|r| r.copies).sum();
-            let want = dp.partitions.get(&p).map(|x| x.registers).unwrap_or(0);
-            assert_eq!(total, want, "{p}: register copies must match the estimate");
+            let mut per_class: BTreeMap<&OperatorClass, u32> = BTreeMap::new();
+            for u in &chip.units {
+                *per_class.entry(&u.class).or_insert(0) += 1;
+            }
+            for (class, n) in per_class {
+                if let Some(&declared) = d.cdfg().partition(p).resources.get(class) {
+                    assert!(
+                        n <= declared,
+                        "{p} {class}: bound {n} > declared {declared}"
+                    );
+                }
+            }
         }
+        // The accumulator's recursive value lives a full initiation
+        // interval: at least one register.
+        assert!(total_registers(&nl) >= 1);
+    }
+
+    #[test]
+    fn ar_filter_bindings_cover_all_functional_ops() {
+        let d = ar_filter::simple();
+        let s = list_schedule(d.cdfg(), &ListConfig::new(2), &mut NullPolicy).unwrap();
+        let nl = build(d.cdfg(), &s, &Interconnect::default());
+        let bound: usize = nl
+            .chips
+            .values()
+            .flat_map(|c| c.units.iter())
+            .map(|u| u.ops.len())
+            .sum();
+        assert_eq!(bound, d.cdfg().func_ops().count());
+        // 16 multiplications on 8 multipliers total: sharing must appear
+        // as muxes somewhere.
+        assert!(nl.chips.values().any(|c| !c.muxes.is_empty()));
+    }
+
+    #[test]
+    fn longer_lifetimes_cost_more_registers() {
+        let d = ar_filter::simple();
+        let s = list_schedule(d.cdfg(), &ListConfig::new(2), &mut NullPolicy).unwrap();
+        let nl2 = build(d.cdfg(), &s, &Interconnect::default());
+        // The same schedule at a coarser fold (pretend rate 4) halves the
+        // overlapping copies.
+        let s4 = Schedule {
+            rate: 4,
+            start: s.start.clone(),
+        };
+        let nl4 = build(d.cdfg(), &s4, &Interconnect::default());
+        assert!(total_registers(&nl4) <= total_registers(&nl2));
     }
 
     #[test]

@@ -44,7 +44,8 @@ use mcs_postsyn::verify_against_schedule;
 use mcs_sched::{validate, Schedule, SlotPlacement};
 
 use crate::flows::{
-    bus_slot_schedule, run, ConnectFirstOptions, FlowError, FlowSpec, RunContext, SynthesisResult,
+    bus_slot_schedule, check_rate, run, ConnectFirstOptions, FlowError, FlowSpec, RunContext,
+    SynthesisResult,
 };
 
 /// Which rung of the resynthesis ladder produced the result.
@@ -259,6 +260,7 @@ pub fn resynth_flow_traced(
     let _span = metrics.span("resynth");
     let applied = delta.apply(old)?;
     let rate = applied.rate.unwrap_or(prev.schedule.rate);
+    check_rate(rate)?;
     let dirty = classify(old, prev, &applied);
     metrics.add("resynth.dirty_ops", dirty.ops.len() as u64);
     metrics.add("resynth.dirty_transfers", dirty.transfers.len() as u64);

@@ -282,21 +282,7 @@ fn cliques_to_interconnect(
         bus.sub_widths = vec![width];
         for &op in &sn.ops {
             let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-            let bits = cdfg.io_bits(op);
-            match mode {
-                PortMode::Unidirectional => {
-                    let e = bus.out_ports.entry(from).or_insert(0);
-                    *e = (*e).max(bits);
-                    let e = bus.in_ports.entry(to).or_insert(0);
-                    *e = (*e).max(bits);
-                }
-                PortMode::Bidirectional => {
-                    let e = bus.bi_ports.entry(from).or_insert(0);
-                    *e = (*e).max(bits);
-                    let e = bus.bi_ports.entry(to).or_insert(0);
-                    *e = (*e).max(bits);
-                }
-            }
+            bus.extend_ports(mode, from, to, cdfg.io_bits(op));
             assignment.insert(
                 op,
                 BusAssignment {

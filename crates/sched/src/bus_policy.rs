@@ -221,7 +221,7 @@ impl BusPolicy {
         for op in cdfg.io_ops() {
             carriers[op.index()] = self.interconnect.capable_carriers(cdfg, op);
         }
-        let feedback = feedback_groups(cdfg, self.rate);
+        let feedback = mcs_cdfg::timing::feedback_group_windows(cdfg, self.rate);
         let mut by_value: BTreeMap<ValueId, Vec<OpId>> = BTreeMap::new();
         for &op in self.interconnect.assignment.keys() {
             let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
@@ -555,60 +555,6 @@ impl Adjacency for PendingGraph<'_> {
     }
 }
 
-/// Static group windows for feedback values (Section 7.1): a transfer
-/// fed by a recursive edge of degree `d` must start within
-/// `[asap(producer) + cycles - d*L, asap(consumer) - 1]`; the groups of
-/// that interval are the slots worth reserving for it.
-fn feedback_groups(cdfg: &Cdfg, rate: u32) -> BTreeMap<ValueId, BTreeSet<u32>> {
-    let mut map: BTreeMap<ValueId, BTreeSet<u32>> = BTreeMap::new();
-    if let Ok(asap) = mcs_cdfg::timing::asap(cdfg) {
-        let l = rate as i64;
-        for op in cdfg.io_ops() {
-            let recursive: Vec<_> = cdfg
-                .preds(op)
-                .iter()
-                .map(|&e| cdfg.edge(e))
-                .filter(|e| e.degree > 0)
-                .cloned()
-                .collect();
-            if recursive.is_empty() {
-                continue;
-            }
-            let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
-            let lo = recursive
-                .iter()
-                .map(|e| asap.of(e.from).step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * l)
-                .max()
-                .expect("nonempty");
-            let hi = cdfg
-                .succs(op)
-                .iter()
-                .map(|&e| cdfg.edge(e))
-                .filter(|e| e.degree == 0)
-                .map(|e| asap.of(e.to).step - 1)
-                .min()
-                .unwrap_or(lo + l - 1);
-            let mut groups = BTreeSet::new();
-            if hi - lo + 1 >= l {
-                groups.extend(0..rate);
-            } else {
-                for s in lo..=hi.max(lo) {
-                    groups.insert(s.rem_euclid(l) as u32);
-                }
-            }
-            map.entry(v)
-                .and_modify(|g| {
-                    let inter: BTreeSet<u32> = g.intersection(&groups).copied().collect();
-                    if !inter.is_empty() {
-                        *g = inter;
-                    }
-                })
-                .or_insert(groups);
-        }
-    }
-    map
-}
-
 impl IoPolicy for BusPolicy {
     /// Allocates a communication slot for `op` at `step`, reporting the
     /// accurate rejection reason when there is none:
@@ -693,8 +639,7 @@ impl IoPolicy for BusPolicy {
         // preemption chain over already-scheduled transfers — bus changes
         // only, steps untouched (Section 4.2's augmentation, applied at
         // the point the paper's negative-step preloads are committed).
-        let is_feedback = cdfg.preds(op).iter().any(|&e| cdfg.edge(e).degree > 0);
-        if self.allow_reassign && is_feedback {
+        if self.allow_reassign && cdfg.is_feedback_transfer(op) {
             let before = self.reassigned;
             let carriers = self.routes(cdfg).carriers[op.index()].clone();
             for cand in carriers {

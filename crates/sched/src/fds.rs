@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use mcs_cdfg::timing::{self, StepTime};
+use mcs_cdfg::timing::{self, MaxTimeConstraint, StepTime};
 use mcs_cdfg::{Cdfg, OpId, OpKind, OperatorClass, PartitionId};
 
 use crate::list::SchedError;
@@ -56,43 +56,6 @@ pub struct FdsConfig {
     pub pipe_length: i64,
 }
 
-/// A composite maximum time constraint routed through a feedback transfer
-/// (see `list_schedule`): `step(from) - step(to) <= bound`.
-#[derive(Clone, Copy, Debug)]
-struct Composite {
-    from: OpId,
-    to: OpId,
-    bound: i64,
-}
-
-/// Composite constraints: producer of a feedback transfer vs its
-/// consumers, `t_prod - t_cons <= d*L - cycles(prod) - 1`.
-fn composite_constraints(cdfg: &Cdfg, rate: u32, deferred: &[bool]) -> Vec<Composite> {
-    let mut out = Vec::new();
-    for w in cdfg.op_ids() {
-        if !deferred[w.index()] {
-            continue;
-        }
-        for &pe in cdfg.preds(w) {
-            let pe = cdfg.edge(pe);
-            if pe.degree == 0 {
-                continue;
-            }
-            for &se in cdfg.succs(w) {
-                let se = cdfg.edge(se);
-                if se.degree == 0 && !deferred[se.to.index()] {
-                    out.push(Composite {
-                        from: pe.from,
-                        to: se.to,
-                        bound: pe.degree as i64 * rate as i64 - cdfg.op_cycles(pe.from) as i64 - 1,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Computes pinned ASAP/ALAP frames at ns resolution; `None` when the
 /// pins are inconsistent with precedence, the deadline, or the composite
 /// maximum time constraints (which couple feedback producers to the
@@ -103,7 +66,7 @@ fn frames(
     order: &[OpId],
     pinned: &[Option<i64>],
     deferred: &[bool],
-    composites: &[Composite],
+    composites: &[MaxTimeConstraint],
     deadline_steps: i64,
 ) -> Option<(Vec<StepTime>, Vec<StepTime>)> {
     let stage = cdfg.library().stage_ns() as i64;
@@ -327,10 +290,10 @@ pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError
     let n = cdfg.ops().len();
     let deferred: Vec<bool> = cdfg
         .op_ids()
-        .map(|op| cdfg.op(op).is_io() && cdfg.preds(op).iter().any(|&e| cdfg.edge(e).degree > 0))
+        .map(|op| cdfg.is_feedback_transfer(op))
         .collect();
     let mut pinned: Vec<Option<i64>> = vec![None; n];
-    let composites = composite_constraints(cdfg, cfg.rate, &deferred);
+    let composites = timing::composite_constraints(cdfg, cfg.rate);
     let solve = |pinned: &[Option<i64>]| {
         frames(
             cdfg,

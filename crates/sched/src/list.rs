@@ -237,7 +237,7 @@ pub fn list_schedule<P: IoPolicy>(
     // Feedback transfers (fed by a recursive edge) go to phase 2.
     let deferred: Vec<bool> = cdfg
         .op_ids()
-        .map(|op| cdfg.op(op).is_io() && cdfg.preds(op).iter().any(|&e| cdfg.edge(e).degree > 0))
+        .map(|op| cdfg.is_feedback_transfer(op))
         .collect();
 
     // Priority: longest path to a sink over degree-0 edges, in ns.
@@ -279,40 +279,14 @@ pub fn list_schedule<P: IoPolicy>(
     }
 
     // Maximum time constraints. Deferred transfers get their own phase-2
-    // window, but the constraints *through* them must bind phase 1:
-    // a producer feeding a feedback transfer of degree `d` whose value is
-    // consumed by `cons` obeys
-    // `t_prod - t_cons <= d*L - cycles(prod) - 1` (the transfer itself
-    // takes a cycle between them). Without these composite constraints the
-    // producer can drift so late that the transfer window becomes empty.
+    // window, but the constraints *through* them must bind phase 1: the
+    // composite constraints of Section 7.1.
     let mut constraints: Vec<timing::MaxTimeConstraint> =
         timing::max_time_constraints(cdfg, cfg.rate)
             .into_iter()
             .filter(|c| !deferred[c.from.index()] && !deferred[c.to.index()])
             .collect();
-    for w in cdfg.op_ids() {
-        if !deferred[w.index()] {
-            continue;
-        }
-        for &pe in cdfg.preds(w) {
-            let pe = cdfg.edge(pe);
-            if pe.degree == 0 {
-                continue;
-            }
-            for &se in cdfg.succs(w) {
-                let se = cdfg.edge(se);
-                if se.degree == 0 && !deferred[se.to.index()] {
-                    constraints.push(timing::MaxTimeConstraint {
-                        from: pe.from,
-                        to: se.to,
-                        bound: pe.degree as i64 * cfg.rate as i64
-                            - cdfg.op_cycles(pe.from) as i64
-                            - 1,
-                    });
-                }
-            }
-        }
-    }
+    constraints.extend(timing::composite_constraints(cdfg, cfg.rate));
 
     // Chaining-aware backward deadline propagation: once an op acquires a
     // start-step deadline, its predecessors must finish in time for it.
@@ -594,12 +568,7 @@ pub fn list_schedule<P: IoPolicy>(
 /// hold back to loosen composite maximum time constraints.
 pub fn feedback_consumers(cdfg: &Cdfg) -> Vec<OpId> {
     let mut out = Vec::new();
-    for w in cdfg.op_ids() {
-        let is_feedback =
-            cdfg.op(w).is_io() && cdfg.preds(w).iter().any(|&e| cdfg.edge(e).degree > 0);
-        if !is_feedback {
-            continue;
-        }
+    for w in cdfg.op_ids().filter(|&w| cdfg.is_feedback_transfer(w)) {
         for &e in cdfg.succs(w) {
             let e = cdfg.edge(e);
             if e.degree == 0 {

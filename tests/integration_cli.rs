@@ -389,9 +389,53 @@ fn oversized_rate_fails_cleanly() {
     assert!(stderr.contains("over the limit of"), "{stderr}");
 }
 
-/// The schedule-first flow builds no pin checker, so force-directed
-/// scheduling refuses a rate whose pipe length passes its own step cap:
-/// the command exits 1 within a second instead of running for hours.
+/// Every flow refuses a rate past the flows' ceiling before any layer
+/// allocates: exit 1 with the error, where the connect-first flow used to
+/// ask for gigabytes of bus-slot table and abort with 134.
+#[test]
+fn every_flow_refuses_a_rate_past_the_ceiling() {
+    let sample = sample();
+    for flow in ["simple", "connect", "schedule"] {
+        let out = Command::new(BIN)
+            .args(["synth", &sample, "--rate", "100000000", "--flow", flow])
+            .output()
+            .expect("mcs-hls binary runs");
+        assert_eq!(out.status.code(), Some(1), "{flow}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("initiation rate 100000000 is over the limit of 256"),
+            "{flow}: {stderr}"
+        );
+    }
+}
+
+/// `simulate` refuses an instance count past its ceiling with a usage
+/// error instead of aborting while it builds the stimulus.
+#[test]
+fn simulate_refuses_too_many_instances() {
+    let out = Command::new(BIN)
+        .args([
+            "simulate",
+            &sample(),
+            "--rate",
+            "2",
+            "--instances",
+            "4000000000",
+        ])
+        .output()
+        .expect("mcs-hls binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--instances is over the limit of 4096"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+/// The schedule-first flow builds no pin checker; a huge rate is refused
+/// before force-directed scheduling starts, so the command exits 1 within
+/// a second instead of running for hours.
 #[test]
 fn oversized_schedule_first_rate_fails_within_a_second() {
     use std::time::{Duration, Instant};
