@@ -1,4 +1,4 @@
-//! The three differential oracles of the `mcs-fuzz` harness.
+//! The differential oracles of the `mcs-fuzz` harness.
 //!
 //! Each oracle runs one generated design through two or more independent
 //! implementations of the same question and reports any divergence:
@@ -18,6 +18,12 @@
 //!    never manufactures a definitive answer, and completed budgeted
 //!    runs match the unbudgeted ground truth.
 //!
+//! 4. [`explain_differential`] — the two cheap certificates of the
+//!    point runner's explanation ([`PinIlp::refutation`] and
+//!    [`PinIlp::witness`]) must never contradict the exact pin ILP, and
+//!    neither the bound nor the exact ILP may refute a system that a
+//!    unidirectional flow implemented within its budgets.
+//!
 //! Feasibility agreement is asserted at proof strength, not heuristic
 //! strength: a flow that *gives up* (portfolio search exhausted, greedy
 //! list scheduler painted into a corner, budget tripped) reports
@@ -26,12 +32,14 @@
 //! verified result ([`Verdict::Feasible`]), or a verifier-rejected
 //! result ([`Verdict::Broken`]), counts as a finding.
 
-use mcs_cdfg::{timing, Cdfg, PortMode};
+use mcs_cdfg::{timing, Cdfg, PartitionId, PortMode};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_pinalloc::{PinAllocError, PinChecker};
+use mcs_explore::FlowVariant;
+use mcs_pinalloc::{PinAllocError, PinChecker, PinIlp, DEFAULT_PIVOT_BUDGET};
 use mcs_postsyn::{verify_against_schedule, verify_against_schedule_with_budgets};
 use mcs_sim::{verify, Semantics, Stimulus, Violation};
 
+use crate::explore::point_spec;
 use crate::flows::{
     connect_first_flow, run, schedule_first_flow, simple_flow, ConnectFirstOptions, FlowError,
     FlowOutcome, FlowSpec, RunContext, SynthesisResult,
@@ -423,6 +431,130 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
     out
 }
 
+/// The explanation check for one pin system.
+#[derive(Clone, Debug, Default)]
+pub struct ExplainDifferential {
+    /// The counting bound refuted the system.
+    pub refuted: bool,
+    /// The greedy packing witnessed the system.
+    pub witnessed: bool,
+    /// A unidirectional flow (connect-first or schedule-first, as a
+    /// sweep point runs them) produced a verified result within every
+    /// partition's budget, the environment's included.
+    pub flow_feasible: bool,
+    /// The exact ILP's answer: feasible, `InfeasibleFromTheStart`, or
+    /// `None` when its pivot ceiling tripped and the system proves
+    /// nothing.
+    pub exact: Option<bool>,
+    /// Contradictions; empty means agreement.
+    pub disagreements: Vec<ExplainDisagreement>,
+}
+
+/// One contradiction [`explain_differential`] can find.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ExplainDisagreement {
+    /// The counting bound refuted this partition's rows, but the exact
+    /// ILP is feasible.
+    Refuted(PartitionId),
+    /// The greedy witness packed a system the exact ILP calls
+    /// `InfeasibleFromTheStart`.
+    Witnessed,
+    /// The exact ILP calls the system `InfeasibleFromTheStart`, but a
+    /// unidirectional flow implemented it within its budgets.
+    ExactAgainstFlow,
+    /// The counting bound refuted this partition's rows, but a
+    /// unidirectional flow implemented the system within its budgets.
+    RefutedAgainstFlow(PartitionId),
+}
+
+impl std::fmt::Display for ExplainDisagreement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExplainDisagreement::Refuted(p) => write!(
+                f,
+                "the counting bound refuted {p}'s rows but the exact ILP is feasible"
+            ),
+            ExplainDisagreement::Witnessed => write!(
+                f,
+                "the greedy witness packed a system the exact ILP calls infeasible"
+            ),
+            ExplainDisagreement::ExactAgainstFlow => write!(
+                f,
+                "the exact ILP calls the system infeasible but a unidirectional flow \
+                 implemented it within its budgets"
+            ),
+            ExplainDisagreement::RefutedAgainstFlow(p) => write!(
+                f,
+                "the counting bound refuted {p}'s rows but a unidirectional flow \
+                 implemented the system within its budgets"
+            ),
+        }
+    }
+}
+
+/// Checks the point runner's explanation of `cdfg` at `rate` against the
+/// exact pin ILP, solved under a ceiling of `max_pivots`. A refutation
+/// next to a feasible ILP, a witness next to `InfeasibleFromTheStart`, or
+/// `InfeasibleFromTheStart` next to a verified unidirectional result
+/// within budgets is a disagreement, and so is a refutation next to such
+/// a result, which would turn a point the flow solves pin-infeasible.
+/// With the ceiling tripped only that last comparison is made.
+///
+/// # Errors
+///
+/// [`PinAllocError::ZeroRate`] and [`PinAllocError::TableauTooLarge`]
+/// from [`PinIlp::new`].
+pub fn explain_differential(
+    cdfg: &Cdfg,
+    rate: u32,
+    max_pivots: u64,
+) -> Result<ExplainDifferential, PinAllocError> {
+    let ilp = PinIlp::new(cdfg, rate)?;
+    let budget = Budget::new(BudgetSpec::default().max_pivots(max_pivots));
+    let exact = match PinChecker::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, Some(budget)) {
+        Ok(_) => Some(true),
+        Err(PinAllocError::InfeasibleFromTheStart) => Some(false),
+        Err(_) => None,
+    };
+    let flow_feasible = [FlowVariant::ConnectFirst, FlowVariant::ScheduleFirst]
+        .into_iter()
+        .any(|flow| {
+            run(cdfg, &point_spec(flow, rate), &RunContext::default())
+                .result
+                .is_ok_and(|r| {
+                    r.interconnect.over_budget(cdfg).next().is_none()
+                        && verify_against_schedule(cdfg, &r.schedule, &r.final_interconnect())
+                            .is_empty()
+                })
+        });
+    let refutation = ilp.refutation();
+    let mut out = ExplainDifferential {
+        refuted: refutation.is_some(),
+        witnessed: ilp.witness().is_some(),
+        flow_feasible,
+        exact,
+        disagreements: Vec::new(),
+    };
+    if let (Some(p), true) = (refutation, flow_feasible) {
+        out.disagreements
+            .push(ExplainDisagreement::RefutedAgainstFlow(p));
+    }
+    let Some(feasible) = exact else {
+        return Ok(out);
+    };
+    if let (Some(p), true) = (refutation, feasible) {
+        out.disagreements.push(ExplainDisagreement::Refuted(p));
+    }
+    if out.witnessed && !feasible {
+        out.disagreements.push(ExplainDisagreement::Witnessed);
+    }
+    if out.flow_feasible && !feasible {
+        out.disagreements
+            .push(ExplainDisagreement::ExactAgainstFlow);
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,6 +582,15 @@ mod tests {
         let r = probe_differential(d.cdfg(), 2, &[0, 1, 8, 1 << 20]).expect("checker builds");
         assert!(r.mismatches.is_empty(), "{:?}", r.mismatches);
         assert!(r.probes > 0);
+    }
+
+    #[test]
+    fn quickstart_explanation_agrees() {
+        let d = synthetic::quickstart();
+        let r = explain_differential(d.cdfg(), 2, 1_000).expect("the tableau fits");
+        assert!(r.disagreements.is_empty(), "{:?}", r.disagreements);
+        assert_eq!(r.exact, Some(true));
+        assert!(r.witnessed && r.flow_feasible && !r.refuted, "{r:?}");
     }
 
     #[test]

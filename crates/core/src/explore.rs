@@ -8,13 +8,14 @@
 //! * A lattice point `(rate, budget vector)` is realized by
 //!   [`with_pin_budgets`]; the sweep explores total budgets, not fixed
 //!   input/output splits.
-//! * [`run_point`] runs the flow first and solves the exact Chapter 3
-//!   pin-allocation ILP only to explain a point the flow did not solve.
-//!   The ILP gives each chip one output split for every step group, so
-//!   with the unidirectional ports of every [`point_spec`] a verified
-//!   connection within every partition's budget (the environment's
-//!   included) is a feasible point of it, and the solve would add
-//!   nothing. Its `InfeasibleFromTheStart` is
+//! * [`run_point`] asks the Chapter 3 pin-allocation ILP's counting
+//!   bound before the flow, and after a flow that did not solve the
+//!   point its greedy witness and, when neither decides, the exact
+//!   solve. The ILP gives each chip one output split for every step
+//!   group, so with the unidirectional ports of every [`point_spec`] a
+//!   verified connection within every partition's budget (the
+//!   environment's included) is a feasible point of it, and the solve
+//!   would add nothing. Its `InfeasibleFromTheStart` is
 //!   the *only* verdict reported as [`PointStatus::PinInfeasible`],
 //!   because it is the only one sound to lift to dominated points.
 //!   Incomplete-search failures are [`PointStatus::SearchFailed`] and
@@ -34,10 +35,11 @@ use mcs_explore::{
     SweepOptions, SweepReport, SweepSpec,
 };
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinAllocError, PinChecker};
+use mcs_pinalloc::{PinAllocError, PinIlp};
 
 use crate::flows::{
-    pin_checker, run, ConnectFirstOptions, FlowError, FlowOutcome, FlowSpec, RunContext, WarmStart,
+    check_rate, pin_checker, run, ConnectFirstOptions, FlowError, FlowOutcome, FlowSpec,
+    RunContext, WarmStart,
 };
 use crate::netlist;
 
@@ -123,20 +125,43 @@ pub struct PointRun {
 }
 
 /// Runs one point: `flow` at `rate` on `cdfg`, budgets already applied.
-/// [`PinChecker::tableau_vars`] refuses an oversized rate without a
-/// solve; then [`run`] runs the [`point_spec`]. A result within every
-/// partition's budget, the environment's included, is feasible and builds
-/// no pin checker. A failure other than an interruption, or a Chapter 5
-/// result over some budget (that flow never reads one), is explained by
-/// the exact checker under the context's budget: `InfeasibleFromTheStart`
-/// makes the point pin-infeasible, an interrupted solve interrupted, and
-/// any other answer keeps the flow's verdict — a result over a chip's
-/// budget is a search failure, one over the environment's alone stays
-/// feasible. The Chapter 3 flow builds that checker itself.
+///
+/// The order is [`PinIlp::new`] (which refuses an oversized rate without
+/// building anything), the counting bound, the flow, the greedy witness,
+/// and the exact checker last:
+///
+/// * A system the bound refutes ([`PinIlp::refutation`]) answers
+///   `InfeasibleFromTheStart` at once: no flow runs, so the search
+///   counters read 0 and nothing is exported.
+/// * [`run`] runs the [`point_spec`]. A result within every partition's
+///   budget, the environment's included, is feasible and needs no
+///   explanation.
+/// * A failure other than an interruption, or a Chapter 5 result over
+///   some budget (that flow never reads one), is explained. A packing
+///   that satisfies every row ([`PinIlp::witness`]) keeps the flow's
+///   verdict. Otherwise the exact checker decides under the context's
+///   budget: `InfeasibleFromTheStart` makes the point pin-infeasible, an
+///   interrupted solve interrupted, and any other answer keeps the
+///   flow's verdict — a result over a chip's budget is a search failure,
+///   one over the environment's alone stays feasible. The Chapter 3 flow
+///   builds that checker itself.
+///
+/// Each step counts under `ctx.metrics` as `explain.refuted`,
+/// `explain.witnessed` or `explain.solved`, inside an `explain` span.
 pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) -> PointRun {
-    let mut outcome = match PinChecker::tableau_vars(cdfg, rate) {
+    let ilp = PinIlp::new(cdfg, rate);
+    let refuted = ilp.as_ref().is_ok_and(|ilp| {
+        // A rate over the flows' ceiling keeps the flow's own refusal.
+        let _span = ctx.metrics.span("explain");
+        check_rate(rate).is_ok() && ilp.refutation().is_some()
+    });
+    let mut outcome = match ilp {
+        Err(ref e) => FlowOutcome::from(Err(e.clone().into())),
+        Ok(_) if refuted => {
+            ctx.metrics.add("explain.refuted", 1);
+            FlowOutcome::from(Err(PinAllocError::InfeasibleFromTheStart.into()))
+        }
         Ok(_) => run(cdfg, &point_spec(flow, rate), ctx),
-        Err(e) => FlowOutcome::from(Err(e.into())),
     };
     let over: Vec<_> = outcome
         .result
@@ -157,17 +182,23 @@ pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) ->
         .filter(|(p, ..)| p.index() > 0)
         .map(|(p, used, budget)| format!("chip {} uses {used} > {budget}", p.index()))
         .collect();
-    if unsolved && flow != FlowVariant::Simple {
-        match pin_checker(cdfg, rate, None, ctx) {
-            Err(e @ PinAllocError::InfeasibleFromTheStart) => {
-                outcome.result = Err(e.into());
-                outcome.termination = Termination::Complete;
+    if let (true, Ok(ilp)) = (unsolved && flow != FlowVariant::Simple, &ilp) {
+        let _span = ctx.metrics.span("explain");
+        if ilp.witness().is_some() {
+            ctx.metrics.add("explain.witnessed", 1);
+        } else {
+            ctx.metrics.add("explain.solved", 1);
+            match pin_checker(cdfg, rate, None, ctx) {
+                Err(e @ PinAllocError::InfeasibleFromTheStart) => {
+                    outcome.result = Err(e.into());
+                    outcome.termination = Termination::Complete;
+                }
+                Err(PinAllocError::Interrupted(t)) => {
+                    outcome.result = Err(FlowError::Interrupted(t));
+                    outcome.termination = t;
+                }
+                _ => {}
             }
-            Err(PinAllocError::Interrupted(t)) => {
-                outcome.result = Err(FlowError::Interrupted(t));
-                outcome.termination = t;
-            }
-            _ => {}
         }
     }
     let mut point = PointOutcome::default();

@@ -292,9 +292,14 @@ pub fn run(cdfg: &Cdfg, spec: &FlowSpec, ctx: &RunContext) -> FlowOutcome {
 /// is 9; the ceiling is about 28 times that.
 const MAX_RATE: u32 = 256;
 
-/// Refuses a rate past [`MAX_RATE`]. Every flow body and the resynthesis
-/// ladder call it first, before any layer allocates.
-pub(crate) fn check_rate(rate: u32) -> Result<(), FlowError> {
+/// Refuses a rate past `MAX_RATE` (256). Every flow body and the resynthesis
+/// ladder call it first, before any layer allocates, and the serve daemon
+/// calls it before it queues a job.
+///
+/// # Errors
+///
+/// [`FlowError::RateTooLarge`] for a rate over 256.
+pub fn check_rate(rate: u32) -> Result<(), FlowError> {
     if rate > MAX_RATE {
         return Err(FlowError::RateTooLarge {
             rate,
@@ -304,20 +309,21 @@ pub(crate) fn check_rate(rate: u32) -> Result<(), FlowError> {
     Ok(())
 }
 
-/// The one pin-checker constructor path of the flows: the pivot budget
-/// and the context's execution budget both attach before the
-/// construction-time feasibility solve.
+/// The one pin-checker constructor path of the flows: the pivot budget,
+/// the context's execution budget and its metrics handle all attach
+/// before the construction-time feasibility solve.
 pub(crate) fn pin_checker(
     cdfg: &Cdfg,
     rate: u32,
     pivot_budget: Option<usize>,
     ctx: &RunContext,
 ) -> Result<PinChecker, PinAllocError> {
-    PinChecker::with_budgets(
+    PinChecker::with_context(
         cdfg,
         rate,
         pivot_budget.unwrap_or(DEFAULT_PIVOT_BUDGET),
         ctx.budget.clone(),
+        &ctx.metrics,
     )
 }
 

@@ -26,11 +26,13 @@
 
 use std::collections::BTreeMap;
 
-use mcs_cdfg::{Cdfg, OpId, PartitionId, ValueId};
+use mcs_cdfg::{Cdfg, OpId};
 use mcs_ctl::{Budget, Termination};
 use mcs_ilp::{AllIntegerSolver, Feasibility};
 use mcs_metrics::{Histogram, MetricsHandle};
 use mcs_obs::{Event, ProbeSource};
+
+use crate::model::{OpVar, PinIlp, Sense};
 
 /// Default pivot budget per feasibility probe before falling back to
 /// exact branch-and-bound. Configurable per checker via
@@ -124,16 +126,6 @@ impl std::fmt::Display for PinAllocError {
 }
 
 impl std::error::Error for PinAllocError {}
-
-/// Which solver variable carries an I/O operation.
-#[derive(Clone, Copy, Debug)]
-enum OpVar {
-    /// Aggregated single-fanout group (Section 3.1.2): variable block
-    /// index, group size `q`.
-    Aggregate(usize),
-    /// Individual binary for a member of a multi-destination value.
-    Member(usize),
-}
 
 /// The incremental pin-allocation feasibility checker of Figure 3.4.
 ///
@@ -257,184 +249,36 @@ impl PinChecker {
         pivot_budget: usize,
         budget: Option<Budget>,
     ) -> Result<Self, PinAllocError> {
-        let vars = Self::tableau_vars(cdfg, rate)?;
+        Self::with_context(cdfg, rate, pivot_budget, budget, &MetricsHandle::default())
+    }
+
+    /// [`PinChecker::with_budgets`] with `metrics` attached (as by
+    /// [`PinChecker::set_metrics`]) before the construction-time solve, so
+    /// that solve's `ilp.pivots` reach the caller's registry.
+    ///
+    /// # Errors
+    ///
+    /// As [`PinChecker::with_budgets`].
+    pub fn with_context(
+        cdfg: &Cdfg,
+        rate: u32,
+        pivot_budget: usize,
+        budget: Option<Budget>,
+        metrics: &MetricsHandle,
+    ) -> Result<Self, PinAllocError> {
+        let ilp = PinIlp::new(cdfg, rate)?;
         let l = rate as usize;
-        let groups = cdfg.io_ops_by_value();
-
-        // Partition transfers into aggregates (single-destination values,
-        // merged by (from, to, bits)) and members of multi-destination
-        // values.
-        #[derive(Default)]
-        struct Agg {
-            ops: Vec<OpId>,
-        }
-        let mut aggs: BTreeMap<(PartitionId, PartitionId, u32), Agg> = BTreeMap::new();
-        let mut multi: Vec<(ValueId, Vec<OpId>)> = Vec::new();
-        for (value, ops) in &groups {
-            if ops.len() == 1 {
-                let op = ops[0];
-                let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-                let bits = cdfg.io_bits(op);
-                aggs.entry((from, to, bits)).or_default().ops.push(op);
-            } else {
-                multi.push((*value, ops.clone()));
-            }
-        }
-
-        // Assign solver variable indices.
-        let mut n_vars = 0usize;
-        let mut agg_base = Vec::new();
-        let mut agg_remaining = Vec::new();
-        let mut op_vars: BTreeMap<OpId, OpVar> = BTreeMap::new();
-        let agg_list: Vec<(&(PartitionId, PartitionId, u32), &Agg)> = aggs.iter().collect();
-        for (gi, (_, agg)) in agg_list.iter().enumerate() {
-            agg_base.push(n_vars);
-            agg_remaining.push(agg.ops.len() as i64);
-            n_vars += l;
-            for &op in &agg.ops {
-                op_vars.insert(op, OpVar::Aggregate(gi));
-            }
-        }
-        let mut member_base = Vec::new();
-        let mut member_list: Vec<OpId> = Vec::new();
-        let mut y_base: BTreeMap<ValueId, usize> = BTreeMap::new();
-        for (value, ops) in &multi {
-            for &op in ops {
-                member_base.push(n_vars);
-                op_vars.insert(op, OpVar::Member(member_list.len()));
-                member_list.push(op);
-                n_vars += l;
-            }
-            y_base.insert(*value, n_vars);
-            n_vars += l;
-        }
-        // Output-split variables o_j for partitions without a fixed split.
-        let mut o_var: BTreeMap<PartitionId, usize> = BTreeMap::new();
-        for (pi, part) in cdfg.partitions().iter().enumerate() {
-            if part.fixed_split.is_none() {
-                o_var.insert(PartitionId::new(pi as u32), n_vars);
-                n_vars += 1;
-            }
-        }
-
-        debug_assert_eq!(n_vars, vars);
-        let mut solver = AllIntegerSolver::new(n_vars);
-
-        // Upper bounds: aggregates x_{g,k} <= q, members and y binaries <= 1.
-        for (gi, (_, agg)) in agg_list.iter().enumerate() {
-            for k in 0..l {
-                solver.add_le(&[(agg_base[gi] + k, 1)], agg.ops.len() as i64);
-            }
-        }
-        for (mi, _) in member_list.iter().enumerate() {
-            for k in 0..l {
-                solver.add_le(&[(member_base[mi] + k, 1)], 1);
-            }
-        }
-        for &yb in y_base.values() {
-            for k in 0..l {
-                solver.add_le(&[(yb + k, 1)], 1);
-            }
-        }
-
-        // Coverage (Constraint 3.4, aggregated per Section 3.1.2).
-        for (gi, (_, agg)) in agg_list.iter().enumerate() {
-            let terms: Vec<_> = (0..l).map(|k| (agg_base[gi] + k, 1)).collect();
-            solver.add_ge(&terms, agg.ops.len() as i64);
-        }
-        for (mi, _) in member_list.iter().enumerate() {
-            let terms: Vec<_> = (0..l).map(|k| (member_base[mi] + k, 1)).collect();
-            solver.add_ge(&terms, 1);
-        }
-        // Link y_{v,k} to its members (Constraint 3.6):
-        // sum_w x_{w,k} - |W_v| y_{v,k} <= 0.
-        for (value, ops) in &multi {
-            let yb = y_base[value];
-            for k in 0..l {
-                let mut terms: Vec<(usize, i64)> = ops
-                    .iter()
-                    .map(|op| {
-                        let OpVar::Member(mi) = op_vars[op] else {
-                            unreachable!()
-                        };
-                        (member_base[mi] + k, 1)
-                    })
-                    .collect();
-                terms.push((yb + k, -(ops.len() as i64)));
-                solver.add_le(&terms, 0);
-            }
-        }
-
-        // Capacity constraints per partition and group.
-        for (pi, part) in cdfg.partitions().iter().enumerate() {
-            let p = PartitionId::new(pi as u32);
-            let inputs = cdfg.input_io_ops(p);
-            let out_values = cdfg.output_values(p);
-            for k in 0..l {
-                // Input side: sum B_w x_{w,k} (+ o_i) <= I_i or T_i. An
-                // aggregate variable already counts how many of its
-                // transfers land in group k, so its bit-width coefficient
-                // enters once per aggregate, not once per member.
-                let mut in_map: BTreeMap<usize, i64> = BTreeMap::new();
-                for &w in &inputs {
-                    let bits = cdfg.io_bits(w) as i64;
-                    match op_vars[&w] {
-                        OpVar::Aggregate(gi) => {
-                            in_map.insert(agg_base[gi] + k, bits);
-                        }
-                        OpVar::Member(mi) => {
-                            in_map.insert(member_base[mi] + k, bits);
-                        }
-                    }
-                }
-                let in_terms: Vec<(usize, i64)> = in_map.into_iter().collect();
-                // Output side: sum B_v y_{v,k} (- o_j) <= O_j or 0.
-                let mut out_map: BTreeMap<usize, i64> = BTreeMap::new();
-                for &v in &out_values {
-                    let bits = cdfg.value(v).bits as i64;
-                    if let Some(&yb) = y_base.get(&v) {
-                        out_map.insert(yb + k, bits);
-                    } else {
-                        // Single-destination: y == x of the lone transfer.
-                        let w = groups[&v][0];
-                        match op_vars[&w] {
-                            OpVar::Aggregate(gi) => {
-                                out_map.insert(agg_base[gi] + k, bits);
-                            }
-                            OpVar::Member(mi) => {
-                                out_map.insert(member_base[mi] + k, bits);
-                            }
-                        }
-                    }
-                }
-                let out_terms: Vec<(usize, i64)> = out_map.into_iter().collect();
-                match part.fixed_split {
-                    Some((i_cap, o_cap)) => {
-                        if !in_terms.is_empty() {
-                            solver.add_le(&in_terms, i_cap as i64);
-                        }
-                        if !out_terms.is_empty() {
-                            solver.add_le(&out_terms, o_cap as i64);
-                        }
-                    }
-                    None => {
-                        let o = o_var[&p];
-                        let t = part.total_pins as i64;
-                        if !in_terms.is_empty() {
-                            let mut terms = in_terms.clone();
-                            terms.push((o, 1));
-                            solver.add_le(&terms, t);
-                        }
-                        if !out_terms.is_empty() {
-                            let mut terms = out_terms.clone();
-                            terms.push((o, -1));
-                            solver.add_le(&terms, 0);
-                        }
-                        solver.add_le(&[(o, 1)], t);
-                    }
-                }
-            }
-        }
+        let mut solver = AllIntegerSolver::new(ilp.vars());
+        ilp.rows(|terms, sense, rhs| match sense {
+            Sense::Le => solver.add_le(terms, rhs),
+            Sense::Ge => solver.add_ge(terms, rhs),
+        });
+        let PinIlp {
+            op_vars,
+            aggregates,
+            members,
+            ..
+        } = ilp;
 
         let op_bits: BTreeMap<OpId, u32> =
             op_vars.keys().map(|&op| (op, cdfg.io_bits(op))).collect();
@@ -469,10 +313,10 @@ impl PinChecker {
             solver,
             rate,
             op_vars,
-            agg_base,
-            member_base,
-            agg_remaining,
-            member_done: vec![false; member_list.len()],
+            agg_base: aggregates.iter().map(|&(base, _)| base).collect(),
+            agg_remaining: aggregates.iter().map(|&(_, q)| q).collect(),
+            member_done: vec![false; members.len()],
+            member_base: members,
             op_bits,
             group_load: vec![0; l],
             total_cap,
@@ -493,6 +337,9 @@ impl PinChecker {
         };
         if let Some(b) = budget {
             checker.set_budget(b);
+        }
+        if metrics.enabled() {
+            checker.set_metrics(metrics);
         }
         match checker.resolve() {
             Feasibility::Feasible => Ok(checker),

@@ -11,6 +11,9 @@
 //!   asks [`PinChecker::can_commit`] before every I/O placement, which is
 //!   the "safety check" that postponed `I1..I4` to control step 1 in the
 //!   paper's AR-filter run.
+//! * [`PinIlp`] — the same ILP as rows, with two certificates that
+//!   decide most systems without a pivot: a counting bound that refutes
+//!   and a checked greedy packing that witnesses.
 //! * [`connection`] — the constructive side of Theorem 3.1: conflict-free
 //!   link sizing and per-group allocation for the fan-out / fan-in
 //!   communication forms of a simple partitioning.
@@ -19,6 +22,7 @@
 #![warn(missing_docs)]
 
 mod checker;
+mod model;
 
 pub mod connection;
 pub mod simple;
@@ -27,4 +31,5 @@ pub use checker::{
     CommitSavepoint, PinAllocError, PinChecker, ProbeCacheStats, DEFAULT_PIVOT_BUDGET,
     MAX_TABLEAU_VARS,
 };
+pub use model::PinIlp;
 pub use simple::{check_simple, is_simple, SimplicityViolation};

@@ -28,7 +28,7 @@ use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
 use mcs_pinalloc::{PinAllocError, PinChecker};
 use multichip_hls::explore::{run_point, run_sweep, with_pin_budgets, PointRun};
-use multichip_hls::flows::{FlowError, RunContext, SynthesisResult, WarmStart};
+use multichip_hls::flows::{check_rate, FlowError, RunContext, SynthesisResult, WarmStart};
 use multichip_hls::resynth;
 
 use crate::cache::{
@@ -618,18 +618,19 @@ fn run_synth(
 }
 
 /// Refuses, as a `bad-request` on the connection thread before any job
-/// is queued, a rate whose pin-allocation tableau would pass
-/// [`mcs_pinalloc::MAX_TABLEAU_VARS`]. The point runner behind a synth
-/// job refuses such a rate before any flow runs and a simple-flow
-/// resynthesis builds a pin checker, so none of those could finish; a
-/// connect-flow resynthesis is held to the same rule. Other checker
+/// is queued or cached, a rate whose pin-allocation tableau would pass
+/// [`mcs_pinalloc::MAX_TABLEAU_VARS`] or one over the flows' ceiling
+/// ([`check_rate`]). The point runner behind a synth job and a
+/// simple-flow resynthesis refuse the first, and every flow and the
+/// resynthesis ladder the second, so no such job could finish; a
+/// connect-flow resynthesis is held to the same rules. Other checker
 /// errors (a zero rate) are left to the job.
 fn refuse_oversized_rate(cdfg: &Cdfg, rate: u32) -> Result<(), (ErrorKind, String)> {
     match PinChecker::tableau_vars(cdfg, rate) {
         Err(e @ PinAllocError::TableauTooLarge { .. }) => {
             Err((ErrorKind::BadRequest, format!("rate: {e}")))
         }
-        _ => Ok(()),
+        _ => check_rate(rate).map_err(|e| (ErrorKind::BadRequest, format!("rate: {e}"))),
     }
 }
 

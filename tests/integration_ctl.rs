@@ -8,14 +8,15 @@ use std::path::Path;
 use std::process::Command;
 use std::sync::Arc;
 
+use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
 use mcs_cdfg::{designs, PartitionId, PortMode};
 use mcs_connect::{synthesize_seeded, ConnectError, SearchConfig};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
 use mcs_explore::{ExploreOutcome, FlowVariant, PointStatus, SweepOptions, SweepSpec};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinAllocError, PinChecker, DEFAULT_PIVOT_BUDGET};
-use multichip_hls::explore::{run_sweep, with_pin_budgets};
+use mcs_pinalloc::{PinAllocError, PinChecker, PinIlp, DEFAULT_PIVOT_BUDGET};
+use multichip_hls::explore::{run_point, run_sweep, with_pin_budgets};
 use multichip_hls::flows::{
     run, ConnectFirstOptions, FlowError, FlowOutcome, FlowSpec, RunContext,
 };
@@ -294,14 +295,20 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     assert_eq!(point.status, PointStatus::Error, "{point:?}");
     assert!(point.outcome.detail.contains("interrupted"), "{point:?}");
 
-    // The connect-first search fails on the elliptic filter under these
-    // budgets, so the exact checker runs to explain it: pin-infeasible
-    // without a ceiling, an interrupted `error` with one below its solve.
-    let ell = designs::elliptic::partitioned();
-    let (rate, starved) = (6, vec![24, 32, 48, 32, 32]);
+    // The connect-first search fails on fuzz seed 33 under a 16-pin chip
+    // at rate 2, and neither the counting bound nor the greedy witness
+    // decides that system, so the exact checker runs to explain it:
+    // pin-infeasible without a ceiling, an interrupted `error` with one
+    // below its solve.
+    let fuzz = design_from_seed(&FuzzConfig::default(), 33);
+    let (rate, starved) = (2, vec![16]);
+    let starved_cdfg = with_pin_budgets(fuzz.cdfg(), &starved);
+    let ilp = PinIlp::new(&starved_cdfg, rate).expect("the tableau fits");
+    assert_eq!(ilp.refutation(), None);
+    assert_eq!(ilp.witness(), None);
     let ledger = Budget::unlimited();
     let explained = PinChecker::with_budgets(
-        &with_pin_budgets(ell.cdfg(), &starved),
+        &starved_cdfg,
         rate,
         DEFAULT_PIVOT_BUDGET,
         Some(ledger.clone()),
@@ -315,7 +322,7 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     assert!(pivots > 1, "the explaining solve pivots");
     let connect = |budget| {
         sweep_point(
-            ell.cdfg(),
+            fuzz.cdfg(),
             FlowVariant::ConnectFirst,
             rate,
             starved.clone(),
@@ -328,6 +335,54 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     )));
     assert_eq!(point.status, PointStatus::Error, "{point:?}");
     assert!(point.outcome.detail.contains("interrupted"), "{point:?}");
+}
+
+/// The counting bound refutes the elliptic filter under 24/32/48/32/32
+/// at rate 6 before the flow runs, so the point is pin-infeasible even
+/// under a one-pivot ceiling, spends no pivot, and runs no search.
+#[test]
+fn a_refuted_point_is_pin_infeasible_without_a_pivot() {
+    let ell = designs::elliptic::partitioned();
+    let starved = vec![24, 32, 48, 32, 32];
+    let ilp = PinIlp::new(&with_pin_budgets(ell.cdfg(), &starved), 6).expect("the tableau fits");
+    assert!(ilp.refutation().is_some());
+    let ledger = Budget::new(BudgetSpec::default().max_pivots(1));
+    let point = sweep_point(
+        ell.cdfg(),
+        FlowVariant::ConnectFirst,
+        6,
+        starved,
+        Some(ledger.clone()),
+    );
+    assert_eq!(point.status, PointStatus::PinInfeasible, "{point:?}");
+    assert_eq!(ledger.pivots_spent(), 0);
+    assert_eq!(ledger.verdict(), None);
+    assert_eq!(point.outcome.search_nodes, 0, "{point:?}");
+}
+
+/// A point neither certificate decides is explained by the exact pin
+/// checker, built under the context's metrics handle: its construction
+/// pivots reach `ilp.pivots`, and the step counts as `explain.solved`.
+#[test]
+fn an_explaining_solve_reports_its_pivots() {
+    let fuzz = design_from_seed(&FuzzConfig::default(), 33);
+    let cdfg = with_pin_budgets(fuzz.cdfg(), &[16]);
+    let ledger = Budget::unlimited();
+    PinChecker::with_budgets(&cdfg, 2, DEFAULT_PIVOT_BUDGET, Some(ledger.clone()))
+        .expect_err("the system is pin-infeasible");
+    let reg = Arc::new(Registry::new());
+    let ctx = RunContext {
+        metrics: MetricsHandle::new(reg.clone()),
+        ..RunContext::default()
+    };
+    let point = run_point(&cdfg, FlowVariant::ConnectFirst, 2, &ctx).point;
+    assert_eq!(point.status, Some(PointStatus::PinInfeasible), "{point:?}");
+    let snap = reg.snapshot();
+    let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(count("explain.solved"), 1);
+    assert_eq!(count("explain.refuted") + count("explain.witnessed"), 0);
+    assert_eq!(count("ilp.pivots"), ledger.pivots_spent());
+    assert!(snap.profile.iter().any(|s| s.path == "explain"));
 }
 
 /// The one point of a single-point sweep of `flow` at `rate` under the

@@ -21,8 +21,8 @@ use mcs_explore::{FlowVariant, PointStatus};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_pinalloc::{PinChecker, DEFAULT_PIVOT_BUDGET};
 use multichip_hls::differential::{
-    anytime_differential, flow_differential, flow_differential_with_ports, probe_differential,
-    sim_differential,
+    anytime_differential, explain_differential, flow_differential, flow_differential_with_ports,
+    probe_differential, sim_differential, ExplainDisagreement,
 };
 use multichip_hls::explore::{failure_status, point_spec, run_point, with_pin_budgets};
 use multichip_hls::flows::{run, simple_flow, FlowError, FlowSpec, RunContext};
@@ -331,6 +331,107 @@ fn point_runner_matches_gate_then_run() {
         );
     }
     eprintln!("point runner vs gate-then-run: {seen:?}");
+}
+
+/// Whether some value has two transfers into one partition. The exact
+/// pin ILP gives each transfer its own pins, while a flow carries such
+/// transfers in one slot when they share a step, so on these designs the
+/// ILP can refute a system a flow implements.
+fn repeats_a_transfer(cdfg: &Cdfg) -> bool {
+    cdfg.io_ops_by_value().values().any(|ops| {
+        let mut dests: Vec<_> = ops
+            .iter()
+            .filter_map(|&op| cdfg.op(op).io_endpoints().map(|(_, _, to)| to))
+            .collect();
+        let n = dests.len();
+        dests.sort_unstable();
+        dests.dedup();
+        dests.len() < n
+    })
+}
+
+/// Oracle (d): the point runner's two explanation certificates against
+/// the exact pin ILP, over the uniform and nightly profiles (a
+/// twenty-fifth and a fiftieth of the [`fuzz_seeds`] width) at L2–4 with
+/// every chip's budget at 100, 70, 50 and 35 % of its own. The counting
+/// bound may never refute a feasible ILP or a system a unidirectional
+/// flow implemented within its budgets, and the greedy witness may never
+/// pack an infeasible one. The ILP may never refute a system that a
+/// unidirectional flow implemented within its budgets, except on a
+/// design that repeats a transfer ([`repeats_a_transfer`]), a gap of the
+/// ILP itself: those systems are counted, and at the default width the
+/// count is locked. Systems whose exact solve trips its pivot ceiling are
+/// skipped; each of the three comparisons must have run at least once.
+#[test]
+fn explanation_certificates_agree_with_the_exact_ilp() {
+    let mut ran = std::collections::BTreeMap::<&str, usize>::new();
+    let profiles = [
+        ("uniform", FuzzConfig::default(), fuzz_seeds() / 25),
+        ("nightly", FuzzConfig::nightly(), fuzz_seeds() / 50),
+    ];
+    for (profile, config, seeds) in profiles {
+        for seed in 0..seeds {
+            let design = design_from_seed(&config, seed);
+            let repeats = repeats_a_transfer(design.cdfg());
+            let native: Vec<u32> = (1..design.cdfg().partition_count())
+                .map(|p| {
+                    design
+                        .cdfg()
+                        .partition(PartitionId::new(p as u32))
+                        .total_pins
+                })
+                .collect();
+            for percent in [100, 70, 50, 35] {
+                let budget: Vec<u32> = native
+                    .iter()
+                    .map(|&n| (u64::from(n) * percent / 100) as u32)
+                    .collect();
+                let cdfg = with_pin_budgets(design.cdfg(), &budget);
+                for rate in 2..=4 {
+                    let Ok(d) = explain_differential(&cdfg, rate, EQUIVALENCE_MAX_PIVOTS) else {
+                        continue;
+                    };
+                    let (gap, other): (Vec<_>, Vec<_>) = d
+                        .disagreements
+                        .iter()
+                        .partition(|&e| repeats && *e == ExplainDisagreement::ExactAgainstFlow);
+                    assert!(
+                        other.is_empty(),
+                        "{profile} seed {seed}, budgets {budget:?}, rate {rate}: {other:?}"
+                    );
+                    if !gap.is_empty() {
+                        eprintln!(
+                            "{profile} seed {seed}, budgets {budget:?}, rate {rate}: {}",
+                            gap[0]
+                        );
+                        *ran.entry("ilp-gap").or_default() += 1;
+                    }
+                    if d.exact.is_none() {
+                        *ran.entry("skipped").or_default() += 1;
+                        continue;
+                    }
+                    for (branch, hit) in [
+                        ("refuted", d.refuted),
+                        ("witnessed", d.witnessed),
+                        ("flow-feasible", d.flow_feasible),
+                        ("undecided", !d.refuted && !d.witnessed),
+                    ] {
+                        *ran.entry(branch).or_default() += usize::from(hit);
+                    }
+                }
+            }
+        }
+    }
+    for branch in ["refuted", "witnessed", "flow-feasible"] {
+        assert!(
+            ran.get(branch).is_some_and(|&n| n > 0),
+            "the {branch} comparison never ran: {ran:?}"
+        );
+    }
+    if fuzz_seeds() == 500 {
+        assert_eq!(ran.get("ilp-gap"), Some(&2), "{ran:?}");
+    }
+    eprintln!("explanation certificates vs exact ILP: {ran:?}");
 }
 
 /// The nightly deep-sweep profile re-runs the flow oracle with the TDM

@@ -8,6 +8,7 @@
 
 use mcs_cdfg::designs;
 use mcs_cdfg::format;
+use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
 use mcs_serve::json::escape;
 use mcs_serve::server::MAX_LINE_BYTES;
 use mcs_serve::{ServeConfig, Server};
@@ -167,16 +168,13 @@ fn near_repeat_budgets_run_donor_seeded() {
 #[test]
 fn interrupted_runs_answer_anytime_and_never_publish() {
     let server = Server::new(ServeConfig::default());
-    let text = elliptic_text();
-    // The connection search fails under these budgets, so the exact pin
-    // checker runs to explain the failure, and two pivots starve its
-    // construction-time solve: the budgeted-explanation interruption path.
-    let request = synth_line(
-        &text,
-        ELLIPTIC_RATE,
-        &[24, 32, 48, 32, 32],
-        ",\"budget\":{\"max_pivots\":2}",
-    );
+    let text = format::write(design_from_seed(&FuzzConfig::default(), 33).cdfg());
+    // The connection search fails on fuzz seed 33 under a 16-pin chip at
+    // rate 2, neither the counting bound nor the greedy witness decides
+    // that pin system, so the exact pin checker runs to explain the
+    // failure, and two pivots starve its construction-time solve: the
+    // budgeted-explanation interruption path.
+    let request = synth_line(&text, 2, &[16], ",\"budget\":{\"max_pivots\":2}");
 
     for _ in 0..2 {
         let line = server.handle_line(&request);
@@ -276,6 +274,39 @@ fn oversized_rates_are_bad_requests() {
     // The same saved result at its own rate still resynthesizes.
     let ok = resynth(&saved, "width:sum=16");
     assert!(ok.contains("\"ok\":true"), "{ok}");
+}
+
+/// A rate over the flows' ceiling of 256 whose tableau still fits is a
+/// `bad-request` too, for `synth` and for a resynth `rate:` edit: the
+/// job is never queued, so nothing reaches the cache.
+#[test]
+fn rates_over_the_flow_ceiling_are_bad_requests() {
+    let server = Server::new(ServeConfig::default());
+    let pipeline = include_str!("../examples/designs/pipeline.mcs");
+    let synth = server.handle_line(&format!(
+        "{{\"cmd\":\"synth\",\"design\":\"{}\",\"rate\":300,\"flow\":\"connect\"}}",
+        escape(pipeline)
+    ));
+    assert!(synth.contains("\"kind\":\"bad-request\""), "{synth}");
+    assert!(
+        synth.contains("initiation rate 300 is over the limit of 256"),
+        "{synth}"
+    );
+
+    let design = format::parse(pipeline).unwrap();
+    let prev = multichip_hls::flows::simple_flow(design.cdfg(), 2).unwrap();
+    let saved =
+        multichip_hls::resynth::result_to_json(mcs_cdfg::fuzz::design_digest(design.cdfg()), &prev);
+    let resynth = server.handle_line(&format!(
+        "{{\"cmd\":\"resynth\",\"design\":\"{}\",\"prev\":\"{}\",\"edit\":\"rate:300\"}}",
+        escape(pipeline),
+        escape(&saved)
+    ));
+    assert!(resynth.contains("\"kind\":\"bad-request\""), "{resynth}");
+    assert!(resynth.contains("over the limit of 256"), "{resynth}");
+
+    let stats = server.handle_line("{\"cmd\":\"cache\"}");
+    assert!(stats.contains("\"entries\":0"), "{stats}");
 }
 
 #[test]
