@@ -671,6 +671,25 @@ mod tests {
     }
 
     #[test]
+    fn a_width_past_the_ceiling_is_refused() {
+        let g = base();
+        let f = g.func_ops().next().expect("has functional operations");
+        let spec = format!("width:{}=4294967295", g.op(f).name);
+        let err = DesignDelta::parse(&spec).unwrap().apply(&g).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DeltaError::Rebuild(GraphError::WidthTooLarge {
+                    bits: 4_294_967_295,
+                    limit: crate::MAX_VALUE_BITS,
+                    ..
+                })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn width_change_cascades_through_transfers() {
         let g = base();
         // Find a functional op whose value crosses chips.

@@ -793,6 +793,29 @@ mod tests {
     }
 
     #[test]
+    fn widths_and_degrees_past_their_ceilings_are_refused() {
+        let wide = TINY.replace("input a 8 P1", "input a 4294967295 P1");
+        let e = parse(&wide).unwrap_err();
+        assert!(
+            e.msg
+                .contains("4294967295 bits wide, over the limit of 1024"),
+            "{e}"
+        );
+        let deep = TINY.replace("acc@1", "acc@4000000000");
+        let e = parse(&deep).unwrap_err();
+        assert!(
+            e.msg
+                .contains("recursion degree 4000000000, over the limit of 64"),
+            "{e}"
+        );
+        // The ceilings themselves parse.
+        let at = TINY
+            .replace("input a 8 P1", "input a 1024 P1")
+            .replace("acc@1", "acc@64");
+        parse(&at).unwrap();
+    }
+
+    #[test]
     fn missing_stage_is_rejected() {
         assert!(parse("partition P1 32\n").is_err());
     }

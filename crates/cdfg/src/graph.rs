@@ -218,6 +218,17 @@ pub struct Partition {
     pub port_mode: PortMode,
 }
 
+/// Widest value a design may declare. Pin counts, port widths and bus
+/// widths are sums of value widths in `u32`, so an unchecked width of
+/// 4 294 967 295 wraps them silently. The widest value any in-repo
+/// design, test, bench or example declares is 32 bits; the ceiling is 32
+/// times that.
+pub const MAX_VALUE_BITS: u32 = 1024;
+
+/// Largest recursion degree a dependence edge may carry. The widest
+/// in-repo degree is 4; the ceiling is 16 times that.
+pub const MAX_DEGREE: u32 = 64;
+
 /// Errors reported by [`Cdfg::validate`] and the builder.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GraphError {
@@ -247,6 +258,24 @@ pub enum GraphError {
     ZeroWidthValue {
         /// The offending value.
         value: ValueId,
+    },
+    /// A value is wider than [`MAX_VALUE_BITS`].
+    WidthTooLarge {
+        /// The offending value.
+        value: ValueId,
+        /// Its bit width.
+        bits: u32,
+        /// The ceiling.
+        limit: u32,
+    },
+    /// A recursive edge's degree is over [`MAX_DEGREE`].
+    DegreeTooLarge {
+        /// The offending edge.
+        edge: EdgeId,
+        /// Its recursion degree.
+        degree: u32,
+        /// The ceiling.
+        limit: u32,
     },
     /// An operation is guarded by a contradictory condition vector.
     ContradictoryCondition {
@@ -282,6 +311,18 @@ impl std::fmt::Display for GraphError {
             GraphError::ZeroWidthValue { value } => {
                 write!(f, "value {value} has zero bit width")
             }
+            GraphError::WidthTooLarge { value, bits, limit } => write!(
+                f,
+                "value {value} is {bits} bits wide, over the limit of {limit}"
+            ),
+            GraphError::DegreeTooLarge {
+                edge,
+                degree,
+                limit,
+            } => write!(
+                f,
+                "edge {edge} has recursion degree {degree}, over the limit of {limit}"
+            ),
             GraphError::ContradictoryCondition { op } => {
                 write!(f, "operation {op} has a contradictory condition vector")
             }
@@ -589,9 +630,15 @@ impl Cdfg {
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), GraphError> {
         for (i, v) in self.values.iter().enumerate() {
+            let value = ValueId::new(i as u32);
             if v.bits == 0 {
-                return Err(GraphError::ZeroWidthValue {
-                    value: ValueId::new(i as u32),
+                return Err(GraphError::ZeroWidthValue { value });
+            }
+            if v.bits > MAX_VALUE_BITS {
+                return Err(GraphError::WidthTooLarge {
+                    value,
+                    bits: v.bits,
+                    limit: MAX_VALUE_BITS,
                 });
             }
         }
@@ -633,6 +680,13 @@ impl Cdfg {
             let eid = EdgeId::new(i as u32);
             if e.from.index() >= self.ops.len() || e.to.index() >= self.ops.len() {
                 return Err(GraphError::UnknownId { what: "operation" });
+            }
+            if e.degree > MAX_DEGREE {
+                return Err(GraphError::DegreeTooLarge {
+                    edge: eid,
+                    degree: e.degree,
+                    limit: MAX_DEGREE,
+                });
             }
             let from_op = &self.ops[e.from.index()];
             let to_op = &self.ops[e.to.index()];

@@ -270,6 +270,16 @@ impl Interconnect {
     /// Verifies that every I/O operation's assigned bus can actually carry
     /// it and that pin budgets hold; returns the violations.
     pub fn verify(&self, cdfg: &Cdfg) -> Vec<String> {
+        let mut problems = self.carry_problems(cdfg);
+        for (p, used, budget) in self.over_budget(cdfg) {
+            problems.push(format!("{p} uses {used} pins, budget {budget}"));
+        }
+        problems
+    }
+
+    /// Every I/O operation without a bus, or whose assigned bus and range
+    /// cannot carry it; empty when each transfer has a capable carrier.
+    pub fn carry_problems(&self, cdfg: &Cdfg) -> Vec<String> {
         let mut problems = Vec::new();
         for op in cdfg.io_ops() {
             match self.assignment.get(&op) {
@@ -287,9 +297,6 @@ impl Interconnect {
                     }
                 }
             }
-        }
-        for (p, used, budget) in self.over_budget(cdfg) {
-            problems.push(format!("{p} uses {used} pins, budget {budget}"));
         }
         problems
     }

@@ -5,9 +5,7 @@
 //!
 //! 1. [`flow_differential`] — the three synthesis flows (Chapters 3, 4/6
 //!    and 5) must agree on feasibility, and every produced result must
-//!    pass its post-synthesis verifier
-//!    ([`mcs_postsyn::verify_against_schedule_with_budgets`] for the
-//!    budget-constrained flows).
+//!    pass [`SynthesisResult::check`] under its flow's [`Contract`].
 //! 2. [`sim_differential`] — the cycle-accurate engine and the untimed
 //!    reference simulator must compute identical primary outputs for the
 //!    synthesized design under seeded random stimulus.
@@ -36,13 +34,12 @@ use mcs_cdfg::{timing, Cdfg, PartitionId, PortMode};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
 use mcs_explore::FlowVariant;
 use mcs_pinalloc::{PinAllocError, PinChecker, PinIlp, DEFAULT_PIVOT_BUDGET};
-use mcs_postsyn::{verify_against_schedule, verify_against_schedule_with_budgets};
 use mcs_sim::{verify, Semantics, Stimulus, Violation};
 
 use crate::explore::point_spec;
 use crate::flows::{
-    connect_first_flow, run, schedule_first_flow, simple_flow, ConnectFirstOptions, FlowError,
-    FlowOutcome, FlowSpec, RunContext, SynthesisResult,
+    connect_first_flow, run, schedule_first_flow, simple_flow, ConnectFirstOptions, Contract,
+    FlowError, FlowOutcome, FlowSpec, RunContext, SynthesisResult,
 };
 
 /// What one synthesis flow concluded about a design.
@@ -107,26 +104,18 @@ impl FlowDifferential {
 }
 
 /// Classifies a budget-constrained flow outcome (simple / connect-first):
-/// results are re-verified *with pin budgets*, errors sorted into
-/// proof-strength bins.
+/// results are re-checked under [`Contract::Constrained`], errors sorted
+/// into proof-strength bins.
 fn classify_budgeted(
     cdfg: &Cdfg,
     outcome: Result<SynthesisResult, FlowError>,
     allow_not_simple: bool,
 ) -> Verdict {
     match outcome {
-        Ok(r) => {
-            let problems =
-                verify_against_schedule_with_budgets(cdfg, &r.schedule, &r.final_interconnect());
-            if problems.is_empty() {
-                Verdict::Feasible
-            } else {
-                Verdict::Broken(format!(
-                    "flow result rejected by the budget verifier: {}",
-                    problems.join("; ")
-                ))
-            }
-        }
+        Ok(r) => match r.check(cdfg, Contract::Constrained) {
+            Ok(()) => Verdict::Feasible,
+            Err(e) => Verdict::Broken(format!("flow result rejected by its check: {e:?}")),
+        },
         Err(FlowError::NotSimple(v)) if allow_not_simple => Verdict::Skipped(v.to_string()),
         Err(FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart)) => {
             Verdict::Infeasible("no pin allocation exists even before scheduling".into())
@@ -166,19 +155,14 @@ pub fn flow_differential_with_ports(cdfg: &Cdfg, ports: PortMode) -> FlowDiffere
         false,
     );
     // Chapter 5 reports pins instead of constraining them, so its result
-    // is verified without budgets and it never proves pin infeasibility.
+    // is checked without budgets and it never proves pin infeasibility.
     let schedule_first = match schedule_first_flow(cdfg, rate, pipe_length, ports) {
-        Ok(r) => {
-            let problems = verify_against_schedule(cdfg, &r.schedule, &r.final_interconnect());
-            if problems.is_empty() {
-                Verdict::Feasible
-            } else {
-                Verdict::Broken(format!(
-                    "schedule-first result rejected by the verifier: {}",
-                    problems.join("; ")
-                ))
-            }
-        }
+        Ok(r) => match r.check(cdfg, Contract::Reported) {
+            Ok(()) => Verdict::Feasible,
+            Err(e) => Verdict::Broken(format!(
+                "schedule-first result rejected by its check: {e:?}"
+            )),
+        },
         Err(FlowError::Interrupted(t)) => Verdict::Unknown(format!("interrupted ({t})")),
         Err(e @ FlowError::Schedule(_)) => Verdict::Unknown(e.to_string()),
         Err(e) => Verdict::Broken(e.to_string()),
@@ -439,8 +423,9 @@ pub struct ExplainDifferential {
     /// The greedy packing witnessed the system.
     pub witnessed: bool,
     /// A unidirectional flow (connect-first or schedule-first, as a
-    /// sweep point runs them) produced a verified result within every
-    /// partition's budget, the environment's included.
+    /// sweep point runs them) produced a result that passes
+    /// [`SynthesisResult::check`] under [`Contract::Constrained`]: within
+    /// every partition's budget, the environment's included.
     pub flow_feasible: bool,
     /// The exact ILP's answer: feasible, `InfeasibleFromTheStart`, or
     /// `None` when its pivot ceiling tripped and the system proves
@@ -521,11 +506,7 @@ pub fn explain_differential(
         .any(|flow| {
             run(cdfg, &point_spec(flow, rate), &RunContext::default())
                 .result
-                .is_ok_and(|r| {
-                    r.interconnect.over_budget(cdfg).next().is_none()
-                        && verify_against_schedule(cdfg, &r.schedule, &r.final_interconnect())
-                            .is_empty()
-                })
+                .is_ok_and(|r| r.check(cdfg, Contract::Constrained).is_ok())
         });
     let refutation = ilp.refutation();
     let mut out = ExplainDifferential {

@@ -343,6 +343,22 @@ pub fn default_pipe_length(cdfg: &Cdfg, rate: u32) -> i64 {
         .unwrap_or(3 * rate as i64)
 }
 
+/// The two contracts the paper gives a synthesis result, one of which
+/// [`SynthesisResult::check`] holds a result to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Contract {
+    /// Chapters 3 and 4/6 and every resynthesis rung: the schedule is
+    /// valid, declared unit counts included, and the final connection is
+    /// conflict-free within every partition's pin budget, the
+    /// environment's included (Theorem 3.1 and the budgets the Chapter 4
+    /// search honours).
+    Constrained,
+    /// Chapter 5: resources and pins are reported, not constrained. The
+    /// schedule is valid apart from declared unit counts and the final
+    /// connection is conflict-free.
+    Reported,
+}
+
 /// Common result pieces every flow produces.
 #[derive(Clone, Debug)]
 pub struct SynthesisResult {
@@ -365,20 +381,65 @@ pub struct SynthesisResult {
 }
 
 impl SynthesisResult {
-    pub(crate) fn common(cdfg: &Cdfg, schedule: Schedule, interconnect: Interconnect) -> Self {
+    /// The one way a flow or a resynthesis rung makes a result: the
+    /// schedule, the connection and its final slot placements, held to
+    /// `contract` by [`SynthesisResult::check`] before it is returned.
+    pub(crate) fn accepted(
+        cdfg: &Cdfg,
+        schedule: Schedule,
+        interconnect: Interconnect,
+        placements: BTreeMap<OpId, SlotPlacement>,
+        contract: Contract,
+    ) -> Result<Self, FlowError> {
         let pins_used = (0..cdfg.partition_count())
             .map(|p| interconnect.pins_used(PartitionId::new(p as u32)))
             .collect();
         let pipe_length = schedule.pipe_length(cdfg);
-        SynthesisResult {
+        let result = SynthesisResult {
             schedule,
             interconnect,
             pins_used,
             pipe_length,
-            placements: BTreeMap::new(),
+            placements,
             reassigned: 0,
             search_stats: None,
+        };
+        result.check(cdfg, contract)?;
+        Ok(result)
+    }
+
+    /// The acceptance check every producer and every re-checker of a
+    /// result runs: the schedule passes [`validate`] (under
+    /// [`Contract::Reported`], apart from
+    /// [`ScheduleViolation::Resources`]), the
+    /// [`SynthesisResult::final_interconnect`] passes
+    /// [`verify_against_schedule`], and under [`Contract::Constrained`]
+    /// no partition, the environment included, is over its pin budget.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::InvalidSchedule`] with the schedule's violations, else
+    /// [`FlowError::InvalidConnection`] with the connection and budget
+    /// problems.
+    pub fn check(&self, cdfg: &Cdfg, contract: Contract) -> Result<(), FlowError> {
+        let mut violations = validate(cdfg, &self.schedule);
+        if contract == Contract::Reported {
+            violations.retain(|v| !matches!(v, ScheduleViolation::Resources { .. }));
         }
+        if !violations.is_empty() {
+            return Err(FlowError::InvalidSchedule(violations));
+        }
+        let ic = self.final_interconnect();
+        let mut problems = verify_against_schedule(cdfg, &self.schedule, &ic);
+        if contract == Contract::Constrained {
+            problems.extend(ic.over_budget(cdfg).map(|(p, used, budget)| {
+                format!("partition {p} uses {used} pins but has only {budget}")
+            }));
+        }
+        if !problems.is_empty() {
+            return Err(FlowError::InvalidConnection(problems));
+        }
+        Ok(())
     }
 
     /// Resource usage per `(partition, class)` (Tables 5.1/5.3).
@@ -520,10 +581,6 @@ fn simple_body(
         // A depth, not a count: the peak over every run on the registry.
         metrics.gauge_max("probe.max_rollback_depth", stats.max_rollback_depth as i64);
     }
-    let violations = validate(cdfg, &schedule);
-    if !violations.is_empty() {
-        return Err(FlowError::InvalidSchedule(violations));
-    }
     // Theorem 3.1: a conflict-free connection within the pin budgets
     // exists for this schedule. Construct one by clique partitioning,
     // escalating the weighting factor of any partition whose budget the
@@ -565,11 +622,8 @@ fn simple_body(
         // a heuristic give-up, matching the Chapter 4 search's semantics.
         return Err(FlowError::Connect(ConnectError::NoConnectionFound));
     };
-    let problems = verify_against_schedule(cdfg, &schedule, &ic);
-    if !problems.is_empty() {
-        return Err(FlowError::InvalidConnection(problems));
-    }
-    let result = SynthesisResult::common(cdfg, schedule, ic);
+    let result =
+        SynthesisResult::accepted(cdfg, schedule, ic, BTreeMap::new(), Contract::Constrained)?;
     record_pin_budget(cdfg, &result, metrics);
     Ok((result, stats, exports))
 }
@@ -678,9 +732,9 @@ pub fn connect_first_flow(
 /// carrying per-worker-epoch [`Event::SearchNode`] telemetry from the
 /// portfolio search, a `schedule` phase carrying placement verdicts and
 /// bus reassignments from every scheduling attempt (including hold-back
-/// retries that lose), and a closing `pin-check` budget audit. A live
-/// handle (registry or sink) also gets a `postsyn` span auditing the
-/// final connection against the winning schedule.
+/// retries that lose), a `postsyn` phase around the acceptance check of
+/// the final connection against the winning schedule, and a closing
+/// `pin-check` budget audit.
 fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> FlowOutcome {
     if let Err(e) = check_rate(opts.rate) {
         return Err(e).into();
@@ -713,7 +767,7 @@ fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> F
 }
 
 /// The scheduling half of the connect-first flow: bus-slot list
-/// scheduling over the found interconnect, then the telemetry audit.
+/// scheduling over the found interconnect, then the rematch counters.
 fn connect_first_schedule(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
@@ -724,15 +778,6 @@ fn connect_first_schedule(
     let metrics = &ctx.metrics;
     let (mut result, policy) = bus_slot_schedule(cdfg, opts.rate, opts.reassign, ic, ctx)?;
     result.search_stats = Some(search_stats);
-    if metrics.enabled() || metrics.tracing() {
-        // Audit the winning schedule against the *final* connection (the
-        // checks the schedule-first flows run inline), purely for the
-        // telemetry — a clean run counts zero problems.
-        let _span = metrics.span("postsyn");
-        let problems =
-            verify_against_schedule(cdfg, &result.schedule, &result.final_interconnect());
-        metrics.add("postsyn.verify_problems", problems.len() as u64);
-    }
     if metrics.enabled() {
         metrics.add("flow.reassigned", result.reassigned as u64);
         let rm = policy.rematch_stats();
@@ -751,13 +796,15 @@ fn connect_first_schedule(
 /// the relation the paper's Tables 4.2/4.10 report. When a composite
 /// maximum time constraint proves too tight, the consumers of feedback
 /// transfers are held back a few steps and the run repeated (the paper's
-/// "constrain some of the operations and rerun"). Returns the validated
+/// "constrain some of the operations and rerun"). The winner is held to
+/// [`Contract::Constrained`] inside a `postsyn` span. Returns the checked
 /// result, with the final placements, and the policy that placed it.
 ///
 /// # Errors
 ///
 /// The last scheduling failure when no variant produced a schedule;
-/// [`FlowError::InvalidSchedule`] when the winner fails validation.
+/// [`FlowError::InvalidSchedule`] or [`FlowError::InvalidConnection`]
+/// when the winner fails the check.
 pub(crate) fn bus_slot_schedule(
     cdfg: &Cdfg,
     rate: u32,
@@ -806,12 +853,10 @@ pub(crate) fn bus_slot_schedule(
     }
     drop(sched_span);
     let (schedule, policy) = best.ok_or(last_err)?;
-    let violations = validate(cdfg, &schedule);
-    if !violations.is_empty() {
-        return Err(FlowError::InvalidSchedule(violations));
-    }
-    let mut result = SynthesisResult::common(cdfg, schedule, ic);
-    result.placements = policy.placements().clone();
+    let _span = metrics.span("postsyn");
+    let placements = policy.placements().clone();
+    let mut result =
+        SynthesisResult::accepted(cdfg, schedule, ic, placements, Contract::Constrained)?;
     result.reassigned = policy.reassigned_count();
     Ok((result, policy))
 }
@@ -851,26 +896,16 @@ fn schedule_first(
         metrics.gauge_max("sched.pipe_length", schedule.pipe_length(cdfg));
         schedule
     };
-    let violations: Vec<_> = validate(cdfg, &schedule)
-        .into_iter()
-        // FDS reports the resources it needs instead of obeying declared
-        // unit counts.
-        .filter(|v| !matches!(v, ScheduleViolation::Resources { .. }))
-        .collect();
-    if !violations.is_empty() {
-        return Err(FlowError::InvalidSchedule(violations));
-    }
     let ic = {
         let _span = metrics.span("postsyn");
         let mut cfg = PostsynConfig::new(rate);
         cfg.metrics = metrics.clone();
         connect_after_scheduling(cdfg, &schedule, mode, &cfg)
     };
-    let problems = verify_against_schedule(cdfg, &schedule, &ic);
-    if !problems.is_empty() {
-        return Err(FlowError::InvalidConnection(problems));
-    }
-    let result = SynthesisResult::common(cdfg, schedule, ic);
+    // FDS reports the resources it needs instead of obeying declared unit
+    // counts, and the pins it needs instead of fitting the budgets.
+    let result =
+        SynthesisResult::accepted(cdfg, schedule, ic, BTreeMap::new(), Contract::Reported)?;
     record_pin_budget(cdfg, &result, metrics);
     Ok(result)
 }
@@ -932,6 +967,98 @@ fn sort_buses_canonically(ic: &mut Interconnect) {
 mod tests {
     use super::*;
     use mcs_cdfg::designs::elliptic;
+    use mcs_cdfg::OpKind;
+
+    /// The elliptic filter's connect-first result at rate 6, with its
+    /// final placements folded into the connection so a test can edit
+    /// one assignment.
+    fn elliptic_result() -> (Cdfg, SynthesisResult) {
+        let d = elliptic::partitioned();
+        let mut r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+        r.interconnect = r.final_interconnect();
+        r.placements.clear();
+        (d.cdfg().clone(), r)
+    }
+
+    #[test]
+    fn a_valid_result_passes_both_contracts() {
+        let (cdfg, r) = elliptic_result();
+        assert_eq!(r.check(&cdfg, Contract::Constrained), Ok(()));
+        assert_eq!(r.check(&cdfg, Contract::Reported), Ok(()));
+    }
+
+    #[test]
+    fn a_slot_conflict_fails_both_contracts() {
+        let (cdfg, mut r) = elliptic_result();
+        // Two different values in one step group, the second moved onto a
+        // bus and range the first rides and that can carry it.
+        let ios: Vec<OpId> = cdfg.io_ops().collect();
+        let value = |op: OpId| cdfg.op(op).io_endpoints().map(|(v, ..)| v);
+        let (b, carrier) = ios
+            .iter()
+            .flat_map(|&a| ios.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| value(a) != value(b))
+            .filter(|&(a, b)| r.schedule.group_of(a) == r.schedule.group_of(b))
+            .find_map(|(a, b)| {
+                let carrier = r.interconnect.assignment[&a];
+                r.interconnect
+                    .capable_carriers(&cdfg, b)
+                    .contains(&carrier)
+                    .then_some((b, carrier))
+            })
+            .expect("a pair that can share a bus");
+        r.interconnect.assignment.insert(b, carrier);
+        for contract in [Contract::Constrained, Contract::Reported] {
+            match r.check(&cdfg, contract) {
+                Err(FlowError::InvalidConnection(problems)) => {
+                    assert!(
+                        problems.iter().all(|p| p.contains("conflicts")),
+                        "{problems:?}"
+                    );
+                }
+                other => panic!("{contract:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_chip_over_budget_fails_only_the_constrained_contract() {
+        let (mut cdfg, r) = elliptic_result();
+        let chip = PartitionId::new(1);
+        let used = r.final_interconnect().pins_used(chip);
+        cdfg.partition_mut(chip).total_pins = used - 1;
+        assert_eq!(
+            r.check(&cdfg, Contract::Constrained),
+            Err(FlowError::InvalidConnection(vec![format!(
+                "partition {chip} uses {used} pins but has only {}",
+                used - 1
+            )]))
+        );
+        assert_eq!(r.check(&cdfg, Contract::Reported), Ok(()));
+    }
+
+    #[test]
+    fn a_resource_violation_fails_only_the_constrained_contract() {
+        let (mut cdfg, r) = elliptic_result();
+        let (partition, class) = cdfg
+            .ops()
+            .iter()
+            .find_map(|op| match &op.kind {
+                OpKind::Func(class) => Some((op.partition, class.clone())),
+                _ => None,
+            })
+            .expect("a functional operation");
+        cdfg.partition_mut(partition)
+            .resources
+            .insert(class.clone(), 0);
+        assert_eq!(
+            r.check(&cdfg, Contract::Constrained),
+            Err(FlowError::InvalidSchedule(vec![
+                ScheduleViolation::Resources { partition, class }
+            ]))
+        );
+        assert_eq!(r.check(&cdfg, Contract::Reported), Ok(()));
+    }
 
     #[test]
     fn sharing_improvement_returns_canonically_sorted_buses() {

@@ -40,12 +40,11 @@ use mcs_connect::{Bus, BusAssignment, Interconnect, SubRange};
 use mcs_metrics::MetricsHandle;
 use mcs_obs::RecorderHandle;
 use mcs_pinalloc::PinChecker;
-use mcs_postsyn::verify_against_schedule;
-use mcs_sched::{validate, Schedule, SlotPlacement};
+use mcs_sched::{Schedule, SlotPlacement};
 
 use crate::flows::{
-    bus_slot_schedule, check_rate, run, ConnectFirstOptions, FlowError, FlowSpec, RunContext,
-    SynthesisResult,
+    bus_slot_schedule, check_rate, run, ConnectFirstOptions, Contract, FlowError, FlowSpec,
+    RunContext, SynthesisResult,
 };
 
 /// Which rung of the resynthesis ladder produced the result.
@@ -344,26 +343,14 @@ fn cold_flow(
     run(cdfg, &spec, &ctx).result
 }
 
-/// Path 1: revalidate the previous solution against the edited graph and
-/// reuse it unchanged. Requires the operation set to be index-compatible
-/// (the classifier already ruled out structural edits).
+/// Path 1: hold the previous solution to [`Contract::Constrained`] on the
+/// edited graph and reuse it unchanged. Requires the operation set to be
+/// index-compatible (the classifier already ruled out structural edits).
 fn try_identical(cdfg: &Cdfg, prev: &SynthesisResult) -> Option<SynthesisResult> {
     if prev.schedule.start.len() != cdfg.ops().len() {
         return None;
     }
-    if !validate(cdfg, &prev.schedule).is_empty() {
-        return None;
-    }
-    let ic = prev.final_interconnect();
-    if !ic.verify(cdfg).is_empty() {
-        return None;
-    }
-    if !verify_against_schedule(cdfg, &prev.schedule, &ic).is_empty() {
-        return None;
-    }
-    if ic.over_budget(cdfg).next().is_some() {
-        return None;
-    }
+    prev.check(cdfg, Contract::Constrained).ok()?;
     Some(prev.clone())
 }
 
@@ -383,7 +370,8 @@ fn backward_map(old: &Cdfg, applied: &AppliedDelta) -> Vec<Option<OpId>> {
 
 /// Path 2: keep the previous bus structure, re-derive only the dirty
 /// assignments, gate pin feasibility by trail replay when possible, and
-/// re-run bus-slot list scheduling. Returns `None` on any doubt.
+/// re-run bus-slot list scheduling, which holds the result to
+/// [`Contract::Constrained`]. Returns `None` on any doubt.
 fn try_patched(
     old: &Cdfg,
     prev: &SynthesisResult,
@@ -416,15 +404,9 @@ fn try_patched(
         metrics: metrics.clone(),
         ..RunContext::default()
     };
-    let (result, _) = bus_slot_schedule(cdfg, rate, true, ic, &ctx).ok()?;
-    let final_ic = result.final_interconnect();
-    if !verify_against_schedule(cdfg, &result.schedule, &final_ic).is_empty() {
-        return None;
-    }
-    if final_ic.over_budget(cdfg).next().is_some() {
-        return None;
-    }
-    Some(result)
+    bus_slot_schedule(cdfg, rate, true, ic, &ctx)
+        .ok()
+        .map(|(result, _)| result)
 }
 
 /// Builds the patched interconnect: previous buses verbatim, clean
@@ -549,10 +531,9 @@ pub struct DifferentialReport {
 /// Differential oracle for the incremental ladder: runs [`resynth_flow`]
 /// and the cold path on the same `(old, prev, delta)` and demands
 /// *agreement* — whenever cold synthesis succeeds, the incremental
-/// result must exist and be verifier-clean (its schedule validates and
-/// its final connection passes [`verify_against_schedule`] within every
-/// pin budget). The incremental path may succeed where cold fails
-/// (strictly better); the reverse is a bug and is reported.
+/// result must exist and pass [`SynthesisResult::check`] under
+/// [`Contract::Constrained`]. The incremental path may succeed where cold
+/// fails (strictly better); the reverse is a bug and is reported.
 ///
 /// # Errors
 ///
@@ -570,29 +551,9 @@ pub fn differential(
     let cold = cold_flow(&applied.cdfg, rate, prev, &MetricsHandle::default());
     match (&incremental, &cold) {
         (Ok(inc), cold_res) => {
-            let cdfg = &inc.cdfg;
-            let problems = validate(cdfg, &inc.result.schedule);
-            if !problems.is_empty() {
-                return Err(format!(
-                    "incremental ({}) schedule fails validation: {} violations",
-                    inc.path,
-                    problems.len()
-                ));
-            }
-            let ic = inc.result.final_interconnect();
-            let conn = verify_against_schedule(cdfg, &inc.result.schedule, &ic);
-            if !conn.is_empty() {
-                return Err(format!(
-                    "incremental ({}) connection fails verification: {}",
-                    inc.path, conn[0]
-                ));
-            }
-            if let Some((pid, used, budget)) = ic.over_budget(cdfg).next() {
-                return Err(format!(
-                    "incremental ({}) overruns {pid}'s pin budget: {used} > {budget}",
-                    inc.path
-                ));
-            }
+            inc.result
+                .check(&inc.cdfg, Contract::Constrained)
+                .map_err(|e| format!("incremental ({}) result fails its check: {e:?}", inc.path))?;
             Ok(DifferentialReport {
                 path: inc.path,
                 incremental_pipe: Some(inc.result.pipe_length),

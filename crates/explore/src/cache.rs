@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use mcs_codec::fnv::Fnv;
 
-use crate::PointCoord;
+use crate::{dominates, PointCoord};
 
 /// Number of shards; a small power of two keeps the hash mix cheap.
 const SHARDS: usize = 16;
@@ -156,9 +156,7 @@ impl<V> WarmStartCache<PointCoord, V> {
             .filter(|d| d.rate == rate)
             .filter(|d| {
                 let donor = &budgets[d.budget_ix];
-                donor.len() == budget.len()
-                    && donor.iter().zip(budget).all(|(&have, &need)| have >= need)
-                    && donor != &budget.to_vec()
+                dominates(donor, budget) && donor.as_slice() != budget
             })
             .filter_map(|d| self.get(&d).map(|v| (d, v)))
             .collect()

@@ -112,8 +112,10 @@ fn validate(spec: &SweepSpec) -> Result<(), SweepError> {
     Ok(())
 }
 
-/// `a >= b` componentwise.
-fn dominates(a: &[u32], b: &[u32]) -> bool {
+/// Budget vector `a` dominates `b`: equal length and `a >= b`
+/// componentwise. The one dominance rule of the sweep's pruning, the
+/// warm-start donors and the serve cache's donor seeding.
+pub fn dominates(a: &[u32], b: &[u32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x >= y)
 }
 

@@ -37,7 +37,7 @@ pub mod cache;
 pub mod driver;
 
 pub use cache::WarmStartCache;
-pub use driver::{sweep, SweepError, SweepOptions};
+pub use driver::{dominates, sweep, SweepError, SweepOptions};
 
 use mcs_codec::json::escape;
 

@@ -303,25 +303,14 @@ fn cliques_to_interconnect(
     }
 }
 
-/// Checks that an interconnect is consistent with a schedule: at most one
-/// value per bus per step group (the conflict-freedom the clique structure
-/// guarantees). Returns violations as strings (pin-budget overruns are
-/// *not* flagged here — Chapter 5 reports the pins required rather than
-/// fitting a budget).
+/// Checks that an interconnect is consistent with a schedule: every
+/// transfer has a capable carrier ([`Interconnect::carry_problems`]) and at
+/// most one value rides a bus per step group (the conflict-freedom the
+/// clique structure guarantees). Returns violations as strings (pin-budget
+/// overruns are *not* flagged here — Chapter 5 reports the pins required
+/// rather than fitting a budget).
 pub fn verify_against_schedule(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconnect) -> Vec<String> {
-    let mut problems = Vec::new();
-    for op in cdfg.io_ops() {
-        match ic.assignment.get(&op) {
-            None => problems.push(format!("{op} has no bus")),
-            Some(a) => {
-                let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-                if !ic.buses[a.bus.index()].can_carry(ic.mode, from, to, cdfg.io_bits(op), a.range)
-                {
-                    problems.push(format!("{op} cannot ride {}", a.bus));
-                }
-            }
-        }
-    }
+    let mut problems = ic.carry_problems(cdfg);
     let mut slot: BTreeMap<(u32, u32), (mcs_cdfg::ValueId, i64)> = BTreeMap::new();
     for (&op, a) in &ic.assignment {
         let (v, _, _) = cdfg.op(op).io_endpoints().expect("io op");
@@ -339,40 +328,6 @@ pub fn verify_against_schedule(cdfg: &Cdfg, schedule: &Schedule, ic: &Interconne
                     ));
                 }
             }
-        }
-    }
-    problems
-}
-
-/// Per-partition pin accounting of an interconnect against the chip
-/// budgets: `(partition, pins used, pins available)` for every partition
-/// that uses at least one pin. The Chapter 4 flow must keep every entry
-/// within budget; the Chapter 5 flow merely reports them.
-pub fn pin_budget_report(cdfg: &Cdfg, ic: &Interconnect) -> Vec<(PartitionId, u32, u32)> {
-    (0..cdfg.partition_count())
-        .filter_map(|p| {
-            let pid = PartitionId::new(p as u32);
-            let used = ic.pins_used(pid);
-            (used > 0).then(|| (pid, used, cdfg.partition(pid).total_pins))
-        })
-        .collect()
-}
-
-/// Like [`verify_against_schedule`], additionally flagging partitions
-/// whose pin budget the interconnect overruns — the full acceptance check
-/// for connection-before-scheduling flows (Chapter 4), where budgets are
-/// hard constraints rather than reported costs.
-pub fn verify_against_schedule_with_budgets(
-    cdfg: &Cdfg,
-    schedule: &Schedule,
-    ic: &Interconnect,
-) -> Vec<String> {
-    let mut problems = verify_against_schedule(cdfg, schedule, ic);
-    for (pid, used, budget) in pin_budget_report(cdfg, ic) {
-        if used > budget {
-            problems.push(format!(
-                "partition {pid} uses {used} pins but has only {budget}"
-            ));
         }
     }
     problems

@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use mcs_cdfg::timing::{self, MaxTimeConstraint, StepTime};
 use mcs_cdfg::{Cdfg, OpId, OpKind, OperatorClass, PartitionId};
 
-use crate::list::SchedError;
+use crate::list::{feedback_window, SchedError};
 use crate::schedule::Schedule;
 
 /// Most control steps [`fds_schedule`] spans: a cap on both the pipe
@@ -372,34 +372,13 @@ pub fn fds_schedule(cdfg: &Cdfg, cfg: &FdsConfig) -> Result<Schedule, SchedError
         io_load.entry((from, true)).or_insert_with(|| vec![0.0; l])[g] += cdfg.io_bits(op) as f64;
         io_load.entry((to, false)).or_insert_with(|| vec![0.0; l])[g] += cdfg.io_bits(op) as f64;
     }
-    let stage = cdfg.library().stage_ns() as i64;
     for op in cdfg.op_ids() {
         if !deferred[op.index()] {
             continue;
         }
         let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-        let mut lo = i64::MIN / 4;
-        let mut hi = i64::MAX / 4;
-        for &eid in cdfg.preds(op) {
-            let e = cdfg.edge(eid);
-            let t = start[e.from.index()];
-            if e.degree > 0 {
-                lo = lo.max(
-                    t.step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * cfg.rate as i64,
-                );
-            } else {
-                let fin = timing::finish_ns(cdfg, e.from, t);
-                lo = lo.max(fin.div_euclid(stage) + i64::from(fin.rem_euclid(stage) != 0));
-            }
-        }
-        for &eid in cdfg.succs(op) {
-            let e = cdfg.edge(eid);
-            if e.degree == 0 {
-                let t = start[e.to.index()];
-                let io_fin = cdfg.library().io_delay_ns() as i64;
-                hi = hi.min((t.ns(cdfg.library().stage_ns()) - io_fin).div_euclid(stage));
-            }
-        }
+        let (lo, hi) = feedback_window(cdfg, op, cfg.rate, |o| Some(start[o.index()]))
+            .expect("every operation has a phase-1 start");
         if lo > hi {
             return Err(SchedError::NoWindowSlot { op });
         }

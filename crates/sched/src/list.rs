@@ -492,38 +492,10 @@ pub fn list_schedule<P: IoPolicy>(
                 return Err(SchedError::Interrupted(t));
             }
         }
-        // Window lower bound from the recursive producer edges:
-        // t_op >= t_prod - d*L + cycles(prod).
-        let mut lo = i64::MIN / 4;
-        for &e in cdfg.preds(op) {
-            let e = cdfg.edge(e);
-            // A deferred transfer chained behind another deferred
-            // transfer has no phase-1 start to anchor its window.
-            let t = start[e.from.index()].ok_or(SchedError::UnscheduledDependence { op })?;
-            if e.degree > 0 {
-                lo = lo.max(
-                    t.step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * cfg.rate as i64,
-                );
-            } else {
-                // A plain forward edge into a transfer that also has a
-                // recursive input: ready after the producer.
-                let fin = timing::finish_ns(cdfg, e.from, t);
-                lo = lo.max(fin.div_euclid(stage) + i64::from(fin.rem_euclid(stage) != 0));
-            }
-        }
-        // Window upper bound from consumers: the transfer must finish
-        // before each consumer reads.
-        let mut hi = i64::MAX / 4;
-        for &e in cdfg.succs(op) {
-            let e = cdfg.edge(e);
-            if e.degree > 0 {
-                continue;
-            }
-            let t = start[e.to.index()].ok_or(SchedError::UnscheduledDependence { op })?;
-            let io_fin = cdfg.library().io_delay_ns() as i64;
-            // Latest boundary start such that finish <= consumer start.
-            hi = hi.min((t.ns(cdfg.library().stage_ns()) - io_fin).div_euclid(stage));
-        }
+        // A deferred transfer chained behind another deferred transfer
+        // has no phase-1 start to anchor its window.
+        let (lo, hi) = feedback_window(cdfg, op, cfg.rate, |o| start[o.index()])
+            .ok_or(SchedError::UnscheduledDependence { op })?;
         if lo > hi {
             return Err(SchedError::NoWindowSlot { op });
         }
@@ -562,6 +534,45 @@ pub fn list_schedule<P: IoPolicy>(
         rate: cfg.rate,
         start,
     })
+}
+
+/// The legal start window `[lo, hi]` of a deferred feedback transfer
+/// (Section 7.1), from the starts of its neighbours: at least
+/// `t_prod + cycles(prod) − d·L` for each recursive producer, after each
+/// plain producer finishes, and early enough that the transfer finishes
+/// before each degree-0 consumer starts. The scheduled twin of the static
+/// [`timing::feedback_group_windows`], shared by both schedulers' second
+/// phase. `None` when a neighbour has no start (`start` answers `None`);
+/// the window itself may be empty (`lo > hi`).
+pub(crate) fn feedback_window(
+    cdfg: &Cdfg,
+    op: OpId,
+    rate: u32,
+    start: impl Fn(OpId) -> Option<StepTime>,
+) -> Option<(i64, i64)> {
+    let stage_ns = cdfg.library().stage_ns();
+    let stage = stage_ns as i64;
+    let mut lo = i64::MIN / 4;
+    for &e in cdfg.preds(op) {
+        let e = cdfg.edge(e);
+        let t = start(e.from)?;
+        lo = lo.max(if e.degree > 0 {
+            t.step + cdfg.op_cycles(e.from) as i64 - e.degree as i64 * rate as i64
+        } else {
+            let fin = timing::finish_ns(cdfg, e.from, t);
+            fin.div_euclid(stage) + i64::from(fin.rem_euclid(stage) != 0)
+        });
+    }
+    let io_fin = cdfg.library().io_delay_ns() as i64;
+    let mut hi = i64::MAX / 4;
+    for &e in cdfg.succs(op) {
+        let e = cdfg.edge(e);
+        if e.degree == 0 {
+            // Latest boundary start such that finish <= consumer start.
+            hi = hi.min((start(e.to)?.ns(stage_ns) - io_fin).div_euclid(stage));
+        }
+    }
+    Some((lo, hi))
 }
 
 /// Degree-0 consumers of feedback transfers: the operations a flow may

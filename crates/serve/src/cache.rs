@@ -27,7 +27,7 @@
 
 use mcs_cdfg::fuzz::design_digest;
 use mcs_cdfg::{Cdfg, PartitionId};
-use mcs_explore::WarmStartCache;
+use mcs_explore::{dominates, WarmStartCache};
 use multichip_hls::explore::with_pin_budgets;
 use multichip_hls::flows::WarmStart;
 
@@ -164,12 +164,7 @@ impl ServeCache {
             let applicable = donor.digest == key.digest
                 && donor.flow == key.flow
                 && donor.rate == key.rate
-                && donor.budgets.len() == key.budgets.len()
-                && donor
-                    .budgets
-                    .iter()
-                    .zip(&key.budgets)
-                    .all(|(&have, &need)| have >= need)
+                && dominates(&donor.budgets, &key.budgets)
                 && donor.budgets != key.budgets;
             if !applicable {
                 continue;

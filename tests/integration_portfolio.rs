@@ -3,12 +3,11 @@
 //! synthesized (only how fast), and the Chapter 4 connection-first flow
 //! must agree with the Chapter 3 simple flow on designs both can handle.
 
-use mcs_cdfg::{designs, Cdfg, PartitionId, PortMode};
+use mcs_cdfg::{designs, Cdfg, PortMode};
 use mcs_connect::{synthesize_with_stats, SearchConfig};
-use mcs_postsyn::{pin_budget_report, verify_against_schedule_with_budgets};
 use mcs_sched::validate;
 use mcs_sim::{verify, Semantics, Stimulus};
-use multichip_hls::flows::{connect_first_flow, simple_flow, ConnectFirstOptions};
+use multichip_hls::flows::{connect_first_flow, simple_flow, ConnectFirstOptions, Contract};
 
 /// Portfolio size pinned for the determinism runs: the result is defined
 /// by the portfolio, so thread counts {1, 2, 8} must all reproduce it.
@@ -126,16 +125,11 @@ fn chapter3_and_chapter4_flows_agree_on_simple_partitions() {
 
         // The chapter 4 connection must fit every chip's pin budget.
         let ic4 = r4.final_interconnect();
-        for (pid, used, budget) in pin_budget_report(cdfg, &ic4) {
-            assert!(
-                used <= budget,
-                "{}: partition {pid} uses {used} of {budget} pins",
-                d.name()
-            );
-        }
+        let over: Vec<_> = ic4.over_budget(cdfg).collect();
+        assert!(over.is_empty(), "{}: over budget: {over:?}", d.name());
         assert_eq!(
-            verify_against_schedule_with_budgets(cdfg, &r4.schedule, &ic4),
-            Vec::<String>::new(),
+            r4.check(cdfg, Contract::Constrained),
+            Ok(()),
             "{}",
             d.name()
         );
@@ -178,27 +172,6 @@ fn portfolio_of_one_reproduces_the_classic_search() {
         assert_eq!(pinned.expect("pinned portfolio connects"), classic);
         assert_eq!(stats.threads, 1, "portfolio of one needs one thread");
         assert_eq!(stats.cache_hits, 0, "cache is disabled for a lone plan");
-    }
-}
-
-/// Pin accounting helper sanity on a concrete design: every reported
-/// entry is a partition the interconnect actually touches.
-#[test]
-fn pin_budget_report_covers_exactly_the_used_partitions() {
-    let d = designs::ar_filter::general(3, PortMode::Unidirectional);
-    let cdfg = d.cdfg();
-    let (ic, _) = synthesize_with_stats(cdfg, PortMode::Unidirectional, &SearchConfig::new(3));
-    let ic = ic.expect("connects");
-    let report = pin_budget_report(cdfg, &ic);
-    for &(pid, used, _) in &report {
-        assert_eq!(used, ic.pins_used(pid));
-        assert!(used > 0);
-    }
-    let reported: std::collections::BTreeSet<PartitionId> =
-        report.iter().map(|&(p, _, _)| p).collect();
-    for p in 0..cdfg.partition_count() {
-        let pid = PartitionId::new(p as u32);
-        assert_eq!(reported.contains(&pid), ic.pins_used(pid) > 0);
     }
 }
 
