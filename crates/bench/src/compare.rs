@@ -373,8 +373,9 @@ pub fn compare_resynth(baseline: &str, fresh: &str) -> Result<Vec<Finding>, Stri
 /// Diffs a fresh `BENCH_search.json` against the committed baseline.
 ///
 /// Every compared field is hard: the search is deterministic, so the
-/// nodes expanded, the digest of the connection found and its bus count
-/// are functions of the code alone, and a change means the node order
+/// portfolio size, the nodes expanded, the shared cache's hits, the
+/// digest of the connection found and its bus count are functions of the
+/// code alone, and a change means the node order or the cache's answers
 /// moved. The recorded wall time and microseconds per node are never
 /// compared.
 ///
@@ -384,7 +385,14 @@ pub fn compare_resynth(baseline: &str, fresh: &str) -> Result<Vec<Finding>, Stri
 pub fn compare_search(baseline: &str, fresh: &str) -> Result<Vec<Finding>, String> {
     let (pairs, mut findings) = matched_lines(baseline, fresh, "design")?;
     for (k, b, f) in &pairs {
-        for path in ["rate", "nodes", "digest", "buses"] {
+        for path in [
+            "rate",
+            "portfolio",
+            "nodes",
+            "cache_hits",
+            "digest",
+            "buses",
+        ] {
             hard_compare(k, b, f, path, &mut findings);
         }
     }
@@ -608,8 +616,9 @@ mod tests {
         assert_eq!(findings[0].field, "speedup");
     }
 
-    const SEARCH_BASE: &str = "{\"bench\":\"search\",\"design\":\"large_mesh8_L4\",\
-        \"rate\":4,\"nodes\":173268,\"digest\":17058123341809352787,\"buses\":14,\
+    const SEARCH_BASE: &str = "{\"bench\":\"search\",\"design\":\"adversarial6_L3_p8\",\
+        \"rate\":3,\"portfolio\":8,\"nodes\":173268,\"cache_hits\":46,\
+        \"digest\":17058123341809352787,\"buses\":14,\
         \"wall_ms\":77.699,\"us_per_node\":0.448}";
 
     #[test]
@@ -617,6 +626,7 @@ mod tests {
         assert!(compare_search(SEARCH_BASE, SEARCH_BASE).unwrap().is_empty());
         for (from, to, field) in [
             ("173268", "173269", "nodes"),
+            ("\"cache_hits\":46", "\"cache_hits\":45", "cache_hits"),
             ("17058123341809352787", "17058123341809352788", "digest"),
         ] {
             let fresh = SEARCH_BASE.replace(from, to);

@@ -816,6 +816,36 @@ mod tests {
     }
 
     #[test]
+    fn pin_budgets_and_unit_counts_past_their_ceilings_are_refused() {
+        let pins = TINY.replace("partition P1 32", "partition P1 4294967295");
+        let e = parse(&pins).unwrap_err();
+        assert!(
+            e.msg.contains(
+                "partition P1 declares 4294967295 as its pin budget, over the limit of 2147483647"
+            ),
+            "{e}"
+        );
+        let env = format!("envpins 4294967295\n{TINY}");
+        let e = parse(&env).unwrap_err();
+        assert!(e.msg.contains("partition P0 declares 4294967295"), "{e}");
+        let units = TINY.replace("resource P2 add 1", "resource P2 add 4294967295");
+        let e = parse(&units).unwrap_err();
+        assert!(
+            e.msg.contains(
+                "partition P2 declares 4294967295 as its add units, over the limit of 4096"
+            ),
+            "{e}"
+        );
+        // The ceilings themselves parse, and the environment's
+        // unbudgeted default round-trips.
+        let at = TINY
+            .replace("partition P1 32", "partition P1 2147483647")
+            .replace("resource P2 add 1", "resource P2 add 4096");
+        let d = parse(&at).unwrap();
+        parse(&write(d.cdfg())).unwrap();
+    }
+
+    #[test]
     fn missing_stage_is_rejected() {
         assert!(parse("partition P1 32\n").is_err());
     }

@@ -229,6 +229,17 @@ pub const MAX_VALUE_BITS: u32 = 1024;
 /// in-repo degree is 4; the ceiling is 16 times that.
 pub const MAX_DEGREE: u32 = 64;
 
+/// Largest pin budget a partition may declare: the environment's
+/// unbudgeted default. A larger budget means nothing more than no budget
+/// at all (`.mcs` writes the environment's budget only below it), and
+/// under the ceiling a sum of two budgets still fits a `u32`.
+pub const MAX_PARTITION_PINS: u32 = u32::MAX / 2;
+
+/// Most functional units of one operator class a partition may declare.
+/// The schedulers never use more units than a class has operations; the
+/// largest in-repo count is 64, and the ceiling is 64 times that.
+pub const MAX_UNITS: u32 = 4096;
+
 /// Errors reported by [`Cdfg::validate`] and the builder.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GraphError {
@@ -277,6 +288,18 @@ pub enum GraphError {
         /// The ceiling.
         limit: u32,
     },
+    /// A partition's pin budget is over [`MAX_PARTITION_PINS`], or one of
+    /// its declared unit counts is over [`MAX_UNITS`].
+    PartitionLimit {
+        /// The offending partition.
+        partition: PartitionId,
+        /// What is over its ceiling: `pin budget`, or `<class> units`.
+        what: String,
+        /// The declared number.
+        count: u32,
+        /// The ceiling.
+        limit: u32,
+    },
     /// An operation is guarded by a contradictory condition vector.
     ContradictoryCondition {
         /// The offending operation.
@@ -322,6 +345,15 @@ impl std::fmt::Display for GraphError {
             } => write!(
                 f,
                 "edge {edge} has recursion degree {degree}, over the limit of {limit}"
+            ),
+            GraphError::PartitionLimit {
+                partition,
+                what,
+                count,
+                limit,
+            } => write!(
+                f,
+                "partition {partition} declares {count} as its {what}, over the limit of {limit}"
             ),
             GraphError::ContradictoryCondition { op } => {
                 write!(f, "operation {op} has a contradictory condition vector")
@@ -629,6 +661,24 @@ impl Cdfg {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), GraphError> {
+        for (i, part) in self.partitions.iter().enumerate() {
+            let over = |what: String, count: u32, limit: u32| GraphError::PartitionLimit {
+                partition: PartitionId::new(i as u32),
+                what,
+                count,
+                limit,
+            };
+            if part.total_pins > MAX_PARTITION_PINS {
+                return Err(over(
+                    "pin budget".into(),
+                    part.total_pins,
+                    MAX_PARTITION_PINS,
+                ));
+            }
+            if let Some((class, &units)) = part.resources.iter().find(|(_, &n)| n > MAX_UNITS) {
+                return Err(over(format!("{} units", class.token()), units, MAX_UNITS));
+            }
+        }
         for (i, v) in self.values.iter().enumerate() {
             let value = ValueId::new(i as u32);
             if v.bits == 0 {

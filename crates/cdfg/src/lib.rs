@@ -41,7 +41,7 @@ pub mod timing;
 
 pub use graph::{
     Cdfg, CdfgBuilder, ConditionVector, Edge, GraphError, OpKind, Operation, Partition, PortMode,
-    Value, MAX_DEGREE, MAX_VALUE_BITS,
+    Value, MAX_DEGREE, MAX_PARTITION_PINS, MAX_UNITS, MAX_VALUE_BITS,
 };
 pub use ids::{BusId, CondId, EdgeId, OpId, PartitionId, ValueId};
 pub use library::{Library, Module, OperatorClass};

@@ -29,6 +29,24 @@
 //! `k <= k'`). A portfolio of one disables the cache entirely, so the
 //! default configuration reproduces the sequential search bit for bit.
 //!
+//! Nearly every node of a cache run fails, so the cache is built to cost
+//! little per node:
+//!
+//! * **Hash-gated lookups.** A node entry hashes the dense state into a
+//!   `u64` (`state_hash`, word by word, no allocation) and looks that
+//!   hash up. Only on a hash match are the signature bytes written (into
+//!   a scratch buffer the worker reuses) and compared.
+//! * **Signatures only on failure.** A frame keeps its entry hash, not
+//!   its signature. The bytes are built when the frame pops as an
+//!   exhaustive failure, after the trail has put the state back at the
+//!   frame's entry.
+//! * **One resident copy of each proof.** The cache files proofs by hash
+//!   through a pass-through hasher, one small bucket per hash holding
+//!   each signature with its entries. A [`RefutationCert`] carries its
+//!   signature as shared bytes plus the hash, so the barrier merge, the
+//!   harvest, seeding and cloning certificates into a later run's warm
+//!   start copy pointers and never rehash.
+//!
 //! Failure proofs survive a run as [`RefutationCert`]s:
 //! [`synthesize_seeded`] returns the proofs learned during the run (in
 //! barrier order, so the list is deterministic) and accepts proofs from
@@ -40,11 +58,11 @@
 //! exhaustive failure).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::RwLock;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mcs_cdfg::{Cdfg, OpId, PartitionId, PortMode};
-use mcs_codec::fnv::fnv1a;
 use mcs_ctl::Termination;
 use mcs_metrics::{Histogram, MetricsHandle};
 
@@ -264,15 +282,17 @@ impl Strength {
     }
 }
 
-/// A portable exhaustive-failure proof: a state signature plus the
-/// strength of the plan that proved the subtree empty. Harvested from
-/// [`synthesize_seeded`] and fed back into a later run on a problem
-/// where the proof still holds (see the module docs for the transfer
-/// rule the caller must uphold).
+/// A portable exhaustive-failure proof: a state signature, its hash,
+/// and the strength of the plan that proved the subtree
+/// empty. Harvested from [`synthesize_seeded`] and fed back into a later
+/// run on a problem where the proof still holds (see the module docs for
+/// the transfer rule the caller must uphold). The signature bytes are
+/// shared: cloning a certificate, adopting it into a warm start or
+/// seeding a cache with it copies a pointer, never the bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RefutationCert {
-    /// State signature: depth plus the exact bus/value structure.
-    pub key: Vec<u8>,
+    key: Arc<[u8]>,
+    hash: u64,
     /// Operation order of the proving plan.
     pub order: OpOrder,
     /// `true` when the proving plan broke equal-gain ties toward newer
@@ -283,13 +303,34 @@ pub struct RefutationCert {
 }
 
 impl RefutationCert {
-    fn from_parts(key: Vec<u8>, strength: Strength) -> Self {
+    fn from_parts(key: Arc<[u8]>, hash: u64, strength: Strength) -> Self {
         RefutationCert {
             key,
+            hash,
             order: strength.order,
             tie_high: strength.family == CandidateFamily::GainTieHigh,
             branching_factor: strength.branching_factor,
         }
+    }
+
+    /// The proof that `state` at `depth`, whose [`state_hash`] is `hash`,
+    /// failed under `strength`. The signature is written into `sig`
+    /// first, then copied once into the shared bytes.
+    fn of_state(
+        state: &State,
+        depth: usize,
+        hash: u64,
+        strength: Strength,
+        sig: &mut Vec<u8>,
+    ) -> Self {
+        write_state_sig(state, depth, sig);
+        RefutationCert::from_parts(Arc::from(&sig[..]), hash, strength)
+    }
+
+    /// The refuted state's signature: depth plus the exact bus/value
+    /// structure, in a byte format that is stable across runs.
+    pub fn key(&self) -> &[u8] {
+        &self.key
     }
 
     fn strength(&self) -> Strength {
@@ -318,77 +359,96 @@ struct CacheEntry {
     seeded: bool,
 }
 
-/// Sharded map of exhaustively-failed state signatures. During an epoch
-/// the cache is read-only; staged entries are merged at the barrier in
-/// portfolio-index order, so its contents are deterministic.
+/// A hasher for keys that are already [`state_hash`]es: it passes the
+/// `u64` through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the refutation cache is keyed by u64 state hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The proofs of every signature with one [`state_hash`]: each row a
+/// shared key plus one of its [`CacheEntry`]s. Rows of one key keep their
+/// insertion order.
+type Bucket = Vec<(Arc<[u8]>, CacheEntry)>;
+
+/// The exhaustively failed states, one [`Bucket`] per [`state_hash`],
+/// keyed through the pass-through hasher. Workers read the cache during
+/// an epoch; only the orchestrator writes it, at the barrier, merging
+/// staged proofs in portfolio-index order, so its contents are
+/// deterministic and need no lock.
 pub(crate) struct SharedCache {
-    shards: Vec<RwLock<HashMap<Vec<u8>, Vec<CacheEntry>>>>,
+    proofs: HashMap<u64, Bucket, BuildHasherDefault<PassThrough>>,
     enabled: bool,
-    len: std::sync::atomic::AtomicUsize,
+    /// Proofs adopted so far (dominated ones evicted later still count).
+    len: usize,
 }
 
 impl SharedCache {
     fn new(enabled: bool) -> Self {
         SharedCache {
-            shards: (0..16).map(|_| RwLock::new(HashMap::new())).collect(),
+            proofs: HashMap::default(),
             enabled,
-            len: std::sync::atomic::AtomicUsize::new(0),
+            len: 0,
         }
     }
 
-    fn shard_of(&self, key: &[u8]) -> usize {
-        // Only shard selection depends on the hash.
-        (fnv1a(key) % self.shards.len() as u64) as usize
-    }
-
-    /// `Some(from_seed)` when a dominating proof is resident: the flag
+    /// `Some(from_seed)` when a proof dominating `reader` is resident
+    /// for `state` at `depth`, whose [`state_hash`] is `hash`: the flag
     /// says whether the (deterministically) first dominating entry was
-    /// seeded from a prior run.
-    fn proven(&self, key: &[u8], reader: &Strength) -> Option<bool> {
-        if !self.enabled {
-            return None;
-        }
-        let shard = self.shards[self.shard_of(key)].read().expect("cache lock");
-        shard
-            .get(key)?
+    /// seeded from a prior run. The signature is written into `sig` and
+    /// compared only when a bucket matches the hash.
+    fn proven(
+        &self,
+        hash: u64,
+        state: &State,
+        depth: usize,
+        reader: &Strength,
+        sig: &mut Vec<u8>,
+    ) -> Option<bool> {
+        let bucket = self.proofs.get(&hash)?;
+        write_state_sig(state, depth, sig);
+        bucket
             .iter()
-            .find(|e| e.strength.dominates(reader))
-            .map(|e| e.seeded)
+            .find(|(key, e)| **key == **sig && e.strength.dominates(reader))
+            .map(|(_, e)| e.seeded)
     }
 
-    /// Barrier-time merge; called from the orchestrator only. Returns
-    /// the non-seeded entries actually adopted (not dominated by a
-    /// resident proof, within the cap), in input order — the run's
-    /// harvest of newly learned proofs.
-    fn publish(&self, staged: Vec<(Vec<u8>, Strength)>, seeded: bool) -> Vec<(Vec<u8>, Strength)> {
-        use std::sync::atomic::Ordering;
-        let mut accepted = Vec::new();
-        if !self.enabled {
-            return accepted;
+    /// Barrier-time merge of one proof; called from the orchestrator
+    /// only. Returns whether the cache adopted it: it is not dominated
+    /// by a resident proof of the same state and the cache is under its
+    /// cap. Adopting evicts the resident proofs it dominates.
+    fn adopt(&mut self, cert: &RefutationCert, seeded: bool) -> bool {
+        if !self.enabled || self.len >= CACHE_CAP {
+            return false;
         }
-        for (key, strength) in staged {
-            if self.len.load(Ordering::Relaxed) >= CACHE_CAP {
-                return accepted;
-            }
-            let mut shard = self.shards[self.shard_of(&key)]
-                .write()
-                .expect("cache lock");
-            let entries = shard.entry(key.clone()).or_default();
-            if entries.iter().any(|e| e.strength.dominates(&strength)) {
-                continue;
-            }
-            entries.retain(|e| !strength.dominates(&e.strength));
-            entries.push(CacheEntry { strength, seeded });
-            self.len.fetch_add(1, Ordering::Relaxed);
-            if !seeded {
-                accepted.push((key, strength));
-            }
+        let strength = cert.strength();
+        let bucket = self.proofs.entry(cert.hash).or_default();
+        if bucket
+            .iter()
+            .any(|(key, e)| *key == cert.key && e.strength.dominates(&strength))
+        {
+            return false;
         }
-        accepted
+        bucket.retain(|(key, e)| *key != cert.key || !strength.dominates(&e.strength));
+        bucket.push((cert.key.clone(), CacheEntry { strength, seeded }));
+        self.len += 1;
+        true
     }
 
     fn entries(&self) -> usize {
-        self.len.load(std::sync::atomic::Ordering::Relaxed)
+        self.len
     }
 }
 
@@ -404,28 +464,75 @@ impl SharedCache {
 /// sub-bus in a search state), the output, input and bidirectional port
 /// maps as counts plus `(partition, width)` pairs in partition order,
 /// then the riding values in id order, each with its sub-range (always
-/// the whole bus, `0..=0`).
-fn state_sig(state: &State, depth: usize) -> Vec<u8> {
-    let mut sig = Vec::with_capacity(32 + state.bus_count() * 48);
+/// the whole bus, `0..=0`). The bytes replace `sig`'s contents.
+fn write_state_sig(state: &State, depth: usize, sig: &mut Vec<u8>) {
+    sig.clear();
     sig.extend_from_slice(&(depth as u32).to_le_bytes());
     for (bus, values) in state.values.iter().enumerate() {
-        sig.push(0xB5);
-        sig.push(1);
+        sig.extend_from_slice(&[0xB5, 1]);
         sig.extend_from_slice(&state.widths[bus].to_le_bytes());
         for ports in state.port_rows(bus) {
-            sig.push(ports.iter().filter(|&&w| w > 0).count() as u8);
+            // One pass per row: the count byte is patched at the end.
+            let count_at = sig.len();
+            sig.push(0);
+            let mut count = 0usize;
             for (p, &w) in ports.iter().enumerate().filter(|&(_, &w)| w > 0) {
-                sig.extend_from_slice(&(p as u32).to_le_bytes());
-                sig.extend_from_slice(&w.to_le_bytes());
+                count += 1;
+                let mut pair = [0u8; 8];
+                pair[..4].copy_from_slice(&(p as u32).to_le_bytes());
+                pair[4..].copy_from_slice(&w.to_le_bytes());
+                sig.extend_from_slice(&pair);
             }
+            sig[count_at] = count as u8;
         }
         sig.push(values.len() as u8);
         for v in values {
-            sig.extend_from_slice(&v.0.to_le_bytes());
-            sig.extend_from_slice(&[0, 0]);
+            let mut value = [0u8; 6];
+            value[..4].copy_from_slice(&v.0.to_le_bytes());
+            sig.extend_from_slice(&value);
         }
     }
+}
+
+/// [`write_state_sig`] into a fresh vector.
+#[cfg(test)]
+fn state_sig(state: &State, depth: usize) -> Vec<u8> {
+    let mut sig = Vec::new();
+    write_state_sig(state, depth, &mut sig);
     sig
+}
+
+/// The refutation cache's hash of a search state, read straight off the
+/// dense state without allocating. Each bus folds its width and value
+/// count, its port rows two slots to a word, and its riding values into
+/// a hash of its own, one xor and multiply per word; the bus hashes and
+/// the depth are then folded in bus order and finished by an avalanche.
+/// The bus chains do not depend on one another, so the processor
+/// overlaps them. The hash covers exactly what [`write_state_sig`]
+/// encodes, so two states of one design and port mode with equal
+/// signatures have equal hashes; unequal signatures may collide, and the
+/// cache compares the bytes.
+fn state_hash(state: &State, depth: usize) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = (depth as u64).wrapping_mul(K);
+    for (bus, values) in state.values.iter().enumerate() {
+        let mut b = (u64::from(state.widths[bus]) | (values.len() as u64) << 32).wrapping_mul(K);
+        for ports in state.port_rows(bus) {
+            for pair in ports.chunks(2) {
+                let hi = pair.get(1).copied().unwrap_or(0);
+                b = (b ^ (u64::from(pair[0]) | u64::from(hi) << 32)).wrapping_mul(K);
+            }
+        }
+        for v in values {
+            b = (b ^ u64::from(v.0)).wrapping_mul(K);
+        }
+        h = (h.rotate_left(23) ^ b).wrapping_mul(K);
+    }
+    // SplitMix64's finalizer: every output bit depends on every input
+    // bit, so the bucket index (low bits) and tag (high bits) both vary.
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// Where a worker ended up.
@@ -558,8 +665,9 @@ struct Frame {
     /// Trail mark at node entry: trying the next candidate and
     /// backtracking both undo the state back to it.
     mark: usize,
-    /// Signature to publish if the whole subtree fails (cache runs only).
-    key: Option<Vec<u8>>,
+    /// [`state_hash`] of the entry state (cache runs only): the lookup's
+    /// key, and the key of the failure proof if the subtree fails.
+    hash: u64,
     /// Index of the next candidate to try.
     next: usize,
 }
@@ -580,7 +688,9 @@ struct Worker<'a> {
     /// The I/O operations in this plan's order; depth `d` assigns
     /// `io[d]`.
     io: Vec<IoOp>,
-    windows: GroupWindows,
+    /// The design's feedback windows at this rate, shared by the
+    /// portfolio.
+    windows: &'a GroupWindows,
     state: State,
     stack: Vec<Frame>,
     /// Candidate moves of the frame at each depth, reused across nodes.
@@ -598,7 +708,10 @@ struct Worker<'a> {
     prunes: u64,
     backtracks: u64,
     published: u64,
-    staged: Vec<(Vec<u8>, Strength)>,
+    staged: Vec<RefutationCert>,
+    /// Scratch for state signatures: cache lookups that match a hash
+    /// write into it, and failure proofs are copied out of it.
+    sig: Vec<u8>,
     result: Option<(Interconnect, (u32, u32))>,
     wall: Duration,
     /// Deepest depth entered and the bus count of the state there — the
@@ -613,7 +726,9 @@ struct Worker<'a> {
     /// expanded, on the registry clock.
     m_epoch_us: Histogram,
     /// Test builds only: the state at each frame's entry, which undoing
-    /// the trail must give back exactly, and the tally of that check.
+    /// the trail must give back exactly, and the tally of that check
+    /// (a popped frame whose state no longer hashes to its entry hash
+    /// also counts as a mismatch).
     #[cfg(test)]
     snapshots: Vec<State>,
     #[cfg(test)]
@@ -627,6 +742,7 @@ impl<'a> Worker<'a> {
         cdfg: &'a Cdfg,
         mode: PortMode,
         cfg: &SearchConfig,
+        windows: &'a GroupWindows,
         plan: WorkerPlan,
         cache_enabled: bool,
     ) -> Self {
@@ -647,7 +763,7 @@ impl<'a> Worker<'a> {
             budget_left: plan.node_budget,
             plan,
             cache_enabled,
-            windows: GroupWindows::new(cdfg, cfg.rate),
+            windows,
             io,
             state,
             stack: Vec::new(),
@@ -662,6 +778,7 @@ impl<'a> Worker<'a> {
             backtracks: 0,
             published: 0,
             staged: Vec::new(),
+            sig: Vec::new(),
             result: None,
             wall: Duration::ZERO,
             deepest: 0,
@@ -729,29 +846,29 @@ impl<'a> Worker<'a> {
         self.budget_left -= 1;
         *expanded += 1;
         self.nodes += 1;
-        let key = if self.cache_enabled {
-            Some(state_sig(&self.state, depth))
+        let (hash, proven) = if self.cache_enabled {
+            let hash = state_hash(&self.state, depth);
+            let proven = cache.proven(hash, &self.state, depth, &self.strength, &mut self.sig);
+            (hash, proven)
         } else {
-            None
+            (0, None)
         };
-        if let Some(k) = &key {
-            if let Some(from_seed) = cache.proven(k, &self.strength) {
-                // Another plan with at least our candidate sets proved
-                // this exact structure a dead end.
-                self.cache_hits += 1;
-                if from_seed {
-                    self.seed_hits += 1;
-                }
-                self.child_failed();
-                return;
+        if let Some(from_seed) = proven {
+            // Another plan with at least our candidate sets proved this
+            // exact structure a dead end.
+            self.cache_hits += 1;
+            if from_seed {
+                self.seed_hits += 1;
             }
+            self.child_failed();
+            return;
         }
         if self.moves.len() == depth {
             self.moves.push(Vec::new());
         }
         candidate_moves(
             &self.state,
-            &self.windows,
+            self.windows,
             self.plan.branching_factor,
             self.plan.candidates,
             &self.io[depth],
@@ -759,7 +876,7 @@ impl<'a> Worker<'a> {
         );
         self.stack.push(Frame {
             mark: self.state.mark(),
-            key,
+            hash,
             next: 0,
         });
         #[cfg(test)]
@@ -818,10 +935,24 @@ impl<'a> Worker<'a> {
         self.restore_top();
         let frame = self.stack.pop().expect("non-empty stack");
         #[cfg(test)]
-        self.snapshots.pop();
+        {
+            self.snapshots.pop();
+            // The proof is filed under the hash the entry lookup used.
+            if self.cache_enabled && state_hash(&self.state, self.stack.len()) != frame.hash {
+                self.mismatches += 1;
+            }
+        }
         self.backtracks += 1;
-        if let Some(key) = frame.key {
-            self.staged.push((key, self.strength));
+        if self.cache_enabled {
+            // The state is back at the popped frame's entry: its
+            // signature is built only now that the subtree failed.
+            self.staged.push(RefutationCert::of_state(
+                &self.state,
+                self.stack.len(),
+                frame.hash,
+                self.strength,
+                &mut self.sig,
+            ));
             self.published += 1;
         }
         self.child_failed();
@@ -931,16 +1062,17 @@ pub fn synthesize_seeded(
         );
     }
     let plans = portfolio_plans(cfg);
-    let cache = SharedCache::new(plans.len() > 1 || !seed.is_empty());
-    cache.publish(
-        seed.iter().map(|c| (c.key.clone(), c.strength())).collect(),
-        true,
-    );
+    let windows = GroupWindows::new(cdfg, cfg.rate);
+    let mut cache = SharedCache::new(plans.len() > 1 || !seed.is_empty());
+    cache.proofs.reserve(seed.len());
+    for cert in seed {
+        cache.adopt(cert, true);
+    }
     let threads = cfg.workers.clamp(1, plans.len());
     let epoch_nodes = cfg.epoch_nodes.max(1);
     let mut workers: Vec<Worker<'_>> = plans
         .into_iter()
-        .map(|plan| Worker::new(cdfg, mode, cfg, plan, cache.enabled))
+        .map(|plan| Worker::new(cdfg, mode, cfg, &windows, plan, cache.enabled))
         .collect();
 
     // Counter snapshots for per-epoch `SearchNode` deltas; events are
@@ -979,12 +1111,11 @@ pub fn synthesize_seeded(
         // next epoch's snapshot is deterministic; whatever the cache
         // adopts is also this run's harvest.
         for w in &mut workers {
-            learned.extend(
-                cache
-                    .publish(std::mem::take(&mut w.staged), false)
-                    .into_iter()
-                    .map(|(key, strength)| RefutationCert::from_parts(key, strength)),
-            );
+            for cert in w.staged.drain(..) {
+                if cache.adopt(&cert, false) {
+                    learned.push(cert);
+                }
+            }
         }
         if rec_on {
             for (i, w) in workers.iter().enumerate() {
@@ -1101,7 +1232,7 @@ pub fn synthesize_seeded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_cdfg::designs::{ar_filter, elliptic};
+    use mcs_cdfg::designs::{ar_filter, elliptic, Design};
 
     #[test]
     fn single_worker_matches_portfolio_of_one() {
@@ -1330,12 +1461,13 @@ mod tests {
             (OpOrder::PairGrouped, true, 1),
         ] {
             let cert = RefutationCert {
-                key: vec![1, 2, 3],
+                key: Arc::from(&[1u8, 2, 3][..]),
+                hash: 7,
                 order,
                 tie_high,
                 branching_factor: bf,
             };
-            let back = RefutationCert::from_parts(cert.key.clone(), cert.strength());
+            let back = RefutationCert::from_parts(cert.key.clone(), 7, cert.strength());
             assert_eq!(back, cert);
         }
     }
@@ -1345,10 +1477,11 @@ mod tests {
     /// snapshots and how many of them differed.
     fn run_checked(cdfg: &Cdfg, mode: PortMode, cfg: &SearchConfig) -> (u64, u64) {
         let plans = portfolio_plans(cfg);
-        let cache = SharedCache::new(plans.len() > 1);
+        let windows = GroupWindows::new(cdfg, cfg.rate);
+        let mut cache = SharedCache::new(plans.len() > 1);
         let mut workers: Vec<Worker<'_>> = plans
             .into_iter()
-            .map(|plan| Worker::new(cdfg, mode, cfg, plan, cache.enabled))
+            .map(|plan| Worker::new(cdfg, mode, cfg, &windows, plan, cache.enabled))
             .collect();
         while workers.iter().any(Worker::running)
             && !workers.iter().any(|w| w.status == WorkerStatus::Succeeded)
@@ -1357,7 +1490,9 @@ mod tests {
                 w.run_epoch(cfg.epoch_nodes, &cache);
             }
             for w in &mut workers {
-                cache.publish(std::mem::take(&mut w.staged), false);
+                for cert in w.staged.drain(..) {
+                    cache.adopt(&cert, false);
+                }
             }
         }
         workers
@@ -1367,8 +1502,10 @@ mod tests {
 
     /// The trail-vs-clone differential: over the fuzz corpus, every
     /// sibling restore and every backtrack must undo the trail to exactly
-    /// the state a clone taken at frame entry holds. Two plans share the
-    /// failure cache, so cache-pruned children are covered too.
+    /// the state a clone taken at frame entry holds, and every popped
+    /// frame's state must hash to the hash its entry lookup used. Two
+    /// plans share the failure cache, so cache-pruned children are
+    /// covered too.
     #[test]
     fn trail_undo_matches_frame_snapshots_over_the_fuzz_corpus() {
         use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
@@ -1440,6 +1577,98 @@ mod tests {
             sig(ar.cdfg(), PortMode::Unidirectional, &[0, 0, 1, 0, 1, 2]),
             "06000000b50118000000020300000010000000040000001800000002000000001800000004000000100000000003450000000000540000000000550000000000b5011000000002010000000c000000030000001000000002030000000c00000004000000100000000002160000000000440000000000b5010c00000001010000000c00000001040000000c0000000001170000000000"
         );
+    }
+
+    /// The states a test can build: a uni- and a bidirectional elliptic
+    /// filter and a unidirectional AR filter.
+    fn test_designs() -> [(Design, PortMode); 3] {
+        [
+            (elliptic::partitioned(), PortMode::Unidirectional),
+            (
+                elliptic::partitioned_with(6, PortMode::Bidirectional),
+                PortMode::Bidirectional,
+            ),
+            (
+                ar_filter::general(3, PortMode::Unidirectional),
+                PortMode::Unidirectional,
+            ),
+        ]
+    }
+
+    /// `built_state` over bus choices taken modulo the buses open so far
+    /// plus one (the fresh bus), so every choice is a legal move.
+    fn random_path_state(cdfg: &Cdfg, mode: PortMode, choices: &[usize]) -> State {
+        let mut buses = Vec::new();
+        let mut open = 0;
+        for &c in choices.iter().take(cdfg.io_ops().count()) {
+            let bus = c % (open + 1);
+            open += usize::from(bus == open);
+            buses.push(bus);
+        }
+        built_state(cdfg, mode, &buses)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The state undone to a frame's mark hashes and signs as it did
+        /// at the frame's entry, so the proof staged when the frame pops
+        /// carries its entry lookup's hash and signature, and a cache that
+        /// adopted the proof answers that lookup. Two paths that reach
+        /// equal signatures reach equal hashes. (The worker itself checks,
+        /// in test builds, that every popped frame's state hashes to the
+        /// hash its entry used; see
+        /// `trail_undo_matches_frame_snapshots_over_the_fuzz_corpus`.)
+        #[test]
+        fn lookup_hash_matches_the_hash_its_cert_carries(
+            design in 0usize..3,
+            path in proptest::collection::vec(0usize..6, 0..24),
+            deeper in proptest::collection::vec(0usize..6, 0..6),
+            other in proptest::collection::vec(0usize..6, 0..4),
+        ) {
+            let (d, mode) = test_designs().into_iter().nth(design).unwrap();
+            let cdfg = d.cdfg();
+            let io: Vec<IoOp> = ordered_ops(cdfg, OpOrder::WidthDesc)
+                .into_iter()
+                .map(|op| IoOp::of(cdfg, op))
+                .collect();
+            let mut state = random_path_state(cdfg, mode, &path);
+            let depth = path.len().min(io.len());
+            let lookup = state_hash(&state, depth);
+            let entry_sig = state_sig(&state, depth);
+
+            // Explore below the frame, then undo back to its entry.
+            let mark = state.mark();
+            for (op, &c) in io[depth..].iter().zip(&deeper) {
+                let bus = c % (state.bus_count() + 1);
+                apply_move(&mut state, op, bus);
+            }
+            state.undo_to(mark);
+            let strength = Strength {
+                order: OpOrder::WidthDesc,
+                family: CandidateFamily::GainTieLow,
+                branching_factor: 2,
+            };
+            let mut sig = Vec::new();
+            let cert = RefutationCert::of_state(&state, depth, lookup, strength, &mut sig);
+            proptest::prop_assert_eq!(cert.key(), &entry_sig[..]);
+            proptest::prop_assert_eq!(state_hash(&state, depth), cert.hash);
+
+            let mut cache = SharedCache::new(true);
+            proptest::prop_assert!(cache.adopt(&cert, true));
+            let reader = Strength { branching_factor: 1, ..strength };
+            let mut scratch = Vec::new();
+            proptest::prop_assert_eq!(
+                cache.proven(lookup, &state, depth, &reader, &mut scratch),
+                Some(true)
+            );
+
+            let twin = random_path_state(cdfg, mode, &other);
+            let twin_depth = other.len().min(io.len());
+            if state_sig(&twin, twin_depth) == entry_sig {
+                proptest::prop_assert_eq!(state_hash(&twin, twin_depth), lookup);
+            }
+        }
     }
 
     #[test]

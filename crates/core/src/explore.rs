@@ -28,6 +28,8 @@
 //!   proofs, valid for any same-or-tighter budget; see
 //!   [`mcs_connect::synthesize_seeded`]).
 
+use std::sync::Arc;
+
 use mcs_cdfg::{Cdfg, PartitionId, PortMode};
 use mcs_ctl::Termination;
 use mcs_explore::{
@@ -149,6 +151,19 @@ pub struct PointRun {
 /// Each step counts under `ctx.metrics` as `explain.refuted`,
 /// `explain.witnessed` or `explain.solved`, inside an `explain` span.
 pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) -> PointRun {
+    seeded_point(cdfg, flow, rate, ctx, &[])
+}
+
+/// [`run_point`] whose flow also adopts every donor's exports into the
+/// context's warm start. The copy is made only when the flow runs, so a
+/// point the counting bound refutes copies no certificate.
+fn seeded_point(
+    cdfg: &Cdfg,
+    flow: FlowVariant,
+    rate: u32,
+    ctx: &RunContext,
+    donors: &[(PointCoord, Arc<WarmStart>)],
+) -> PointRun {
     let ilp = PinIlp::new(cdfg, rate);
     let refuted = ilp.as_ref().is_ok_and(|ilp| {
         // A rate over the flows' ceiling keeps the flow's own refusal.
@@ -161,7 +176,14 @@ pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) ->
             ctx.metrics.add("explain.refuted", 1);
             FlowOutcome::from(Err(PinAllocError::InfeasibleFromTheStart.into()))
         }
-        Ok(_) => run(cdfg, &point_spec(flow, rate), ctx),
+        Ok(_) if donors.is_empty() => run(cdfg, &point_spec(flow, rate), ctx),
+        Ok(_) => {
+            let mut seeded = ctx.clone();
+            for (_, donor) in donors {
+                seeded.warm.adopt(donor);
+            }
+            run(cdfg, &point_spec(flow, rate), &seeded)
+        }
     };
     let over: Vec<_> = outcome
         .result
@@ -283,7 +305,8 @@ impl From<SweepError> for ExploreError {
 }
 
 /// The sweep's lattice-point runner: applies the budget vector
-/// ([`with_pin_budgets`]), adopts the seeds and calls [`run_point`] under
+/// ([`with_pin_budgets`]) and runs the point with the seeds as donors
+/// ([`run_point`], adopting them only if the flow runs) under
 /// the sweep's execution budget, which the driver (given the same
 /// handle) also observes at wave barriers. Per-point synthesis runs on
 /// sweep worker threads without an event sink, so the event stream does
@@ -303,18 +326,15 @@ impl PointRunner for DesignRunner<'_> {
         &self,
         coord: PointCoord,
         budget: &[u32],
-        seeds: &[(PointCoord, std::sync::Arc<WarmStart>)],
+        seeds: &[(PointCoord, Arc<WarmStart>)],
     ) -> (PointOutcome, Option<WarmStart>) {
         let cdfg = with_pin_budgets(self.cdfg, budget);
-        let mut ctx = RunContext {
+        let ctx = RunContext {
             budget: self.budget.clone(),
             metrics: self.metrics.clone(),
             warm: WarmStart::default(),
         };
-        for (_, donor) in seeds {
-            ctx.warm.adopt(donor);
-        }
-        let run = run_point(&cdfg, self.flow, coord.rate, &ctx);
+        let run = seeded_point(&cdfg, self.flow, coord.rate, &ctx, seeds);
         (run.point, run.export)
     }
 }

@@ -48,6 +48,12 @@ use crate::proto::{
 /// test suites, `perfbench`'s `serve_mix`) is about 4 KiB.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 
+/// Most TCP connections the daemon serves at once, each on its own
+/// thread: twice `bench_serve`'s largest client count (64). A connection
+/// accepted over the cap gets one `overloaded` error line, counts in
+/// `serve.rejected` and is closed; the others keep serving.
+pub const MAX_CONNECTIONS: usize = 128;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -415,9 +421,10 @@ impl Server {
         }
     }
 
-    /// Accept loop: one thread per connection, shared dispatch. Returns
-    /// after a `shutdown` request has been accepted and every
-    /// connection thread has exited.
+    /// Accept loop: one thread per connection, at most
+    /// [`MAX_CONNECTIONS`] at once, shared dispatch. Returns after a
+    /// `shutdown` request has been accepted and every connection thread
+    /// has exited.
     ///
     /// # Errors
     ///
@@ -427,7 +434,20 @@ impl Server {
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.stop_requested() {
             match listener.accept() {
-                Ok((stream, _)) => {
+                Ok((mut stream, _)) => {
+                    connections.retain(|h| !h.is_finished());
+                    if connections.len() >= MAX_CONNECTIONS {
+                        self.metrics.add("serve.rejected", 1);
+                        let mut line = error_response(
+                            ErrorKind::Overloaded,
+                            &format!(
+                                "the daemon serves at most {MAX_CONNECTIONS} connections at once"
+                            ),
+                        );
+                        line.push('\n');
+                        let _ = stream.write_all(line.as_bytes());
+                        continue;
+                    }
                     let server = self.clone();
                     connections.push(std::thread::spawn(move || server.serve_connection(stream)));
                 }

@@ -252,3 +252,144 @@ fn search_node_counts_and_results_are_pinned() {
         );
     }
 }
+
+/// Per-point `(rate, budget index, search nodes, cache hits, cert seed
+/// hits)` of the `design_suite` elliptic sweep below, recorded before the
+/// refutation cache was rebuilt around a state hash. Every cache hit of
+/// the sweep is a seed hit.
+const ELLIPTIC_SWEEP_POINTS: [(u32, usize, u64, u64, u64); 20] = [
+    (4, 0, 1535, 0, 0),
+    (5, 0, 834, 0, 0),
+    (6, 0, 102, 0, 0),
+    (7, 0, 133, 0, 0),
+    (8, 0, 137, 0, 0),
+    (4, 1, 4, 4, 4),
+    (5, 1, 230, 5, 5),
+    (6, 1, 258, 0, 0),
+    (7, 1, 359, 2, 2),
+    (8, 1, 216, 2, 2),
+    (4, 2, 0, 0, 0),
+    (5, 2, 0, 0, 0),
+    (6, 2, 0, 0, 0),
+    (7, 2, 0, 0, 0),
+    (8, 2, 0, 0, 0),
+    (4, 3, 0, 0, 0),
+    (5, 3, 0, 0, 0),
+    (6, 3, 0, 0, 0),
+    (7, 3, 0, 0, 0),
+    (8, 3, 0, 0, 0),
+];
+
+/// FNV-1a of a refutation-certificate list: every key with its proving
+/// plan's strength, in list order.
+fn certs_digest(certs: &[mcs_connect::RefutationCert]) -> u64 {
+    let mut bytes = Vec::new();
+    for c in certs {
+        bytes.extend_from_slice(&(c.key().len() as u32).to_le_bytes());
+        bytes.extend_from_slice(c.key());
+        bytes.extend_from_slice(format!("{:?}", c.order).as_bytes());
+        bytes.push(c.tie_high as u8);
+        bytes.extend_from_slice(&(c.branching_factor as u32).to_le_bytes());
+    }
+    mcs_codec::fnv::fnv1a(&bytes)
+}
+
+/// Golden values of the cache-enabled search, which an unseeded
+/// portfolio of one never runs: the elliptic connect-first sweep that
+/// perfbench's `design_suite` times, whose points seed one
+/// another with refutation certificates, and a portfolio of eight on
+/// `portfolio_adversarial(6)` at L3, cold and then seeded with its own
+/// harvest. Node counts, cache and seed hits, results and the harvested
+/// certificates in their order must all survive any change to how the
+/// cache stores or finds its proofs.
+#[test]
+fn cache_enabled_search_counts_are_pinned() {
+    use mcs_connect::synthesize_seeded;
+    use multichip_hls::explore::run_sweep;
+    use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
+    let spec = SweepSpec {
+        design: "elliptic".into(),
+        flow: FlowVariant::ConnectFirst,
+        rates: (4..=8).collect(),
+        budgets: vec![
+            vec![48, 48, 64, 48, 48],
+            vec![32, 48, 64, 48, 48],
+            vec![24, 32, 48, 32, 32],
+            vec![16, 16, 16, 16, 16],
+        ],
+    };
+    let d = designs::elliptic::partitioned();
+    for jobs in [1usize, 2] {
+        let opts = SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        };
+        let report = run_sweep(
+            d.cdfg(),
+            &spec,
+            &opts,
+            &multichip_hls::obs::RecorderHandle::default(),
+        )
+        .expect("the sweep runs");
+        let points: Vec<(u32, usize, u64, u64, u64)> = report
+            .outcomes
+            .iter()
+            .map(|o| {
+                let p = &o.outcome;
+                (
+                    o.coord.rate,
+                    o.coord.budget_ix,
+                    p.search_nodes,
+                    p.search_cache_hits,
+                    p.cert_seed_hits,
+                )
+            })
+            .collect();
+        assert_eq!(points, ELLIPTIC_SWEEP_POINTS, "jobs={jobs}");
+        assert_eq!(
+            mcs_codec::fnv::fnv1a(report.to_json().as_bytes()),
+            0x82ca_8e18_0804_e579,
+            "jobs={jobs}: report digest"
+        );
+    }
+
+    let d = designs::synthetic::portfolio_adversarial(6);
+    let cfg = SearchConfig::new(3).with_portfolio(8);
+    for workers in [1usize, 2, 8] {
+        let cfg = cfg.clone().with_workers(workers);
+        let (ic, stats, learned) = synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg, &[]);
+        let cold = (
+            stats.nodes,
+            stats.cache_hits,
+            stats.cache_entries,
+            ic.expect("adversarial(6) connects at L3").digest(),
+            learned.len(),
+            certs_digest(&learned),
+        );
+        assert_eq!(
+            cold,
+            (
+                3136,
+                0,
+                2935,
+                0x3a32_5574_cd17_a533,
+                2935,
+                0xf5f4_ecfd_70de_9485
+            ),
+            "workers={workers}: cold run"
+        );
+        let (ic, stats, _) = synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg, &learned);
+        let seeded = (
+            stats.nodes,
+            stats.cache_hits,
+            stats.seed_hits,
+            stats.cache_entries,
+            ic.expect("seeds keep feasibility").digest(),
+        );
+        assert_eq!(
+            seeded,
+            (2669, 46, 46, 5352, 0xb6a9_678a_6163_017a),
+            "workers={workers}: run seeded with its own harvest"
+        );
+    }
+}

@@ -10,7 +10,7 @@ use mcs_cdfg::designs;
 use mcs_cdfg::format;
 use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
 use mcs_serve::json::escape;
-use mcs_serve::server::MAX_LINE_BYTES;
+use mcs_serve::server::{MAX_CONNECTIONS, MAX_LINE_BYTES};
 use mcs_serve::{ServeConfig, Server};
 use multichip_hls::flows::{run, ConnectFirstOptions, FlowSpec, RunContext, WarmStart};
 
@@ -408,6 +408,69 @@ fn hostile_lines_get_parse_errors_and_ping_still_answers_over_tcp() {
     }
     assert_survives_hostile_lines(&responses);
     writeln!(writer, "{{\"cmd\":\"shutdown\"}}").expect("send shutdown");
+    daemon.join().expect("daemon exits");
+}
+
+/// The accept loop serves at most `MAX_CONNECTIONS` connections at once:
+/// with that many open and answering, one more gets a single
+/// `overloaded` line and is closed, `serve.rejected` counts it, and a
+/// connection opened after one of the others closes is served again.
+#[test]
+fn a_connection_over_the_cap_gets_one_overloaded_line() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::sync::Arc;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Arc::new(Server::new(ServeConfig::default()));
+    let daemon = {
+        let server = server.clone();
+        std::thread::spawn(move || server.serve_tcp(listener).expect("accept loop"))
+    };
+    let ping = |stream: &TcpStream| -> String {
+        let mut writer = stream.try_clone().expect("clone stream");
+        writeln!(writer, "{{\"cmd\":\"ping\"}}").expect("send ping");
+        let mut response = String::new();
+        BufReader::new(stream)
+            .read_line(&mut response)
+            .expect("read response");
+        response
+    };
+    // Each ping answered proves its connection has a live thread.
+    let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    for stream in &open {
+        assert!(ping(stream).contains("\"ok\":true"));
+    }
+    let mut over = TcpStream::connect(addr).expect("connect");
+    // A served connection would stay open: time out instead of hanging.
+    over.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut refused = String::new();
+    over.read_to_string(&mut refused)
+        .expect("read until closed");
+    assert_eq!(refused.lines().count(), 1, "{refused}");
+    assert!(refused.contains("\"kind\":\"overloaded\""), "{refused}");
+    assert!(refused.contains("at most 128 connections"), "{refused}");
+    let metrics = server.handle_line("{\"cmd\":\"metrics\"}");
+    assert!(metrics.contains("\"serve.rejected\":1"), "{metrics}");
+
+    // Once a connection closes, its thread ends and a newcomer is served.
+    drop(open.pop());
+    let served = (0..200).any(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let stream = TcpStream::connect(addr).expect("connect");
+        let answer = ping(&stream).contains("\"ok\":true");
+        if answer {
+            open.push(stream);
+        }
+        answer
+    });
+    assert!(served, "no connection was served after one closed");
+    writeln!(open[0], "{{\"cmd\":\"shutdown\"}}").expect("send shutdown");
+    drop(open);
     daemon.join().expect("daemon exits");
 }
 
