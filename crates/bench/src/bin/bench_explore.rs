@@ -1,15 +1,16 @@
 //! Emits the `BENCH_explore` json line: one design-space sweep of the
 //! elliptic filter run twice — with dominance pruning and exhaustively —
-//! comparing wall time, warm-start hit counts and the Pareto frontier.
-//! The two frontiers must be identical (pruning only skips points whose
-//! infeasibility is already proven) and the pruned sweep must show
-//! warm-start reuse; the process exits nonzero when either gate fails,
-//! which is what CI runs. The rendering lives in
-//! [`mcs_bench::explore_bench_line`], where it is golden-tested.
+//! comparing wall time, point outcomes and the Pareto frontier. The two
+//! frontiers must be identical (pruning only skips points whose
+//! infeasibility is already proven), and every point both sweeps ran
+//! must report the identical outcome, work counters included (pruning
+//! must not change what any other point sees); the process exits
+//! nonzero when either gate fails, which is what CI runs. The rendering
+//! lives in [`mcs_bench::explore_bench_line`], where it is golden-tested.
 
 use std::time::Instant;
 
-use mcs_bench::{explore_bench_line, measure_sweep, MeasuredSweep};
+use mcs_bench::{explore_bench_line, measure_sweep, outcomes_agree, MeasuredSweep};
 use mcs_cdfg::designs::elliptic;
 use mcs_explore::{FlowVariant, SweepOptions, SweepSpec};
 use mcs_obs::RecorderHandle;
@@ -17,9 +18,8 @@ use multichip_hls::explore::run_sweep;
 
 /// The sweep CI measures: the paper's headline benchmark across the
 /// feasibility boundary. The budget ladder descends from Table 4.14's
-/// rate-6 budgets to a uniformly starved vector, so certificate
-/// transfer between waves has somewhere to land and the tightest wave
-/// is provably pin-infeasible — which is what dominance pruning skips.
+/// rate-6 budgets to a uniformly starved vector, so the tightest wave is
+/// provably pin-infeasible — which is what dominance pruning skips.
 fn spec() -> SweepSpec {
     SweepSpec {
         design: "elliptic".into(),
@@ -49,15 +49,17 @@ fn run(prune: bool) -> (MeasuredSweep, mcs_explore::SweepReport) {
 }
 
 fn main() -> std::process::ExitCode {
-    let (pruned, _) = run(true);
-    let (exhaustive, _) = run(false);
+    let (pruned, pruned_report) = run(true);
+    let (exhaustive, exhaustive_report) = run(false);
+    let agree = outcomes_agree(&pruned_report, &exhaustive_report);
     println!(
         "{}",
         explore_bench_line(
             "elliptic",
             FlowVariant::ConnectFirst.as_str(),
             &pruned,
-            &exhaustive
+            &exhaustive,
+            agree
         )
     );
     let mut ok = true;
@@ -65,8 +67,8 @@ fn main() -> std::process::ExitCode {
         eprintln!("elliptic: pruned and exhaustive sweeps disagree on the Pareto frontier");
         ok = false;
     }
-    if pruned.probe_seed_hits + pruned.cert_seed_hits == 0 {
-        eprintln!("elliptic: pruned sweep shows no warm-start reuse");
+    if !agree {
+        eprintln!("elliptic: a point both sweeps ran reports different outcomes");
         ok = false;
     }
     if ok {

@@ -2,9 +2,8 @@
 //! search, one worker, on the `search_scale` benchmark designs — the
 //! `large_mesh` family at L4, two `portfolio_adversarial` shapes and the
 //! two screened fuzz seeds — plus one portfolio of eight on
-//! `portfolio_adversarial(6)` at L3, the only row that runs the shared
-//! refutation cache (a portfolio of one leaves it off). Each line
-//! carries the portfolio size, the nodes expanded, the cache hits and
+//! `portfolio_adversarial(6)` at L3, the only row that races several
+//! plans. Each line carries the portfolio size, the nodes expanded and
 //! the digest of the connection found, which `bench_compare search`
 //! gates exactly (the node order is the search's contract), plus the
 //! fastest of three wall times as microseconds per node, recorded for
@@ -51,9 +50,9 @@ fn main() -> std::process::ExitCode {
             let (result, stats) =
                 synthesize_with_stats(design.cdfg(), PortMode::Unidirectional, &cfg);
             best = best.min(t0.elapsed().as_secs_f64());
-            outcome = Some((result, stats.nodes, stats.cache_hits));
+            outcome = Some((result, stats.nodes));
         }
-        let (result, nodes, cache_hits) = outcome.expect("at least one run");
+        let (result, nodes) = outcome.expect("at least one run");
         let (digest, buses) = match &result {
             Ok(ic) => (ic.digest(), ic.buses.len()),
             Err(e) => {
@@ -64,7 +63,7 @@ fn main() -> std::process::ExitCode {
         };
         println!(
             "{{\"bench\":\"search\",\"design\":\"{name}\",\"rate\":{rate},\
-             \"portfolio\":{portfolio},\"nodes\":{nodes},\"cache_hits\":{cache_hits},\
+             \"portfolio\":{portfolio},\"nodes\":{nodes},\
              \"digest\":{digest},\"buses\":{buses},\"wall_ms\":{:.3},\"us_per_node\":{:.3}}}",
             best * 1e3,
             best * 1e6 / nodes.max(1) as f64

@@ -373,10 +373,9 @@ pub fn compare_resynth(baseline: &str, fresh: &str) -> Result<Vec<Finding>, Stri
 /// Diffs a fresh `BENCH_search.json` against the committed baseline.
 ///
 /// Every compared field is hard: the search is deterministic, so the
-/// portfolio size, the nodes expanded, the shared cache's hits, the
-/// digest of the connection found and its bus count are functions of the
-/// code alone, and a change means the node order or the cache's answers
-/// moved. The recorded wall time and microseconds per node are never
+/// portfolio size, the nodes expanded, the digest of the connection
+/// found and its bus count are functions of the code alone, and a change
+/// means the node order moved. The recorded wall time and microseconds per node are never
 /// compared.
 ///
 /// # Errors
@@ -385,14 +384,7 @@ pub fn compare_resynth(baseline: &str, fresh: &str) -> Result<Vec<Finding>, Stri
 pub fn compare_search(baseline: &str, fresh: &str) -> Result<Vec<Finding>, String> {
     let (pairs, mut findings) = matched_lines(baseline, fresh, "design")?;
     for (k, b, f) in &pairs {
-        for path in [
-            "rate",
-            "portfolio",
-            "nodes",
-            "cache_hits",
-            "digest",
-            "buses",
-        ] {
+        for path in ["rate", "portfolio", "nodes", "digest", "buses"] {
             hard_compare(k, b, f, path, &mut findings);
         }
     }
@@ -617,7 +609,7 @@ mod tests {
     }
 
     const SEARCH_BASE: &str = "{\"bench\":\"search\",\"design\":\"adversarial6_L3_p8\",\
-        \"rate\":3,\"portfolio\":8,\"nodes\":173268,\"cache_hits\":46,\
+        \"rate\":3,\"portfolio\":8,\"nodes\":173268,\
         \"digest\":17058123341809352787,\"buses\":14,\
         \"wall_ms\":77.699,\"us_per_node\":0.448}";
 
@@ -626,7 +618,7 @@ mod tests {
         assert!(compare_search(SEARCH_BASE, SEARCH_BASE).unwrap().is_empty());
         for (from, to, field) in [
             ("173268", "173269", "nodes"),
-            ("\"cache_hits\":46", "\"cache_hits\":45", "cache_hits"),
+            ("\"portfolio\":8", "\"portfolio\":4", "portfolio"),
             ("17058123341809352787", "17058123341809352788", "digest"),
         ] {
             let fresh = SEARCH_BASE.replace(from, to);

@@ -605,14 +605,13 @@ fn emit_measured(out: &mut String, label: &str, m: &MeasuredSearch) {
     let _ = write!(
         out,
         "\"{label}\":{{\"ok\":{},\"nodes\":{},\"nodes_per_sec\":{:.0},\
-         \"epochs\":{},\"threads\":{},\"cache_hits\":{},\"prunes\":{},\
+         \"epochs\":{},\"threads\":{},\"prunes\":{},\
          \"backtracks\":{},\"wall_ms\":{:.3},\"winner\":{}}}",
         m.ok,
         m.stats.nodes,
         m.stats.nodes_per_sec(),
         m.stats.epochs,
         m.stats.threads,
-        m.stats.cache_hits,
         m.stats.prunes,
         m.stats.backtracks,
         m.wall_ms,
@@ -724,8 +723,6 @@ pub struct MeasuredSweep {
     pub frontier: u64,
     /// Warm-start probe-memo hits summed over points.
     pub probe_seed_hits: u64,
-    /// Warm-start refutation-certificate hits summed over points.
-    pub cert_seed_hits: u64,
     /// FNV-1a digest over the frontier (see [`frontier_digest`]); two
     /// sweeps agree on the frontier iff their digests are equal.
     pub frontier_digest: u64,
@@ -761,7 +758,6 @@ pub fn measure_sweep(report: &mcs_explore::SweepReport, wall_ms: f64) -> Measure
         feasible: st.feasible,
         frontier: report.frontier.len() as u64,
         probe_seed_hits: st.probe_seed_hits,
-        cert_seed_hits: st.cert_seed_hits,
         frontier_digest: frontier_digest(&report.frontier),
         wall_ms,
     }
@@ -772,30 +768,50 @@ fn emit_sweep(out: &mut String, label: &str, m: &MeasuredSweep) {
         out,
         "\"{label}\":{{\"points\":{},\"run\":{},\"pruned\":{},\
          \"feasible\":{},\"frontier\":{},\"probe_seed_hits\":{},\
-         \"cert_seed_hits\":{},\"frontier_digest\":{},\"wall_ms\":{:.3}}}",
+         \"frontier_digest\":{},\"wall_ms\":{:.3}}}",
         m.points,
         m.run,
         m.pruned,
         m.feasible,
         m.frontier,
         m.probe_seed_hits,
-        m.cert_seed_hits,
         m.frontier_digest,
         m.wall_ms,
     );
 }
 
+/// `true` when every lattice point that both sweeps synthesized (neither
+/// pruned it) has the same status and the same [`PointOutcome`], work
+/// counters included. Both reports list their points in the canonical
+/// order of one spec.
+///
+/// [`PointOutcome`]: mcs_explore::PointOutcome
+pub fn outcomes_agree(
+    pruned: &mcs_explore::SweepReport,
+    exhaustive: &mcs_explore::SweepReport,
+) -> bool {
+    use mcs_explore::PointStatus::Pruned;
+    pruned.outcomes.len() == exhaustive.outcomes.len()
+        && pruned
+            .outcomes
+            .iter()
+            .zip(&exhaustive.outcomes)
+            .filter(|(p, e)| p.status != Pruned && e.status != Pruned)
+            .all(|(p, e)| p.coord == e.coord && p.status == e.status && p.outcome == e.outcome)
+}
+
 /// Renders one `bench_explore` BENCH line: a JSON object comparing a
 /// dominance-pruned sweep against the exhaustive sweep of the same
-/// lattice. `frontier_agree` is the differential gate — the
-/// `bench_explore` binary exits nonzero when it is false — and
-/// `warm_start_hit_rate` is warm-start hits per synthesized point of
-/// the pruned sweep. Golden-tested, like [`search_stats_line`].
+/// lattice. `frontier_agree` and `outcomes_agree` (see
+/// [`outcomes_agree`]) are the differential gates — the `bench_explore`
+/// binary exits nonzero when either is false. Golden-tested, like
+/// [`search_stats_line`].
 pub fn explore_bench_line(
     design: &str,
     flow: &str,
     pruned: &MeasuredSweep,
     exhaustive: &MeasuredSweep,
+    outcomes_agree: bool,
 ) -> String {
     let mut out = format!("{{\"bench\":\"explore\",\"design\":\"{design}\",\"flow\":\"{flow}\",");
     emit_sweep(&mut out, "pruned", pruned);
@@ -803,8 +819,6 @@ pub fn explore_bench_line(
     emit_sweep(&mut out, "exhaustive", exhaustive);
     let agree = pruned.frontier_digest == exhaustive.frontier_digest
         && pruned.frontier == exhaustive.frontier;
-    let hit_rate =
-        (pruned.probe_seed_hits + pruned.cert_seed_hits) as f64 / pruned.run.max(1) as f64;
     let speedup = if pruned.wall_ms > 0.0 {
         exhaustive.wall_ms / pruned.wall_ms
     } else {
@@ -812,7 +826,7 @@ pub fn explore_bench_line(
     };
     let _ = write!(
         out,
-        ",\"frontier_agree\":{agree},\"warm_start_hit_rate\":{hit_rate:.3},\
+        ",\"frontier_agree\":{agree},\"outcomes_agree\":{outcomes_agree},\
          \"speedup\":{speedup:.2}}}"
     );
     out
@@ -1127,9 +1141,6 @@ mod tests {
             epochs: 12,
             threads: 4,
             nodes,
-            cache_hits: 7,
-            seed_hits: 0,
-            cache_entries: 3,
             prunes: 5,
             backtracks: 2,
             wall: Duration::from_millis(250),
@@ -1156,10 +1167,10 @@ mod tests {
             line,
             "{\"bench\":\"portfolio_adversarial\",\"senders\":6,\
              \"before\":{\"ok\":true,\"nodes\":1000,\"nodes_per_sec\":4000,\
-             \"epochs\":12,\"threads\":4,\"cache_hits\":7,\"prunes\":5,\
+             \"epochs\":12,\"threads\":4,\"prunes\":5,\
              \"backtracks\":2,\"wall_ms\":250.000,\"winner\":0},\
              \"after\":{\"ok\":true,\"nodes\":4000,\"nodes_per_sec\":16000,\
-             \"epochs\":12,\"threads\":4,\"cache_hits\":7,\"prunes\":5,\
+             \"epochs\":12,\"threads\":4,\"prunes\":5,\
              \"backtracks\":2,\"wall_ms\":125.000,\"winner\":null},\
              \"probe\":{\"exact_fallbacks\":3},\"speedup\":2.00}"
         );
@@ -1175,7 +1186,6 @@ mod tests {
             feasible: 5,
             frontier: 2,
             probe_seed_hits: 4,
-            cert_seed_hits: 10,
             frontier_digest: 99,
             wall_ms: 80.0,
         };
@@ -1186,21 +1196,20 @@ mod tests {
             feasible: 5,
             frontier: 2,
             probe_seed_hits: 4,
-            cert_seed_hits: 10,
             frontier_digest: 99,
             wall_ms: 120.0,
         };
-        let line = explore_bench_line("elliptic", "connect-first", &pruned, &exhaustive);
+        let line = explore_bench_line("elliptic", "connect-first", &pruned, &exhaustive, true);
         assert_eq!(
             line,
             "{\"bench\":\"explore\",\"design\":\"elliptic\",\"flow\":\"connect-first\",\
              \"pruned\":{\"points\":10,\"run\":7,\"pruned\":3,\"feasible\":5,\
-             \"frontier\":2,\"probe_seed_hits\":4,\"cert_seed_hits\":10,\
+             \"frontier\":2,\"probe_seed_hits\":4,\
              \"frontier_digest\":99,\"wall_ms\":80.000},\
              \"exhaustive\":{\"points\":10,\"run\":10,\"pruned\":0,\"feasible\":5,\
-             \"frontier\":2,\"probe_seed_hits\":4,\"cert_seed_hits\":10,\
+             \"frontier\":2,\"probe_seed_hits\":4,\
              \"frontier_digest\":99,\"wall_ms\":120.000},\
-             \"frontier_agree\":true,\"warm_start_hit_rate\":2.000,\
+             \"frontier_agree\":true,\"outcomes_agree\":true,\
              \"speedup\":1.50}"
         );
         mcs_codec::json::parse(&line).expect("BENCH line is strict JSON");

@@ -37,7 +37,7 @@ pub mod search;
 pub use bounds::bus_upper_bound;
 pub use model::{Bus, BusAssignment, Interconnect, SubRange};
 pub use portfolio::{
-    portfolio_plans, synthesize_seeded, synthesize_with_stats, CandidateOrder, OpOrder,
-    RefutationCert, SearchStats, WorkerOutcome, WorkerPlan, WorkerReport,
+    portfolio_plans, synthesize_with_stats, CandidateOrder, OpOrder, SearchStats, WorkerOutcome,
+    WorkerPlan, WorkerReport,
 };
 pub use search::{share_pass, synthesize, ConnectError, SearchConfig};

@@ -52,20 +52,18 @@ pub struct SearchConfig {
     pub workers: usize,
     /// Number of diversified search configurations raced against each
     /// other. `None` means "one per worker". A portfolio of 1 runs
-    /// exactly the classic Figure 4.3 search (and disables the shared
-    /// pruning cache), so single-config results are bit-for-bit those of
-    /// the sequential implementation.
+    /// exactly the classic Figure 4.3 search, so single-config results
+    /// are bit-for-bit those of the sequential implementation.
     pub portfolio: Option<usize>,
     /// Nodes each live worker expands between synchronization barriers.
     /// Epoch-lockstep execution is what makes the parallel search
-    /// deterministic: cancellation and cache visibility are decided by
-    /// node counts, never by wall-clock timing.
+    /// deterministic: the winner and cancellation are decided by node
+    /// counts, never by wall-clock timing.
     pub epoch_nodes: usize,
     /// Telemetry handle: a `connect.epoch_us` histogram (one observation
-    /// per live worker per epoch, timed on the registry clock) plus
-    /// `connect.seed_hits` / `connect.cache_hits` / `connect.nodes`
-    /// counters added once at the end of the run; with an event sink,
-    /// `SearchNode` and `WorkerPanic` events, recorded by the
+    /// per live worker per epoch, timed on the registry clock) plus a
+    /// `connect.nodes` counter added once at the end of the run; with an
+    /// event sink, `SearchNode` and `WorkerPanic` events, recorded by the
     /// orchestrator at the barrier in portfolio-index order so the event
     /// stream is deterministic across thread counts. Disconnected by
     /// default.
@@ -214,13 +212,13 @@ pub(crate) struct State {
     mode: PortMode,
     nparts: usize,
     /// Width of each bus.
-    pub(crate) widths: Vec<u32>,
+    widths: Vec<u32>,
     /// Port widths, one row per bus, indexed by partition: output ports
     /// then input ports in unidirectional mode, bidirectional ports in
     /// bidirectional mode. Zero means no port.
     ports: Vec<u32>,
     /// Values riding each bus, ascending.
-    pub(crate) values: Vec<Vec<ValueId>>,
+    values: Vec<Vec<ValueId>>,
     /// Carrying bus of each assigned operation, in assignment order.
     assigned: Vec<usize>,
     /// Unallocated pins per partition.
@@ -297,7 +295,7 @@ impl State {
 
     /// Output, input and bidirectional port rows of `bus`, by partition;
     /// the rows the port mode does not use are empty.
-    pub(crate) fn port_rows(&self, bus: usize) -> [&[u32]; 3] {
+    fn port_rows(&self, bus: usize) -> [&[u32]; 3] {
         let row = self.row(bus);
         match self.mode {
             PortMode::Unidirectional => {

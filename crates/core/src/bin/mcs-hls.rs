@@ -606,13 +606,12 @@ fn main() -> ExitCode {
             if let Some(stats) = &r.search_stats {
                 println!(
                     "connection search: {} nodes in {:.1} ms over {} epochs \
-                     ({:.0} nodes/s, {} threads, {} cache hits, {} prunes, {} backtracks)",
+                     ({:.0} nodes/s, {} threads, {} prunes, {} backtracks)",
                     stats.nodes,
                     stats.wall.as_secs_f64() * 1e3,
                     stats.epochs,
                     stats.nodes_per_sec(),
                     stats.threads,
-                    stats.cache_hits,
                     stats.prunes,
                     stats.backtracks,
                 );
@@ -905,7 +904,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "explore: {} points ({} run, {} pruned, {} skipped): {} feasible, \
                  {} pin-infeasible, {} search-failed, {} errors; \
-                 frontier {}; warm-start hits {} ({} probe + {} cert)",
+                 frontier {}; warm-start probe hits {}",
                 st.points,
                 st.run,
                 st.pruned,
@@ -915,9 +914,7 @@ fn main() -> ExitCode {
                 st.search_failed,
                 st.errors,
                 report.frontier.len(),
-                st.seed_hits(),
                 st.probe_seed_hits,
-                st.cert_seed_hits,
             );
             if st.termination != mcs_ctl::Termination::Complete {
                 eprintln!(

@@ -33,6 +33,7 @@
 use mcs_cdfg::{timing, Cdfg, PartitionId, PortMode};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
 use mcs_explore::FlowVariant;
+use mcs_metrics::MetricsHandle;
 use mcs_pinalloc::{PinAllocError, PinChecker, PinIlp, DEFAULT_PIVOT_BUDGET};
 use mcs_sim::{verify, Semantics, Stimulus, Violation};
 
@@ -148,7 +149,16 @@ pub fn flow_differential_with_ports(cdfg: &Cdfg, ports: PortMode) -> FlowDiffere
     let total_cycles: i64 = cdfg.op_ids().map(|op| i64::from(cdfg.op_cycles(op))).sum();
     let pipe_length = total_cycles + i64::from(rate);
 
-    let simple = classify_budgeted(cdfg, simple_flow(cdfg, rate), true);
+    // The Chapter 3 flow refuses a design that is not simple before it
+    // builds its pin checker; the checker's own verdict on the design is
+    // still a proof when no pin allocation exists at all.
+    let simple = match simple_flow(cdfg, rate) {
+        Err(FlowError::NotSimple(v)) => match PinChecker::new(cdfg, rate) {
+            Ok(_) => Verdict::Skipped(v.to_string()),
+            Err(e) => classify_budgeted(cdfg, Err(e.into()), true),
+        },
+        outcome => classify_budgeted(cdfg, outcome, true),
+    };
     let connect = classify_budgeted(
         cdfg,
         connect_first_flow(cdfg, &ConnectFirstOptions::new(rate)),
@@ -296,7 +306,8 @@ pub fn probe_differential(
 ) -> Result<ProbeDifferential, PinAllocError> {
     let mut out = ProbeDifferential::default();
     for &budget in pivot_budgets {
-        let mut checker = PinChecker::with_pivot_budget(cdfg, rate, budget)?;
+        let mut checker =
+            PinChecker::with_context(cdfg, rate, budget, None, &MetricsHandle::default())?;
         let io_ops = cdfg.io_ops().count();
         out.probes += io_ops * rate as usize;
         for (op, step, trail, clone) in checker.probe_sweep() {
@@ -496,7 +507,13 @@ pub fn explain_differential(
 ) -> Result<ExplainDifferential, PinAllocError> {
     let ilp = PinIlp::new(cdfg, rate)?;
     let budget = Budget::new(BudgetSpec::default().max_pivots(max_pivots));
-    let exact = match PinChecker::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, Some(budget)) {
+    let exact = match PinChecker::with_context(
+        cdfg,
+        rate,
+        DEFAULT_PIVOT_BUDGET,
+        Some(budget),
+        &MetricsHandle::default(),
+    ) {
         Ok(_) => Some(true),
         Err(PinAllocError::InfeasibleFromTheStart) => Some(false),
         Err(_) => None,

@@ -20,13 +20,11 @@
 //!   because it is the only one sound to lift to dominated points.
 //!   Incomplete-search failures are [`PointStatus::SearchFailed`] and
 //!   never prune.
-//! * Warm starts transfer a [`WarmStart`] between points at the same
-//!   rate: `false` epoch-0 probe verdicts (a probe infeasible under a
-//!   looser budget stays infeasible under a tighter one — the `true`
-//!   direction does not transfer and is filtered out) and
-//!   connection-search refutation certificates (exhaustive-failure
-//!   proofs, valid for any same-or-tighter budget; see
-//!   [`mcs_connect::synthesize_seeded`]).
+//! * Warm starts transfer a [`WarmStart`] between Chapter 3 points at the
+//!   same rate: `false` epoch-0 probe verdicts (a probe infeasible under
+//!   a looser budget stays infeasible under a tighter one — the `true`
+//!   direction does not transfer and is filtered out). The other flows
+//!   export nothing, so each of their points runs as it would alone.
 
 use std::sync::Arc;
 
@@ -120,9 +118,8 @@ pub struct PointRun {
     /// the flow's failure) and its exports moved to `export`.
     pub outcome: FlowOutcome,
     /// What later points may adopt: a finished Chapter 3 run's probe
-    /// verdicts, or the connection search's certificates even from a
-    /// failed point (failed searches produce the most valuable proofs).
-    /// `None` after a pin-allocation failure and for the Chapter 5 flow.
+    /// verdicts. `None` for a failed Chapter 3 point and for the other
+    /// flows.
     pub export: Option<WarmStart>,
 }
 
@@ -156,7 +153,7 @@ pub fn run_point(cdfg: &Cdfg, flow: FlowVariant, rate: u32, ctx: &RunContext) ->
 
 /// [`run_point`] whose flow also adopts every donor's exports into the
 /// context's warm start. The copy is made only when the flow runs, so a
-/// point the counting bound refutes copies no certificate.
+/// point the counting bound refutes copies no probe verdict.
 fn seeded_point(
     cdfg: &Cdfg,
     flow: FlowVariant,
@@ -226,8 +223,6 @@ fn seeded_point(
     let mut point = PointOutcome::default();
     if let Some(st) = &outcome.search_stats {
         point.search_nodes = st.nodes;
-        point.search_cache_hits = st.cache_hits;
-        point.cert_seed_hits = st.seed_hits;
     }
     if let Some(probe) = &outcome.probe_stats {
         point.solver_probes = probe.solver_probes;
@@ -252,11 +247,7 @@ fn seeded_point(
     };
     (point.status, point.detail) = (Some(status), detail);
     let exports = std::mem::take(&mut outcome.exports);
-    let publish = match flow {
-        FlowVariant::Simple => outcome.result.is_ok(),
-        FlowVariant::ConnectFirst => !matches!(outcome.result, Err(FlowError::PinAllocation(_))),
-        FlowVariant::ScheduleFirst => false,
-    };
+    let publish = flow == FlowVariant::Simple && outcome.result.is_ok();
     PointRun {
         point,
         outcome,

@@ -5,8 +5,7 @@ use std::collections::BTreeMap;
 
 use mcs_cdfg::{BusId, Cdfg, OpId, OperatorClass, PartitionId, PortMode};
 use mcs_connect::{
-    share_pass, synthesize_seeded, ConnectError, Interconnect, RefutationCert, SearchConfig,
-    SearchStats,
+    share_pass, synthesize_with_stats, ConnectError, Interconnect, SearchConfig, SearchStats,
 };
 use mcs_ctl::{Budget, Termination};
 use mcs_metrics::MetricsHandle;
@@ -143,31 +142,26 @@ pub enum FlowSpec {
     },
 }
 
-/// Cross-run warm-start payload: the seeds one [`run`] takes in and the
-/// exports it hands out. Both payloads are pure functions of `(design,
-/// rate, budgets)`, so a later run of the same design and rate may adopt
-/// them (see [`WarmStart::adopt`] for the direction that is sound).
+/// Cross-run warm-start payload of the Chapter 3 flow: the seeds one
+/// [`run`] takes in and the exports it hands out. The payload is a pure
+/// function of `(design, rate, budgets)`, so a later run of the same
+/// design and rate may adopt it (see [`WarmStart::adopt`] for the
+/// direction that is sound). The other flows neither read nor write it.
 #[derive(Clone, Debug, Default)]
 pub struct WarmStart {
     /// Epoch-0 pin-probe verdicts ([`PinChecker::initial_probe_memo`]),
     /// read and written by the Simple flow.
     pub probe_memo: Vec<((usize, i64), bool)>,
-    /// Connection-search refutation certificates (see
-    /// [`mcs_connect::synthesize_seeded`]), read and written by the
-    /// Connect flow.
-    pub certs: Vec<RefutationCert>,
 }
 
 impl WarmStart {
     /// Adopts what soundly transfers from `donor`, an export of the same
-    /// design at the same rate under same-or-looser pin budgets: every
-    /// refutation certificate, but only the `false` probe verdicts — a
-    /// probe infeasible under a looser budget stays infeasible with fewer
-    /// pins, while a feasible one may not.
+    /// design at the same rate under same-or-looser pin budgets: only the
+    /// `false` probe verdicts — a probe infeasible under a looser budget
+    /// stays infeasible with fewer pins, while a feasible one may not.
     pub fn adopt(&mut self, donor: &WarmStart) {
         self.probe_memo
             .extend(donor.probe_memo.iter().filter(|&&(_, verdict)| !verdict));
-        self.certs.extend(donor.certs.iter().cloned());
     }
 }
 
@@ -191,8 +185,7 @@ pub struct RunContext {
     pub metrics: MetricsHandle,
     /// Warm-start seeds from earlier runs. The caller upholds the
     /// soundness contract of [`WarmStart::adopt`]; seeding never changes
-    /// verdicts, only which probes reach the solver and which search
-    /// subtrees are skipped.
+    /// verdicts, only which probes reach the solver.
     pub warm: WarmStart,
 }
 
@@ -219,9 +212,7 @@ pub struct FlowOutcome {
     /// finished scheduling.
     pub probe_stats: Option<ProbeCacheStats>,
     /// What later runs may adopt: the Simple flow's epoch-0 probe
-    /// verdicts (from a successful run) and the Connect flow's learned
-    /// refutation certificates (from every run — failed searches produce
-    /// the most valuable proofs).
+    /// verdicts, from a successful run. Empty for the other flows.
     pub exports: WarmStart,
 }
 
@@ -521,15 +512,21 @@ pub fn simple_flow_with_checker(
     metrics: &MetricsHandle,
 ) -> Result<(SynthesisResult, ProbeCacheStats), FlowError> {
     check_rate(rate)?;
+    check_simple(cdfg).map_err(FlowError::NotSimple)?;
     let metrics = metrics.clone().with_events(recorder);
     simple_body(cdfg, rate, checker, &metrics).map(|(result, stats, _)| (result, stats))
 }
 
-/// [`FlowSpec::Simple`]: builds the pin checker under both budgets,
-/// seeds it from the context's probe memo and runs the flow.
+/// [`FlowSpec::Simple`]: checks Definition 3.2 first, then builds the pin
+/// checker under both budgets, seeds it from the context's probe memo and
+/// runs the flow. A design that is not simple never pays the checker's
+/// construction solve, which can run for minutes at a high rate.
 fn simple(cdfg: &Cdfg, rate: u32, pivot_budget: Option<usize>, ctx: &RunContext) -> FlowOutcome {
     if let Err(e) = check_rate(rate) {
         return Err(e).into();
+    }
+    if let Err(v) = check_simple(cdfg) {
+        return Err(FlowError::NotSimple(v)).into();
     }
     let mut checker = match pin_checker(cdfg, rate, pivot_budget, ctx) {
         Ok(c) => c,
@@ -546,10 +543,11 @@ fn simple(cdfg: &Cdfg, rate: u32, pivot_budget: Option<usize>, ctx: &RunContext)
     }
 }
 
-/// The Chapter 3 flow body over a prepared checker. The checker's budget
-/// (if any) is shared with the list scheduler, so both layers charge one
-/// ledger. Returns the probe-cache counters and the epoch-0 probe-memo
-/// export with the result.
+/// The Chapter 3 flow body over a prepared checker, for a design its
+/// caller has checked to be simple. The checker's budget (if any) is
+/// shared with the list scheduler, so both layers charge one ledger.
+/// Returns the probe-cache counters and the epoch-0 probe-memo export
+/// with the result.
 fn simple_body(
     cdfg: &Cdfg,
     rate: u32,
@@ -557,7 +555,6 @@ fn simple_body(
     metrics: &MetricsHandle,
 ) -> Result<(SynthesisResult, ProbeCacheStats, WarmStart), FlowError> {
     let _flow_span = metrics.span("flow");
-    check_simple(cdfg).map_err(FlowError::NotSimple)?;
     checker.set_metrics(metrics);
     let mut policy = PinPolicy::new(checker);
     let mut lc = ListConfig::new(rate);
@@ -570,7 +567,6 @@ fn simple_body(
     let stats = policy.checker().probe_stats();
     let exports = WarmStart {
         probe_memo: policy.checker().initial_probe_memo(),
-        certs: Vec::new(),
     };
     if metrics.enabled() {
         metrics.add("probe.memo_hits", stats.memo_hits);
@@ -724,9 +720,8 @@ pub fn connect_first_flow(
     connect_first(cdfg, opts, &ctx).result
 }
 
-/// [`FlowSpec::Connect`]: the portfolio connection search, seeded with
-/// the context's refutation certificates, then bus-slot scheduling. The
-/// run exports what the search learned even when the flow fails.
+/// [`FlowSpec::Connect`]: the portfolio connection search, then bus-slot
+/// scheduling.
 ///
 /// With an event sink on the handle, the run records a `connect` phase
 /// carrying per-worker-epoch [`Event::SearchNode`] telemetry from the
@@ -741,9 +736,9 @@ fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> F
     }
     let _flow_span = ctx.metrics.span("flow");
     let cfg = opts.search_config(ctx);
-    let (ic, stats, learned) = {
+    let (ic, stats) = {
         let _span = ctx.metrics.span("connect");
-        synthesize_seeded(cdfg, opts.mode, &cfg, &ctx.warm.certs)
+        synthesize_with_stats(cdfg, opts.mode, &cfg)
     };
     let result = ic
         .map_err(FlowError::from)
@@ -759,10 +754,7 @@ fn connect_first(cdfg: &Cdfg, opts: &ConnectFirstOptions, ctx: &RunContext) -> F
         best_buses: stats.deepest_buses,
         search_stats: Some(stats),
         probe_stats: None,
-        exports: WarmStart {
-            probe_memo: Vec::new(),
-            certs: learned,
-        },
+        exports: WarmStart::default(),
     }
 }
 

@@ -359,7 +359,6 @@ pub fn render_search_stats(stats: &SearchStats) -> Table {
         "plan",
         "outcome",
         "nodes",
-        "cache hits",
         "prunes",
         "backtracks",
         "cost",
@@ -379,7 +378,6 @@ pub fn render_search_stats(stats: &SearchStats) -> Table {
             w.config.clone(),
             w.outcome.to_string(),
             w.nodes.to_string(),
-            w.cache_hits.to_string(),
             w.prunes.to_string(),
             w.backtracks.to_string(),
             cost,

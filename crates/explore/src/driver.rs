@@ -287,7 +287,6 @@ pub fn sweep<R: PointRunner>(
                 }
             }
             stats.probe_seed_hits += outcome.probe_seed_hits;
-            stats.cert_seed_hits += outcome.cert_seed_hits;
             if status == PointStatus::PinInfeasible {
                 certs.push(*coord);
                 // No export: a pruned sweep must present the same donor

@@ -18,7 +18,7 @@
 //!   `P' <= P` (componentwise) without synthesis: fewer control-step
 //!   groups and fewer pins only remove allocations, never add them.
 //! * [`cache::WarmStartCache`] — a sharded cross-point cache of opaque
-//!   warm-start exports (probe memos, refutation certificates),
+//!   warm-start exports (such as probe memos),
 //!   published only at wave barriers in wave order so every point sees
 //!   a deterministic donor list.
 //! * [`pareto_frontier`] — the non-dominated set over
@@ -140,7 +140,7 @@ impl PointStatus {
 /// What a [`PointRunner`] reports for one synthesized point. All fields
 /// must be deterministic functions of the point and its seed list —
 /// wall-clock measurements belong in the caller's telemetry, not here.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PointOutcome {
     /// Verdict. [`PointStatus::Pruned`] is reserved for the driver.
     pub status: Option<PointStatus>,
@@ -160,11 +160,6 @@ pub struct PointOutcome {
     pub probe_seed_hits: u64,
     /// Connection-search nodes expanded at this point.
     pub search_nodes: u64,
-    /// Connection-search cache prunes at this point.
-    pub search_cache_hits: u64,
-    /// Connection-search prunes answered by seeded refutation
-    /// certificates.
-    pub cert_seed_hits: u64,
     /// Free-form detail (error text); must be deterministic.
     pub detail: String,
 }
@@ -182,8 +177,8 @@ pub struct PointOutcome {
 /// contributes an export (the driver drops it), which is what makes
 /// dominance pruning invisible to every other point's inputs.
 pub trait PointRunner: Sync {
-    /// Warm-start payload carried between points (probe memos,
-    /// refutation certificates, ...). Opaque to the driver.
+    /// Warm-start payload carried between points (such as probe
+    /// memos). Opaque to the driver.
     type Export: Send + Sync;
 
     /// Synthesizes `coord` with pin budgets `budget`, optionally warm
@@ -247,17 +242,8 @@ pub struct SweepStats {
     pub termination: mcs_ctl::Termination,
     /// Warm-start probe memo hits summed over points.
     pub probe_seed_hits: u64,
-    /// Warm-start certificate hits summed over points.
-    pub cert_seed_hits: u64,
     /// Exports resident in the warm-start cache at the end.
     pub cache_entries: u64,
-}
-
-impl SweepStats {
-    /// Total warm-start hits (probe memo + refutation certificates).
-    pub fn seed_hits(&self) -> u64 {
-        self.probe_seed_hits + self.cert_seed_hits
-    }
 }
 
 /// The full result of a sweep: per-point outcomes in canonical order
@@ -363,7 +349,6 @@ impl SweepReport {
                  \"latency\":{},\"pins\":{},\"buses\":{},\"registers\":{},\
                  \"solver_probes\":{},\"probe_memo_hits\":{},\
                  \"probe_seed_hits\":{},\"search_nodes\":{},\
-                 \"search_cache_hits\":{},\"cert_seed_hits\":{},\
                  \"detail\":\"{}\"}}",
                 o.coord.rate,
                 o.coord.budget_ix,
@@ -376,8 +361,6 @@ impl SweepReport {
                 o.outcome.probe_memo_hits,
                 o.outcome.probe_seed_hits,
                 o.outcome.search_nodes,
-                o.outcome.search_cache_hits,
-                o.outcome.cert_seed_hits,
                 escape(&o.outcome.detail),
             ));
         }
@@ -397,8 +380,7 @@ impl SweepReport {
              \"feasible\":{},\"pin_infeasible\":{},\"search_failed\":{},\
              \"errors\":{},\"skipped\":{},\"panics\":{},\
              \"termination\":\"{}\",\
-             \"probe_seed_hits\":{},\"cert_seed_hits\":{},\
-             \"cache_entries\":{}}}}}",
+             \"probe_seed_hits\":{},\"cache_entries\":{}}}}}",
             st.points,
             st.run,
             st.pruned,
@@ -410,7 +392,6 @@ impl SweepReport {
             st.panics,
             st.termination.name(),
             st.probe_seed_hits,
-            st.cert_seed_hits,
             st.cache_entries,
         ));
         s
@@ -421,7 +402,7 @@ impl SweepReport {
     pub fn to_csv(&self) -> String {
         let mut s = String::from(
             "rate,budget_ix,budget,status,latency,pins,buses,registers,\
-             probe_seed_hits,cert_seed_hits\n",
+             probe_seed_hits\n",
         );
         for o in &self.outcomes {
             let budget = self.spec.budgets[o.coord.budget_ix]
@@ -431,7 +412,7 @@ impl SweepReport {
                 .join("|");
             let cell = |v: Option<i64>| v.map_or_else(String::new, |x| x.to_string());
             s.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{}\n",
                 o.coord.rate,
                 o.coord.budget_ix,
                 budget,
@@ -441,7 +422,6 @@ impl SweepReport {
                 cell(o.outcome.buses.map(i64::from)),
                 cell(o.outcome.registers.map(i64::from)),
                 o.outcome.probe_seed_hits,
-                o.outcome.cert_seed_hits,
             ));
         }
         s

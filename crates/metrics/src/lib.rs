@@ -752,14 +752,14 @@ mod tests {
     #[test]
     fn peak_gauge_keeps_the_maximum_regardless_of_order() {
         let reg = Arc::new(Registry::new());
-        let g = reg.gauge("connect.cache_entries");
+        let g = reg.gauge("probe.max_rollback_depth");
         for v in [232, 983, 451] {
             g.set_max(v);
         }
         assert_eq!(g.get(), 983);
         let m = MetricsHandle::new(reg.clone());
-        m.gauge_max("connect.cache_entries", 12);
-        assert_eq!(reg.snapshot().gauges["connect.cache_entries"], 983);
+        m.gauge_max("probe.max_rollback_depth", 12);
+        assert_eq!(reg.snapshot().gauges["probe.max_rollback_depth"], 983);
     }
 
     #[test]

@@ -90,14 +90,12 @@ fn fields(event: &Event) -> Vec<(&'static str, JsonValue)> {
             nodes,
             prunes,
             backtracks,
-            cache_hits,
         } => vec![
             ("worker", UInt(worker as u64)),
             ("epoch", UInt(epoch as u64)),
             ("nodes", UInt(nodes)),
             ("prunes", UInt(prunes)),
             ("backtracks", UInt(backtracks)),
-            ("cache_hits", UInt(cache_hits)),
         ],
         Event::WorkerPanic {
             pool,
@@ -225,7 +223,6 @@ mod tests {
                 nodes: 120,
                 prunes: 7,
                 backtracks: 2,
-                cache_hits: 5,
             },
             Event::WorkerPanic {
                 pool: "portfolio",

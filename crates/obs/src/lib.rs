@@ -221,8 +221,6 @@ pub enum Event {
         prunes: u64,
         /// Backtracks this epoch.
         backtracks: u64,
-        /// Shared-cache prunes this epoch.
-        cache_hits: u64,
     },
     /// A parallel worker panicked and was quarantined; the run continued
     /// degraded, without that worker's contribution. Recorded at the

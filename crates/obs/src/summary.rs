@@ -139,7 +139,6 @@ mod tests {
                 nodes: 10,
                 prunes: 0,
                 backtracks: 0,
-                cache_hits: 0,
             },
             Event::PhaseBegin { phase: "schedule" },
             Event::ScheduleDecision {

@@ -36,7 +36,7 @@ use crate::model::{OpVar, PinIlp, Sense};
 
 /// Default pivot budget per feasibility probe before falling back to
 /// exact branch-and-bound. Configurable per checker via
-/// [`PinChecker::with_pivot_budget`] / [`PinChecker::set_pivot_budget`];
+/// [`PinChecker::with_context`];
 /// any budget — including 0 — yields sound verdicts because the exact
 /// fallback always decides.
 pub const DEFAULT_PIVOT_BUDGET: usize = 4_000;
@@ -218,47 +218,32 @@ impl PinChecker {
     /// [`PinAllocError::InfeasibleFromTheStart`] if the pin budgets cannot
     /// carry the design's transfers at all.
     pub fn new(cdfg: &Cdfg, rate: u32) -> Result<Self, PinAllocError> {
-        Self::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, None)
+        Self::with_context(
+            cdfg,
+            rate,
+            DEFAULT_PIVOT_BUDGET,
+            None,
+            &MetricsHandle::default(),
+        )
     }
 
-    /// [`PinChecker::new`] with an explicit pivot budget per feasibility
-    /// solve. A budget of 0 sends every solve straight to the exact
-    /// branch-and-bound fallback — slow but still sound.
-    pub fn with_pivot_budget(
-        cdfg: &Cdfg,
-        rate: u32,
-        pivot_budget: usize,
-    ) -> Result<Self, PinAllocError> {
-        Self::with_budgets(cdfg, rate, pivot_budget, None)
-    }
-
-    /// [`PinChecker::with_pivot_budget`] with an optional execution
-    /// [`Budget`] attached *before* the construction-time feasibility
-    /// solve, so even that initial exact resolve is interruptible.
-    /// Without a budget the solve runs unbounded, which on adversarial
-    /// designs can take arbitrarily long; any deadline-bound caller
-    /// should construct through here.
+    /// [`PinChecker::new`] with everything a caller can configure, all
+    /// attached before the construction-time feasibility solve:
+    ///
+    /// * `pivot_budget` per feasibility solve. A budget of 0 sends every
+    ///   solve straight to the exact branch-and-bound fallback — slow but
+    ///   still sound.
+    /// * An optional execution [`Budget`], so even the initial exact
+    ///   resolve is interruptible. Without one the solve runs unbounded,
+    ///   which on adversarial designs can take arbitrarily long; any
+    ///   deadline-bound caller should pass one.
+    /// * `metrics` (as by [`PinChecker::set_metrics`]), so that solve's
+    ///   `ilp.pivots` reach the caller's registry.
     ///
     /// # Errors
     ///
     /// As [`PinChecker::new`], plus [`PinAllocError::Interrupted`] when
     /// the budget trips mid-construction.
-    pub fn with_budgets(
-        cdfg: &Cdfg,
-        rate: u32,
-        pivot_budget: usize,
-        budget: Option<Budget>,
-    ) -> Result<Self, PinAllocError> {
-        Self::with_context(cdfg, rate, pivot_budget, budget, &MetricsHandle::default())
-    }
-
-    /// [`PinChecker::with_budgets`] with `metrics` attached (as by
-    /// [`PinChecker::set_metrics`]) before the construction-time solve, so
-    /// that solve's `ilp.pivots` reach the caller's registry.
-    ///
-    /// # Errors
-    ///
-    /// As [`PinChecker::with_budgets`].
     pub fn with_context(
         cdfg: &Cdfg,
         rate: u32,
@@ -425,14 +410,6 @@ impl PinChecker {
     /// The pivot budget per feasibility solve.
     pub fn pivot_budget(&self) -> usize {
         self.pivot_budget
-    }
-
-    /// Changes the pivot budget for subsequent solves. Verdicts stay
-    /// sound for any value (the exact fallback decides when the budget
-    /// runs out); the memo cache is unaffected because verdicts do not
-    /// depend on the budget.
-    pub fn set_pivot_budget(&mut self, pivot_budget: usize) {
-        self.pivot_budget = pivot_budget;
     }
 
     /// Pins the embedded solver to its wide (i128) tableau
@@ -1024,7 +1001,8 @@ mod tests {
         // Budget 0 sends every solve to the exact fallback; verdicts must
         // match the default-budget checker on the fig. 2.5 dead end.
         let d = synthetic::fig_2_5();
-        let mut slow = PinChecker::with_pivot_budget(d.cdfg(), 2, 0).unwrap();
+        let mut slow =
+            PinChecker::with_context(d.cdfg(), 2, 0, None, &MetricsHandle::default()).unwrap();
         assert_eq!(slow.pivot_budget(), 0);
         let mut fast = PinChecker::new(d.cdfg(), 2).unwrap();
         let v1 = d.op_named("V1");

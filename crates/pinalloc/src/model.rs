@@ -6,7 +6,7 @@
 //! (Constraints 3.5/3.6) and the per-partition, per-group capacities
 //! (Constraints 3.2/3.3, or 3.7/3.8 with a free split) — over the
 //! variables of the Section 3.1.2 aggregation. The exact checker feeds
-//! exactly these rows to its solver ([`crate::PinChecker::with_budgets`]),
+//! exactly these rows to its solver ([`crate::PinChecker::with_context`]),
 //! and the two certificates below read the same rows, so all three answer
 //! one question about one system:
 //!

@@ -2,19 +2,20 @@
 //! [`mcs_explore::WarmStartCache`].
 //!
 //! After every job that runs to a *complete* termination (success or a
-//! definitive failure — failed searches produce the most valuable
-//! refutation certificates), the daemon publishes the job's canonical
-//! response body plus its [`WarmStart`] exports (the `PinChecker`
-//! epoch-0 probe memo and the connection search's learned refutation
-//! certificates) under a key derived from the design digest, the
-//! rate and the effective pin-budget vector. Lookups then tier:
+//! definitive failure), the daemon publishes the job's canonical
+//! response body plus its [`WarmStart`] exports under a key derived from
+//! the design digest, the rate and the effective pin-budget vector. Only
+//! a successful Chapter 3 job has exports (the `PinChecker` epoch-0 probe
+//! memo); every other entry carries none. Lookups then tier:
 //!
 //! 1. **Exact hit** — same key: the stored response body is replayed
 //!    inline on the connection thread, no pool dispatch, microseconds.
-//! 2. **Near-repeat** — same design/flow/rate, a donor budget vector
-//!    that componentwise dominates the request's: the donor's `false`
-//!    probe verdicts and certificates seed the new run, exactly the
-//!    transfer rule `mcs-explore` applies between sweep points.
+//! 2. **Near-repeat** (tagged `warm`) — same design/flow/rate, a donor
+//!    budget vector that componentwise dominates the request's: the
+//!    donor's `false` probe verdicts seed the new run, exactly the
+//!    transfer rule `mcs-explore` applies between sweep points. A donor
+//!    without exports (any connect-first entry) seeds nothing, so that
+//!    job runs as a cold one would; the tag still says a donor was found.
 //! 3. **Cold** — no donor; the job runs from scratch.
 //!
 //! Interrupted runs never publish: a deadline trip is not evidence
@@ -223,10 +224,7 @@ mod tests {
 
     fn entry(body: &str, memo: Vec<((usize, i64), bool)>) -> ServeEntry {
         ServeEntry {
-            exports: WarmStart {
-                probe_memo: memo,
-                certs: Vec::new(),
-            },
+            exports: WarmStart { probe_memo: memo },
             body: body.to_string(),
         }
     }
@@ -254,7 +252,6 @@ mod tests {
         match cache.lookup(&poorer) {
             Lookup::Warm(seeds) => {
                 assert_eq!(seeds.probe_memo, vec![((0, 2), false), ((1, 0), false)]);
-                assert!(seeds.certs.is_empty());
             }
             other => panic!("expected seeds, got {other:?}"),
         }

@@ -8,9 +8,9 @@
 //! execution budgets clamped by server caps, `catch_unwind` quarantine
 //! for panicking jobs, and — the headline — a digest-keyed
 //! **cross-request warm-start cache** ([`cache::ServeCache`]): repeat
-//! designs replay their response in microseconds, near-repeat designs
-//! seed their solvers with probe memos and refutation certificates the
-//! way `mcs-explore` sweep points already do.
+//! designs replay their response in microseconds, and near-repeat
+//! Chapter 3 jobs seed their pin checkers with probe memos the way
+//! `mcs-explore` sweep points already do.
 //!
 //! The wire protocol is specified in `docs/SERVE.md`. Every response
 //! body is a deterministic function of the request and cache state;

@@ -9,8 +9,7 @@ use std::process::Command;
 use std::sync::Arc;
 
 use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
-use mcs_cdfg::{designs, PartitionId, PortMode};
-use mcs_connect::{synthesize_seeded, ConnectError, SearchConfig};
+use mcs_cdfg::{designs, PartitionId};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
 use mcs_explore::{ExploreOutcome, FlowVariant, PointStatus, SweepOptions, SweepSpec};
 use mcs_metrics::{MetricsHandle, Registry};
@@ -121,52 +120,6 @@ fn node_budget_outcome_is_identical_across_worker_counts() {
     }
 }
 
-/// Cancellation mid-search leaves the refutation cache consistent: the
-/// certificates learned by a cancelled run are a *prefix* of the
-/// uncancelled run's (deterministic expansion up to the break), and
-/// seeding a fresh search with them reproduces the reference result.
-#[test]
-fn cancellation_mid_epoch_keeps_the_refutation_cache_consistent() {
-    let d = designs::synthetic::portfolio_adversarial(6);
-    let mut cfg = SearchConfig::new(2).with_portfolio(4);
-    // Small epochs so barriers arrive long before the search finishes.
-    cfg.epoch_nodes = 16;
-
-    // Reference: uncancelled run, same epoch discipline.
-    let (ref_ic, _, ref_learned) = synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg, &[]);
-    let ref_ic = ref_ic.expect("adversarial(6) is feasible");
-
-    // Interrupted: a node ceiling trips at an early barrier.
-    let budget = Budget::new(BudgetSpec::default().max_nodes(40));
-    let cfg_cut = cfg.clone().with_budget(budget);
-    let (cut_ic, cut_stats, cut_learned) =
-        synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg_cut, &[]);
-    match cut_ic {
-        Err(ConnectError::Interrupted(Termination::BudgetExhausted)) => {}
-        other => panic!("expected interruption, got {other:?}"),
-    }
-    assert!(cut_stats.termination.interrupted());
-
-    // Prefix property: nothing the interrupted run learned can differ
-    // from what the uncancelled run learned first.
-    assert!(
-        cut_learned.len() <= ref_learned.len(),
-        "interrupted run cannot learn more than the full run"
-    );
-    assert_eq!(
-        cut_learned,
-        ref_learned[..cut_learned.len()],
-        "learned certificates must be a prefix of the uncancelled run's"
-    );
-
-    // Seeding a fresh search with the interrupted run's certificates is
-    // sound: the result is identical to the unseeded reference.
-    let (seeded_ic, seeded_stats, _) =
-        synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg, &cut_learned);
-    assert_eq!(seeded_ic.expect("seeded run succeeds"), ref_ic);
-    assert_eq!(seeded_stats.termination, Termination::Complete);
-}
-
 /// The acceptance path: `mcs-hls synth --deadline-ms 0` exits 0 with a
 /// `deadline-exceeded` anytime report instead of hanging or aborting.
 #[test]
@@ -254,8 +207,14 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     let d = designs::ar_filter::simple();
     let rate = 2;
     let ledger = Budget::unlimited();
-    PinChecker::with_budgets(d.cdfg(), rate, DEFAULT_PIVOT_BUDGET, Some(ledger.clone()))
-        .expect("the chapter 3 design passes the gate");
+    PinChecker::with_context(
+        d.cdfg(),
+        rate,
+        DEFAULT_PIVOT_BUDGET,
+        Some(ledger.clone()),
+        &MetricsHandle::default(),
+    )
+    .expect("the chapter 3 design passes the gate");
     let pivots = ledger.pivots_spent();
     assert!(pivots > 0, "the construction solve pivots");
     let ceiling = || Budget::new(BudgetSpec::default().max_pivots(pivots - 1));
@@ -307,11 +266,12 @@ fn pivot_ceiling_inside_the_construction_solve_interrupts_run_and_sweep() {
     assert_eq!(ilp.refutation(), None);
     assert_eq!(ilp.witness(), None);
     let ledger = Budget::unlimited();
-    let explained = PinChecker::with_budgets(
+    let explained = PinChecker::with_context(
         &starved_cdfg,
         rate,
         DEFAULT_PIVOT_BUDGET,
         Some(ledger.clone()),
+        &MetricsHandle::default(),
     );
     assert!(
         matches!(explained, Err(PinAllocError::InfeasibleFromTheStart)),
@@ -368,8 +328,14 @@ fn an_explaining_solve_reports_its_pivots() {
     let fuzz = design_from_seed(&FuzzConfig::default(), 33);
     let cdfg = with_pin_budgets(fuzz.cdfg(), &[16]);
     let ledger = Budget::unlimited();
-    PinChecker::with_budgets(&cdfg, 2, DEFAULT_PIVOT_BUDGET, Some(ledger.clone()))
-        .expect_err("the system is pin-infeasible");
+    PinChecker::with_context(
+        &cdfg,
+        2,
+        DEFAULT_PIVOT_BUDGET,
+        Some(ledger.clone()),
+        &MetricsHandle::default(),
+    )
+    .expect_err("the system is pin-infeasible");
     let reg = Arc::new(Registry::new());
     let ctx = RunContext {
         metrics: MetricsHandle::new(reg.clone()),
@@ -408,6 +374,43 @@ fn sweep_point(
     let report =
         run_sweep(cdfg, &spec, &opts, &RecorderHandle::default()).expect("well-formed spec");
     report.outcomes[0].clone()
+}
+
+/// A Chapter 3 sweep of a design whose partitioning is not simple
+/// refuses every point it runs before the pin checker solves: no pivot
+/// is spent, not even at a rate whose checker would be large.
+#[test]
+fn a_non_simple_chapter3_sweep_spends_no_pivots() {
+    let d = designs::elliptic::partitioned();
+    let ledger = Budget::unlimited();
+    let reg = Arc::new(Registry::new());
+    let spec = SweepSpec {
+        design: "elliptic".into(),
+        flow: FlowVariant::Simple,
+        rates: vec![6, 32],
+        budgets: vec![vec![48, 48, 64, 48, 48]],
+    };
+    let opts = SweepOptions {
+        jobs: 1,
+        budget: Some(ledger.clone()),
+        metrics: MetricsHandle::new(reg.clone()),
+        ..SweepOptions::default()
+    };
+    let report =
+        run_sweep(d.cdfg(), &spec, &opts, &RecorderHandle::default()).expect("well-formed spec");
+    assert_eq!(report.outcomes.len(), 2);
+    for o in &report.outcomes {
+        assert_eq!(o.status, PointStatus::Error, "{:?}: {o:?}", o.coord);
+        assert!(
+            o.outcome.detail.contains("not simple"),
+            "{:?}: {}",
+            o.coord,
+            o.outcome.detail
+        );
+    }
+    assert_eq!(ledger.pivots_spent(), 0);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters.get("ilp.pivots").copied().unwrap_or(0), 0);
 }
 
 /// A feasible connect-first point never builds the exact pin checker:

@@ -105,6 +105,45 @@ fn pruning_never_changes_the_frontier() {
     }
 }
 
+/// Pruning changes which points run, never what a point reports: every
+/// point that both the pruned and the exhaustive sweep ran has an
+/// identical `PointOutcome`, search and probe counters included.
+#[test]
+fn pruned_and_exhaustive_sweeps_agree_point_for_point() {
+    let wide = load("../../examples/designs/wide_sweep.mcs");
+    let elliptic = elliptic::partitioned();
+    let cases = [
+        (&wide, wide_sweep_spec(FlowVariant::Simple)),
+        (&wide, wide_sweep_spec(FlowVariant::ConnectFirst)),
+        (&elliptic, elliptic_spec()),
+    ];
+    for (design, spec) in &cases {
+        let pruned = sweep(design, spec, 2, true);
+        let exhaustive = sweep(design, spec, 2, false);
+        let mut shared = 0;
+        for o in &pruned.outcomes {
+            if o.status == PointStatus::Pruned {
+                continue;
+            }
+            let twin = exhaustive
+                .outcomes
+                .iter()
+                .find(|e| e.coord == o.coord)
+                .expect("the exhaustive sweep runs every point");
+            assert_eq!(
+                (o.status, &o.outcome),
+                (twin.status, &twin.outcome),
+                "{} ({}): {:?}",
+                spec.design,
+                spec.flow.as_str(),
+                o.coord
+            );
+            shared += 1;
+        }
+        assert!(shared > 0, "{}: no point ran in both sweeps", spec.design);
+    }
+}
+
 /// JSON and CSV renderings are byte-identical at 1, 2 and 8 workers —
 /// the wave-barrier publication discipline makes parallelism invisible.
 #[test]
@@ -132,32 +171,23 @@ fn reports_are_byte_identical_across_worker_counts() {
     }
 }
 
-/// Refutation certificates learned at generous budgets prune search at
-/// dominated budgets: the elliptic connect-first sweep must report
-/// warm-start certificate hits.
+/// Only a finished Chapter 3 point publishes a warm-start export (its
+/// probe memo): in the wide-sweep Simple sweep every feasible point
+/// does, while the elliptic connect-first sweep publishes nothing.
 #[test]
-fn warm_start_certificates_transfer_between_waves() {
-    let design = elliptic::partitioned();
-    let spec = SweepSpec {
-        design: "elliptic".into(),
-        flow: FlowVariant::ConnectFirst,
-        rates: (4..=8).collect(),
-        budgets: vec![vec![48, 48, 64, 48, 48], vec![32, 48, 64, 48, 48]],
-    };
-    let report = sweep(&design, &spec, 2, true);
-    assert!(
-        report.stats.cert_seed_hits > 0,
-        "no certificate transfer in the elliptic sweep: {:?}",
+fn only_finished_chapter3_points_publish_exports() {
+    let wide = load("../../examples/designs/wide_sweep.mcs");
+    let report = sweep(&wide, &wide_sweep_spec(FlowVariant::Simple), 2, true);
+    assert!(report.stats.feasible > 0);
+    assert_eq!(
+        report.stats.cache_entries, report.stats.feasible,
+        "{:?}",
         report.stats
     );
-    assert!(report.stats.cache_entries > 0);
-    // The per-point counters sum to the aggregate.
-    let summed: u64 = report
-        .outcomes
-        .iter()
-        .map(|o| o.outcome.cert_seed_hits)
-        .sum();
-    assert_eq!(summed, report.stats.cert_seed_hits);
+
+    let report = sweep(&elliptic::partitioned(), &elliptic_spec(), 2, true);
+    assert!(report.stats.feasible > 0);
+    assert_eq!(report.stats.cache_entries, 0, "{:?}", report.stats);
 }
 
 /// The wide-sweep design flips feasibility along both axes: feasible

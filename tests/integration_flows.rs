@@ -30,6 +30,32 @@ fn chapter3_simple_flow_on_the_ar_filter() {
     }
 }
 
+/// Definition 3.2 is checked before the pin checker is built: the
+/// Chapter 3 flow refuses a design that is not simple without a single
+/// pivot of the checker's construction solve, which at high rates can
+/// run for minutes.
+#[test]
+fn non_simple_design_is_refused_before_the_pin_checker_solves() {
+    let d = designs::elliptic::partitioned();
+    let reg = Arc::new(Registry::new());
+    let ctx = RunContext {
+        metrics: MetricsHandle::new(reg.clone()),
+        ..RunContext::default()
+    };
+    let spec = FlowSpec::Simple {
+        rate: 6,
+        pivot_budget: None,
+    };
+    let out = run(d.cdfg(), &spec, &ctx);
+    assert!(
+        matches!(out.result, Err(FlowError::NotSimple(_))),
+        "{:?}",
+        out.result.err()
+    );
+    let pivots = reg.snapshot().counters.get("ilp.pivots").copied();
+    assert_eq!(pivots.unwrap_or(0), 0, "the pin checker solved");
+}
+
 #[test]
 fn chapter3_flow_rejects_general_partitionings() {
     let d = designs::ar_filter::general(3, PortMode::Unidirectional);

@@ -144,7 +144,7 @@ fn probe_and_anytime_contracts_hold() {
     }
     assert_eq!(
         (probes, checks),
-        (324, 317),
+        (324, 305),
         "probe/anytime coverage drifted"
     );
 }
@@ -158,7 +158,13 @@ fn gate_then_run(
     rate: u32,
     ctx: &RunContext,
 ) -> (PointStatus, String) {
-    if let Err(e) = PinChecker::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, ctx.budget.clone()) {
+    if let Err(e) = PinChecker::with_context(
+        cdfg,
+        rate,
+        DEFAULT_PIVOT_BUDGET,
+        ctx.budget.clone(),
+        &MetricsHandle::default(),
+    ) {
         return failure_status(&e.into());
     }
     let result = match run(cdfg, &point_spec(flow, rate), ctx).result {

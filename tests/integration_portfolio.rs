@@ -171,7 +171,6 @@ fn portfolio_of_one_reproduces_the_classic_search() {
         );
         assert_eq!(pinned.expect("pinned portfolio connects"), classic);
         assert_eq!(stats.threads, 1, "portfolio of one needs one thread");
-        assert_eq!(stats.cache_hits, 0, "cache is disabled for a lone plan");
     }
 }
 
@@ -238,8 +237,8 @@ fn search_node_counts_and_results_are_pinned() {
             ic.digest()
         );
     }
-    // A four-plan portfolio with its shared failure cache: the same
-    // pinned result at 1, 2 and 8 threads.
+    // A four-plan portfolio: the same pinned result at 1, 2 and 8
+    // threads.
     let d = designs::synthetic::large_mesh(6);
     for workers in [1usize, 2, 8] {
         let cfg = SearchConfig::new(4).with_portfolio(4).with_workers(workers);
@@ -253,60 +252,79 @@ fn search_node_counts_and_results_are_pinned() {
     }
 }
 
-/// Per-point `(rate, budget index, search nodes, cache hits, cert seed
-/// hits)` of the `design_suite` elliptic sweep below, recorded before the
-/// refutation cache was rebuilt around a state hash. Every cache hit of
-/// the sweep is a seed hit.
-const ELLIPTIC_SWEEP_POINTS: [(u32, usize, u64, u64, u64); 20] = [
-    (4, 0, 1535, 0, 0),
-    (5, 0, 834, 0, 0),
-    (6, 0, 102, 0, 0),
-    (7, 0, 133, 0, 0),
-    (8, 0, 137, 0, 0),
-    (4, 1, 4, 4, 4),
-    (5, 1, 230, 5, 5),
-    (6, 1, 258, 0, 0),
-    (7, 1, 359, 2, 2),
-    (8, 1, 216, 2, 2),
-    (4, 2, 0, 0, 0),
-    (5, 2, 0, 0, 0),
-    (6, 2, 0, 0, 0),
-    (7, 2, 0, 0, 0),
-    (8, 2, 0, 0, 0),
-    (4, 3, 0, 0, 0),
-    (5, 3, 0, 0, 0),
-    (6, 3, 0, 0, 0),
-    (7, 3, 0, 0, 0),
-    (8, 3, 0, 0, 0),
+/// One point of the `design_suite` elliptic sweep below: `(rate, budget
+/// index, search nodes, status, detail, (latency, pins, buses,
+/// registers))`, the measures present only for a feasible point.
+type SweepRow<'a> = (
+    u32,
+    usize,
+    u64,
+    &'a str,
+    &'a str,
+    Option<(i64, u32, u32, u32)>,
+);
+
+const NO_CONNECTION: &str =
+    "connection synthesis failed: heuristic search found no interchip connection";
+const DEADLINE: &str = "scheduling failed: op30 missed a recursive-edge deadline";
+const NO_PINS: &str = "no pin allocation exists even before scheduling";
+
+/// Each point of the elliptic connect-first lattice that perfbench's
+/// `design_suite` sweeps, run alone through `run_point` with no donors,
+/// recorded while the connection search still kept a failure-proof
+/// cache: 4 083 search nodes in all. No point probes the pin checker.
+const ELLIPTIC_LONE_POINTS: [SweepRow<'static>; 20] = [
+    (4, 0, 1535, "search-failed", NO_CONNECTION, None),
+    (5, 0, 834, "search-failed", DEADLINE, None),
+    (6, 0, 102, "feasible", "", Some((30, 240, 3, 37))),
+    (7, 0, 133, "feasible", "", Some((26, 224, 3, 35))),
+    (8, 0, 137, "feasible", "", Some((29, 208, 2, 35))),
+    (4, 1, 163, "search-failed", NO_CONNECTION, None),
+    (5, 1, 303, "search-failed", NO_CONNECTION, None),
+    (6, 1, 258, "feasible", "", Some((30, 240, 3, 37))),
+    (7, 1, 374, "feasible", "", Some((28, 224, 3, 35))),
+    (8, 1, 244, "feasible", "", Some((27, 208, 2, 37))),
+    (4, 2, 0, "pin-infeasible", NO_PINS, None),
+    (5, 2, 0, "pin-infeasible", NO_PINS, None),
+    (6, 2, 0, "pin-infeasible", NO_PINS, None),
+    (7, 2, 0, "pin-infeasible", NO_PINS, None),
+    (8, 2, 0, "pin-infeasible", NO_PINS, None),
+    (4, 3, 0, "pin-infeasible", NO_PINS, None),
+    (5, 3, 0, "pin-infeasible", NO_PINS, None),
+    (6, 3, 0, "pin-infeasible", NO_PINS, None),
+    (7, 3, 0, "pin-infeasible", NO_PINS, None),
+    (8, 3, 0, "pin-infeasible", NO_PINS, None),
 ];
 
-/// FNV-1a of a refutation-certificate list: every key with its proving
-/// plan's strength, in list order.
-fn certs_digest(certs: &[mcs_connect::RefutationCert]) -> u64 {
-    let mut bytes = Vec::new();
-    for c in certs {
-        bytes.extend_from_slice(&(c.key().len() as u32).to_le_bytes());
-        bytes.extend_from_slice(c.key());
-        bytes.extend_from_slice(format!("{:?}", c.order).as_bytes());
-        bytes.push(c.tie_high as u8);
-        bytes.extend_from_slice(&(c.branching_factor as u32).to_le_bytes());
-    }
-    mcs_codec::fnv::fnv1a(&bytes)
+/// `p` at `(rate, budget_ix)` as a [`SweepRow`], after checking that it
+/// carries no probe counters and has all four measures or none.
+fn sweep_row(
+    rate: u32,
+    budget_ix: usize,
+    p: &multichip_hls::explore_engine::PointOutcome,
+) -> SweepRow<'_> {
+    assert_eq!(
+        (p.solver_probes, p.probe_memo_hits, p.probe_seed_hits),
+        (0, 0, 0)
+    );
+    let measures = match (p.latency, p.total_pins, p.buses, p.registers) {
+        (Some(l), Some(pins), Some(b), Some(r)) => Some((l, pins, b, r)),
+        (None, None, None, None) => None,
+        partial => panic!("({rate}, {budget_ix}): partial measures {partial:?}"),
+    };
+    let status = p.status.expect("a run point has a status").as_str();
+    (rate, budget_ix, p.search_nodes, status, &p.detail, measures)
 }
 
-/// Golden values of the cache-enabled search, which an unseeded
-/// portfolio of one never runs: the elliptic connect-first sweep that
-/// perfbench's `design_suite` times, whose points seed one
-/// another with refutation certificates, and a portfolio of eight on
-/// `portfolio_adversarial(6)` at L3, cold and then seeded with its own
-/// harvest. Node counts, cache and seed hits, results and the harvested
-/// certificates in their order must all survive any change to how the
-/// cache stores or finds its proofs.
+/// The elliptic connect-first sweep that perfbench's `design_suite`
+/// times: every point, run alone and run inside the sweep at 1 and 2
+/// jobs, reproduces its recorded lone outcome field for field, search
+/// nodes included. A point the sweep prunes was recorded pin-infeasible.
 #[test]
-fn cache_enabled_search_counts_are_pinned() {
-    use mcs_connect::synthesize_seeded;
-    use multichip_hls::explore::run_sweep;
-    use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
+fn elliptic_sweep_points_match_their_lone_runs() {
+    use multichip_hls::explore::{run_point, run_sweep, with_pin_budgets};
+    use multichip_hls::explore_engine::{FlowVariant, PointStatus, SweepOptions, SweepSpec};
+    use multichip_hls::flows::RunContext;
     let spec = SweepSpec {
         design: "elliptic".into(),
         flow: FlowVariant::ConnectFirst,
@@ -318,7 +336,24 @@ fn cache_enabled_search_counts_are_pinned() {
             vec![16, 16, 16, 16, 16],
         ],
     };
+    let total: u64 = ELLIPTIC_LONE_POINTS.iter().map(|r| r.2).sum();
+    assert_eq!(total, 4_083);
     let d = designs::elliptic::partitioned();
+    for row in ELLIPTIC_LONE_POINTS {
+        let (rate, ix) = (row.0, row.1);
+        let cdfg = with_pin_budgets(d.cdfg(), &spec.budgets[ix]);
+        let lone = run_point(
+            &cdfg,
+            FlowVariant::ConnectFirst,
+            rate,
+            &RunContext::default(),
+        );
+        assert_eq!(sweep_row(rate, ix, &lone.point), row, "lone run");
+        assert!(
+            lone.export.is_none(),
+            "a connect-first point exports nothing"
+        );
+    }
     for jobs in [1usize, 2] {
         let opts = SweepOptions {
             jobs,
@@ -331,65 +366,99 @@ fn cache_enabled_search_counts_are_pinned() {
             &multichip_hls::obs::RecorderHandle::default(),
         )
         .expect("the sweep runs");
-        let points: Vec<(u32, usize, u64, u64, u64)> = report
-            .outcomes
-            .iter()
-            .map(|o| {
-                let p = &o.outcome;
-                (
-                    o.coord.rate,
-                    o.coord.budget_ix,
-                    p.search_nodes,
-                    p.search_cache_hits,
-                    p.cert_seed_hits,
-                )
-            })
-            .collect();
-        assert_eq!(points, ELLIPTIC_SWEEP_POINTS, "jobs={jobs}");
-        assert_eq!(
-            mcs_codec::fnv::fnv1a(report.to_json().as_bytes()),
-            0x82ca_8e18_0804_e579,
-            "jobs={jobs}: report digest"
-        );
+        assert_eq!(report.outcomes.len(), ELLIPTIC_LONE_POINTS.len());
+        for o in &report.outcomes {
+            let (rate, ix) = (o.coord.rate, o.coord.budget_ix);
+            let row = ELLIPTIC_LONE_POINTS
+                .iter()
+                .find(|r| (r.0, r.1) == (rate, ix))
+                .expect("a recorded point");
+            if o.status == PointStatus::Pruned {
+                assert_eq!(
+                    row.3, "pin-infeasible",
+                    "jobs={jobs}: ({rate}, {ix}) pruned"
+                );
+            } else {
+                assert_eq!(sweep_row(rate, ix, &o.outcome), *row, "jobs={jobs}");
+            }
+        }
     }
+}
 
+/// `(name, design, rate, portfolio, nodes, digest)` of one search below;
+/// no digest means no connection was found.
+type PinnedSearch = (&'static str, designs::Design, u32, usize, u64, Option<u64>);
+
+/// Searches on which the failure-proof cache the connection search used
+/// to keep did prune in-run, with each result (the connection's digest,
+/// or `NoConnectionFound`) recorded while it did, bidirectional ports and
+/// the default configuration otherwise. Dropping the cache can only
+/// delay a success, so each result holds; the node counts are those of
+/// the cache-free search.
+#[test]
+fn formerly_cache_pruned_runs_keep_their_results() {
+    use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
+    use mcs_connect::ConnectError;
+    let fuzz = |seed| design_from_seed(&FuzzConfig::default(), seed);
+    let elliptic_l3 = designs::elliptic::partitioned_with(3, PortMode::Bidirectional);
+    let cases: [PinnedSearch; 6] = [
+        (
+            "fuzz 14",
+            fuzz(14),
+            2,
+            2,
+            12_966,
+            Some(0xa46d_a68e_8a5c_c0e8),
+        ),
+        (
+            "fuzz 14",
+            fuzz(14),
+            2,
+            4,
+            20_380,
+            Some(0x28c2_5967_e029_159c),
+        ),
+        ("fuzz 198", fuzz(198), 2, 8, 17_492, None),
+        ("fuzz 119", fuzz(119), 5, 8, 6_517, None),
+        ("elliptic (L3 budgets)", elliptic_l3, 3, 8, 1_694, None),
+        (
+            "elliptic (L6 budgets)",
+            designs::elliptic::partitioned(),
+            3,
+            8,
+            17_103,
+            None,
+        ),
+    ];
+    for (name, d, rate, portfolio, nodes, digest) in cases {
+        let cfg = SearchConfig::new(rate).with_portfolio(portfolio);
+        let (ic, stats) = synthesize_with_stats(d.cdfg(), PortMode::Bidirectional, &cfg);
+        let got = match ic {
+            Ok(ic) => Some(ic.digest()),
+            Err(ConnectError::NoConnectionFound) => None,
+            Err(e) => panic!("{name} at L{rate}, portfolio {portfolio}: {e}"),
+        };
+        let run = format!("{name} at L{rate}, portfolio {portfolio}");
+        assert_eq!(got, digest, "{run}");
+        assert_eq!(stats.nodes, nodes, "{run}: nodes");
+    }
+}
+
+/// A portfolio of eight on `portfolio_adversarial(6)` at L3 — the
+/// `BENCH_search.json` portfolio row — gives the same node count and
+/// connection at 1, 2 and 8 threads.
+#[test]
+fn portfolio_of_eight_counts_are_pinned() {
     let d = designs::synthetic::portfolio_adversarial(6);
     let cfg = SearchConfig::new(3).with_portfolio(8);
     for workers in [1usize, 2, 8] {
         let cfg = cfg.clone().with_workers(workers);
-        let (ic, stats, learned) = synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg, &[]);
-        let cold = (
-            stats.nodes,
-            stats.cache_hits,
-            stats.cache_entries,
+        let (ic, stats) = synthesize_with_stats(d.cdfg(), PortMode::Unidirectional, &cfg);
+        assert_eq!(stats.nodes, 3136, "workers={workers}: node count");
+        assert_eq!(
             ic.expect("adversarial(6) connects at L3").digest(),
-            learned.len(),
-            certs_digest(&learned),
-        );
-        assert_eq!(
-            cold,
-            (
-                3136,
-                0,
-                2935,
-                0x3a32_5574_cd17_a533,
-                2935,
-                0xf5f4_ecfd_70de_9485
-            ),
-            "workers={workers}: cold run"
-        );
-        let (ic, stats, _) = synthesize_seeded(d.cdfg(), PortMode::Unidirectional, &cfg, &learned);
-        let seeded = (
-            stats.nodes,
-            stats.cache_hits,
-            stats.seed_hits,
-            stats.cache_entries,
-            ic.expect("seeds keep feasibility").digest(),
-        );
-        assert_eq!(
-            seeded,
-            (2669, 46, 46, 5352, 0xb6a9_678a_6163_017a),
-            "workers={workers}: run seeded with its own harvest"
+            0x3a32_5574_cd17_a533,
+            "workers={workers}"
         );
     }
 }
